@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from cardtable.agents.cfr import regret_matching
-from cardtable.agents.policy import PolicyTable
+from cardtable.agents.policy import PolicyTable, average_policy
 from cardtable.core.rng import Rng, split_seed
 from cardtable.env import EnvConfig, make
 
@@ -52,15 +52,9 @@ class MCCFRTrainer:
 
     def policy(self) -> PolicyTable:
         """Normalized average strategy; unvisited keys fall back to uniform."""
-        table = PolicyTable()
-        for key, weights in self.strategy_sum.items():
-            total = sum(weights)
-            ids = self.actions_at[key]
-            if total > 0.0:
-                table.set(key, ids, [w / total for w in weights])
-            else:
-                table.set(key, ids, [1.0] * len(ids))
-        return table
+        return average_policy(
+            (key, self.actions_at[key], weights) for key, weights in self.strategy_sum.items()
+        )
 
     def _tables(self, key: str, legal) -> tuple[list[float], list[float]]:
         regr = self.regrets.get(key)

@@ -4,13 +4,18 @@ The file format ("cardtable-policy v1") is line-oriented text: a header,
 then one sorted line per information key holding the legal action ids
 and their probabilities at 12 decimal places. Keys absent from a table
 fall back to uniform over the legal actions, so a partial table is
-always playable.
+always playable. Entries are checked as they are stored: action ids
+must be distinct and probabilities finite, non-negative and of positive
+mass, or InvalidPolicy is raised; a file that repeats a key fails to
+load with a ParseError naming the line.
 """
 
 from __future__ import annotations
 
+import math
+
 from cardtable.agents.base import Agent
-from cardtable.errors import ParseError
+from cardtable.errors import InvalidPolicy, ParseError
 
 _HEADER = "cardtable-policy v1"
 
@@ -28,13 +33,18 @@ class PolicyTable:
         return key in self._table
 
     def set(self, key: str, action_ids, probs) -> None:
+        """Store the normalized distribution; raises InvalidPolicy on a bad entry."""
         action_ids = tuple(int(a) for a in action_ids)
         probs = tuple(float(p) for p in probs)
         if len(action_ids) != len(probs):
-            raise ValueError("ids and probabilities differ in length")
+            raise InvalidPolicy(f"{key!r}: {len(action_ids)} action ids but {len(probs)} probabilities")
+        if len(set(action_ids)) != len(action_ids):
+            raise InvalidPolicy(f"{key!r}: repeated action id in {action_ids}")
+        if not all(0.0 <= p < math.inf for p in probs):
+            raise InvalidPolicy(f"{key!r}: probabilities must be finite and non-negative, got {probs}")
         total = sum(probs)
-        if total <= 0:
-            raise ValueError("probabilities must have positive mass")
+        if not 0.0 < total < math.inf:
+            raise InvalidPolicy(f"{key!r}: probabilities must have positive, finite mass")
         self._table[key] = (action_ids, tuple(p / total for p in probs))
 
     def probs_for(self, key: str, legal_action_ids) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -85,8 +95,29 @@ class PolicyTable:
                     probs = tuple(float(x) for x in probs_s.split(","))
                 except ValueError as exc:
                     raise ParseError(f"line {n}: {exc}") from exc
-                table.set(key, ids, probs)
+                if key in table:
+                    raise ParseError(f"line {n}: key {key!r} repeats an earlier line")
+                try:
+                    table.set(key, ids, probs)
+                except InvalidPolicy as exc:
+                    raise ParseError(f"line {n}: {exc}") from exc
         return table
+
+
+def average_policy(entries) -> PolicyTable:
+    """Table from (key, action ids, cumulative strategy) triples.
+
+    Each strategy sum is normalized; one with no positive mass becomes
+    uniform over its action ids.
+    """
+    table = PolicyTable()
+    for key, ids, weights in entries:
+        total = sum(weights)
+        if total > 0.0:
+            table.set(key, ids, [w / total for w in weights])
+        else:
+            table.set(key, ids, [1.0] * len(ids))
+    return table
 
 
 class PolicyAgent(Agent):

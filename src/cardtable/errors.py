@@ -69,5 +69,10 @@ class WorkerFailure(CardTableError):
         self.game_index = game_index
 
 
+class InvalidPolicy(CardTableError, ValueError):
+    """A policy entry has mismatched lengths, repeated action ids, or
+    probabilities that are negative, non-finite or without positive mass."""
+
+
 class ParseError(CardTableError):
     """A policy file, config file, or trajectory log is malformed."""

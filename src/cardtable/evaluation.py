@@ -6,8 +6,9 @@ position, the landlord seat) cancels out of per-agent aggregates and
 the whole run is reproducible from one master seed.
 
 Best response comes in two independently written forms. The generic
-one groups tree nodes by information key and maximizes reach-weighted
-action values recursively; the leduc-specific one never touches the
+one sweeps the compiled tree (trees.compiled_tree), groups the
+responder's nodes by info set and maximizes reach-weighted action
+values recursively; the leduc-specific one never touches the
 tree module and instead pushes explicit hidden-state weight vectors
 (opponent card, board card) down the public betting sequence. The test
 suite requires them to agree to 1e-9, which guards both the tree
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from cardtable.agents.policy import PolicyTable
 from cardtable.env import REGISTRY, Env, EnvConfig, make
 from cardtable.errors import GameTooLarge, InvalidParam, NotZeroSum, SeatMismatch
-from cardtable.trees import LeducTree, blackjack_census, count_nodes, tree_for
+from cardtable.trees import CHANCE, DECISION, NODE_LIMIT, TERMINAL, blackjack_census, compiled_tree, tree_for
 
 # ---------------------------------------------------------------------------
 # tournaments
@@ -160,132 +161,126 @@ def winrate_vs_random(agent, config: EnvConfig, n_games: int) -> float:
 # best response and exploitability
 
 
+def _aligned_probs(policy: PolicyTable, key: str, actions) -> tuple[float, ...]:
+    """The policy's probability of each legal action at key, 0.0 where it stores none."""
+    ids, probs = policy.probs_for(key, actions)
+    by_id = dict(zip(ids, probs))
+    return tuple(by_id.get(action, 0.0) for action in actions)
+
+
 def tree_policy_value(game, tables) -> tuple[float, ...]:
     """Exact expected payoffs when every seat plays its PolicyTable.
 
     tables is one table shared by all seats or a sequence per seat;
     unseen keys fall back to uniform, matching PolicyAgent.
     """
-    tree = tree_for(game)
+    tree = compiled_tree(game)
     if isinstance(tables, PolicyTable):
-        tables = [tables] * tree.num_players
+        tables = [tables, tables]
+    kind, children, chance_probs, info, payoff = tree.kind, tree.children, tree.probs, tree.info, tree.payoff
+    action_probs = [
+        _aligned_probs(tables[tree.info_seat[i]], key, tree.actions[i]) for i, key in enumerate(tree.keys)
+    ]
 
     def walk(node):
-        if tree.is_terminal(node):
-            return tree.payoffs(node)
-        if tree.is_chance(node):
-            total = None
-            for child, prob in tree.chance_outcomes(node):
-                vals = walk(child)
-                if total is None:
-                    total = [prob * v for v in vals]
-                else:
-                    for i, v in enumerate(vals):
-                        total[i] += prob * v
-            return tuple(total)
-        seat = tree.player(node)
-        actions = tree.actions(node)
-        ids, probs = tables[seat].probs_for(tree.info_key(node), actions)
-        by_id = dict(zip(ids, probs))
+        k = kind[node]
+        if k == TERMINAL:
+            return payoff[node], -payoff[node]
+        if k == CHANCE:
+            branches = zip(children[node], chance_probs[node])
+        else:
+            branches = [(c, p) for c, p in zip(children[node], action_probs[info[node]]) if p != 0.0]
         total = None
-        for action in actions:
-            prob = by_id.get(action, 0.0)
-            if prob == 0.0:
-                continue
-            vals = walk(tree.child(node, action))
+        for child, prob in branches:
+            vals = walk(child)
             if total is None:
                 total = [prob * v for v in vals]
             else:
                 for i, v in enumerate(vals):
                     total[i] += prob * v
         if total is None:
-            total = [0.0] * tree.num_players
+            total = [0.0, 0.0]
         return tuple(total)
 
-    return walk(tree.root())
+    return walk(0)
 
 
-def best_response(game, policy: PolicyTable, player: int, node_limit: int = 10_000_000):
+def best_response(game, policy: PolicyTable, player: int, node_limit: int = NODE_LIMIT):
     """Exact best response for one player against a fixed policy.
 
-    Returns (br_policy, br_value). Pass 1 collects every node of the
-    responding player grouped by information key together with its
-    chance-and-opponent reach probability; pass 2 picks, per key, the
-    action maximizing the reach-weighted value sum, evaluating nodes
-    lazily so the choice at a key and the values below it stay
-    consistent. Ties break to the earliest legal action.
+    Returns (br_policy, br_value). Pass 1 sweeps the compiled tree in
+    preorder, recording every node's chance-and-opponent reach
+    probability and grouping the responding player's nodes by info set;
+    pass 2 picks, per info set, the action maximizing the reach-weighted
+    value sum, evaluating nodes lazily so the choice at a set and the
+    values below it stay consistent. Ties break to the earliest legal
+    action.
     """
-    tree = tree_for(game)
-    count_nodes(tree, node_limit)
-    infosets: dict[str, list] = {}
-    actions_at: dict[str, tuple] = {}
-
-    def collect(node, reach: float) -> None:
-        if tree.is_terminal(node):
-            return
-        if tree.is_chance(node):
-            for child, prob in tree.chance_outcomes(node):
-                collect(child, reach * prob)
-            return
-        actions = tree.actions(node)
-        if tree.player(node) == player:
-            key = tree.info_key(node)
-            infosets.setdefault(key, []).append((node, reach))
-            actions_at.setdefault(key, tuple(actions))
-            for action in actions:
-                collect(tree.child(node, action), reach)
+    tree = compiled_tree(game, node_limit)
+    kind, children, chance_probs = tree.kind, tree.children, tree.probs
+    seat, info, payoff = tree.seat, tree.info, tree.payoff
+    opponent_probs = [
+        None if tree.info_seat[i] == player else _aligned_probs(policy, key, tree.actions[i])
+        for i, key in enumerate(tree.keys)
+    ]
+    members: list[list[int]] = [[] for _ in tree.keys]
+    reach = [1.0] * tree.num_nodes
+    for node, k in enumerate(kind):
+        if k == TERMINAL:
+            continue
+        r = reach[node]
+        if k == CHANCE:
+            for child, prob in zip(children[node], chance_probs[node]):
+                reach[child] = r * prob
+        elif seat[node] == player:
+            members[info[node]].append(node)
+            for child in children[node]:
+                reach[child] = r
         else:
-            ids, probs = policy.probs_for(tree.info_key(node), actions)
-            by_id = dict(zip(ids, probs))
-            for action in actions:
-                collect(tree.child(node, action), reach * by_id.get(action, 0.0))
+            for child, prob in zip(children[node], opponent_probs[info[node]]):
+                reach[child] = r * prob
 
-    collect(tree.root(), 1.0)
-
-    value_cache: dict = {}
-    chosen: dict[str, int] = {}
+    values: list = [None] * tree.num_nodes
+    chosen: list = [None] * len(tree.keys)
 
     def value(node) -> float:
-        hit = value_cache.get(node)
-        if hit is not None:
-            return hit
-        if tree.is_terminal(node):
-            v = tree.payoffs(node)[player]
-        elif tree.is_chance(node):
-            v = sum(prob * value(child) for child, prob in tree.chance_outcomes(node))
-        elif tree.player(node) == player:
-            v = value(tree.child(node, best_action(tree.info_key(node))))
+        v = values[node]
+        if v is not None:
+            return v
+        k = kind[node]
+        if k == TERMINAL:
+            v = payoff[node] if player == 0 else -payoff[node]
+        elif k == CHANCE:
+            v = sum(prob * value(child) for child, prob in zip(children[node], chance_probs[node]))
+        elif seat[node] == player:
+            v = value(children[node][best_action(info[node])])
         else:
-            actions = tree.actions(node)
-            ids, probs = policy.probs_for(tree.info_key(node), actions)
-            by_id = dict(zip(ids, probs))
-            v = sum(
-                by_id.get(action, 0.0) * value(tree.child(node, action))
-                for action in actions
-                if by_id.get(action, 0.0)
-            )
-        value_cache[node] = v
+            branches = zip(children[node], opponent_probs[info[node]])
+            v = sum(prob * value(child) for child, prob in branches if prob)
+        values[node] = v
         return v
 
-    def best_action(key: str) -> int:
-        hit = chosen.get(key)
+    def best_action(i: int) -> int:
+        """Index, within info set i's actions, of the best response."""
+        hit = chosen[i]
         if hit is not None:
             return hit
         best = None
         best_score = None
-        for action in actions_at[key]:
-            score = sum(reach * value(tree.child(node, action)) for node, reach in infosets[key])
+        for a in range(len(tree.actions[i])):
+            score = sum(reach[node] * value(children[node][a]) for node in members[i])
             if best_score is None or score > best_score:
-                best, best_score = action, score
-        chosen[key] = best
+                best, best_score = a, score
+        chosen[i] = best
         return best
 
     br_policy = PolicyTable()
-    for key in infosets:
-        actions = actions_at[key]
-        pick = best_action(key)
-        br_policy.set(key, actions, [1.0 if a == pick else 0.0 for a in actions])
-    return br_policy, value(tree.root())
+    for i, key in enumerate(tree.keys):
+        if tree.info_seat[i] == player:
+            pick = best_action(i)
+            actions = tree.actions[i]
+            br_policy.set(key, actions, [1.0 if a == pick else 0.0 for a in range(len(actions))])
+    return br_policy, value(0)
 
 
 # independent leduc route: explicit hidden-state weights on the public tree
@@ -480,26 +475,12 @@ def count_info_sets(game_id: str) -> Census:
             action_space_size=spec.num_actions,
         )
     if game_id == "leduc":
-        tree = LeducTree()
-        keys: list[set] = [set(), set()]
-        nodes = 0
-        stack = [tree.root()]
-        while stack:
-            node = stack.pop()
-            if tree.is_terminal(node):
-                continue
-            if tree.is_chance(node):
-                stack.extend(child for child, _ in tree.chance_outcomes(node))
-                continue
-            nodes += 1
-            keys[tree.player(node)].add(tree.info_key(node))
-            stack.extend(tree.child(node, a) for a in tree.actions(node))
-        total_keys = len(keys[0]) + len(keys[1])
+        tree = compiled_tree("leduc")
         return Census(
             game_id=game_id,
             num_players=2,
-            info_sets_per_player=(len(keys[0]), len(keys[1])),
-            avg_states_per_info_set=nodes / total_keys,
+            info_sets_per_player=(tree.info_seat.count(0), tree.info_seat.count(1)),
+            avg_states_per_info_set=tree.kind.count(DECISION) / len(tree.keys),
             action_space_size=spec.num_actions,
         )
     raise GameTooLarge(f"{game_id} info sets are not enumerable under the 10^7-node guard")

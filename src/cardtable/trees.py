@@ -1,22 +1,33 @@
-"""Exact game-tree views for tabular solvers and info-set censuses.
+"""Exact game trees, compiled once into flat tables for the solvers.
 
-A TreeGame exposes an immutable node graph with explicit chance nodes
-whose outcome probabilities are exact, which is what vanilla CFR and
-best-response sweeps need. Only games small enough to enumerate get a
-tree: leduc here, plus a blackjack info-set enumeration used by the
-census. The tree mirrors the step-based engine move for move and uses
-the same information keys, which the test suite cross-checks by
-replaying lines through both.
+A TreeGame (root, is_terminal, is_chance, chance_outcomes, player,
+info_key, actions, child, payoffs) describes an immutable node graph
+with explicit chance nodes whose outcome probabilities are exact, which
+is what vanilla CFR and best-response sweeps need. compile_tree walks
+one TreeGame once and flattens it into a CompiledTree: preorder node
+indices with per-node kind, children, chance probabilities, seat,
+info-set index and terminal payoff, plus per-info-set keys and action
+ids. compiled_tree caches that form per tree instance, and tree_for
+maps a game id to one shared tree, so a game is walked through its
+TreeGame methods once per process. CFR, best response, policy value,
+the node count and the leduc census all read the compiled tables.
 
-Leduc chance is deduplicated by rank: the two suits of a rank are
-interchangeable, so dealing (rank a, rank b) carries probability
+Only games small enough to enumerate get a tree: leduc here, plus a
+blackjack info-set enumeration used by the census. LeducTree mirrors
+the step-based engine move for move and uses the same information
+keys, which the test suite cross-checks by replaying lines through
+both. Leduc chance is deduplicated by rank: the two suits of a rank
+are interchangeable, so dealing (rank a, rank b) carries probability
 2/30 when a == b and 4/30 otherwise, and the public card keeps a
 rank-level count of what remains.
 """
 
 from __future__ import annotations
 
-from cardtable.errors import GameTooLarge
+import weakref
+from dataclasses import dataclass
+
+from cardtable.errors import GameTooLarge, NotZeroSum
 from cardtable.games import leduc
 from cardtable.games.blackjack import _RANK_SCORE, hand_value
 
@@ -115,39 +126,147 @@ def _bump(pair, seat, amount):
     return tuple(lst)
 
 
-def count_nodes(tree, limit: int = 10_000_000) -> int:
-    """Total nodes reachable from the root; raises GameTooLarge past limit."""
-    seen = 0
-    stack = [tree.root()]
-    while stack:
-        node = stack.pop()
-        seen += 1
-        if seen > limit:
-            raise GameTooLarge(f"tree exceeds {limit} nodes")
+# node kinds of a compiled tree
+TERMINAL, CHANCE, DECISION = 0, 1, 2
+
+NODE_LIMIT = 10_000_000
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledTree:
+    """A two-player zero-sum TreeGame flattened into integer-indexed tables.
+
+    Nodes are numbered in depth-first preorder from the root, node 0,
+    with children in chance-outcome or legal-action order, so a child's
+    index always exceeds its parent's. Per node:
+
+    kind       TERMINAL, CHANCE or DECISION
+    children   child node indices, () at terminals
+    probs      chance-outcome probabilities aligned with children, else None
+    seat       acting seat at decisions, else None
+    info       info-set index at decisions, else None
+    payoff     player 0's payoff at terminals (player 1 gets its negation), else None
+
+    Info sets are numbered in order of first preorder visit. Per info set:
+
+    keys       information key
+    actions    legal action ids, aligned with the children of each of its nodes
+    info_seat  acting seat
+
+    Instances are immutable and shared: deepcopy returns the same object.
+    """
+
+    kind: tuple[int, ...]
+    children: tuple[tuple[int, ...], ...]
+    probs: tuple
+    seat: tuple
+    info: tuple
+    payoff: tuple
+    keys: tuple[str, ...]
+    actions: tuple[tuple[int, ...], ...]
+    info_seat: tuple[int, ...]
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.kind)
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+def compile_tree(tree, node_limit: int = NODE_LIMIT) -> CompiledTree:
+    """Walk a TreeGame once and return its compiled form.
+
+    Raises GameTooLarge as soon as the node count passes node_limit,
+    NotZeroSum at a terminal whose payoffs are not (p, -p), and
+    ValueError if one information key shows two action lists or seats.
+    """
+    kind: list = []
+    children: list = []
+    probs: list = []
+    seat: list = []
+    info: list = []
+    payoff: list = []
+    index_of: dict[str, int] = {}
+    keys: list[str] = []
+    actions: list[tuple[int, ...]] = []
+    info_seat: list[int] = []
+
+    def add(node) -> int:
+        n = len(kind)
+        if n >= node_limit:
+            raise GameTooLarge(f"tree exceeds {node_limit} nodes")
+        kind.append(TERMINAL)
+        children.append(())
+        for table in (probs, seat, info, payoff):
+            table.append(None)
         if tree.is_terminal(node):
-            continue
-        if tree.is_chance(node):
-            stack.extend(child for child, _ in tree.chance_outcomes(node))
+            pay = tuple(tree.payoffs(node))
+            if len(pay) != 2 or pay[1] != -pay[0]:
+                raise NotZeroSum(f"terminal payoffs {pay} are not two-player zero-sum")
+            payoff[n] = pay[0]
+        elif tree.is_chance(node):
+            outcomes = tree.chance_outcomes(node)
+            kind[n] = CHANCE
+            probs[n] = tuple(prob for _, prob in outcomes)
+            children[n] = tuple(add(child) for child, _ in outcomes)
         else:
-            stack.extend(tree.child(node, a) for a in tree.actions(node))
-    return seen
+            key = tree.info_key(node)
+            acts = tuple(tree.actions(node))
+            who = tree.player(node)
+            i = index_of.get(key)
+            if i is None:
+                i = index_of[key] = len(keys)
+                keys.append(key)
+                actions.append(acts)
+                info_seat.append(who)
+            elif actions[i] != acts or info_seat[i] != who:
+                raise ValueError(f"info key {key!r} has more than one action list or seat")
+            kind[n] = DECISION
+            seat[n] = who
+            info[n] = i
+            children[n] = tuple(add(tree.child(node, a)) for a in acts)
+        return n
+
+    add(tree.root())
+    return CompiledTree(
+        kind=tuple(kind),
+        children=tuple(children),
+        probs=tuple(probs),
+        seat=tuple(seat),
+        info=tuple(info),
+        payoff=tuple(payoff),
+        keys=tuple(keys),
+        actions=tuple(actions),
+        info_seat=tuple(info_seat),
+    )
+
+
+_COMPILED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def compiled_tree(game, node_limit: int = NODE_LIMIT) -> CompiledTree:
+    """Compiled form of a game id or TreeGame, built once per tree instance.
+
+    Raises GameTooLarge past node_limit, for a cached tree as well.
+    """
+    tree = tree_for(game)
+    compiled = _COMPILED.get(tree)
+    if compiled is None:
+        compiled = _COMPILED[tree] = compile_tree(tree, node_limit)
+    elif compiled.num_nodes > node_limit:
+        raise GameTooLarge(f"tree exceeds {node_limit} nodes")
+    return compiled
+
+
+def count_nodes(tree, limit: int = NODE_LIMIT) -> int:
+    """Total nodes reachable from the root; raises GameTooLarge past limit."""
+    return compiled_tree(tree, limit).num_nodes
 
 
 def leduc_info_keys() -> set[str]:
     """Every decision information key in leduc, both seats."""
-    tree = LeducTree()
-    keys: set[str] = set()
-    stack = [tree.root()]
-    while stack:
-        node = stack.pop()
-        if tree.is_terminal(node):
-            continue
-        if tree.is_chance(node):
-            stack.extend(child for child, _ in tree.chance_outcomes(node))
-            continue
-        keys.add(tree.info_key(node))
-        stack.extend(tree.child(node, a) for a in tree.actions(node))
-    return keys
+    return set(compiled_tree("leduc").keys)
 
 
 def _blackjack_decision_walk() -> tuple[set[str], int]:
@@ -208,15 +327,20 @@ def blackjack_census() -> tuple[int, int]:
     return len(keys), states
 
 
+_LEDUC = LeducTree()
+
+
 def tree_for(game):
     """Exact tree for a game id, or the argument itself if already a tree.
 
     Only leduc has a full multi-player decision tree small enough to
-    expand with exact chance; every other id raises GameTooLarge, which
-    callers surface as the guard for full-traversal algorithms.
+    expand with exact chance, and its id always maps to one shared
+    instance; every other id raises GameTooLarge, which callers surface
+    as the guard for full-traversal algorithms.
     """
     if hasattr(game, "root"):
         return game
     if game == "leduc":
-        return LeducTree()
+        return _LEDUC
     raise GameTooLarge(f"no exact tree for {game!r}; full expansion would exceed the node guard")
+

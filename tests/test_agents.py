@@ -1,5 +1,6 @@
 """Agents, tabular policies, and the three trainers."""
 
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +20,8 @@ from cardtable.agents import (
 )
 from cardtable.core.rng import Rng
 from cardtable.env import EnvConfig, make, make_single_agent
-from cardtable.errors import GameTooLarge, ParseError
+from cardtable.agents.policy import average_policy
+from cardtable.errors import CardTableError, GameTooLarge, InvalidPolicy, ParseError
 from cardtable.trees import LeducTree
 
 
@@ -51,6 +53,34 @@ class TestPolicyTable:
             table.set("a", (0, 1), (0.5,))
         with pytest.raises(ValueError):
             table.set("a", (0, 1), (0.0, 0.0))
+
+    def test_set_rejects_negative_probability(self):
+        with pytest.raises(InvalidPolicy):
+            PolicyTable().set("k", (0, 1), (2.0, -1.0))
+
+    def test_set_rejects_non_finite_probability(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidPolicy):
+                PolicyTable().set("k", (0, 1), (bad, 1.0))
+
+    def test_set_rejects_duplicate_action_ids(self):
+        with pytest.raises(InvalidPolicy):
+            PolicyTable().set("k", (0, 0), (0.5, 0.5))
+
+    def test_invalid_policy_is_a_value_error(self):
+        assert issubclass(InvalidPolicy, ValueError)
+        assert issubclass(InvalidPolicy, CardTableError)
+
+    def test_load_rejects_repeated_key(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("cardtable-policy v1\nk\t0,1\t0.5,0.5\nk\t0,1\t1.0,0.0\n")
+        with pytest.raises(ParseError, match="line 3"):
+            PolicyTable.load(path)
+
+    def test_average_policy_normalizes_and_falls_back_to_uniform(self):
+        table = average_policy([("a", (0, 1), [1.0, 3.0]), ("b", (2, 5), [0.0, 0.0])])
+        assert table.probs_for("a", ()) == ((0, 1), (0.25, 0.75))
+        assert table.probs_for("b", ()) == ((2, 5), (0.5, 0.5))
 
     def test_unseen_key_uniform(self):
         table = PolicyTable()
