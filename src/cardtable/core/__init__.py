@@ -11,7 +11,7 @@ from cardtable.core.cards import (
     shuffle,
     validate_deck,
 )
-from cardtable.core.contracts import Dealer, Game, Judger, Player, Round
+from cardtable.core.contracts import Dealer, Game, Player
 from cardtable.core.rng import Rng, rng_from_seed, split_seed
 
 __all__ = [
@@ -20,10 +20,8 @@ __all__ = [
     "DECK_KINDS",
     "Dealer",
     "Game",
-    "Judger",
     "Player",
     "Rng",
-    "Round",
     "card_from_id",
     "deal",
     "deck_composition",

@@ -1,4 +1,4 @@
-"""Role contracts every game implements: Player, Dealer, Judger, Round, Game.
+"""Role contracts every game implements: Player, Dealer, Game.
 
 A Game owns the turn loop and exposes step/step_back. step_back is
 implemented once here as a stack of full-state snapshots; each game
@@ -6,6 +6,10 @@ supplies snapshot() and restore() plus the move application. Snapshots
 capture everything the transition touched, including the generator
 state, so a restored game replays chance identically. The stack is only
 maintained when allow_step_back is set; throughput paths leave it off.
+
+Legal moves are computed at most once per state, also here: the first
+legal_moves() call on a state caches the engine's _legal_moves() result,
+and reset, step and step_back drop it.
 """
 
 from __future__ import annotations
@@ -43,16 +47,17 @@ class Dealer:
         return drawn
 
 
-class Judger:
-    """Legal-move computation and payoff decisions. Stateless per game."""
-
-
-class Round:
-    """Progression state of one betting or trick round."""
-
-
 class Game(ABC):
-    """Turn-based engine with optional snapshot-based undo."""
+    """Turn-based engine with optional snapshot-based undo.
+
+    legal_moves() returns the current player's moves, computed once per
+    state: _apply's legality check, the env's observation and its
+    action check all read the same cached list. The list is shared, so
+    callers must not mutate it. The cache is dropped by reset, step and
+    step_back, the only ways the base class sees the state change; code
+    that edits an engine's fields directly must do so before the first
+    legal_moves() call on that state.
+    """
 
     num_players: int = 1
 
@@ -60,10 +65,12 @@ class Game(ABC):
         self.rng = rng
         self.allow_step_back = allow_step_back
         self._history: list[Any] = []
+        self._legal: list | None = None
 
     def reset(self) -> int:
         """Deal a fresh hand; returns the first player to act."""
         self._history.clear()
+        self._legal = None
         return self._start()
 
     def step(self, move) -> int | None:
@@ -73,6 +80,7 @@ class Game(ABC):
         if self.allow_step_back:
             self._history.append(self.snapshot())
         self._apply(move)
+        self._legal = None
         return None if self.is_over() else self.current_player()
 
     def step_back(self) -> bool:
@@ -80,7 +88,15 @@ class Game(ABC):
         if not self._history:
             return False
         self.restore(self._history.pop())
+        self._legal = None
         return True
+
+    def legal_moves(self) -> list:
+        """The current player's legal moves; the same list until the state changes."""
+        legal = self._legal
+        if legal is None:
+            legal = self._legal = self._legal_moves()
+        return legal
 
     @abstractmethod
     def _start(self) -> int: ...
@@ -95,7 +111,8 @@ class Game(ABC):
     def current_player(self) -> int: ...
 
     @abstractmethod
-    def legal_moves(self) -> list: ...
+    def _legal_moves(self) -> list:
+        """Compute the current player's legal moves from the state."""
 
     @abstractmethod
     def payoffs(self) -> list[float]: ...

@@ -20,6 +20,20 @@ of that game seed and the agent at seat s uses stream 1+s, so results
 never depend on how games are batched across processes or which agent
 implementation sits at another table.
 
+Observations are captured when they are made and rendered when read.
+The default extract_state asks the engine module's capture() for the
+legal ids plus immutable copies of the state the view reads; the
+Observation renders raw (render_raw), info_key (render_key) and planes
+(encode_planes) from that capture on first read, each at most once.
+Agents that read only the legal ids, or only the key, never pay for the
+rest, and a view read late still shows the state it was taken at.
+Each engine's observe(game, seat, terminal) is the eager composition of
+the same functions, returning (raw, legal, key).
+
+The engine computes legal moves once per state (Game.legal_moves); the
+observation, the env's action check and the engine's own check all read
+that one list.
+
 The observation hook (extract_state) and the action decoding hook
 (decode_action) are instance attributes and can be replaced; a
 replacement may change raw views and planes but must keep the engine's
@@ -105,27 +119,68 @@ class EnvConfig:
         return spec.default_players if self.num_players is None else self.num_players
 
 
+def _given_raw(view):
+    return view[0]
+
+
+def _given_key(view):
+    return view[1]
+
+
 class Observation:
-    """One player's view of a state: raw dict, lazy planes, legal ids.
+    """One player's view of a state: legal ids, raw dict, info key, planes.
+
+    The view is captured when the observation is made and rendered on
+    first read. The engine's capture takes the legal ids plus immutable
+    copies of the state the view reads; raw and info_key are each
+    rendered from that capture at most once, and planes are encoded from
+    raw at most once. So a reader of info_key alone never builds the raw
+    dict, and every view stays the one at observation time however the
+    game moves on. Observation(player_id, legal, raw, info_key,
+    planes_fn) wraps views already built, for replaced hooks.
 
     Equality ignores the planes tensor (it is derived from raw and may
     be re-encoded by a replaced hook).
     """
 
-    __slots__ = ("player_id", "legal_action_ids", "raw", "info_key", "_planes_fn", "_planes")
+    __slots__ = ("player_id", "legal_action_ids", "_view", "_render", "_raw", "_info_key", "_planes")
 
     def __init__(self, player_id, legal_action_ids, raw, info_key, planes_fn):
         self.player_id = player_id
         self.legal_action_ids = tuple(legal_action_ids)
-        self.raw = raw
-        self.info_key = info_key
-        self._planes_fn = planes_fn
-        self._planes = None
+        self._view = (raw, info_key)
+        self._render = (_given_raw, _given_key, planes_fn)
+        self._raw = self._info_key = self._planes = None
+
+    @classmethod
+    def captured(cls, player_id, legal_action_ids, view, render):
+        """An observation of a capture; render is (render_raw, render_key, planes_fn)."""
+        obs = cls.__new__(cls)
+        obs.player_id = player_id
+        obs.legal_action_ids = legal_action_ids
+        obs._view = view
+        obs._render = render
+        obs._raw = obs._info_key = obs._planes = None
+        return obs
+
+    @property
+    def raw(self) -> dict:
+        raw = self._raw
+        if raw is None:
+            raw = self._raw = self._render[0](self._view)
+        return raw
+
+    @property
+    def info_key(self) -> str:
+        key = self._info_key
+        if key is None:
+            key = self._info_key = self._render[1](self._view)
+        return key
 
     @property
     def planes(self):
         if self._planes is None:
-            self._planes = self._planes_fn(self.raw)
+            self._planes = self._render[2](self.raw)
         return self._planes
 
     @property
@@ -200,8 +255,10 @@ class Env:
     # hooks ----------------------------------------------------------
 
     def _default_extract_state(self, seat: int, terminal: bool = False) -> Observation:
-        raw, legal, key = self.spec.module.observe(self.game, seat, terminal)
-        return Observation(seat, legal, raw, key, self.spec.module.encode_planes)
+        module = self.spec.module
+        legal, view = module.capture(self.game, seat, terminal)
+        render = (module.render_raw, module.render_key, module.encode_planes)
+        return Observation.captured(seat, legal, view, render)
 
     def _default_decode_action(self, action_id: int):
         return self.spec.module.decode_action(self.game, action_id)
@@ -228,7 +285,7 @@ class Env:
         self.game_index = game_index - 1
 
     def _require_legal(self, action_id: int) -> None:
-        legal = self.spec.module.legal_action_ids(self.game)
+        legal = self.game.legal_moves()
         if action_id not in legal:
             raise IllegalAction(f"action {action_id} not in legal set {tuple(legal)}")
 

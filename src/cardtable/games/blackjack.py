@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from cardtable.core.cards import FRENCH_RANKS, new_deck
-from cardtable.core.contracts import Dealer, Game, Judger, Player, Round
+from cardtable.core.contracts import Dealer, Game, Player
 from cardtable.errors import GameNotOver, IllegalMove
 
 HIT, STAND = 0, 1
@@ -51,7 +51,7 @@ class BlackjackDealer(Dealer):
             hand.append(self.stock.pop())
 
 
-class BlackjackJudger(Judger):
+class BlackjackJudger:
     @staticmethod
     def settle(player_ranks, dealer_ranks) -> int:
         p, _ = hand_value(player_ranks)
@@ -63,7 +63,7 @@ class BlackjackJudger(Judger):
         return -1 if p < d else 0
 
 
-class BlackjackRound(Round):
+class BlackjackRound:
     __slots__ = ("phase",)
 
     def __init__(self):
@@ -85,7 +85,7 @@ class BlackjackGame(Game):
         return 0
 
     def _apply(self, move: int) -> None:
-        if move not in (HIT, STAND):
+        if move not in self.legal_moves():
             raise IllegalMove(f"no blackjack move {move}")
         if move == HIT:
             self.player.hand.append(self.dealer.stock.pop())
@@ -103,7 +103,7 @@ class BlackjackGame(Game):
     def current_player(self) -> int:
         return 0
 
-    def legal_moves(self) -> list[int]:
+    def _legal_moves(self) -> list[int]:
         return [HIT, STAND]
 
     def payoffs(self) -> list[float]:
@@ -131,27 +131,42 @@ class BlackjackGame(Game):
         self.rng.setstate(rng_state)
 
 
-def observe(game: BlackjackGame, seat: int, terminal: bool = False):
+def capture(game: BlackjackGame, seat: int, terminal: bool = False):
+    """(legal ids, view): the legal ids, the player's hand and its value, and
+    the dealer's visible cards (the upcard until the hand is over) and value."""
     score, soft = hand_value(game.player.hand)
-    up = game.dealer_hand[0]
-    up_score = 11 if up == 12 else _RANK_SCORE[up]
     if terminal or game.is_over():
-        dealer_visible = hand_value(game.dealer_hand)[0]
-        dealer_cards = tuple(FRENCH_RANKS[r] for r in game.dealer_hand)
+        legal = ()
+        dealer = tuple(game.dealer_hand)
+        dealer_visible = hand_value(dealer)[0]
     else:
-        dealer_visible = up_score
-        dealer_cards = (FRENCH_RANKS[up],)
-    raw = {
+        legal = legal_action_ids(game)
+        up = game.dealer_hand[0]
+        dealer = (up,)
+        dealer_visible = 11 if up == 12 else _RANK_SCORE[up]
+    return legal, (seat, tuple(game.player.hand), score, soft, dealer, dealer_visible)
+
+
+def render_raw(view) -> dict:
+    seat, hand, score, soft, dealer, dealer_visible = view
+    return {
         "seat": seat,
-        "hand": tuple(FRENCH_RANKS[r] for r in game.player.hand),
+        "hand": tuple(FRENCH_RANKS[r] for r in hand),
         "score": score,
         "soft": soft,
         "dealer_visible": dealer_visible,
-        "dealer_cards": dealer_cards,
+        "dealer_cards": tuple(FRENCH_RANKS[r] for r in dealer),
     }
-    legal = () if terminal or game.is_over() else (HIT, STAND)
-    key = f"B|{score}{'s' if soft else 'h'}|n{len(game.player.hand)}|u{dealer_visible}"
-    return raw, legal, key
+
+
+def render_key(view) -> str:
+    _, hand, score, soft, _, dealer_visible = view
+    return f"B|{score}{'s' if soft else 'h'}|n{len(hand)}|u{dealer_visible}"
+
+
+def observe(game: BlackjackGame, seat: int, terminal: bool = False):
+    legal, view = capture(game, seat, terminal)
+    return render_raw(view), legal, render_key(view)
 
 
 def encode_planes(raw: dict) -> np.ndarray:
@@ -163,9 +178,5 @@ def decode_action(game: BlackjackGame, action_id: int) -> int:
     return action_id
 
 
-def move_to_action_id(game: BlackjackGame, move: int) -> int:
-    return move
-
-
 def legal_action_ids(game: BlackjackGame) -> tuple[int, ...]:
-    return (HIT, STAND)
+    return tuple(game.legal_moves())

@@ -96,7 +96,7 @@ class DoudizhuGame(Game):
 
     # move plumbing -------------------------------------------------
 
-    def legal_moves(self) -> list[int]:
+    def _legal_moves(self) -> list[int]:
         return matching_abstract_ids(self.counts[self.turn], self.to_beat)
 
     def current_player(self) -> int:
@@ -185,35 +185,55 @@ def hand_literal(counts) -> str:
     return "".join(DD_RANK_NAMES[r] * counts[r] for r in range(NUM_RANKS))
 
 
-def observe(game: DoudizhuGame, seat: int, terminal: bool = False):
-    counts = game.counts[seat]
+def capture(game: DoudizhuGame, seat: int, terminal: bool = False):
+    """(legal ids, view): the seat's legal ids and the state its view reads."""
+    over = terminal or game.is_over()
+    legal = legal_action_ids(game) if not over and seat == game.turn else ()
+    view = (
+        seat,
+        game.landlord,
+        tuple(map(tuple, game.counts)),
+        tuple(game.played),
+        tuple(map(tuple, game.recent)),
+        game.to_beat,
+        game.trick_owner,
+        tuple(game.move_log[-3:]),
+    )
+    return legal, view
+
+
+def render_raw(view) -> dict:
+    seat, landlord, counts, played, recent, to_beat, trick_owner, moves = view
     others = [0] * NUM_RANKS
     for other in range(NUM_PLAYERS):
         if other != seat:
             for r in range(NUM_RANKS):
-                others[r] += game.counts[other][r]
-    raw = {
+                others[r] += counts[other][r]
+    return {
         "seat": seat,
-        "landlord": game.landlord,
-        "hand": hand_literal(counts),
-        "hand_counts": tuple(counts),
+        "landlord": landlord,
+        "hand": hand_literal(counts[seat]),
+        "hand_counts": counts[seat],
         "others_counts": tuple(others),
-        "played_counts": tuple(game.played),
-        "recent_counts": tuple(tuple(v) for v in game.recent),
-        "hand_sizes": tuple(sum(c) for c in game.counts),
-        "to_beat": None if game.to_beat is None else game.to_beat.literal(),
-        "trick_owner": game.trick_owner,
-        "recent_moves": tuple(game.move_log[-3:]),
+        "played_counts": played,
+        "recent_counts": recent,
+        "hand_sizes": tuple(sum(c) for c in counts),
+        "to_beat": None if to_beat is None else to_beat.literal(),
+        "trick_owner": trick_owner,
+        "recent_moves": moves,
     }
-    over = terminal or game.is_over()
-    legal = tuple(game.legal_moves()) if not over and seat == game.turn else ()
-    recent = ",".join(f"{s}:{aid}" for s, aid in game.move_log[-3:])
-    lead = "-" if game.to_beat is None else str(abstract_id(game.to_beat))
-    key = (
-        f"D{seat}|L{game.landlord}|{hand_literal(counts)}"
-        f"|p{hand_literal(game.played)}|b{lead}|{recent}"
-    )
-    return raw, legal, key
+
+
+def render_key(view) -> str:
+    seat, landlord, counts, played, _, to_beat, _, moves = view
+    recent = ",".join(f"{s}:{aid}" for s, aid in moves)
+    lead = "-" if to_beat is None else str(abstract_id(to_beat))
+    return f"D{seat}|L{landlord}|{hand_literal(counts[seat])}|p{hand_literal(played)}|b{lead}|{recent}"
+
+
+def observe(game: DoudizhuGame, seat: int, terminal: bool = False):
+    legal, view = capture(game, seat, terminal)
+    return render_raw(view), legal, render_key(view)
 
 
 def encode_planes(raw: dict) -> np.ndarray:
@@ -233,10 +253,6 @@ def encode_planes(raw: dict) -> np.ndarray:
 
 def decode_action(game: DoudizhuGame, action_id: int) -> CardPattern:
     return game.decode_move(action_id)
-
-
-def move_to_action_id(game: DoudizhuGame, move: CardPattern) -> int:
-    return abstract_id(move)
 
 
 def legal_action_ids(game: DoudizhuGame) -> tuple[int, ...]:

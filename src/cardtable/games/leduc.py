@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from cardtable.core.cards import LEDUC_RANKS, new_deck
-from cardtable.core.contracts import Dealer, Game, Judger, Player, Round
+from cardtable.core.contracts import Dealer, Game, Player
 from cardtable.errors import GameNotOver, IllegalMove
 
 CALL, RAISE, FOLD, CHECK = 0, 1, 2, 3
@@ -65,11 +65,7 @@ class LeducDealer(Dealer):
         rng.shuffle(self.stock)
 
 
-class LeducJudger(Judger):
-    showdown_winner = staticmethod(showdown_winner)
-
-
-class LeducRound(Round):
+class LeducRound:
     """One betting round: who acts, what is owed, how many raises so far."""
 
     __slots__ = ("index", "raises", "to_act", "acted")
@@ -98,7 +94,7 @@ class LeducGame(Game):
     def facing_bet(self, seat: int) -> bool:
         return self.round_bets[seat] < max(self.round_bets)
 
-    def legal_moves(self) -> list[int]:
+    def _legal_moves(self) -> list[int]:
         return list(round_legal_moves(self.facing_bet(self.round.to_act), self.round.raises))
 
     def current_player(self) -> int:
@@ -187,23 +183,45 @@ class LeducGame(Game):
         self.rng.setstate(rng_state)
 
 
-def observe(game: LeducGame, seat: int, terminal: bool = False):
-    private = game.players[seat].hand[0]
-    raw = {
+def capture(game: LeducGame, seat: int, terminal: bool = False):
+    """(legal ids, view): the seat's legal ids and the state its view reads."""
+    over = terminal or game.is_over()
+    legal = legal_action_ids(game) if not over and seat == game.round.to_act else ()
+    view = (
+        seat,
+        game.players[seat].hand[0],
+        game.public,
+        game.history,
+        game.chips[seat],
+        game.chips[1 - seat],
+        game.round.index,
+    )
+    return legal, view
+
+
+def render_raw(view) -> dict:
+    seat, private, public, history, my_chips, opp_chips, round_index = view
+    return {
         "seat": seat,
         "hand": LEDUC_RANKS[private % 3],
         "hand_card": private,
-        "public": None if game.public is None else LEDUC_RANKS[game.public % 3],
-        "public_card": game.public,
-        "history": game.history,
-        "my_chips": game.chips[seat],
-        "opp_chips": game.chips[1 - seat],
-        "round": game.round.index + 1,
+        "public": None if public is None else LEDUC_RANKS[public % 3],
+        "public_card": public,
+        "history": history,
+        "my_chips": my_chips,
+        "opp_chips": opp_chips,
+        "round": round_index + 1,
     }
-    over = terminal or game.is_over()
-    legal = () if over else tuple(round_legal_moves(game.facing_bet(seat), game.round.raises))
-    key = info_key(seat, private % 3, None if game.public is None else game.public % 3, game.history)
-    return raw, legal, key
+
+
+def render_key(view) -> str:
+    seat, private, public, history = view[:4]
+    return info_key(seat, private % 3, None if public is None else public % 3, history)
+
+
+def observe(game: LeducGame, seat: int, terminal: bool = False):
+    legal, view = capture(game, seat, terminal)
+    return render_raw(view), legal, render_key(view)
 
 
 def encode_planes(raw: dict) -> np.ndarray:
@@ -221,9 +239,5 @@ def decode_action(game: LeducGame, action_id: int) -> int:
     return action_id
 
 
-def move_to_action_id(game: LeducGame, move: int) -> int:
-    return move
-
-
 def legal_action_ids(game: LeducGame) -> tuple[int, ...]:
-    return tuple(round_legal_moves(game.facing_bet(game.round.to_act), game.round.raises))
+    return tuple(game.legal_moves())

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from cardtable.core.cards import FRENCH_RANKS, FRENCH_SUITS, new_deck
-from cardtable.core.contracts import Dealer, Game, Judger, Player, Round
+from cardtable.core.contracts import Dealer, Game, Player
 from cardtable.errors import GameNotOver, IllegalMove, InvalidParam
 from cardtable.games.hand_rank import evaluate_seven
 
@@ -51,7 +51,7 @@ class HoldemDealer(Dealer):
         rng.shuffle(self.stock)
 
 
-class HoldemJudger(Judger):
+class HoldemJudger:
     @staticmethod
     def winners(hole_by_seat, community, alive) -> list[int]:
         best = None
@@ -65,7 +65,7 @@ class HoldemJudger(Judger):
         return out
 
 
-class HoldemRound(Round):
+class HoldemRound:
     __slots__ = ("index", "raises", "to_act", "acted")
 
     def __init__(self, index: int, first: int):
@@ -118,7 +118,7 @@ class LimitHoldemGame(Game):
     def facing_bet(self, seat: int) -> bool:
         return self.round_bets[seat] < max(self.round_bets)
 
-    def legal_moves(self) -> list[int]:
+    def _legal_moves(self) -> list[int]:
         moves = [CALL] if self.facing_bet(self.round.to_act) else [CHECK]
         if self.round.raises < MAX_RAISES:
             moves.append(RAISE)
@@ -233,30 +233,51 @@ class LimitHoldemGame(Game):
         self.rng.setstate(rng_state)
 
 
-def observe(game: LimitHoldemGame, seat: int, terminal: bool = False):
-    hole = game.players[seat].hand
-    raw = {
-        "seat": seat,
-        "hole": tuple(hole),
-        "hole_names": tuple(card_name(c) for c in hole),
-        "community": tuple(game.community),
-        "community_names": tuple(card_name(c) for c in game.community),
-        "history": game.history,
-        "round": game.round.index + 1,
-        "my_chips": game.chips[seat] / 2,
-        "max_bet": max(game.round_bets) / 2,
-        "pot": sum(game.chips) / 2,
-        "alive": tuple(game.alive()),
-    }
+def capture(game: LimitHoldemGame, seat: int, terminal: bool = False):
+    """(legal ids, view): the seat's legal ids and the state its view reads."""
     over = terminal or game.is_over()
-    if over:
-        legal = ()
-    else:
-        legal = tuple(game.legal_moves()) if seat == game.round.to_act else ()
-    key = "H{}|{}|{}|{}".format(
-        seat, ".".join(raw["hole_names"]), ".".join(raw["community_names"]), game.history
+    legal = legal_action_ids(game) if not over and seat == game.round.to_act else ()
+    view = (
+        seat,
+        tuple(game.players[seat].hand),
+        tuple(game.community),
+        game.history,
+        game.round.index,
+        game.chips[seat],
+        max(game.round_bets),
+        sum(game.chips),
+        tuple(game.folded),
     )
-    return raw, legal, key
+    return legal, view
+
+
+def render_raw(view) -> dict:
+    seat, hole, community, history, round_index, my_chips, max_bet, pot, folded = view
+    return {
+        "seat": seat,
+        "hole": hole,
+        "hole_names": tuple(card_name(c) for c in hole),
+        "community": community,
+        "community_names": tuple(card_name(c) for c in community),
+        "history": history,
+        "round": round_index + 1,
+        "my_chips": my_chips / 2,
+        "max_bet": max_bet / 2,
+        "pot": pot / 2,
+        "alive": tuple(i for i, out in enumerate(folded) if not out),
+    }
+
+
+def render_key(view) -> str:
+    seat, hole, community, history = view[:4]
+    return "H{}|{}|{}|{}".format(
+        seat, ".".join(map(card_name, hole)), ".".join(map(card_name, community)), history
+    )
+
+
+def observe(game: LimitHoldemGame, seat: int, terminal: bool = False):
+    legal, view = capture(game, seat, terminal)
+    return render_raw(view), legal, render_key(view)
 
 
 def encode_planes(raw: dict) -> np.ndarray:
@@ -274,10 +295,6 @@ def encode_planes(raw: dict) -> np.ndarray:
 
 def decode_action(game: LimitHoldemGame, action_id: int) -> int:
     return action_id
-
-
-def move_to_action_id(game: LimitHoldemGame, move: int) -> int:
-    return move
 
 
 def legal_action_ids(game: LimitHoldemGame) -> tuple[int, ...]:

@@ -150,7 +150,7 @@ class UnoGame(Game):
     def current_player(self) -> int:
         return self.turn
 
-    def legal_moves(self) -> list[int]:
+    def _legal_moves(self) -> list[int]:
         if self.pending is not None:
             return play_action_ids(self.pending) + [PASS_ACTION]
         hand = self.hands[self.turn]
@@ -247,33 +247,56 @@ class UnoGame(Game):
         self.rng.setstate(rng_state)
 
 
-def observe(game: UnoGame, seat: int, terminal: bool = False):
-    hand = game.hands[seat]
-    discarded = [0] * NUM_TYPES
-    for t in game.discard:
-        discarded[t] += 1
-    raw = {
-        "seat": seat,
-        "hand_counts": tuple(hand),
-        "hand": tuple(type_literal(t) for t in range(NUM_TYPES) for _ in range(hand[t])),
-        "top": type_literal(game.top(), game.declared),
-        "top_type": game.top(),
-        "active_color": UNO_COLORS[game.active_color()],
-        "active_color_index": game.active_color(),
-        "direction": game.direction,
-        "hand_sizes": tuple(sum(h) for h in game.hands),
-        "discarded_counts": tuple(discarded),
-        "pending": None if game.pending is None else type_literal(game.pending),
-    }
+def capture(game: UnoGame, seat: int, terminal: bool = False):
+    """(legal ids, view): the seat's legal ids and the state its view reads."""
     over = terminal or game.is_over()
-    legal = tuple(game.legal_moves()) if not over and seat == game.turn else ()
-    sizes = ",".join(str(sum(h)) for h in game.hands)
-    pend = "-" if game.pending is None else str(game.pending)
-    key = (
-        f"U{seat}|h{''.join(map(str, hand))}|t{raw['top']}"
-        f"|d{game.direction}|p{pend}|s{sizes}"
+    legal = legal_action_ids(game) if not over and seat == game.turn else ()
+    view = (
+        seat,
+        tuple(game.hands[seat]),
+        tuple(map(sum, game.hands)),
+        tuple(game.discard),
+        game.declared,
+        game.active_color(),
+        game.direction,
+        game.pending,
     )
-    return raw, legal, key
+    return legal, view
+
+
+def render_raw(view) -> dict:
+    seat, hand, sizes, discard, declared, color, direction, pending = view
+    top = discard[-1]
+    discarded = [0] * NUM_TYPES
+    for t in discard:
+        discarded[t] += 1
+    return {
+        "seat": seat,
+        "hand_counts": hand,
+        "hand": tuple(type_literal(t) for t in range(NUM_TYPES) for _ in range(hand[t])),
+        "top": type_literal(top, declared),
+        "top_type": top,
+        "active_color": UNO_COLORS[color],
+        "active_color_index": color,
+        "direction": direction,
+        "hand_sizes": sizes,
+        "discarded_counts": tuple(discarded),
+        "pending": None if pending is None else type_literal(pending),
+    }
+
+
+def render_key(view) -> str:
+    seat, hand, sizes, discard, declared, _, direction, pending = view
+    pend = "-" if pending is None else str(pending)
+    return (
+        f"U{seat}|h{''.join(map(str, hand))}|t{type_literal(discard[-1], declared)}"
+        f"|d{direction}|p{pend}|s{','.join(map(str, sizes))}"
+    )
+
+
+def observe(game: UnoGame, seat: int, terminal: bool = False):
+    legal, view = capture(game, seat, terminal)
+    return render_raw(view), legal, render_key(view)
 
 
 def encode_planes(raw: dict) -> np.ndarray:
@@ -292,10 +315,6 @@ def encode_planes(raw: dict) -> np.ndarray:
 
 def decode_action(game: UnoGame, action_id: int) -> int:
     return action_id
-
-
-def move_to_action_id(game: UnoGame, move: int) -> int:
-    return move
 
 
 def legal_action_ids(game: UnoGame) -> tuple[int, ...]:

@@ -1,0 +1,81 @@
+"""Byte identity of the env's outputs, pinned as sha256 digests.
+
+The logs pin what `cardtable selfplay` writes; the views pin every
+field of every observation a run hands out (raw dict, info key, legal
+ids and planes), for the state and the next state of each transition.
+A change to an engine, to `observe` or to `Observation` that moves any
+byte of either fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from cardtable.agents import RandomAgent
+from cardtable.env import GAME_IDS, EnvConfig, make, serialize_trajectories
+
+SEED = 7
+LOG_GAMES = 200
+VIEW_GAMES = 20
+
+LOG_SHA256 = {
+    "blackjack": "a1739aecf7a6d30686c16eed8c997ac43b7d2a7b825b8fdd7d0b12aded3c11b3",
+    "leduc": "aa3061d4251d38bfa8e28f61a1f900870ac0cfa9126ed22588378698213bb4c2",
+    "limit_holdem": "b7e9fdef5d0442d7bceff82ddf5f3f22e1ef24af96633ab373afcc90b07b53df",
+    "uno": "540a06147b176a90f105061dc0b312d677944bc64019fb78ebc5ad5dbbfc4c71",
+    "doudizhu": "387c2270043d433b6d1786ccb071a386dae8f9b159307c2f626d60e06ad16cac",
+    "mini_doudizhu": "4ddfba40bcfd162da8b5609ab9ab7207c946a471a72d8924c8a6b184ef6b991c",
+}
+
+VIEW_SHA256 = {
+    "blackjack": "427d0338f68f2cd93d6988ab3d625f7d440f8a3f585902c399d7f2616466bb00",
+    "leduc": "428f58686f122a4400b8a0bd565ab4edc68a45af9e18242b1afad586662a7b65",
+    "limit_holdem": "57c9d29256cdf149bb6d884bdf6304c7a6794b247d860cd95149d58e85c7ed61",
+    "uno": "62776d0a095efddebcdecbbd0274da9cb73d0d14b42a3d5145d6ebdfda308be8",
+    "doudizhu": "9238a4a346d9631258035e8467306ea25cc2649806d99528f3d8ec579229470c",
+    "mini_doudizhu": "13997860a8c4450ee945893ba59cb1b98709716a3a08a1c62bc2a3b624603b8a",
+}
+
+
+def _random_env(game_id: str, seed: int):
+    env = make(EnvConfig(game_id, seed=seed))
+    env.set_agents([RandomAgent() for _ in range(env.num_players)])
+    return env
+
+
+def log_digest(game_id: str) -> str:
+    env = _random_env(game_id, SEED)
+    digest = hashlib.sha256()
+    for i in range(LOG_GAMES):
+        trajectories, payoffs = env.run()
+        digest.update(serialize_trajectories(game_id, SEED, i, trajectories, payoffs).encode())
+    return digest.hexdigest()
+
+
+def _update_view(digest, obs) -> None:
+    digest.update(repr(obs.raw).encode())
+    digest.update(obs.info_key.encode())
+    digest.update(repr(obs.legal_action_ids).encode())
+    digest.update(obs.planes.tobytes())
+
+
+def view_digest(game_id: str) -> str:
+    env = _random_env(game_id, SEED)
+    digest = hashlib.sha256()
+    for _ in range(VIEW_GAMES):
+        trajectories, _ = env.run()
+        for trajectory in trajectories:
+            for t in trajectory.transitions:
+                _update_view(digest, t.state)
+                _update_view(digest, t.next_state)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("game_id", GAME_IDS)
+def test_selfplay_logs_unchanged(game_id):
+    assert log_digest(game_id) == LOG_SHA256[game_id]
+
+
+@pytest.mark.parametrize("game_id", GAME_IDS)
+def test_observation_views_unchanged(game_id):
+    assert view_digest(game_id) == VIEW_SHA256[game_id]
