@@ -4,10 +4,10 @@ The file format ("cardtable-policy v1") is line-oriented text: a header,
 then one sorted line per information key holding the legal action ids
 and their probabilities at 12 decimal places. Keys absent from a table
 fall back to uniform over the legal actions, so a partial table is
-always playable. Entries are checked as they are stored: action ids
-must be distinct and probabilities finite, non-negative and of positive
-mass, or InvalidPolicy is raised; a file that repeats a key fails to
-load with a ParseError naming the line.
+always playable. Entries are checked as they are stored: keys must be
+printable text, action ids distinct and probabilities finite,
+non-negative and of positive mass, or InvalidPolicy is raised; a file
+that repeats a key fails to load with a ParseError naming the line.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ class PolicyTable:
 
     def set(self, key: str, action_ids, probs) -> None:
         """Store the normalized distribution; raises InvalidPolicy on a bad entry."""
+        if not key.isprintable():  # a tab, line break or lone surrogate would corrupt the file
+            raise InvalidPolicy(f"{key!r}: a key must be printable text")
         action_ids = tuple(int(a) for a in action_ids)
         probs = tuple(float(p) for p in probs)
         if len(action_ids) != len(probs):

@@ -1,7 +1,7 @@
-"""Immutable cards and decks.
+"""Integer card ids, name tables and deck compositions.
 
-Card identity is family-scoped: within a family, a card's id is
-`suit_or_color * ranks_per_suit + rank`. Families:
+A card is a plain int. Ids are family-scoped: within a family, a card's
+id is `suit_or_color * ranks_per_suit + rank`. Families:
 
   french        52 distinct cards; ranks 0..12 are 2..9, T, J, Q, K, A; suits 0..3 (s, h, d, c)
   french_joker  the french layout plus two jokers on pseudo-suit 4:
@@ -11,19 +11,14 @@ Card identity is family-scoped: within a family, a card's id is
                 10 skip, 11 reverse, 12 draw2; pseudo-color 4 holds wild (id 52)
                 and wild-draw-four (id 53)
 
-A deck kind names a multiset over one family. uno108 holds duplicates
-(one 0, two of each 1..9/skip/reverse/draw2 per color, four of each wild),
-so ids identify the printed card, not the physical copy. The top of a deck
-is the end of the card tuple; `deal` draws from there.
+DECKS maps a deck kind to its canonical id tuple: ascending, duplicates
+adjacent. uno108 holds duplicates (one 0, two of each 1..9/skip/reverse/
+draw2 per color, four of each wild), so ids identify the printed card,
+not the physical copy. Engines copy a tuple into a list, shuffle it with
+Rng.shuffle and draw from its end.
 """
 
 from __future__ import annotations
-
-from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache
-
-from cardtable.errors import DuplicateCard, InsufficientCards
 
 FRENCH_RANKS = "23456789TJQKA"
 FRENCH_SUITS = "shdc"
@@ -31,126 +26,14 @@ LEDUC_RANKS = "JQK"
 UNO_COLORS = "rgby"
 UNO_SYMBOLS = tuple(str(d) for d in range(10)) + ("skip", "reverse", "draw2")
 
-_RANKS_PER_SUIT = {"french": 13, "french_joker": 13, "leduc": 3, "uno": 13}
-
-DECK_KINDS = (
-    "standard52",
-    "standard54",
-    "leduc6",
-    "uno108",
-    "doudizhu54",
-    "mini_doudizhu",
-)
-
-
-@dataclass(frozen=True, slots=True)
-class Card:
-    family: str
-    suit_or_color: int
-    rank: int
-
-    @property
-    def id(self) -> int:
-        return self.suit_or_color * _RANKS_PER_SUIT[self.family] + self.rank
-
-    def name(self) -> str:
-        if self.family in ("french", "french_joker"):
-            if self.suit_or_color == 4:
-                return "BJ" if self.rank == 0 else "RJ"
-            return FRENCH_RANKS[self.rank] + FRENCH_SUITS[self.suit_or_color]
-        if self.family == "leduc":
-            return LEDUC_RANKS[self.rank] + FRENCH_SUITS[self.suit_or_color]
-        if self.suit_or_color == 4:
-            return "wild" if self.rank == 0 else "wd4"
-        return UNO_COLORS[self.suit_or_color] + "-" + UNO_SYMBOLS[self.rank]
-
-
-def card_from_id(family: str, card_id: int) -> Card:
-    rps = _RANKS_PER_SUIT[family]
-    return Card(family, card_id // rps, card_id % rps)
-
-
-@dataclass(frozen=True, slots=True)
-class Deck:
-    kind: str
-    cards: tuple[Card, ...]
-
-
-def _french_cards(family: str, jokers: bool) -> tuple[Card, ...]:
-    cards = [Card(family, s, r) for s in range(4) for r in range(13)]
-    if jokers:
-        cards += [Card(family, 4, 0), Card(family, 4, 1)]
-    return tuple(cards)
-
-
-def _uno_cards() -> tuple[Card, ...]:
-    cards: list[Card] = []
-    for color in range(4):
-        cards.append(Card("uno", color, 0))
-        for symbol in range(1, 13):
-            cards += [Card("uno", color, symbol)] * 2
-    cards += [Card("uno", 4, 0)] * 4
-    cards += [Card("uno", 4, 1)] * 4
-    return tuple(cards)
-
-
-def _mini_doudizhu_cards() -> tuple[Card, ...]:
+DECKS: dict[str, tuple[int, ...]] = {
+    "standard52": tuple(range(52)),
+    "standard54": tuple(range(54)),
+    "leduc6": tuple(range(6)),
+    "uno108": tuple(
+        sorted([c * 13 for c in range(4)] + [c * 13 + s for c in range(4) for s in range(1, 13)] * 2 + [52, 53] * 4)
+    ),
+    "doudizhu54": tuple(range(54)),
     # the 28-card variant keeps 8, 9, T, J, Q, K, A in all four suits, no jokers
-    keep = range(6, 13)
-    return tuple(Card("french_joker", s, r) for s in range(4) for r in keep)
-
-
-@lru_cache(maxsize=None)
-def new_deck(kind: str) -> Deck:
-    """Canonical deck for a kind: ascending card id, duplicates adjacent."""
-    if kind == "standard52":
-        return Deck(kind, _french_cards("french", jokers=False))
-    if kind in ("standard54", "doudizhu54"):
-        return Deck(kind, _french_cards("french_joker", jokers=True))
-    if kind == "leduc6":
-        return Deck(kind, tuple(Card("leduc", s, r) for s in range(2) for r in range(3)))
-    if kind == "uno108":
-        return Deck(kind, _uno_cards())
-    if kind == "mini_doudizhu":
-        return Deck(kind, _mini_doudizhu_cards())
-    raise DuplicateCard(f"unknown deck kind: {kind!r}")
-
-
-def deck_composition(kind: str) -> Counter:
-    """Multiset of card ids for a kind."""
-    return Counter(card.id for card in new_deck(kind).cards)
-
-
-def validate_deck(deck: Deck) -> None:
-    """Raise DuplicateCard unless the card multiset matches the kind's composition."""
-    want = Counter(new_deck(deck.kind).cards)
-    have = Counter(deck.cards)
-    if want != have:
-        extra = have - want
-        missing = want - have
-        raise DuplicateCard(
-            f"{deck.kind}: off-composition deck"
-            f" (extra {sorted(c.name() for c in extra.elements())},"
-            f" missing {sorted(c.name() for c in missing.elements())})"
-        )
-
-
-def shuffle(deck: Deck, rng) -> Deck:
-    """Permutation of the same multiset, Fisher-Yates from the end."""
-    cards = list(deck.cards)
-    rng.shuffle(cards)
-    return Deck(deck.kind, tuple(cards))
-
-
-def deal(deck: Deck, n: int) -> tuple[tuple[Card, ...], Deck]:
-    """Draw n cards from the top (the tuple's end), in draw order."""
-    if n < 0:
-        raise InsufficientCards("cannot deal a negative count")
-    if n > len(deck.cards):
-        raise InsufficientCards(f"asked for {n} cards, deck has {len(deck.cards)}")
-    if n == 0:
-        return (), deck
-    cut = len(deck.cards) - n
-    drawn = tuple(reversed(deck.cards[cut:]))
-    rest = Deck(deck.kind, deck.cards[:cut])
-    return drawn, rest
+    "mini_doudizhu": tuple(s * 13 + r for s in range(4) for r in range(6, 13)),
+}

@@ -1,11 +1,14 @@
-"""Role contracts every game implements: Player, Dealer, Game.
+"""The Game contract every engine implements.
 
-A Game owns the turn loop and exposes step/step_back. step_back is
-implemented once here as a stack of full-state snapshots; each game
-supplies snapshot() and restore() plus the move application. Snapshots
-capture everything the transition touched, including the generator
-state, so a restored game replays chance identically. The stack is only
-maintained when allow_step_back is set; throughput paths leave it off.
+A Game owns the turn loop and exposes step/step_back. Each engine keeps
+its own state, the stock and hands included, as plain lists of card ids
+or ranks. step_back is implemented once here as a stack of full-state
+snapshots; each game supplies snapshot() and restore() plus the move
+application. Snapshots capture everything the transition touched,
+including the generator state, so a restored game replays chance
+identically. The stack is only maintained when allow_step_back is set;
+throughput paths leave it off, and a move the engine rejects pushes
+nothing.
 
 Legal moves are computed at most once per state, also here: the first
 legal_moves() call on a state caches the engine's _legal_moves() result,
@@ -19,32 +22,6 @@ from typing import Any
 
 from cardtable.core.rng import Rng
 from cardtable.errors import GameOver
-
-
-class Player:
-    """A seat: id plus whatever hand representation the game uses."""
-
-    __slots__ = ("player_id", "hand")
-
-    def __init__(self, player_id: int, hand=None):
-        self.player_id = player_id
-        self.hand = hand if hand is not None else []
-
-
-class Dealer:
-    """Shuffles and hands out cards. Owns the remaining stock."""
-
-    __slots__ = ("rng", "stock")
-
-    def __init__(self, rng: Rng):
-        self.rng = rng
-        self.stock: list = []
-
-    def draw(self, n: int) -> list:
-        drawn = self.stock[len(self.stock) - n :]
-        drawn.reverse()
-        del self.stock[len(self.stock) - n :]
-        return drawn
 
 
 class Game(ABC):
@@ -77,9 +54,10 @@ class Game(ABC):
         """Apply one concrete move; returns the next player to act, None if over."""
         if self.is_over():
             raise GameOver("step on a finished game")
-        if self.allow_step_back:
-            self._history.append(self.snapshot())
-        self._apply(move)
+        snap = self.snapshot() if self.allow_step_back else None
+        self._apply(move)  # an illegal move raises here, before any state changes
+        if snap is not None:
+            self._history.append(snap)
         self._legal = None
         return None if self.is_over() else self.current_player()
 

@@ -34,10 +34,10 @@ The engine computes legal moves once per state (Game.legal_moves); the
 observation, the env's action check and the engine's own check all read
 that one list.
 
-The observation hook (extract_state) and the action decoding hook
-(decode_action) are instance attributes and can be replaced; a
-replacement may change raw views and planes but must keep the engine's
-legal action ids.
+The observation hook (extract_state) is an instance attribute and can
+be replaced; a replacement may change raw views and planes but must
+keep the engine's legal action ids. Actions need no decoding hook: every
+engine steps on the action ids themselves.
 """
 
 from __future__ import annotations
@@ -244,24 +244,20 @@ class Env:
         self.timesteps = 0  # decisions taken across all games
         self._agents = None
         self._agent_rngs = None
-        # customization hooks; replacements may change raw/planes but
+        # customization hook; a replacement may change raw/planes but
         # must preserve the engine's legal action ids
         self.extract_state = self._default_extract_state
-        self.decode_action = self._default_decode_action
         # single-agent mode plumbing
         self._sa_learner: int | None = None
         self._sa_opponents = None
 
-    # hooks ----------------------------------------------------------
+    # hook -----------------------------------------------------------
 
     def _default_extract_state(self, seat: int, terminal: bool = False) -> Observation:
         module = self.spec.module
         legal, view = module.capture(self.game, seat, terminal)
         render = (module.render_raw, module.render_key, module.encode_planes)
         return Observation.captured(seat, legal, view, render)
-
-    def _default_decode_action(self, action_id: int):
-        return self.spec.module.decode_action(self.game, action_id)
 
     # shared plumbing --------------------------------------------------
 

@@ -5,14 +5,6 @@ class CardTableError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InsufficientCards(CardTableError):
-    """A deal asked for more cards than the deck holds."""
-
-
-class DuplicateCard(CardTableError):
-    """A deck was constructed with a card multiset that does not match its kind."""
-
-
 class UnknownGame(CardTableError):
     """game_id is not registered."""
 

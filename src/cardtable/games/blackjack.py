@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from cardtable.core.cards import FRENCH_RANKS, new_deck
-from cardtable.core.contracts import Dealer, Game, Player
+from cardtable.core.cards import DECKS, FRENCH_RANKS
+from cardtable.core.contracts import Game
 from cardtable.errors import GameNotOver, IllegalMove
 
 HIT, STAND = 0, 1
@@ -21,6 +21,7 @@ ACTION_NAMES = ("hit", "stand")
 NUM_ACTIONS = 2
 
 _RANK_SCORE = tuple(min(r + 2, 10) for r in range(12)) + (1,)  # ace counts 1 here
+_DECK_RANKS = tuple(cid % 13 for cid in DECKS["standard52"])
 
 
 def hand_value(ranks) -> tuple[int, bool]:
@@ -34,21 +35,6 @@ def hand_value(ranks) -> tuple[int, bool]:
     if aces and total + 10 <= 21:
         return total + 10, True
     return total, False
-
-
-class BlackjackDealer(Dealer):
-    """Shuffles a fresh 52-card stock per hand and plays the house side."""
-
-    _RANKS = tuple(c.rank for c in new_deck("standard52").cards)
-
-    def __init__(self, rng):
-        super().__init__(rng)
-        self.stock = list(self._RANKS)
-        rng.shuffle(self.stock)
-
-    def play_out(self, hand: list[int]) -> None:
-        while hand_value(hand)[0] < 17:
-            hand.append(self.stock.pop())
 
 
 class BlackjackJudger:
@@ -74,11 +60,11 @@ class BlackjackGame(Game):
     num_players = 1
 
     def _start(self) -> int:
-        self.dealer = BlackjackDealer(self.rng)
-        stock = self.dealer.stock
-        self.player = Player(0, [stock.pop()])
+        self.stock = stock = list(_DECK_RANKS)  # a fresh 52-card stock per hand
+        self.rng.shuffle(stock)
+        self.hand = [stock.pop()]
         self.dealer_hand = [stock.pop()]  # first dealer card is the upcard
-        self.player.hand.append(stock.pop())
+        self.hand.append(stock.pop())
         self.dealer_hand.append(stock.pop())
         self.round = BlackjackRound()
         self._payoff = 0
@@ -88,14 +74,15 @@ class BlackjackGame(Game):
         if move not in self.legal_moves():
             raise IllegalMove(f"no blackjack move {move}")
         if move == HIT:
-            self.player.hand.append(self.dealer.stock.pop())
-            if hand_value(self.player.hand)[0] > 21:
+            self.hand.append(self.stock.pop())
+            if hand_value(self.hand)[0] > 21:
                 self.round.phase = "over"
                 self._payoff = -1
         else:
-            self.dealer.play_out(self.dealer_hand)
+            while hand_value(self.dealer_hand)[0] < 17:  # the house stands on every 17
+                self.dealer_hand.append(self.stock.pop())
             self.round.phase = "over"
-            self._payoff = BlackjackJudger.settle(self.player.hand, self.dealer_hand)
+            self._payoff = BlackjackJudger.settle(self.hand, self.dealer_hand)
 
     def is_over(self) -> bool:
         return self.round.phase == "over"
@@ -113,9 +100,9 @@ class BlackjackGame(Game):
 
     def snapshot(self):
         return (
-            tuple(self.player.hand),
+            tuple(self.hand),
             tuple(self.dealer_hand),
-            tuple(self.dealer.stock),
+            tuple(self.stock),
             self.round.phase,
             self._payoff,
             self.rng.getstate(),
@@ -123,9 +110,9 @@ class BlackjackGame(Game):
 
     def restore(self, snap) -> None:
         hand, dealer_hand, stock, phase, payoff, rng_state = snap
-        self.player.hand = list(hand)
+        self.hand = list(hand)
         self.dealer_hand = list(dealer_hand)
-        self.dealer.stock = list(stock)
+        self.stock = list(stock)
         self.round.phase = phase
         self._payoff = payoff
         self.rng.setstate(rng_state)
@@ -134,17 +121,17 @@ class BlackjackGame(Game):
 def capture(game: BlackjackGame, seat: int, terminal: bool = False):
     """(legal ids, view): the legal ids, the player's hand and its value, and
     the dealer's visible cards (the upcard until the hand is over) and value."""
-    score, soft = hand_value(game.player.hand)
+    score, soft = hand_value(game.hand)
     if terminal or game.is_over():
         legal = ()
         dealer = tuple(game.dealer_hand)
         dealer_visible = hand_value(dealer)[0]
     else:
-        legal = legal_action_ids(game)
+        legal = tuple(game.legal_moves())
         up = game.dealer_hand[0]
         dealer = (up,)
         dealer_visible = 11 if up == 12 else _RANK_SCORE[up]
-    return legal, (seat, tuple(game.player.hand), score, soft, dealer, dealer_visible)
+    return legal, (seat, tuple(game.hand), score, soft, dealer, dealer_visible)
 
 
 def render_raw(view) -> dict:
@@ -172,11 +159,3 @@ def observe(game: BlackjackGame, seat: int, terminal: bool = False):
 def encode_planes(raw: dict) -> np.ndarray:
     """Integer pair: player score, dealer visible score."""
     return np.array([raw["score"], raw["dealer_visible"]], dtype=np.int64)
-
-
-def decode_action(game: BlackjackGame, action_id: int) -> int:
-    return action_id
-
-
-def legal_action_ids(game: BlackjackGame) -> tuple[int, ...]:
-    return tuple(game.legal_moves())

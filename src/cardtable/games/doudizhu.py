@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from cardtable.core.cards import new_deck
-from cardtable.core.contracts import Game, Player
+from cardtable.core.cards import DECKS
+from cardtable.core.contracts import Game
 from cardtable.errors import GameNotOver, IllegalMove, InvalidParam
 from cardtable.games.doudizhu_patterns import (
     ABSTRACT_ACTIONS,
@@ -42,10 +42,7 @@ from cardtable.games.doudizhu_patterns import (
 
 NUM_PLAYERS = 3
 _VARIANTS = {"full": ("doudizhu54", 17, 3), "mini": ("mini_doudizhu", 9, 1)}
-
-
-def _rank_of(card) -> int:
-    return french_to_dd_rank(card.suit_or_color, card.rank)
+_DD_RANK = tuple(french_to_dd_rank(cid // 13, cid % 13) for cid in range(54))  # by french_joker id
 
 
 class DoudizhuGame(Game):
@@ -63,10 +60,8 @@ class DoudizhuGame(Game):
     def _start(self) -> int:
         deck_kind, per_player, reserve = _VARIANTS[self.variant]
         self.landlord = self.rng.randbelow(3) if self.landlord_param == "random" else self.landlord_param
-        deck = new_deck(deck_kind)
-        order = list(deck.cards)
+        order = list(DECKS[deck_kind])
         self.rng.shuffle(order)
-        self.players = [Player(i) for i in range(NUM_PLAYERS)]
 
         # hands as 15-slot count vectors plus per-rank card-id lists so
         # discards are reproducible down to the suit
@@ -75,10 +70,10 @@ class DoudizhuGame(Game):
         pos = 0
         for seat in range(NUM_PLAYERS):
             take = per_player + (reserve if seat == self.landlord else 0)
-            for card in order[pos : pos + take]:
-                r = _rank_of(card)
+            for cid in order[pos : pos + take]:
+                r = _DD_RANK[cid]
                 self.counts[seat][r] += 1
-                self.rank_cards[seat][r].append(card.id)
+                self.rank_cards[seat][r].append(cid)
             pos += take
         for seat in range(NUM_PLAYERS):
             for ids in self.rank_cards[seat]:
@@ -188,7 +183,7 @@ def hand_literal(counts) -> str:
 def capture(game: DoudizhuGame, seat: int, terminal: bool = False):
     """(legal ids, view): the seat's legal ids and the state its view reads."""
     over = terminal or game.is_over()
-    legal = legal_action_ids(game) if not over and seat == game.turn else ()
+    legal = tuple(game.legal_moves()) if not over and seat == game.turn else ()
     view = (
         seat,
         game.landlord,
@@ -253,7 +248,3 @@ def encode_planes(raw: dict) -> np.ndarray:
 
 def decode_action(game: DoudizhuGame, action_id: int) -> CardPattern:
     return game.decode_move(action_id)
-
-
-def legal_action_ids(game: DoudizhuGame) -> tuple[int, ...]:
-    return tuple(game.legal_moves())

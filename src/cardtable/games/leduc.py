@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from cardtable.core.cards import LEDUC_RANKS, new_deck
-from cardtable.core.contracts import Dealer, Game, Player
+from cardtable.core.cards import DECKS, LEDUC_RANKS
+from cardtable.core.contracts import Game
 from cardtable.errors import GameNotOver, IllegalMove
 
 CALL, RAISE, FOLD, CHECK = 0, 1, 2, 3
@@ -58,13 +58,6 @@ def info_key(seat: int, private_rank: int, public_rank: int | None, history: str
     return f"L{seat}|{LEDUC_RANKS[private_rank]}|{pub}|{history}"
 
 
-class LeducDealer(Dealer):
-    def __init__(self, rng):
-        super().__init__(rng)
-        self.stock = [c.id for c in new_deck("leduc6").cards]
-        rng.shuffle(self.stock)
-
-
 class LeducRound:
     """One betting round: who acts, what is owed, how many raises so far."""
 
@@ -81,8 +74,9 @@ class LeducGame(Game):
     num_players = 2
 
     def _start(self) -> int:
-        self.dealer = LeducDealer(self.rng)
-        self.players = [Player(i, [self.dealer.stock.pop()]) for i in range(2)]
+        self.stock = list(DECKS["leduc6"])
+        self.rng.shuffle(self.stock)
+        self.hands = [self.stock.pop(), self.stock.pop()]  # private card id by seat
         self.public: int | None = None  # card id
         self.chips = [ANTE, ANTE]  # total contribution to the pot
         self.round = LeducRound(0, 0)
@@ -104,7 +98,8 @@ class LeducGame(Game):
         seat = self.round.to_act
         other = 1 - seat
         if move not in self.legal_moves():
-            raise IllegalMove(f"{ACTION_NAMES[move]} not available")
+            name = ACTION_NAMES[move] if 0 <= move < NUM_ACTIONS else f"action {move}"
+            raise IllegalMove(f"{name} not available")
         self.history += _MOVE_CHAR[move]
         if move == FOLD:
             self._winner = other
@@ -133,14 +128,12 @@ class LeducGame(Game):
 
     def _advance_round(self) -> None:
         if self.round.index == 0:
-            self.public = self.dealer.stock.pop()
+            self.public = self.stock.pop()
             self.round = LeducRound(1, 0)
             self.round_bets = [0, 0]
             self.history += "/"
         else:
-            self._winner = showdown_winner(
-                self.players[0].hand[0] % 3, self.players[1].hand[0] % 3, self.public % 3
-            )
+            self._winner = showdown_winner(self.hands[0] % 3, self.hands[1] % 3, self.public % 3)
 
     def is_over(self) -> bool:
         return self._winner is not None
@@ -155,22 +148,20 @@ class LeducGame(Game):
 
     def snapshot(self):
         return (
-            self.players[0].hand[0],
-            self.players[1].hand[0],
+            tuple(self.hands),
             self.public,
             tuple(self.chips),
             tuple(self.round_bets),
             (self.round.index, self.round.raises, self.round.to_act, self.round.acted),
             self.history,
             self._winner,
-            tuple(self.dealer.stock),
+            tuple(self.stock),
             self.rng.getstate(),
         )
 
     def restore(self, snap) -> None:
-        h0, h1, public, chips, bets, round_state, history, winner, stock, rng_state = snap
-        self.players[0].hand = [h0]
-        self.players[1].hand = [h1]
+        hands, public, chips, bets, round_state, history, winner, stock, rng_state = snap
+        self.hands = list(hands)
         self.public = public
         self.chips = list(chips)
         self.round_bets = list(bets)
@@ -179,17 +170,17 @@ class LeducGame(Game):
         self.round.acted = round_state[3]
         self.history = history
         self._winner = winner
-        self.dealer.stock = list(stock)
+        self.stock = list(stock)
         self.rng.setstate(rng_state)
 
 
 def capture(game: LeducGame, seat: int, terminal: bool = False):
     """(legal ids, view): the seat's legal ids and the state its view reads."""
     over = terminal or game.is_over()
-    legal = legal_action_ids(game) if not over and seat == game.round.to_act else ()
+    legal = tuple(game.legal_moves()) if not over and seat == game.round.to_act else ()
     view = (
         seat,
-        game.players[seat].hand[0],
+        game.hands[seat],
         game.public,
         game.history,
         game.chips[seat],
@@ -233,11 +224,3 @@ def encode_planes(raw: dict) -> np.ndarray:
     planes[12] = raw["my_chips"]
     planes[13] = raw["opp_chips"]
     return planes
-
-
-def decode_action(game: LeducGame, action_id: int) -> int:
-    return action_id
-
-
-def legal_action_ids(game: LeducGame) -> tuple[int, ...]:
-    return tuple(game.legal_moves())

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from cardtable.core.cards import FRENCH_RANKS, FRENCH_SUITS, new_deck
-from cardtable.core.contracts import Dealer, Game, Player
+from cardtable.core.cards import DECKS, FRENCH_RANKS, FRENCH_SUITS
+from cardtable.core.contracts import Game
 from cardtable.errors import GameNotOver, IllegalMove, InvalidParam
 from cardtable.games.hand_rank import evaluate_seven
 
@@ -42,13 +42,6 @@ _MOVE_CHAR = {CALL: "c", RAISE: "r", FOLD: "f", CHECK: "k"}
 
 def card_name(cid: int) -> str:
     return FRENCH_RANKS[cid % 13] + FRENCH_SUITS[cid // 13]
-
-
-class HoldemDealer(Dealer):
-    def __init__(self, rng):
-        super().__init__(rng)
-        self.stock = [c.id for c in new_deck("standard52").cards]
-        rng.shuffle(self.stock)
 
 
 class HoldemJudger:
@@ -97,8 +90,9 @@ class LimitHoldemGame(Game):
 
     def _start(self) -> int:
         n = self.num_players
-        self.dealer = HoldemDealer(self.rng)
-        self.players = [Player(i, sorted(self.dealer.draw(2))) for i in range(n)]
+        self.stock = stock = list(DECKS["standard52"])
+        self.rng.shuffle(stock)
+        self.hands = [sorted([stock.pop(), stock.pop()]) for _ in range(n)]
         self.community: list[int] = []
         self.folded = [False] * n
         self.chips = [0] * n
@@ -142,7 +136,8 @@ class LimitHoldemGame(Game):
     def _apply(self, move: int) -> None:
         seat = self.round.to_act
         if move not in self.legal_moves():
-            raise IllegalMove(f"{ACTION_NAMES[move]} not available")
+            name = ACTION_NAMES[move] if 0 <= move < NUM_ACTIONS else f"action {move}"
+            raise IllegalMove(f"{name} not available")
         self.history += _MOVE_CHAR[move]
         if move == FOLD:
             self.folded[seat] = True
@@ -172,7 +167,7 @@ class LimitHoldemGame(Game):
             self._settle_showdown()
             return
         nxt = self.round.index + 1
-        self.community += self.dealer.draw(_COMMUNITY_PER_ROUND[nxt])
+        self.community += [self.stock.pop() for _ in range(_COMMUNITY_PER_ROUND[nxt])]
         self.round = HoldemRound(nxt, self._first_actor(nxt))
         if self.folded[self.round.to_act]:
             self.round.to_act = self._next_actor(self.round.to_act)
@@ -185,7 +180,7 @@ class LimitHoldemGame(Game):
 
     def _settle_showdown(self) -> None:
         alive = self.alive()
-        winners = HoldemJudger.winners([p.hand for p in self.players], self.community, alive)
+        winners = HoldemJudger.winners(self.hands, self.community, alive)
         pot = sum(self.chips)
         share = Fraction(pot, len(winners))
         if share.denominator == 1:
@@ -204,7 +199,7 @@ class LimitHoldemGame(Game):
 
     def snapshot(self):
         return (
-            tuple(tuple(p.hand) for p in self.players),
+            tuple(map(tuple, self.hands)),
             tuple(self.community),
             tuple(self.folded),
             tuple(self.chips),
@@ -212,14 +207,13 @@ class LimitHoldemGame(Game):
             (self.round.index, self.round.raises, self.round.to_act, frozenset(self.round.acted)),
             self.history,
             None if self._results is None else tuple(self._results),
-            tuple(self.dealer.stock),
+            tuple(self.stock),
             self.rng.getstate(),
         )
 
     def restore(self, snap) -> None:
         hands, community, folded, chips, bets, round_state, history, results, stock, rng_state = snap
-        for p, hand in zip(self.players, hands):
-            p.hand = list(hand)
+        self.hands = [list(hand) for hand in hands]
         self.community = list(community)
         self.folded = list(folded)
         self.chips = list(chips)
@@ -229,17 +223,17 @@ class LimitHoldemGame(Game):
         self.round.acted = set(round_state[3])
         self.history = history
         self._results = None if results is None else list(results)
-        self.dealer.stock = list(stock)
+        self.stock = list(stock)
         self.rng.setstate(rng_state)
 
 
 def capture(game: LimitHoldemGame, seat: int, terminal: bool = False):
     """(legal ids, view): the seat's legal ids and the state its view reads."""
     over = terminal or game.is_over()
-    legal = legal_action_ids(game) if not over and seat == game.round.to_act else ()
+    legal = tuple(game.legal_moves()) if not over and seat == game.round.to_act else ()
     view = (
         seat,
-        tuple(game.players[seat].hand),
+        tuple(game.hands[seat]),
         tuple(game.community),
         game.history,
         game.round.index,
@@ -291,11 +285,3 @@ def encode_planes(raw: dict) -> np.ndarray:
     planes[105] = raw["max_bet"]
     planes[106] = raw["pot"]
     return planes
-
-
-def decode_action(game: LimitHoldemGame, action_id: int) -> int:
-    return action_id
-
-
-def legal_action_ids(game: LimitHoldemGame) -> tuple[int, ...]:
-    return tuple(game.legal_moves())

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from cardtable.core.cards import UNO_COLORS, UNO_SYMBOLS, new_deck
-from cardtable.core.contracts import Game, Player
+from cardtable.core.cards import DECKS, UNO_COLORS, UNO_SYMBOLS
+from cardtable.core.contracts import Game
 from cardtable.errors import GameNotOver, IllegalMove, InvalidParam
 
 NUM_TYPES = 54
@@ -87,10 +87,8 @@ class UnoGame(Game):
         super().__init__(rng, allow_step_back)
 
     def _start(self) -> int:
-        order = [card.id for card in new_deck("uno108").cards]
-        self.rng.shuffle(order)
-        self.pile = order  # draw from the end
-        self.players = [Player(i) for i in range(self.num_players)]
+        self.pile = list(DECKS["uno108"])  # draw from the end
+        self.rng.shuffle(self.pile)
         self.hands = [[0] * NUM_TYPES for _ in range(self.num_players)]
         for seat in range(self.num_players):
             for _ in range(self.hand_size):
@@ -164,7 +162,8 @@ class UnoGame(Game):
 
     def _apply(self, action_id: int) -> None:
         if action_id not in self.legal_moves():
-            raise IllegalMove(f"{action_literal(action_id)} not available")
+            name = action_literal(action_id) if 0 <= action_id < NUM_ACTIONS else f"action {action_id}"
+            raise IllegalMove(f"{name} not available")
         seat = self.turn
         self.move_log.append((seat, action_id))
         if action_id == DRAW_ACTION:
@@ -250,7 +249,7 @@ class UnoGame(Game):
 def capture(game: UnoGame, seat: int, terminal: bool = False):
     """(legal ids, view): the seat's legal ids and the state its view reads."""
     over = terminal or game.is_over()
-    legal = legal_action_ids(game) if not over and seat == game.turn else ()
+    legal = tuple(game.legal_moves()) if not over and seat == game.turn else ()
     view = (
         seat,
         tuple(game.hands[seat]),
@@ -311,11 +310,3 @@ def encode_planes(raw: dict) -> np.ndarray:
         planes[2, [c * 13 + top % 13 for c in range(4)]] = 1
     planes[3, :] = raw["discarded_counts"]
     return planes
-
-
-def decode_action(game: UnoGame, action_id: int) -> int:
-    return action_id
-
-
-def legal_action_ids(game: UnoGame) -> tuple[int, ...]:
-    return tuple(game.legal_moves())

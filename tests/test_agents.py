@@ -1,9 +1,13 @@
 """Agents, tabular policies, and the three trainers."""
 
 import math
+import os
+import tempfile
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardtable.agents import (
     CFRTrainer,
@@ -27,6 +31,27 @@ from cardtable.trees import LeducTree
 
 def obs_stub(key="k", legal=(0, 1, 2)):
     return SimpleNamespace(info_key=key, legal_action_ids=tuple(legal))
+
+
+def reload(table):
+    """The table written to a policy file and loaded back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "policy.tsv")
+        table.save(path)
+        return PolicyTable.load(path)
+
+
+# any text as a key; distinct ids; non-negative weights of positive mass
+policy_entries = st.dictionaries(
+    st.text(max_size=10),
+    st.lists(st.integers(0, 400), min_size=1, max_size=6, unique=True).flatmap(
+        lambda ids: st.tuples(
+            st.just(ids),
+            st.lists(st.floats(0.0, 1e6), min_size=len(ids), max_size=len(ids)).filter(lambda w: sum(w) > 0.0),
+        )
+    ),
+    max_size=8,
+)
 
 
 class TestRegretMatching:
@@ -97,6 +122,29 @@ class TestPolicyTable:
         loaded = PolicyTable.load(path)
         assert dict(loaded.items()) == dict(table.items())
         assert loaded.dumps() == table.dumps()
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=policy_entries)
+    def test_fuzzed_dumps_load_round_trip(self, entries):
+        """Entries with printable keys survive a file round trip to the file's 12 decimals."""
+        table = PolicyTable()
+        for key, (ids, weights) in entries.items():
+            if key.isprintable():
+                table.set(key, ids, weights)
+            else:
+                with pytest.raises(InvalidPolicy):
+                    table.set(key, ids, weights)
+        loaded = reload(table)
+        assert len(loaded) == len(table)
+        for key, (ids, probs) in table.items():
+            got_ids, got_probs = loaded.probs_for(key, ())
+            assert got_ids == ids
+            assert all(abs(a - b) < 1e-11 for a, b in zip(got_probs, probs))
+
+    def test_set_rejects_keys_a_file_cannot_hold(self):
+        for bad in ("a\tb", "a\nb", "a\rb", "a\x1eb", "\ud800"):
+            with pytest.raises(InvalidPolicy):
+                PolicyTable().set(bad, (0,), (1.0,))
 
     def test_dumps_sorted_and_stable(self):
         table = PolicyTable()

@@ -46,7 +46,7 @@ class TestGamePlay:
     def test_deal_shape(self):
         game = BlackjackGame(Rng(1))
         game.reset()
-        assert len(game.player.hand) == 2
+        assert len(game.hand) == 2
         assert len(game.dealer_hand) == 2
         assert game.current_player() == 0
         assert game.legal_moves() == [HIT, STAND]
@@ -65,7 +65,7 @@ class TestGamePlay:
             game.reset()
             while not game.is_over():
                 game.step(HIT)
-            assert hand_value(game.player.hand)[0] > 21
+            assert hand_value(game.hand)[0] > 21
             assert game.payoffs() == [-1.0]
 
     def test_payoff_guard(self):
@@ -84,7 +84,7 @@ class TestGamePlay:
         g1, g2 = BlackjackGame(Rng(9)), BlackjackGame(Rng(9))
         g1.reset()
         g2.reset()
-        assert g1.player.hand == g2.player.hand
+        assert g1.hand == g2.hand
         assert g1.dealer_hand == g2.dealer_hand
 
     def test_step_back_restores_everything(self):
@@ -102,7 +102,7 @@ class TestObserve:
         game = BlackjackGame(Rng(2))
         game.reset()
         raw, legal, key = observe(game, 0)
-        score, soft = hand_value(game.player.hand)
+        score, soft = hand_value(game.hand)
         assert key == f"B|{score}{'s' if soft else 'h'}|n2|u{raw['dealer_visible']}"
         assert legal == (HIT, STAND)
         assert raw["score"] == score

@@ -1,24 +1,20 @@
-"""Deck compositions, card id layout, shuffling, and dealing."""
+"""Deck compositions, card id layout, shuffling, and drawing from the end."""
 
 from collections import Counter
 
-import pytest
-
-from cardtable.core import (
-    Card,
-    DECK_KINDS,
-    card_from_id,
-    deal,
-    deck_composition,
-    new_deck,
-    rng_from_seed,
-    shuffle,
-    validate_deck,
-)
-from cardtable.core.cards import Deck
-from cardtable.errors import DuplicateCard, InsufficientCards
+from cardtable.core import DECKS, rng_from_seed
+from cardtable.core.cards import FRENCH_RANKS, FRENCH_SUITS
+from cardtable.games.doudizhu_patterns import DD_RANK_NAMES, french_to_dd_rank
+from cardtable.games.leduc import LeducGame
+from cardtable.games.limit_holdem import LimitHoldemGame, card_name
 
 from conftest import load_ints
+
+
+def shuffled(kind: str, seed: int) -> list[int]:
+    order = list(DECKS[kind])
+    rng_from_seed(seed).shuffle(order)
+    return order
 
 
 class TestCompositions:
@@ -31,11 +27,10 @@ class TestCompositions:
             "doudizhu54": 54,
             "mini_doudizhu": 28,
         }
-        for kind, n in sizes.items():
-            assert len(new_deck(kind).cards) == n
+        assert {kind: len(ids) for kind, ids in DECKS.items()} == sizes
 
     def test_uno_composition(self):
-        comp = deck_composition("uno108")
+        comp = Counter(DECKS["uno108"])
         per_color = Counter()
         for color in range(4):
             assert comp[color * 13 + 0] == 1  # one zero per color
@@ -46,108 +41,92 @@ class TestCompositions:
         assert comp[52] == 4 and comp[53] == 4  # wild, wild-draw-four
 
     def test_standard54_is_52_plus_jokers(self):
-        comp = deck_composition("standard54")
+        comp = Counter(DECKS["standard54"])
         assert sum(comp.values()) == 54
         assert comp[52] == 1 and comp[53] == 1
         assert all(comp[i] == 1 for i in range(52))
 
     def test_mini_doudizhu_keeps_8_through_ace(self):
-        ranks = Counter(c.rank for c in new_deck("mini_doudizhu").cards)
+        ids = DECKS["mini_doudizhu"]
         # french ranks 6..12 are 8, 9, T, J, Q, K, A
-        assert ranks == Counter({r: 4 for r in range(6, 13)})
-        assert all(c.suit_or_color < 4 for c in new_deck("mini_doudizhu").cards)
+        assert Counter(cid % 13 for cid in ids) == Counter({r: 4 for r in range(6, 13)})
+        assert all(cid // 13 < 4 for cid in ids)
 
     def test_leduc_two_suits_three_ranks(self):
-        cards = new_deck("leduc6").cards
-        assert Counter(c.rank for c in cards) == Counter({0: 2, 1: 2, 2: 2})
+        assert Counter(cid % 3 for cid in DECKS["leduc6"]) == Counter({0: 2, 1: 2, 2: 2})
 
     def test_every_kind_constructs(self):
-        for kind in DECK_KINDS:
-            validate_deck(new_deck(kind))
+        # canonical form: ascending ids, so duplicates sit next to each other
+        for ids in DECKS.values():
+            assert isinstance(ids, tuple)
+            assert list(ids) == sorted(ids)
 
 
 class TestCardIds:
     def test_id_formula(self):
-        for kind in DECK_KINDS:
-            for card in new_deck(kind).cards:
-                rps = 3 if card.family == "leduc" else 13
-                assert card.id == card.suit_or_color * rps + card.rank
+        for suit in range(4):
+            for rank in range(13):
+                assert card_name(suit * 13 + rank) == FRENCH_RANKS[rank] + FRENCH_SUITS[suit]
+        assert DECKS["leduc6"] == tuple(suit * 3 + rank for suit in range(2) for rank in range(3))
 
     def test_ids_bijective_over_distinct_cards(self):
-        for kind in DECK_KINDS:
-            distinct = set(new_deck(kind).cards)
-            ids = {c.id for c in distinct}
-            assert len(ids) == len(distinct)
-            for c in distinct:
-                assert card_from_id(c.family, c.id) == c
+        for kind, ids in DECKS.items():
+            assert all(0 <= cid < 54 for cid in ids)
+            if kind != "uno108":  # the only kind with duplicate copies
+                assert len(set(ids)) == len(ids)
+        assert len({card_name(cid) for cid in DECKS["standard52"]}) == 52
 
     def test_jokers(self):
-        deck = new_deck("doudizhu54")
-        names = [c.name() for c in deck.cards]
-        assert names.count("BJ") == 1 and names.count("RJ") == 1
-        assert deck.cards[52].id == 52 and deck.cards[53].id == 53
+        ids = DECKS["doudizhu54"]
+        assert ids[52] == 52 and ids[53] == 53
+        names = [DD_RANK_NAMES[french_to_dd_rank(cid // 13, cid % 13)] for cid in ids]
+        assert names.count("B") == 1 and names.count("R") == 1
+        assert names[52:] == ["B", "R"]
 
 
 class TestShuffleDeal:
     def test_shuffle_preserves_multiset(self):
         for kind in ("standard52", "uno108", "leduc6"):
-            base = Counter(new_deck(kind).cards)
+            base = Counter(DECKS[kind])
             for seed in range(1000):
-                assert Counter(shuffle(new_deck(kind), rng_from_seed(seed)).cards) == base
+                assert Counter(shuffled(kind, seed)) == base
 
     def test_shuffle_matches_frozen_orders(self):
-        got = [c.id for c in shuffle(new_deck("standard52"), rng_from_seed(3)).cards]
-        assert got == load_ints("shuffle_standard52_seed3.txt")
-        got = [c.id for c in shuffle(new_deck("leduc6"), rng_from_seed(11)).cards]
-        assert got == load_ints("shuffle_leduc6_seed11.txt")
-        got = [c.id for c in shuffle(new_deck("uno108"), rng_from_seed(5)).cards]
-        assert got == load_ints("shuffle_uno108_seed5.txt")
+        assert shuffled("standard52", 3) == load_ints("shuffle_standard52_seed3.txt")
+        assert shuffled("leduc6", 11) == load_ints("shuffle_leduc6_seed11.txt")
+        assert shuffled("uno108", 5) == load_ints("shuffle_uno108_seed5.txt")
 
     def test_shuffle_deterministic(self):
-        a = shuffle(new_deck("standard52"), rng_from_seed(99))
-        b = shuffle(new_deck("standard52"), rng_from_seed(99))
-        assert a == b
+        assert shuffled("standard52", 99) == shuffled("standard52", 99)
 
     def test_deal_draws_from_top(self):
-        deck = shuffle(new_deck("standard52"), rng_from_seed(1))
-        drawn, rest = deal(deck, 5)
-        assert drawn == tuple(reversed(deck.cards[-5:]))
-        assert rest.cards == deck.cards[:-5]
-        assert len(drawn) + len(rest.cards) == 52
+        # engines shuffle the canonical ids with the game rng and pop from the end
+        for seed in range(20):
+            order = shuffled("leduc6", seed)
+            game = LeducGame(rng_from_seed(seed))
+            game.reset()
+            assert game.hands == [order[-1], order[-2]]
+            assert game.stock == order[:-2]
 
-    def test_deal_whole_deck_and_overdraw(self):
-        deck = new_deck("leduc6")
-        drawn, rest = deal(deck, 6)
-        assert len(drawn) == 6 and rest.cards == ()
-        with pytest.raises(InsufficientCards):
-            deal(rest, 1)
-        with pytest.raises(InsufficientCards):
-            deal(deck, 7)
-
-    def test_deal_zero(self):
-        deck = new_deck("leduc6")
-        drawn, rest = deal(deck, 0)
-        assert drawn == () and rest == deck
-
-    def test_validate_flags_corruption(self):
-        deck = new_deck("standard52")
-        bad = Deck("standard52", deck.cards[:-1] + (deck.cards[0],))
-        with pytest.raises(DuplicateCard):
-            validate_deck(bad)
+            order = shuffled("standard52", seed)
+            game = LimitHoldemGame(rng_from_seed(seed), num_players=3)
+            game.reset()
+            assert game.hands == [sorted(order[-1:-3:-1]), sorted(order[-3:-5:-1]), sorted(order[-5:-7:-1])]
+            assert game.stock == order[:-6]
 
 
 def test_replay_determinism_over_op_sequences():
     # identical seeds drive identical op sequences to identical results
     def trace(seed: int) -> list:
         rng = rng_from_seed(seed)
-        deck = shuffle(new_deck("uno108"), rng)
+        stock = list(DECKS["uno108"])
+        rng.shuffle(stock)
         out = []
         for _ in range(20):
             n = rng.randbelow(4) + 1
-            drawn, deck = deal(deck, n)
-            out.extend(c.id for c in drawn)
+            out.extend(stock.pop() for _ in range(n))
             if rng.random() < 0.3:
-                deck = shuffle(deck, rng)
+                rng.shuffle(stock)
         return out
 
     assert trace(2024) == trace(2024)

@@ -235,8 +235,6 @@ class TestObservation:
         env.set_agents([RandomAgent(), RandomAgent()])
         trajectories, _ = env.run()
         assert all(t.state.raw["tag"] for traj in trajectories for t in traj.transitions)
-        env.decode_action = lambda aid: ("decoded", aid)
-        assert env.decode_action(1) == ("decoded", 1)
 
 
 class TestSerialization:
@@ -280,5 +278,5 @@ class TestSeeding:
         # the engine directly with the derived stream instead
         twin.game.rng = Rng(split_seed(game_seed, 0))
         twin.game.reset()
-        assert twin.game.players[0].hand == env.game.players[0].hand
-        assert twin.game.players[1].hand == env.game.players[1].hand
+        assert twin.game.hands[0] == env.game.hands[0]
+        assert twin.game.hands[1] == env.game.hands[1]

@@ -100,7 +100,7 @@ class TestObserve:
         game.reset()
         seat = game.current_player()
         raw, legal, key = observe(game, seat)
-        assert key == info_key(seat, game.players[seat].hand[0] % 3, None, "")
+        assert key == info_key(seat, game.hands[seat] % 3, None, "")
         assert legal == tuple(game.legal_moves())
         assert raw["history"] == ""
 
@@ -130,7 +130,7 @@ class TestTreeMatchesEngine:
         for trial in range(800):
             game = LeducGame(Rng(trial))
             game.reset()
-            ranks = [game.players[0].hand[0] % 3, game.players[1].hand[0] % 3]
+            ranks = [game.hands[0] % 3, game.hands[1] % 3]
             node = ("play", ranks[0], ranks[1], None, _BET0)
             while not game.is_over():
                 assert not tree.is_terminal(node)

@@ -212,8 +212,7 @@ class TestBetting:
         game.reset()
         # the board plays for everyone: ace-high straight flush in clubs
         game.community = [8, 9, 10, 11, 12]
-        for player, hole in zip(game.players, ([13, 14], [15, 16], [17, 18])):
-            player.hand = hole
+        game.hands = [[13, 14], [15, 16], [17, 18]]
         game.folded = [False, False, False]
         game.chips = [3, 3, 3]
         game._settle_showdown()

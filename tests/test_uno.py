@@ -2,7 +2,7 @@
 
 import pytest
 
-from cardtable.core.cards import UNO_COLORS, new_deck
+from cardtable.core.cards import UNO_COLORS
 from cardtable.core.rng import Rng
 from cardtable.errors import IllegalMove, InvalidParam
 from cardtable.games.uno import (
