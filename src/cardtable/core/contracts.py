@@ -12,7 +12,10 @@ nothing.
 
 Legal moves are computed at most once per state, also here: the first
 legal_moves() call on a state caches the engine's _legal_moves() result,
-and reset, step and step_back drop it.
+and reset, step and step_back drop it. step is the one legality check:
+a move outside that list raises IllegalMove before any state changes, so
+an engine's _apply only ever sees legal moves. Env turns that error into
+IllegalAction naming the seat that chose the move.
 """
 
 from __future__ import annotations
@@ -21,19 +24,18 @@ from abc import ABC, abstractmethod
 from typing import Any
 
 from cardtable.core.rng import Rng
-from cardtable.errors import GameOver
+from cardtable.errors import GameOver, IllegalMove
 
 
 class Game(ABC):
     """Turn-based engine with optional snapshot-based undo.
 
     legal_moves() returns the current player's moves, computed once per
-    state: _apply's legality check, the env's observation and its
-    action check all read the same cached list. The list is shared, so
-    callers must not mutate it. The cache is dropped by reset, step and
-    step_back, the only ways the base class sees the state change; code
-    that edits an engine's fields directly must do so before the first
-    legal_moves() call on that state.
+    state: step's legality check and the env's observation read the same
+    cached list. The list is shared, so callers must not mutate it. The
+    cache is dropped by reset, step and step_back, the only ways the base
+    class sees the state change; code that edits an engine's fields
+    directly must do so before the first legal_moves() call on that state.
     """
 
     num_players: int = 1
@@ -51,13 +53,19 @@ class Game(ABC):
         return self._start()
 
     def step(self, move) -> int | None:
-        """Apply one concrete move; returns the next player to act, None if over."""
+        """Apply one legal move; returns the next player to act, None if over.
+
+        A move outside legal_moves() raises IllegalMove naming it and the
+        legal set, and leaves the game as it was.
+        """
         if self.is_over():
             raise GameOver("step on a finished game")
-        snap = self.snapshot() if self.allow_step_back else None
-        self._apply(move)  # an illegal move raises here, before any state changes
-        if snap is not None:
-            self._history.append(snap)
+        legal = self.legal_moves()
+        if move not in legal:
+            raise IllegalMove(f"move {move!r} not in legal set {tuple(legal)}")
+        if self.allow_step_back:
+            self._history.append(self.snapshot())
+        self._apply(move)
         self._legal = None
         return None if self.is_over() else self.current_player()
 
@@ -76,11 +84,18 @@ class Game(ABC):
             legal = self._legal = self._legal_moves()
         return legal
 
+    def legal_ids_for(self, seat: int, terminal: bool = False) -> tuple:
+        """The legal ids seat observes: its moves on its turn in a running game, else ()."""
+        if terminal or self.is_over() or seat != self.current_player():
+            return ()
+        return tuple(self.legal_moves())
+
     @abstractmethod
     def _start(self) -> int: ...
 
     @abstractmethod
-    def _apply(self, move) -> None: ...
+    def _apply(self, move) -> None:
+        """Apply a move that step has already checked is legal."""
 
     @abstractmethod
     def is_over(self) -> bool: ...

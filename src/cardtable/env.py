@@ -30,9 +30,12 @@ rest, and a view read late still shows the state it was taken at.
 Each engine's observe(game, seat, terminal) is the eager composition of
 the same functions, returning (raw, legal, key).
 
-The engine computes legal moves once per state (Game.legal_moves); the
-observation, the env's action check and the engine's own check all read
-that one list.
+The engine computes legal moves once per state (Game.legal_moves), and
+Game.step is the one legality check: the observation's legal ids and that
+check read the same list. Every mode applies a decision through one
+helper, which turns the engine's IllegalMove into IllegalAction naming
+who chose the action (agent, opponent, learner or player) and their
+seat; the game and the timestep count are left as they were.
 
 The observation hook (extract_state) is an instance attribute and can
 be replaced; a replacement may change raw views and planes but must
@@ -52,6 +55,7 @@ from cardtable.errors import (
     GameNotOver,
     GameOver,
     IllegalAction,
+    IllegalMove,
     InvalidParam,
     NotSingleAgentMode,
     UnknownGame,
@@ -280,10 +284,15 @@ class Env:
             raise InvalidParam(f"game index must be >= 0, got {game_index}")
         self.game_index = game_index - 1
 
-    def _require_legal(self, action_id: int) -> None:
-        legal = self.game.legal_moves()
-        if action_id not in legal:
-            raise IllegalAction(f"action {action_id} not in legal set {tuple(legal)}")
+    def _act(self, action_id: int, chooser: str) -> int | None:
+        """Step the game by one decision; returns the next seat, None when over."""
+        try:
+            nxt = self.game.step(action_id)
+        except IllegalMove as exc:
+            seat = self.game.current_player()
+            raise IllegalAction(f"{chooser} at seat {seat} chose {action_id}: {exc}") from exc
+        self.timesteps += 1
+        return nxt
 
     # run mode ---------------------------------------------------------
 
@@ -308,11 +317,8 @@ class Env:
             agent = self._agents[seat]
             rng = self._agent_rngs[seat]
             action = agent.sample_step(obs, rng) if training else agent.eval_step(obs, rng)
-            if action not in obs.legal_action_ids:
-                raise IllegalAction(f"agent at seat {seat} chose {action}, legal {obs.legal_action_ids}")
             pending[seat] = (obs, action)
-            nxt = self.game.step(action)
-            self.timesteps += 1
+            nxt = self._act(action, "agent")
             if nxt is None:
                 break
             seat = nxt
@@ -336,9 +342,7 @@ class Env:
         """Apply one action; returns (obs of new current player, seat)."""
         if self.game.is_over():
             raise GameOver("game already over; call new_game()")
-        self._require_legal(action_id)
-        nxt = self.game.step(action_id)
-        self.timesteps += 1
+        nxt = self._act(action_id, "player")
         if nxt is None:
             seat = self.game.current_player()
             return self.extract_state(seat, terminal=True), seat
@@ -365,10 +369,7 @@ class Env:
             seat = self.game.current_player()
             obs = self.extract_state(seat)
             action = self._sa_opponents[seat].eval_step(obs, self._agent_rngs[seat])
-            if action not in obs.legal_action_ids:
-                raise IllegalAction(f"opponent at seat {seat} chose {action}, legal {obs.legal_action_ids}")
-            self.game.step(action)
-            self.timesteps += 1
+            self._act(action, "opponent")
 
     def reset(self) -> Observation:
         """Start episodes until the learner has a decision; returns their view."""
@@ -388,9 +389,7 @@ class Env:
             raise NotSingleAgentMode("env was not built by make_single_agent()")
         if self.game.is_over():
             raise GameOver("episode finished; call reset()")
-        self._require_legal(action_id)
-        self.game.step(action_id)
-        self.timesteps += 1
+        self._act(action_id, "learner")
         self._autoplay_opponents()
         if self.game.is_over():
             obs = self.extract_state(self._sa_learner, terminal=True)

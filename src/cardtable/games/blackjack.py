@@ -14,10 +14,9 @@ import numpy as np
 
 from cardtable.core.cards import DECKS, FRENCH_RANKS
 from cardtable.core.contracts import Game
-from cardtable.errors import GameNotOver, IllegalMove
+from cardtable.errors import GameNotOver
 
 HIT, STAND = 0, 1
-ACTION_NAMES = ("hit", "stand")
 NUM_ACTIONS = 2
 
 _RANK_SCORE = tuple(min(r + 2, 10) for r in range(12)) + (1,)  # ace counts 1 here
@@ -37,23 +36,15 @@ def hand_value(ranks) -> tuple[int, bool]:
     return total, False
 
 
-class BlackjackJudger:
-    @staticmethod
-    def settle(player_ranks, dealer_ranks) -> int:
-        p, _ = hand_value(player_ranks)
-        if p > 21:
-            return -1
-        d, _ = hand_value(dealer_ranks)
-        if d > 21 or p > d:
-            return 1
-        return -1 if p < d else 0
-
-
-class BlackjackRound:
-    __slots__ = ("phase",)
-
-    def __init__(self):
-        self.phase = "player"  # then "over"
+def settle(player_ranks, dealer_ranks) -> int:
+    """The player's result once both hands are played out: -1, 0 or +1."""
+    p, _ = hand_value(player_ranks)
+    if p > 21:
+        return -1
+    d, _ = hand_value(dealer_ranks)
+    if d > 21 or p > d:
+        return 1
+    return -1 if p < d else 0
 
 
 class BlackjackGame(Game):
@@ -66,26 +57,21 @@ class BlackjackGame(Game):
         self.dealer_hand = [stock.pop()]  # first dealer card is the upcard
         self.hand.append(stock.pop())
         self.dealer_hand.append(stock.pop())
-        self.round = BlackjackRound()
-        self._payoff = 0
+        self._payoff: int | None = None  # set when the hand ends
         return 0
 
     def _apply(self, move: int) -> None:
-        if move not in self.legal_moves():
-            raise IllegalMove(f"no blackjack move {move}")
         if move == HIT:
             self.hand.append(self.stock.pop())
             if hand_value(self.hand)[0] > 21:
-                self.round.phase = "over"
                 self._payoff = -1
         else:
             while hand_value(self.dealer_hand)[0] < 17:  # the house stands on every 17
                 self.dealer_hand.append(self.stock.pop())
-            self.round.phase = "over"
-            self._payoff = BlackjackJudger.settle(self.hand, self.dealer_hand)
+            self._payoff = settle(self.hand, self.dealer_hand)
 
     def is_over(self) -> bool:
-        return self.round.phase == "over"
+        return self._payoff is not None
 
     def current_player(self) -> int:
         return 0
@@ -94,7 +80,7 @@ class BlackjackGame(Game):
         return [HIT, STAND]
 
     def payoffs(self) -> list[float]:
-        if not self.is_over():
+        if self._payoff is None:
             raise GameNotOver("blackjack hand still running")
         return [float(self._payoff)]
 
@@ -103,18 +89,15 @@ class BlackjackGame(Game):
             tuple(self.hand),
             tuple(self.dealer_hand),
             tuple(self.stock),
-            self.round.phase,
             self._payoff,
             self.rng.getstate(),
         )
 
     def restore(self, snap) -> None:
-        hand, dealer_hand, stock, phase, payoff, rng_state = snap
+        hand, dealer_hand, stock, self._payoff, rng_state = snap
         self.hand = list(hand)
         self.dealer_hand = list(dealer_hand)
         self.stock = list(stock)
-        self.round.phase = phase
-        self._payoff = payoff
         self.rng.setstate(rng_state)
 
 
@@ -122,15 +105,14 @@ def capture(game: BlackjackGame, seat: int, terminal: bool = False):
     """(legal ids, view): the legal ids, the player's hand and its value, and
     the dealer's visible cards (the upcard until the hand is over) and value."""
     score, soft = hand_value(game.hand)
-    if terminal or game.is_over():
-        legal = ()
-        dealer = tuple(game.dealer_hand)
-        dealer_visible = hand_value(dealer)[0]
-    else:
-        legal = tuple(game.legal_moves())
+    legal = game.legal_ids_for(seat, terminal)
+    if legal:
         up = game.dealer_hand[0]
         dealer = (up,)
         dealer_visible = 11 if up == 12 else _RANK_SCORE[up]
+    else:  # the hand is over (or the view is terminal): every dealer card shows
+        dealer = tuple(game.dealer_hand)
+        dealer_visible = hand_value(dealer)[0]
     return legal, (seat, tuple(game.hand), score, soft, dealer, dealer_visible)
 
 

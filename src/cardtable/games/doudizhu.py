@@ -15,8 +15,7 @@ a landlord win, both peasants get 1 when either peasant goes out.
 Bombs do not multiply payoffs.
 
 Moves are the 309 abstract action ids from doudizhu_patterns; kickers
-are completed by the documented lowest-non-breaking rule, and within a
-rank the lowest card ids leave the hand first.
+are completed by the documented lowest-non-breaking rule.
 """
 
 from __future__ import annotations
@@ -25,16 +24,13 @@ import numpy as np
 
 from cardtable.core.cards import DECKS
 from cardtable.core.contracts import Game
-from cardtable.errors import GameNotOver, IllegalMove, InvalidParam
+from cardtable.errors import GameNotOver, InvalidParam
 from cardtable.games.doudizhu_patterns import (
-    ABSTRACT_ACTIONS,
     DD_RANK_NAMES,
     NUM_ACTIONS,
     NUM_RANKS,
-    PASS_ID,
     CardPattern,
     abstract_id,
-    beats,
     decode,
     french_to_dd_rank,
     matching_abstract_ids,
@@ -63,21 +59,13 @@ class DoudizhuGame(Game):
         order = list(DECKS[deck_kind])
         self.rng.shuffle(order)
 
-        # hands as 15-slot count vectors plus per-rank card-id lists so
-        # discards are reproducible down to the suit
-        self.counts = [[0] * NUM_RANKS for _ in range(NUM_PLAYERS)]
-        self.rank_cards: list[list[list[int]]] = [[[] for _ in range(NUM_RANKS)] for _ in range(NUM_PLAYERS)]
+        self.counts = [[0] * NUM_RANKS for _ in range(NUM_PLAYERS)]  # hands as 15-slot count vectors
         pos = 0
         for seat in range(NUM_PLAYERS):
             take = per_player + (reserve if seat == self.landlord else 0)
             for cid in order[pos : pos + take]:
-                r = _DD_RANK[cid]
-                self.counts[seat][r] += 1
-                self.rank_cards[seat][r].append(cid)
+                self.counts[seat][_DD_RANK[cid]] += 1
             pos += take
-        for seat in range(NUM_PLAYERS):
-            for ids in self.rank_cards[seat]:
-                ids.sort()
 
         self.played = [0] * NUM_RANKS  # union of everything discarded so far
         self.to_beat: CardPattern | None = None
@@ -101,9 +89,6 @@ class DoudizhuGame(Game):
         return decode(action_id, self.counts[self.turn], self.to_beat)
 
     def _apply(self, action_id: int) -> None:
-        if action_id not in self.legal_moves():
-            name = ABSTRACT_ACTIONS[action_id] if 0 <= action_id < NUM_ACTIONS else action_id
-            raise IllegalMove(f"action {name} not playable here")
         seat = self.turn
         pattern = self.decode_move(action_id)
         played_vec = [0] * NUM_RANKS
@@ -118,7 +103,6 @@ class DoudizhuGame(Game):
             for r in set(ms):
                 take = ms.count(r)
                 self.counts[seat][r] -= take
-                del self.rank_cards[seat][r][:take]
                 self.played[r] += take
                 played_vec[r] = take
             self.to_beat = pattern
@@ -147,7 +131,6 @@ class DoudizhuGame(Game):
         return (
             self.landlord,
             tuple(tuple(c) for c in self.counts),
-            tuple(tuple(tuple(ids) for ids in per_seat) for per_seat in self.rank_cards),
             tuple(self.played),
             self.to_beat,
             self.trick_owner,
@@ -160,16 +143,10 @@ class DoudizhuGame(Game):
         )
 
     def restore(self, snap) -> None:
-        (landlord, counts, rank_cards, played, to_beat, owner, passes, turn, winner, log, recent, rng_state) = snap
-        self.landlord = landlord
+        (self.landlord, counts, played, self.to_beat, self.trick_owner, self.pass_count, self.turn,
+         self.winner, log, recent, rng_state) = snap
         self.counts = [list(c) for c in counts]
-        self.rank_cards = [[list(ids) for ids in per_seat] for per_seat in rank_cards]
         self.played = list(played)
-        self.to_beat = to_beat
-        self.trick_owner = owner
-        self.pass_count = passes
-        self.turn = turn
-        self.winner = winner
         self.move_log = list(log)
         self.recent = [list(v) for v in recent]
         self.rng.setstate(rng_state)
@@ -182,8 +159,7 @@ def hand_literal(counts) -> str:
 
 def capture(game: DoudizhuGame, seat: int, terminal: bool = False):
     """(legal ids, view): the seat's legal ids and the state its view reads."""
-    over = terminal or game.is_over()
-    legal = tuple(game.legal_moves()) if not over and seat == game.turn else ()
+    legal = game.legal_ids_for(seat, terminal)
     view = (
         seat,
         game.landlord,

@@ -20,10 +20,9 @@ import numpy as np
 
 from cardtable.core.cards import DECKS, LEDUC_RANKS
 from cardtable.core.contracts import Game
-from cardtable.errors import GameNotOver, IllegalMove
+from cardtable.errors import GameNotOver
 
 CALL, RAISE, FOLD, CHECK = 0, 1, 2, 3
-ACTION_NAMES = ("call", "raise", "fold", "check")
 NUM_ACTIONS = 4
 
 ANTE = 1
@@ -58,18 +57,6 @@ def info_key(seat: int, private_rank: int, public_rank: int | None, history: str
     return f"L{seat}|{LEDUC_RANKS[private_rank]}|{pub}|{history}"
 
 
-class LeducRound:
-    """One betting round: who acts, what is owed, how many raises so far."""
-
-    __slots__ = ("index", "raises", "to_act", "acted")
-
-    def __init__(self, index: int, first: int):
-        self.index = index
-        self.raises = 0
-        self.to_act = first
-        self.acted = 0
-
-
 class LeducGame(Game):
     num_players = 2
 
@@ -79,7 +66,10 @@ class LeducGame(Game):
         self.hands = [self.stock.pop(), self.stock.pop()]  # private card id by seat
         self.public: int | None = None  # card id
         self.chips = [ANTE, ANTE]  # total contribution to the pot
-        self.round = LeducRound(0, 0)
+        self.round_index = 0
+        self.raises = 0  # this round
+        self.to_act = 0
+        self.acted = 0  # moves made this round
         self.round_bets = [0, 0]
         self.history = ""
         self._winner: int | None = None  # -1 split
@@ -89,29 +79,26 @@ class LeducGame(Game):
         return self.round_bets[seat] < max(self.round_bets)
 
     def _legal_moves(self) -> list[int]:
-        return list(round_legal_moves(self.facing_bet(self.round.to_act), self.round.raises))
+        return list(round_legal_moves(self.facing_bet(self.to_act), self.raises))
 
     def current_player(self) -> int:
-        return self.round.to_act
+        return self.to_act
 
     def _apply(self, move: int) -> None:
-        seat = self.round.to_act
+        seat = self.to_act
         other = 1 - seat
-        if move not in self.legal_moves():
-            name = ACTION_NAMES[move] if 0 <= move < NUM_ACTIONS else f"action {move}"
-            raise IllegalMove(f"{name} not available")
         self.history += _MOVE_CHAR[move]
         if move == FOLD:
             self._winner = other
             return
         if move == RAISE:
             owe = max(self.round_bets) - self.round_bets[seat]
-            put = owe + RAISE_SIZE[self.round.index]
+            put = owe + RAISE_SIZE[self.round_index]
             self.round_bets[seat] += put
             self.chips[seat] += put
-            self.round.raises += 1
-            self.round.acted += 1
-            self.round.to_act = other
+            self.raises += 1
+            self.acted += 1
+            self.to_act = other
             return
         if move == CALL:
             owe = max(self.round_bets) - self.round_bets[seat]
@@ -119,17 +106,18 @@ class LeducGame(Game):
             self.chips[seat] += owe
             round_over = True
         else:  # CHECK
-            round_over = self.round.acted >= 1
-        self.round.acted += 1
+            round_over = self.acted >= 1
+        self.acted += 1
         if round_over:
             self._advance_round()
         else:
-            self.round.to_act = other
+            self.to_act = other
 
     def _advance_round(self) -> None:
-        if self.round.index == 0:
+        if self.round_index == 0:
             self.public = self.stock.pop()
-            self.round = LeducRound(1, 0)
+            self.round_index = 1
+            self.raises = self.to_act = self.acted = 0
             self.round_bets = [0, 0]
             self.history += "/"
         else:
@@ -152,7 +140,10 @@ class LeducGame(Game):
             self.public,
             tuple(self.chips),
             tuple(self.round_bets),
-            (self.round.index, self.round.raises, self.round.to_act, self.round.acted),
+            self.round_index,
+            self.raises,
+            self.to_act,
+            self.acted,
             self.history,
             self._winner,
             tuple(self.stock),
@@ -160,24 +151,18 @@ class LeducGame(Game):
         )
 
     def restore(self, snap) -> None:
-        hands, public, chips, bets, round_state, history, winner, stock, rng_state = snap
+        (hands, self.public, chips, bets, self.round_index, self.raises, self.to_act, self.acted,
+         self.history, self._winner, stock, rng_state) = snap
         self.hands = list(hands)
-        self.public = public
         self.chips = list(chips)
         self.round_bets = list(bets)
-        self.round = LeducRound(round_state[0], round_state[2])
-        self.round.raises = round_state[1]
-        self.round.acted = round_state[3]
-        self.history = history
-        self._winner = winner
         self.stock = list(stock)
         self.rng.setstate(rng_state)
 
 
 def capture(game: LeducGame, seat: int, terminal: bool = False):
     """(legal ids, view): the seat's legal ids and the state its view reads."""
-    over = terminal or game.is_over()
-    legal = tuple(game.legal_moves()) if not over and seat == game.round.to_act else ()
+    legal = game.legal_ids_for(seat, terminal)
     view = (
         seat,
         game.hands[seat],
@@ -185,7 +170,7 @@ def capture(game: LeducGame, seat: int, terminal: bool = False):
         game.history,
         game.chips[seat],
         game.chips[1 - seat],
-        game.round.index,
+        game.round_index,
     )
     return legal, view
 

@@ -26,11 +26,10 @@ import numpy as np
 
 from cardtable.core.cards import DECKS, FRENCH_RANKS, FRENCH_SUITS
 from cardtable.core.contracts import Game
-from cardtable.errors import GameNotOver, IllegalMove, InvalidParam
+from cardtable.errors import GameNotOver, InvalidParam
 from cardtable.games.hand_rank import evaluate_seven
 
 CALL, RAISE, FOLD, CHECK = 0, 1, 2, 3
-ACTION_NAMES = ("call", "raise", "fold", "check")
 NUM_ACTIONS = 4
 
 SMALL_BLIND = 1  # half big blinds
@@ -44,28 +43,17 @@ def card_name(cid: int) -> str:
     return FRENCH_RANKS[cid % 13] + FRENCH_SUITS[cid // 13]
 
 
-class HoldemJudger:
-    @staticmethod
-    def winners(hole_by_seat, community, alive) -> list[int]:
-        best = None
-        out: list[int] = []
-        for seat in alive:
-            rank = evaluate_seven(hole_by_seat[seat] + community)
-            if best is None or rank > best:
-                best, out = rank, [seat]
-            elif rank == best:
-                out.append(seat)
-        return out
-
-
-class HoldemRound:
-    __slots__ = ("index", "raises", "to_act", "acted")
-
-    def __init__(self, index: int, first: int):
-        self.index = index
-        self.raises = 0
-        self.to_act = first
-        self.acted: set[int] = set()
+def showdown_winners(hole_by_seat, community, alive) -> list[int]:
+    """The seats among alive holding the best seven-card hand."""
+    best = None
+    out: list[int] = []
+    for seat in alive:
+        rank = evaluate_seven(hole_by_seat[seat] + community)
+        if best is None or rank > best:
+            best, out = rank, [seat]
+        elif rank == best:
+            out.append(seat)
+    return out
 
 
 class LimitHoldemGame(Game):
@@ -80,7 +68,7 @@ class LimitHoldemGame(Game):
 
     def _raise_size(self) -> int:
         bb = 2 * self.fixed_raise
-        return bb if self.round.index < 2 else 2 * bb
+        return bb if self.round_index < 2 else 2 * bb
 
     def _first_actor(self, round_index: int) -> int:
         n = self.num_players
@@ -98,13 +86,16 @@ class LimitHoldemGame(Game):
         self.chips = [0] * n
         self.chips[0] = SMALL_BLIND
         self.chips[1 % n] = BIG_BLIND
-        self.round = HoldemRound(0, self._first_actor(0))
+        self.round_index = 0
+        self.raises = 0  # this round
+        self.to_act = self._first_actor(0)
+        self.acted: set[int] = set()  # seats that have acted since the last raise this round
         self.round_bets = [0] * n
         self.round_bets[0] = SMALL_BLIND
         self.round_bets[1 % n] = BIG_BLIND
         self.history = ""
         self._results: list | None = None  # net half-bb per seat, Fraction when a pot splits unevenly
-        return self.round.to_act
+        return self.to_act
 
     def alive(self) -> list[int]:
         return [i for i in range(self.num_players) if not self.folded[i]]
@@ -113,15 +104,15 @@ class LimitHoldemGame(Game):
         return self.round_bets[seat] < max(self.round_bets)
 
     def _legal_moves(self) -> list[int]:
-        moves = [CALL] if self.facing_bet(self.round.to_act) else [CHECK]
-        if self.round.raises < MAX_RAISES:
+        moves = [CALL] if self.facing_bet(self.to_act) else [CHECK]
+        if self.raises < MAX_RAISES:
             moves.append(RAISE)
         moves.append(FOLD)
         moves.sort()
         return moves
 
     def current_player(self) -> int:
-        return self.round.to_act
+        return self.to_act
 
     def _next_actor(self, seat: int) -> int:
         nxt = (seat + 1) % self.num_players
@@ -131,17 +122,14 @@ class LimitHoldemGame(Game):
 
     def _round_settled(self) -> bool:
         top = max(self.round_bets[i] for i in self.alive())
-        return all(i in self.round.acted and self.round_bets[i] == top for i in self.alive())
+        return all(i in self.acted and self.round_bets[i] == top for i in self.alive())
 
     def _apply(self, move: int) -> None:
-        seat = self.round.to_act
-        if move not in self.legal_moves():
-            name = ACTION_NAMES[move] if 0 <= move < NUM_ACTIONS else f"action {move}"
-            raise IllegalMove(f"{name} not available")
+        seat = self.to_act
         self.history += _MOVE_CHAR[move]
         if move == FOLD:
             self.folded[seat] = True
-            self.round.acted.discard(seat)
+            self.acted.discard(seat)
             alive = self.alive()
             if len(alive) == 1:
                 self._settle_fold(alive[0])
@@ -153,24 +141,25 @@ class LimitHoldemGame(Game):
                 self.round_bets[seat] += put
                 self.chips[seat] += put
             if move == RAISE:
-                self.round.raises += 1
-                self.round.acted = {seat}
+                self.raises += 1
+                self.acted = {seat}
             else:
-                self.round.acted.add(seat)
+                self.acted.add(seat)
         if self._round_settled():
             self._advance_round()
         else:
-            self.round.to_act = self._next_actor(seat)
+            self.to_act = self._next_actor(seat)
 
     def _advance_round(self) -> None:
-        if self.round.index == 3:
+        if self.round_index == 3:
             self._settle_showdown()
             return
-        nxt = self.round.index + 1
-        self.community += [self.stock.pop() for _ in range(_COMMUNITY_PER_ROUND[nxt])]
-        self.round = HoldemRound(nxt, self._first_actor(nxt))
-        if self.folded[self.round.to_act]:
-            self.round.to_act = self._next_actor(self.round.to_act)
+        self.round_index += 1
+        self.community += [self.stock.pop() for _ in range(_COMMUNITY_PER_ROUND[self.round_index])]
+        self.raises = 0
+        self.acted = set()
+        first = self._first_actor(self.round_index)
+        self.to_act = self._next_actor(first) if self.folded[first] else first
         self.round_bets = [0] * self.num_players
         self.history += "/"
 
@@ -180,7 +169,7 @@ class LimitHoldemGame(Game):
 
     def _settle_showdown(self) -> None:
         alive = self.alive()
-        winners = HoldemJudger.winners(self.hands, self.community, alive)
+        winners = showdown_winners(self.hands, self.community, alive)
         pot = sum(self.chips)
         share = Fraction(pot, len(winners))
         if share.denominator == 1:
@@ -204,7 +193,10 @@ class LimitHoldemGame(Game):
             tuple(self.folded),
             tuple(self.chips),
             tuple(self.round_bets),
-            (self.round.index, self.round.raises, self.round.to_act, frozenset(self.round.acted)),
+            self.round_index,
+            self.raises,
+            self.to_act,
+            frozenset(self.acted),
             self.history,
             None if self._results is None else tuple(self._results),
             tuple(self.stock),
@@ -212,16 +204,14 @@ class LimitHoldemGame(Game):
         )
 
     def restore(self, snap) -> None:
-        hands, community, folded, chips, bets, round_state, history, results, stock, rng_state = snap
+        (hands, community, folded, chips, bets, self.round_index, self.raises, self.to_act, acted,
+         self.history, results, stock, rng_state) = snap
         self.hands = [list(hand) for hand in hands]
         self.community = list(community)
         self.folded = list(folded)
         self.chips = list(chips)
         self.round_bets = list(bets)
-        self.round = HoldemRound(round_state[0], round_state[2])
-        self.round.raises = round_state[1]
-        self.round.acted = set(round_state[3])
-        self.history = history
+        self.acted = set(acted)
         self._results = None if results is None else list(results)
         self.stock = list(stock)
         self.rng.setstate(rng_state)
@@ -229,14 +219,13 @@ class LimitHoldemGame(Game):
 
 def capture(game: LimitHoldemGame, seat: int, terminal: bool = False):
     """(legal ids, view): the seat's legal ids and the state its view reads."""
-    over = terminal or game.is_over()
-    legal = tuple(game.legal_moves()) if not over and seat == game.round.to_act else ()
+    legal = game.legal_ids_for(seat, terminal)
     view = (
         seat,
         tuple(game.hands[seat]),
         tuple(game.community),
         game.history,
-        game.round.index,
+        game.round_index,
         game.chips[seat],
         max(game.round_bets),
         sum(game.chips),

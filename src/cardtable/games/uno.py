@@ -32,7 +32,7 @@ import numpy as np
 
 from cardtable.core.cards import DECKS, UNO_COLORS, UNO_SYMBOLS
 from cardtable.core.contracts import Game
-from cardtable.errors import GameNotOver, IllegalMove, InvalidParam
+from cardtable.errors import GameNotOver, InvalidParam
 
 NUM_TYPES = 54
 WILD, WD4 = 52, 53
@@ -105,7 +105,6 @@ class UnoGame(Game):
         self.turn = 0
         self.pending: int | None = None  # drawn type the player may replay
         self.winner: int | None = None
-        self.move_log: list[tuple[int, int]] = []
         return self.turn
 
     # rule helpers ---------------------------------------------------
@@ -151,21 +150,20 @@ class UnoGame(Game):
     def _legal_moves(self) -> list[int]:
         if self.pending is not None:
             return play_action_ids(self.pending) + [PASS_ACTION]
-        hand = self.hands[self.turn]
+        # playable()'s rule with the top read once; a wild top matches by color only
+        top = self.discard[-1]
+        color = self.declared if top >= 52 else top // 13
+        symbol = top % 13 if top < 52 else -1
         moves = []
-        for t in range(NUM_TYPES):
-            if hand[t] and self.playable(t):
+        for t, held in enumerate(self.hands[self.turn]):
+            if held and (t >= 52 or t // 13 == color or t % 13 == symbol):
                 moves += play_action_ids(t)
         if not moves:  # stuck players draw, nobody draws voluntarily
             moves.append(DRAW_ACTION)
         return moves
 
     def _apply(self, action_id: int) -> None:
-        if action_id not in self.legal_moves():
-            name = action_literal(action_id) if 0 <= action_id < NUM_ACTIONS else f"action {action_id}"
-            raise IllegalMove(f"{name} not available")
         seat = self.turn
-        self.move_log.append((seat, action_id))
         if action_id == DRAW_ACTION:
             got = self._draw_cards(seat, 1)
             if got and self.playable(got[0]):
@@ -228,28 +226,21 @@ class UnoGame(Game):
             self.turn,
             self.pending,
             self.winner,
-            tuple(self.move_log),
             self.rng.getstate(),
         )
 
     def restore(self, snap) -> None:
-        hands, pile, discard, declared, direction, turn, pending, winner, log, rng_state = snap
+        (hands, pile, discard, self.declared, self.direction, self.turn, self.pending, self.winner,
+         rng_state) = snap
         self.hands = [list(h) for h in hands]
         self.pile = list(pile)
         self.discard = list(discard)
-        self.declared = declared
-        self.direction = direction
-        self.turn = turn
-        self.pending = pending
-        self.winner = winner
-        self.move_log = list(log)
         self.rng.setstate(rng_state)
 
 
 def capture(game: UnoGame, seat: int, terminal: bool = False):
     """(legal ids, view): the seat's legal ids and the state its view reads."""
-    over = terminal or game.is_over()
-    legal = tuple(game.legal_moves()) if not over and seat == game.turn else ()
+    legal = game.legal_ids_for(seat, terminal)
     view = (
         seat,
         tuple(game.hands[seat]),

@@ -8,9 +8,9 @@ from cardtable.games.blackjack import (
     HIT,
     STAND,
     BlackjackGame,
-    BlackjackJudger,
     hand_value,
     observe,
+    settle,
 )
 from cardtable.trees import blackjack_census, blackjack_info_keys
 
@@ -34,7 +34,6 @@ class TestHandValue:
         assert hand_value([8, 7, 12])[0] == 20
 
     def test_settle(self):
-        settle = BlackjackJudger.settle
         assert settle([8, 7, 3], [8, 5]) == -1  # player bust loses even if dealer would
         assert settle([8, 8], [8, 7]) == 1
         assert settle([8, 5], [8, 8]) == -1

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardtable.agents import PolicyTable, RandomAgent
 from cardtable.cli import load_config, main
@@ -77,6 +80,68 @@ class TestConfigFile:
     def test_missing_file_is_parse_error(self, tmp_path):
         with pytest.raises(ParseError):
             load_config(str(tmp_path / "absent.cfg"))
+
+
+KNOWN_KEYS = ("game", "seed", "algo", "iters", "episodes", "games", "workers", "agents", "out")
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # every separator str.splitlines knows
+
+
+def no_line_break_text(exclude=""):
+    chars = st.characters(blacklist_categories=("Cs",), blacklist_characters=LINE_BREAKS + exclude)
+    return st.text(chars, max_size=12)
+
+
+config_keys = st.one_of(
+    st.sampled_from(KNOWN_KEYS),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,10}", fullmatch=True).map(lambda name: "param." + name),
+)
+config_values = no_line_break_text("#").map(str.strip)
+padding = st.sampled_from(["", " ", "  ", "\t", " \t "])
+comments = st.one_of(st.just(""), no_line_break_text().map(lambda text: "#" + text))
+filler_lines = st.one_of(padding, comments.map(lambda c: " " + c if c else c))
+
+
+@st.composite
+def config_files(draw):
+    """(lines, expected dict): entries with padding and comments between blank and comment lines."""
+    lines, expected = [], {}
+    for _ in range(draw(st.integers(0, 8))):
+        lines += draw(st.lists(filler_lines, max_size=2))
+        key, value = draw(config_keys), draw(config_values)
+        pad = [draw(padding) for _ in range(4)]
+        lines.append(f"{pad[0]}{key}{pad[1]}={pad[2]}{value}{pad[3]}{draw(comments)}")
+        expected[key] = value  # a repeated key keeps its last value
+    return lines, expected
+
+
+bad_lines = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,10}", fullmatch=True)
+    .filter(lambda key: key not in KNOWN_KEYS)
+    .map(lambda key: f"{key} = 1"),
+    no_line_break_text("=#").filter(str.strip),
+    config_keys,  # a known key alone, without "="
+)
+
+
+class TestConfigParsing:
+    @settings(max_examples=200, deadline=None)
+    @given(config=config_files())
+    def test_keys_and_values_round_trip(self, tmp_path_factory, config):
+        lines, expected = config
+        path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert load_config(str(path)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=config_files(), bad=bad_lines, where=st.integers(0, 20))
+    def test_unknown_key_or_missing_equals_names_path_and_line(self, tmp_path_factory, config, bad, where):
+        lines = config[0]
+        at = where % (len(lines) + 1)
+        lines.insert(at, bad)
+        path = tmp_path_factory.getbasetemp() / "bad.cfg"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:{at + 1}:")):
+            load_config(str(path))
 
 
 class TestSeedChain:

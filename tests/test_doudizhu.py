@@ -405,18 +405,6 @@ class TestEngine:
                 for r in range(15):
                     total[r] += c[r]
             assert total == [4] * 13 + [1, 1]
-            for seat in range(3):
-                for r in range(15):
-                    assert len(game.rank_cards[seat][r]) == game.counts[seat][r]
-
-    def test_lowest_card_ids_leave_first(self):
-        game = DoudizhuGame(Rng(2))
-        game.reset()
-        seat = game.turn
-        rank = next(r for r in range(13) if game.counts[seat][r] >= 2)
-        ids_before = list(game.rank_cards[seat][rank])
-        game.step(ACTION_INDEX[("solo", rank, 1)])
-        assert game.rank_cards[seat][rank] == ids_before[1:]  # sorted ascending
 
     def test_illegal_moves_raise(self):
         game = DoudizhuGame(Rng(30))

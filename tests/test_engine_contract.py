@@ -1,12 +1,16 @@
-"""Engine boundaries on every game id: illegal ids and payoffs only at the end."""
+"""Engine boundaries on every game id: illegal ids, full-state undo, and
+payoffs only at the end."""
+
+import copy
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cardtable.agents import Agent, RandomAgent
 from cardtable.core.rng import Rng
-from cardtable.env import GAME_IDS, REGISTRY, EnvConfig, make
-from cardtable.errors import GameNotOver, IllegalMove
+from cardtable.env import GAME_IDS, REGISTRY, EnvConfig, make, make_single_agent
+from cardtable.errors import GameNotOver, IllegalAction, IllegalMove
 
 
 @pytest.mark.parametrize("game_id", GAME_IDS)
@@ -27,6 +31,98 @@ def test_rejected_move_leaves_nothing_to_undo(game_id):
     with pytest.raises(IllegalMove):
         env.game.step(999)
     assert not env.game.step_back()
+
+
+def some_illegal_id(num_actions, legal):
+    return next(a for a in range(num_actions + 1) if a not in legal)
+
+
+def frozen(env):
+    return env.game.snapshot(), env.timesteps
+
+
+class IllegalAgent(Agent):
+    """Chooses an id outside the legal set, noting the state it was asked in."""
+
+    def __init__(self):
+        self.env = None
+        self.asked_at = None
+
+    def eval_step(self, obs, rng):
+        self.asked_at = frozen(self.env)
+        return some_illegal_id(self.env.num_actions, obs.legal_action_ids)
+
+
+@pytest.mark.parametrize("game_id", GAME_IDS)
+def test_env_reports_illegal_ids_as_illegal_actions(game_id):
+    """run, step and sa_step name the chooser and leave the game and the count alone."""
+    env = make(EnvConfig(game_id, seed=5))
+    agent = IllegalAgent()
+    agent.env = env
+    env.set_agents([agent] * env.num_players)
+    with pytest.raises(IllegalAction, match="agent at seat"):
+        env.run()
+    assert frozen(env) == agent.asked_at
+
+    obs, _ = env.new_game()
+    before = frozen(env)
+    with pytest.raises(IllegalAction, match="player at seat"):
+        env.step(some_illegal_id(env.num_actions, obs.legal_action_ids))
+    assert frozen(env) == before
+
+    others = [RandomAgent()] * (env.num_players - 1)
+    env = make_single_agent(EnvConfig(game_id, seed=5), others)
+    obs = env.reset()
+    before = frozen(env)
+    with pytest.raises(IllegalAction, match="learner at seat 0"):
+        env.sa_step(some_illegal_id(env.num_actions, obs.legal_action_ids))
+    assert frozen(env) == before
+
+
+@pytest.mark.parametrize("game_id", [g for g in GAME_IDS if REGISTRY[g].default_players > 1])
+def test_single_agent_opponents_choosing_illegal_ids(game_id):
+    """Blackjack has no opponent seat, so it is not listed."""
+    agent = IllegalAgent()
+    players = REGISTRY[game_id].default_players
+    env = make_single_agent(EnvConfig(game_id, seed=5), [agent] * (players - 1), learner_seat=players - 1)
+    agent.env = env
+    with pytest.raises(IllegalAction, match="opponent at seat"):
+        obs = env.reset()  # the opponents move first unless the learner opens
+        env.sa_step(obs.legal_action_ids[0])
+    assert frozen(env) == agent.asked_at
+
+
+def full_state(game):
+    """A deep copy of every engine field except the undo stack and the move cache,
+    plus the generator state."""
+    fields = {k: v for k, v in vars(game).items() if k not in ("_history", "_legal", "rng")}
+    return copy.deepcopy(fields), game.rng.getstate()
+
+
+@pytest.mark.parametrize("game_id", GAME_IDS)
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    players=st.integers(0, 8),
+    choices=st.lists(st.integers(0, 400), max_size=80),
+)
+def test_step_back_restores_every_field(game_id, seed, players, choices):
+    """Walk forward, then undo each step: every field comes back, not only what snapshot() holds."""
+    lo, hi = REGISTRY[game_id].player_range
+    env = make(EnvConfig(game_id, seed=seed, num_players=lo + players % (hi - lo + 1), allow_step_back=True))
+    env.new_game()
+    game = env.game
+    states = []
+    for choice in choices:
+        if game.is_over():
+            break
+        states.append(full_state(game))
+        legal = game.legal_moves()
+        game.step(legal[choice % len(legal)])
+    while states:
+        assert game.step_back()
+        assert full_state(game) == states.pop()
+    assert not game.step_back()
 
 
 def check_final_payoffs(game_id, payoffs, landlord):

@@ -59,7 +59,7 @@ class TestRules:
         game.step(CHECK)
         game.step(CHECK)
         assert game.public is not None
-        assert game.round.index == 1
+        assert game.round_index == 1
 
     def test_illegal_check_facing_bet(self):
         game = LeducGame(Rng(3))

@@ -153,7 +153,7 @@ class TestBetting:
         game.step(CHECK)
         game.step(CHECK)
         game.step(CHECK)
-        assert game.round.index == 2
+        assert game.round_index == 2
         pot_before = sum(game.chips)
         game.step(RAISE)
         assert sum(game.chips) - pot_before == 2 * BIG_BLIND

@@ -272,9 +272,12 @@ class TestFullGames:
         for _ in range(2):
             game = fresh_game(2024, players=4)
             rng = Rng(55)
+            moves = []
             while not game.is_over():
-                game.step(rng.choice(game.legal_moves()))
-            logs.append((tuple(game.move_log), tuple(game.payoffs())))
+                action = rng.choice(game.legal_moves())
+                moves.append((game.current_player(), action))
+                game.step(action)
+            logs.append((tuple(moves), tuple(game.payoffs())))
         assert logs[0] == logs[1]
 
     def test_step_back_round_trip(self):
