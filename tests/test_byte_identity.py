@@ -4,7 +4,9 @@ The logs pin what `cardtable selfplay` writes; the views pin every
 field of every observation a run hands out (raw dict, info key, legal
 ids and planes), for the state and the next state of each transition.
 A change to an engine, to `observe` or to `Observation` that moves any
-byte of either fails here.
+byte of either fails here. The policy pins cover the two learners that
+play real deals, MCCFR (which also steps back through chance) and
+Q-learning, as `cardtable train` saves them.
 """
 
 import hashlib
@@ -12,7 +14,9 @@ import hashlib
 import pytest
 
 from cardtable.agents import RandomAgent
-from cardtable.env import GAME_IDS, EnvConfig, make, serialize_trajectories
+from cardtable.agents.mccfr import MCCFRTrainer
+from cardtable.agents.qlearning import QLearnParams, qlearn_train
+from cardtable.env import GAME_IDS, EnvConfig, make, make_single_agent, serialize_trajectories
 
 SEED = 7
 LOG_GAMES = 200
@@ -37,14 +41,21 @@ VIEW_SHA256 = {
 }
 
 
-def _random_env(game_id: str, seed: int):
-    env = make(EnvConfig(game_id, seed=seed))
+# `cardtable train --game leduc --algo mccfr --iters 2000 --seed 7` and
+# `--game blackjack --algo qlearn --episodes 5000 --seed 7` policy.txt
+MCCFR_LEDUC_2000_SHA256 = "811de2765782aa4ca03432318df0085bb88e598518d3bbe509eba18796818e8e"
+QLEARN_BLACKJACK_5000_SHA256 = "dcc3367e58afd0b78f7ab1f976bad07ef68724d8954a2af949ae87958469e024"
+HOLDEM_3P_LOG_SHA256 = "ab0ccee60983b4f451953574b25bcceea503b47aa3fc567da6c654fac68f688a"
+
+
+def _random_env(game_id: str, seed: int, num_players: int | None = None):
+    env = make(EnvConfig(game_id, seed=seed, num_players=num_players))
     env.set_agents([RandomAgent() for _ in range(env.num_players)])
     return env
 
 
-def log_digest(game_id: str) -> str:
-    env = _random_env(game_id, SEED)
+def log_digest(game_id: str, num_players: int | None = None) -> str:
+    env = _random_env(game_id, SEED, num_players)
     digest = hashlib.sha256()
     for i in range(LOG_GAMES):
         trajectories, payoffs = env.run()
@@ -79,3 +90,23 @@ def test_selfplay_logs_unchanged(game_id):
 @pytest.mark.parametrize("game_id", GAME_IDS)
 def test_observation_views_unchanged(game_id):
     assert view_digest(game_id) == VIEW_SHA256[game_id]
+
+
+def test_three_player_holdem_log_unchanged():
+    assert log_digest("limit_holdem", num_players=3) == HOLDEM_3P_LOG_SHA256
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_mccfr_leduc_policy_unchanged():
+    trainer = MCCFRTrainer(EnvConfig("leduc", seed=SEED))
+    trainer.run(2000)
+    assert _sha256(trainer.policy().dumps()) == MCCFR_LEDUC_2000_SHA256
+
+
+def test_qlearn_blackjack_policy_unchanged():
+    env = make_single_agent(EnvConfig("blackjack", seed=SEED), opponents=[])
+    table = qlearn_train(env, 5000, QLearnParams())
+    assert _sha256(table.greedy_policy().dumps()) == QLEARN_BLACKJACK_5000_SHA256
