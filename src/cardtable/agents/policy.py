@@ -8,6 +8,9 @@ always playable. Entries are checked as they are stored: keys must be
 printable text, action ids distinct and probabilities finite,
 non-negative and of positive mass, or InvalidPolicy is raised; a file
 that repeats a key fails to load with a ParseError naming the line.
+Loading for a game (`num_actions` given) also rejects an action id
+outside that game's 0..num_actions-1 with InvalidPolicy naming the line,
+the key and the id, before any game is played with the table.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ class PolicyTable:
             fh.write(self.dumps())
 
     @classmethod
-    def load(cls, path) -> "PolicyTable":
+    def load(cls, path, num_actions: int | None = None) -> "PolicyTable":
         table = cls()
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")
@@ -103,6 +106,12 @@ class PolicyTable:
                     table.set(key, ids, probs)
                 except InvalidPolicy as exc:
                     raise ParseError(f"line {n}: {exc}") from exc
+                if num_actions is not None:
+                    for a in ids:
+                        if not 0 <= a < num_actions:
+                            raise InvalidPolicy(
+                                f"line {n}: {key!r} holds action id {a}, outside 0..{num_actions - 1}"
+                            )
         return table
 
 

@@ -34,7 +34,7 @@ from cardtable.agents import (
     RandomAgent,
     qlearn_train,
 )
-from cardtable.env import GAME_IDS, EnvConfig, make_single_agent
+from cardtable.env import GAME_IDS, EnvConfig, game_spec, make_single_agent
 from cardtable.errors import CardTableError, GameTooLarge, ParseError
 from cardtable.evaluation import count_info_sets, exploitability, tournament
 from cardtable.parallel import BenchReport, RolloutSpec, bench, build_agent, rollout_parallel
@@ -154,12 +154,13 @@ def _write_outputs(out_dir: str, files: dict[str, str], command: str, config: di
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _agent_list(merged: _Merged, seats: int):
+def _agent_list(merged: _Merged, config: EnvConfig):
     spec = merged.get("agents")
     if spec is None:
+        seats = config.resolved_players()
         return [RandomAgent() for _ in range(seats)], ("random",) * seats
     names = [part.strip() for part in str(spec).split(",") if part.strip()]
-    return [build_agent(name) for name in names], tuple(names)
+    return [build_agent(name, config.game_id) for name in names], tuple(names)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +225,7 @@ def _cmd_tournament(args) -> int:
     merged = _Merged(args)
     config = merged.env_config()
     n_games = int(merged.get("games", 10000))
-    agents, names = _agent_list(merged, config.resolved_players())
+    agents, names = _agent_list(merged, config)
     result = tournament(config, agents, n_games)
     table = result.csv_table()
     print(table)
@@ -240,7 +241,7 @@ def _cmd_exploit(args) -> int:
     config = merged.env_config()
     spec = merged.get("agents", "random")
     name = str(spec).split(",")[0].strip()
-    policy = PolicyTable() if name == "random" else PolicyTable.load(name)
+    policy = PolicyTable() if name == "random" else PolicyTable.load(name, game_spec(config.game_id).num_actions)
     report = exploitability(config.game_id, policy)
     lines = [
         "game,agent,exploitability,br_value_p0,br_value_p1,units",
@@ -261,9 +262,7 @@ def _cmd_census(args) -> int:
     try:
         census = count_info_sets(config.game_id)
     except GameTooLarge:
-        from cardtable.env import REGISTRY
-
-        size = REGISTRY[config.game_id].num_actions
+        size = game_spec(config.game_id).num_actions
         print("game,action_space_size,note")
         print(f"{config.game_id},{size},info-set enumeration exceeds the node guard")
         return 0

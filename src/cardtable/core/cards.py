@@ -14,8 +14,10 @@ id is `suit_or_color * ranks_per_suit + rank`. Families:
 DECKS maps a deck kind to its canonical id tuple: ascending, duplicates
 adjacent. uno108 holds duplicates (one 0, two of each 1..9/skip/reverse/
 draw2 per color, four of each wild), so ids identify the printed card,
-not the physical copy. Engines copy a tuple into a list, shuffle it with
-Rng.shuffle and draw from its end.
+not the physical copy. Engines copy a tuple into a list and take cards
+from its end: blackjack, leduc and limit hold'em with Rng.draw, which
+shuffles only the positions it deals, uno and dou dizhu after a full
+Rng.shuffle. Both give the same card sequence for the same stream.
 """
 
 from __future__ import annotations

@@ -16,6 +16,10 @@ and reset, step and step_back drop it. step is the one legality check:
 a move outside that list raises IllegalMove before any state changes, so
 an engine's _apply only ever sees legal moves. Env turns that error into
 IllegalAction naming the seat that chose the move.
+
+Engines check their integer parameters with int_param, so a float, a
+string or a bool (which Python counts as an int) fails at construction
+with InvalidParam naming the parameter, not later inside a deal.
 """
 
 from __future__ import annotations
@@ -24,7 +28,14 @@ from abc import ABC, abstractmethod
 from typing import Any
 
 from cardtable.core.rng import Rng
-from cardtable.errors import GameOver, IllegalMove
+from cardtable.errors import GameOver, IllegalMove, InvalidParam
+
+
+def int_param(name: str, value, lo: int, hi: int | None = None) -> int:
+    """value if it is an int (not a bool) in lo..hi, else InvalidParam naming name."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo or (hi is not None and value > hi):
+        raise InvalidParam(f"{name} must be an integer in {lo}..{'' if hi is None else hi}, got {value!r}")
+    return value
 
 
 class Game(ABC):

@@ -12,6 +12,15 @@ scramble of `master + (index + 1) * GOLDEN`. Game i of a run always uses
 `split_seed(game_seed, 0)` and the agent at seat s uses
 `split_seed(game_seed, 1 + s)`. Every game is therefore self-contained
 and results never depend on how games are batched over workers.
+
+Cards are dealt lazily. A Fisher-Yates shuffle from the end fixes
+position i for good at its step i, so `draw(stock)`, which runs one such
+step on the stock's last position and pops it, yields the same cards in
+the same order, from the same `randbelow` calls, as `shuffle(stock)`
+followed by `stock.pop()` each time. Blackjack, leduc and limit hold'em
+draw this way and pay only for the cards a hand uses; uno (which
+reshuffles its discards from the same stream) and dou dizhu (which deals
+the whole deck) shuffle.
 """
 
 from __future__ import annotations
@@ -90,6 +99,16 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
+
+    def draw(self, items: list):
+        """Pop one card: the next step of `shuffle` on the last position.
+
+        n draws from a list return the same items, in the same order and
+        from the same stream, as `shuffle` followed by n pops from the end.
+        """
+        j = self.randbelow(len(items))
+        items[-1], items[j] = items[j], items[-1]
+        return items.pop()
 
     def getstate(self) -> tuple[int, int, int, int]:
         return (self._s0, self._s1, self._s2, self._s3)

@@ -110,6 +110,14 @@ def _build_registry() -> dict[str, GameSpec]:
 REGISTRY = _build_registry()
 
 
+def game_spec(game_id: str) -> GameSpec:
+    """The registry row of game_id; UnknownGame naming the choices otherwise."""
+    spec = REGISTRY.get(game_id)
+    if spec is None:
+        raise UnknownGame(f"no game called {game_id!r}; choose from {', '.join(GAME_IDS)}")
+    return spec
+
+
 @dataclass(frozen=True)
 class EnvConfig:
     game_id: str
@@ -227,13 +235,11 @@ class Env:
     """One card game behind the uniform run/step/step_back interface."""
 
     def __init__(self, config: EnvConfig):
-        if config.game_id not in REGISTRY:
-            raise UnknownGame(f"no game called {config.game_id!r}; choose from {', '.join(GAME_IDS)}")
-        spec = REGISTRY[config.game_id]
+        spec = game_spec(config.game_id)
         lo, hi = spec.player_range
         n = config.resolved_players()
-        if not lo <= n <= hi:
-            raise InvalidParam(f"{config.game_id} supports {lo}..{hi} players, got {n}")
+        if isinstance(n, bool) or not isinstance(n, int) or not lo <= n <= hi:
+            raise InvalidParam(f"{config.game_id} supports {lo}..{hi} players, got {n!r}")
         for key in config.game_params:
             if key not in spec.params:
                 allowed = ", ".join(spec.params) if spec.params else "none"

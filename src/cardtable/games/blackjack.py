@@ -52,22 +52,22 @@ class BlackjackGame(Game):
 
     def _start(self) -> int:
         self.stock = stock = list(_DECK_RANKS)  # a fresh 52-card stock per hand
-        self.rng.shuffle(stock)
-        self.hand = [stock.pop()]
-        self.dealer_hand = [stock.pop()]  # first dealer card is the upcard
-        self.hand.append(stock.pop())
-        self.dealer_hand.append(stock.pop())
+        draw = self.rng.draw
+        self.hand = [draw(stock)]
+        self.dealer_hand = [draw(stock)]  # first dealer card is the upcard
+        self.hand.append(draw(stock))
+        self.dealer_hand.append(draw(stock))
         self._payoff: int | None = None  # set when the hand ends
         return 0
 
     def _apply(self, move: int) -> None:
         if move == HIT:
-            self.hand.append(self.stock.pop())
+            self.hand.append(self.rng.draw(self.stock))
             if hand_value(self.hand)[0] > 21:
                 self._payoff = -1
         else:
             while hand_value(self.dealer_hand)[0] < 17:  # the house stands on every 17
-                self.dealer_hand.append(self.stock.pop())
+                self.dealer_hand.append(self.rng.draw(self.stock))
             self._payoff = settle(self.hand, self.dealer_hand)
 
     def is_over(self) -> bool:

@@ -47,8 +47,9 @@ class DoudizhuGame(Game):
     def __init__(self, rng, allow_step_back: bool = False, landlord=0, variant: str = "full"):
         if variant not in _VARIANTS:
             raise InvalidParam(f"unknown variant {variant!r}, expected 'full' or 'mini'")
-        if landlord not in (0, 1, 2, "random"):
-            raise InvalidParam(f"landlord must be a seat or 'random', got {landlord!r}")
+        seat = isinstance(landlord, int) and not isinstance(landlord, bool) and 0 <= landlord < NUM_PLAYERS
+        if not (seat or landlord == "random"):  # True == 1 and 1.0 == 1, so no `in (0, 1, 2)`
+            raise InvalidParam(f"landlord must be a seat 0..2 or 'random', got {landlord!r}")
         self.variant = variant
         self.landlord_param = landlord
         super().__init__(rng, allow_step_back)

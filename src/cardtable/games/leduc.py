@@ -61,9 +61,8 @@ class LeducGame(Game):
     num_players = 2
 
     def _start(self) -> int:
-        self.stock = list(DECKS["leduc6"])
-        self.rng.shuffle(self.stock)
-        self.hands = [self.stock.pop(), self.stock.pop()]  # private card id by seat
+        self.stock = stock = list(DECKS["leduc6"])
+        self.hands = [self.rng.draw(stock), self.rng.draw(stock)]  # private card id by seat
         self.public: int | None = None  # card id
         self.chips = [ANTE, ANTE]  # total contribution to the pot
         self.round_index = 0
@@ -115,7 +114,7 @@ class LeducGame(Game):
 
     def _advance_round(self) -> None:
         if self.round_index == 0:
-            self.public = self.stock.pop()
+            self.public = self.rng.draw(self.stock)
             self.round_index = 1
             self.raises = self.to_act = self.acted = 0
             self.round_bets = [0, 0]

@@ -25,8 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from cardtable.core.cards import DECKS, FRENCH_RANKS, FRENCH_SUITS
-from cardtable.core.contracts import Game
-from cardtable.errors import GameNotOver, InvalidParam
+from cardtable.core.contracts import Game, int_param
+from cardtable.errors import GameNotOver
 from cardtable.games.hand_rank import evaluate_seven
 
 CALL, RAISE, FOLD, CHECK = 0, 1, 2, 3
@@ -58,13 +58,9 @@ def showdown_winners(hole_by_seat, community, alive) -> list[int]:
 
 class LimitHoldemGame(Game):
     def __init__(self, rng, allow_step_back=False, num_players: int = 2, fixed_raise: int = 1):
-        if not 2 <= num_players <= 10:
-            raise InvalidParam(f"num_players must be 2..10, got {num_players}")
-        if not (isinstance(fixed_raise, int) and fixed_raise >= 1):
-            raise InvalidParam(f"fixed_raise must be a positive integer, got {fixed_raise!r}")
         super().__init__(rng, allow_step_back)
-        self.num_players = num_players
-        self.fixed_raise = fixed_raise
+        self.num_players = int_param("num_players", num_players, 2, 10)
+        self.fixed_raise = int_param("fixed_raise", fixed_raise, 1)
 
     def _raise_size(self) -> int:
         bb = 2 * self.fixed_raise
@@ -79,8 +75,8 @@ class LimitHoldemGame(Game):
     def _start(self) -> int:
         n = self.num_players
         self.stock = stock = list(DECKS["standard52"])
-        self.rng.shuffle(stock)
-        self.hands = [sorted([stock.pop(), stock.pop()]) for _ in range(n)]
+        draw = self.rng.draw
+        self.hands = [sorted([draw(stock), draw(stock)]) for _ in range(n)]
         self.community: list[int] = []
         self.folded = [False] * n
         self.chips = [0] * n
@@ -155,7 +151,8 @@ class LimitHoldemGame(Game):
             self._settle_showdown()
             return
         self.round_index += 1
-        self.community += [self.stock.pop() for _ in range(_COMMUNITY_PER_ROUND[self.round_index])]
+        dealt = _COMMUNITY_PER_ROUND[self.round_index]
+        self.community += [self.rng.draw(self.stock) for _ in range(dealt)]
         self.raises = 0
         self.acted = set()
         first = self._first_actor(self.round_index)

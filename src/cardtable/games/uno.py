@@ -31,8 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from cardtable.core.cards import DECKS, UNO_COLORS, UNO_SYMBOLS
-from cardtable.core.contracts import Game
-from cardtable.errors import GameNotOver, InvalidParam
+from cardtable.core.contracts import Game, int_param
+from cardtable.errors import GameNotOver
 
 NUM_TYPES = 54
 WILD, WD4 = 52, 53
@@ -78,12 +78,8 @@ def action_literal(action_id: int) -> str:
 
 class UnoGame(Game):
     def __init__(self, rng, allow_step_back: bool = False, num_players: int = 2, hand_size: int = 7):
-        if not 2 <= num_players <= 4:
-            raise InvalidParam(f"num_players must be 2..4, got {num_players}")
-        if not 1 <= hand_size <= MAX_HAND_SIZE:
-            raise InvalidParam(f"hand_size must be 1..{MAX_HAND_SIZE}, got {hand_size}")
-        self.num_players = num_players
-        self.hand_size = hand_size
+        self.num_players = int_param("num_players", num_players, 2, 4)
+        self.hand_size = int_param("hand_size", hand_size, 1, MAX_HAND_SIZE)
         super().__init__(rng, allow_step_back)
 
     def _start(self) -> int:

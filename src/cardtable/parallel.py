@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from cardtable.agents.base import RandomAgent
 from cardtable.agents.policy import PolicyAgent, PolicyTable
 from cardtable.core.rng import split_seed
-from cardtable.env import EnvConfig, make, serialize_trajectories
+from cardtable.env import EnvConfig, game_spec, make, serialize_trajectories
 from cardtable.errors import InvalidParam, WorkerFailure
 
 
@@ -67,11 +67,16 @@ class BenchReport:
         return "game,n_workers,games,steps,total_s,per_step_s"
 
 
-def build_agent(descriptor: str):
-    """\"random\" or a path to a saved policy file."""
+def build_agent(descriptor: str, game_id: str | None = None):
+    """\"random\" or a path to a saved policy file.
+
+    With a game id, the file's action ids are checked against that game's
+    action space as it loads (InvalidPolicy names the key and the id).
+    """
     if descriptor == "random":
         return RandomAgent()
-    return PolicyAgent(PolicyTable.load(descriptor))
+    num_actions = None if game_id is None else game_spec(game_id).num_actions
+    return PolicyAgent(PolicyTable.load(descriptor, num_actions))
 
 
 def _play_block(config: EnvConfig, agent_specs, indices, collect_logs: bool):

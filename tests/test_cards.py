@@ -4,8 +4,11 @@ from collections import Counter
 
 from cardtable.core import DECKS, rng_from_seed
 from cardtable.core.cards import FRENCH_RANKS, FRENCH_SUITS
+from cardtable.games.blackjack import BlackjackGame
 from cardtable.games.doudizhu_patterns import DD_RANK_NAMES, french_to_dd_rank
+from cardtable.games.leduc import FOLD as LEDUC_FOLD
 from cardtable.games.leduc import LeducGame
+from cardtable.games.limit_holdem import FOLD as HOLDEM_FOLD
 from cardtable.games.limit_holdem import LimitHoldemGame, card_name
 
 from conftest import load_ints
@@ -99,20 +102,65 @@ class TestShuffleDeal:
     def test_shuffle_deterministic(self):
         assert shuffled("standard52", 99) == shuffled("standard52", 99)
 
+    def test_draw_all_is_shuffle_read_from_the_end(self):
+        for kind, ids in DECKS.items():
+            for seed in range(200):
+                stock, rng = list(ids), rng_from_seed(seed)
+                drawn = [rng.draw(stock) for _ in ids]
+                assert drawn == shuffled(kind, seed)[::-1]
+                assert stock == []
+
+    def test_draw_matches_frozen_orders_backwards(self):
+        for kind, seed, name in (
+            ("standard52", 3, "shuffle_standard52_seed3.txt"),
+            ("leduc6", 11, "shuffle_leduc6_seed11.txt"),
+        ):
+            stock, rng = list(DECKS[kind]), rng_from_seed(seed)
+            assert [rng.draw(stock) for _ in DECKS[kind]] == load_ints(name)[::-1]
+
+    def test_first_k_draws_are_a_shuffle_prefix(self):
+        # after k draws the stock and the rng are where a full shuffle is after
+        # its first k steps: shuffling the rest completes the same order
+        for kind in ("standard52", "leduc6", "uno108", "mini_doudizhu"):
+            n = len(DECKS[kind])
+            for seed in range(5):
+                order = shuffled(kind, seed)
+                for k in range(n + 1):
+                    stock, rng = list(DECKS[kind]), rng_from_seed(seed)
+                    drawn = [rng.draw(stock) for _ in range(k)]
+                    assert drawn == order[::-1][:k]
+                    rng.shuffle(stock)
+                    assert stock == order[: n - k]
+
     def test_deal_draws_from_top(self):
-        # engines shuffle the canonical ids with the game rng and pop from the end
-        for seed in range(20):
-            order = shuffled("leduc6", seed)
+        # every card a whole hand deals, in deal order, is the shuffled deck
+        # read from its end; moves come from a separate stream
+        for seed in range(200):
+            picker = rng_from_seed(10_000 + seed)
+
             game = LeducGame(rng_from_seed(seed))
             game.reset()
-            assert game.hands == [order[-1], order[-2]]
-            assert game.stock == order[:-2]
+            while not game.is_over():  # never fold, so the public card is dealt
+                game.step(picker.choice([m for m in game.legal_moves() if m != LEDUC_FOLD]))
+            top = shuffled("leduc6", seed)[::-1]
+            assert game.hands + [game.public] == top[:3]
 
-            order = shuffled("standard52", seed)
             game = LimitHoldemGame(rng_from_seed(seed), num_players=3)
             game.reset()
-            assert game.hands == [sorted(order[-1:-3:-1]), sorted(order[-3:-5:-1]), sorted(order[-5:-7:-1])]
-            assert game.stock == order[:-6]
+            while not game.is_over():  # never fold, so the whole board is dealt
+                game.step(picker.choice([m for m in game.legal_moves() if m != HOLDEM_FOLD]))
+            top = shuffled("standard52", seed)[::-1]
+            assert game.hands == [sorted(top[0:2]), sorted(top[2:4]), sorted(top[4:6])]
+            assert game.community == top[6:11]
+
+            game = BlackjackGame(rng_from_seed(seed))
+            game.reset()
+            while not game.is_over():
+                game.step(picker.choice(game.legal_moves()))
+            top = [cid % 13 for cid in shuffled("standard52", seed)[::-1]]
+            player, dealer = game.hand, game.dealer_hand
+            dealt = [player[0], dealer[0], player[1], dealer[1]] + player[2:] + dealer[2:]
+            assert dealt == top[: len(dealt)]
 
 
 def test_replay_determinism_over_op_sequences():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardtable.agents import PolicyTable, RandomAgent
+from cardtable import cli
 from cardtable.cli import load_config, main
 from cardtable.env import EnvConfig
 from cardtable.errors import ParseError
@@ -276,6 +277,44 @@ class TestTournament:
         assert summary["game_count"] == 60
         manifest = read_manifest(out)
         assert set(manifest["outputs"]) == {"results.csv", "summary.json"}
+
+
+def out_of_range_policy(tmp_path):
+    """A well-formed leduc policy file whose one entry plays action id 7 of 0..3."""
+    path = tmp_path / "bad_ids.txt"
+    table = PolicyTable()
+    table.set("L0|J|-|", (0, 7), (0.5, 0.5))
+    table.save(path)
+    return str(path)
+
+
+class TestPolicyActionSpace:
+    def test_tournament_rejects_out_of_range_id_before_any_game(self, tmp_path, monkeypatch, capsys):
+        def no_games(*args, **kwargs):
+            raise AssertionError("a game ran with an unchecked policy")
+
+        monkeypatch.setattr(cli, "tournament", no_games)
+        path = out_of_range_policy(tmp_path)
+        argv = ["tournament", "--game", "leduc", "--games", "4", "--agents", f"{path},random"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'L0|J|-|' holds action id 7, outside 0..3" in captured.err
+
+    def test_exploit_rejects_out_of_range_id(self, tmp_path, capsys):
+        path = out_of_range_policy(tmp_path)
+        assert main(["exploit", "--game", "leduc", "--agents", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'L0|J|-|' holds action id 7, outside 0..3" in captured.err
+
+    def test_the_same_ids_fit_a_larger_action_space(self, tmp_path, capsys):
+        # the check is per game: uno has 62 action ids, so 7 is in range there
+        path = out_of_range_policy(tmp_path)
+        before = (tmp_path / "bad_ids.txt").read_bytes()
+        argv = ["tournament", "--game", "uno", "--games", "2", "--agents", f"{path},random"]
+        assert main(argv) == 0
+        assert (tmp_path / "bad_ids.txt").read_bytes() == before
 
 
 class TestExploit:

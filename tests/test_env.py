@@ -58,6 +58,28 @@ class TestConfig:
         with pytest.raises(InvalidParam):
             make(EnvConfig("uno", game_params={"fixed_raise": 2}))
 
+    @pytest.mark.parametrize(
+        "game_id, params",
+        [
+            ("uno", {"hand_size": 7.5}),  # `--param hand_size=7.5` coerces to a float
+            ("uno", {"hand_size": "x"}),
+            ("uno", {"hand_size": True}),
+            ("limit_holdem", {"fixed_raise": True}),
+            ("doudizhu", {"landlord": True}),
+            ("mini_doudizhu", {"landlord": 1.0}),
+        ],
+        ids=lambda v: "-".join(f"{k}={x!r}" for k, x in v.items()) if isinstance(v, dict) else v,
+    )
+    def test_wrongly_typed_game_param_fails_at_make(self, game_id, params):
+        (name,) = params
+        with pytest.raises(InvalidParam, match=name):
+            make(EnvConfig(game_id, game_params=params))
+
+    @pytest.mark.parametrize("game_id, n", [("blackjack", True), ("leduc", 2.0), ("limit_holdem", 2.5)])
+    def test_wrongly_typed_player_count_fails_at_make(self, game_id, n):
+        with pytest.raises(InvalidParam, match="players"):
+            make(EnvConfig(game_id, num_players=n))
+
     def test_game_params_reach_engine(self):
         env = make(EnvConfig("uno", game_params={"hand_size": 3}))
         env.new_game()

@@ -115,6 +115,19 @@ class TestBuildAgent:
     def test_random_descriptor(self):
         assert isinstance(build_agent("random"), RandomAgent)
 
+    def test_game_id_checks_action_ids_at_load(self, tmp_path):
+        from cardtable.agents import PolicyTable
+        from cardtable.errors import InvalidPolicy
+
+        path = tmp_path / "p.tsv"
+        table = PolicyTable()
+        table.set("B|12h|n2|u10", (0, 2), (1.0, 1.0))
+        table.save(path)
+        with pytest.raises(InvalidPolicy, match=r"'B\|12h\|n2\|u10' holds action id 2, outside 0..1"):
+            build_agent(str(path), "blackjack")
+        assert len(build_agent(str(path), "leduc").table) == 1
+        assert len(build_agent(str(path)).table) == 1  # no game: loaded as before
+
     def test_policy_path_descriptor(self, tmp_path):
         path = tmp_path / "p.tsv"
         cfr_train("leduc", 5).save(path)
