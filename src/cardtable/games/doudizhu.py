@@ -15,10 +15,18 @@ a landlord win, both peasants get 1 when either peasant goes out.
 Bombs do not multiply payoffs.
 
 Moves are the 309 abstract action ids from doudizhu_patterns; kickers
-are completed by the documented lowest-non-breaking rule.
+are completed by the documented lowest-non-breaking rule. Game.step has
+already checked a move, so _apply completes it with `complete` and does
+not decode it again.
+
+The state is immutable tuples (hands, hand sizes, the played union, the
+last three moves) that each move replaces rather than edits, so
+snapshots and captured views share them without copying.
 """
 
 from __future__ import annotations
+
+from operator import add, sub
 
 import numpy as np
 
@@ -29,8 +37,10 @@ from cardtable.games.doudizhu_patterns import (
     DD_RANK_NAMES,
     NUM_ACTIONS,
     NUM_RANKS,
+    PASS_ID,
     CardPattern,
     abstract_id,
+    complete,
     decode,
     french_to_dd_rank,
     matching_abstract_ids,
@@ -39,6 +49,7 @@ from cardtable.games.doudizhu_patterns import (
 NUM_PLAYERS = 3
 _VARIANTS = {"full": ("doudizhu54", 17, 3), "mini": ("mini_doudizhu", 9, 1)}
 _DD_RANK = tuple(french_to_dd_rank(cid // 13, cid % 13) for cid in range(54))  # by french_joker id
+_NO_CARDS = (0,) * NUM_RANKS
 
 
 class DoudizhuGame(Game):
@@ -60,22 +71,24 @@ class DoudizhuGame(Game):
         order = list(DECKS[deck_kind])
         self.rng.shuffle(order)
 
-        self.counts = [[0] * NUM_RANKS for _ in range(NUM_PLAYERS)]  # hands as 15-slot count vectors
+        hands = [[0] * NUM_RANKS for _ in range(NUM_PLAYERS)]
         pos = 0
         for seat in range(NUM_PLAYERS):
             take = per_player + (reserve if seat == self.landlord else 0)
             for cid in order[pos : pos + take]:
-                self.counts[seat][_DD_RANK[cid]] += 1
+                hands[seat][_DD_RANK[cid]] += 1
             pos += take
 
-        self.played = [0] * NUM_RANKS  # union of everything discarded so far
+        self.counts = tuple(map(tuple, hands))  # hands as 15-slot count vectors, by seat
+        self.sizes = tuple(map(sum, hands))  # cards left in each hand
+        self.played = _NO_CARDS  # union of everything discarded so far
         self.to_beat: CardPattern | None = None
         self.trick_owner: int | None = None
         self.pass_count = 0
         self.turn = self.landlord
         self.winner: int | None = None
-        self.move_log: list[tuple[int, int]] = []  # (seat, action_id)
-        self.recent: list[list[int]] = [[0] * NUM_RANKS for _ in range(3)]  # last 3 moves as count vectors
+        self.recent = (_NO_CARDS,) * 3  # last 3 moves as count vectors, oldest first
+        self.last_moves: tuple[tuple[int, int], ...] = ()  # (seat, action_id) of at most the last 3 moves
         return self.turn
 
     # move plumbing -------------------------------------------------
@@ -91,29 +104,30 @@ class DoudizhuGame(Game):
 
     def _apply(self, action_id: int) -> None:
         seat = self.turn
-        pattern = self.decode_move(action_id)
-        played_vec = [0] * NUM_RANKS
-        if pattern.category == "pass":
+        if action_id == PASS_ID:
+            taken = _NO_CARDS
             self.pass_count += 1
             if self.pass_count >= 2:
                 self.to_beat = None
                 self.trick_owner = None
                 self.pass_count = 0
         else:
-            ms = pattern.rank_multiset()
-            for r in set(ms):
-                take = ms.count(r)
-                self.counts[seat][r] -= take
-                self.played[r] += take
-                played_vec[r] = take
+            pattern, taken = complete(action_id, self.counts[seat])
+            counts = list(self.counts)
+            counts[seat] = tuple(map(sub, counts[seat], taken))
+            self.counts = tuple(counts)
+            sizes = list(self.sizes)
+            sizes[seat] -= sum(taken)
+            self.sizes = tuple(sizes)
+            self.played = tuple(map(add, self.played, taken))
             self.to_beat = pattern
             self.trick_owner = seat
             self.pass_count = 0
-            if sum(self.counts[seat]) == 0:
+            if sizes[seat] == 0:
                 self.winner = seat
                 return
-        self.move_log.append((seat, action_id))
-        self.recent = self.recent[1:] + [played_vec]
+        self.last_moves = (*self.last_moves[-2:], (seat, action_id))
+        self.recent = (self.recent[1], self.recent[2], taken)
         self.turn = (seat + 1) % NUM_PLAYERS
 
     def is_over(self) -> bool:
@@ -131,25 +145,22 @@ class DoudizhuGame(Game):
     def snapshot(self):
         return (
             self.landlord,
-            tuple(tuple(c) for c in self.counts),
-            tuple(self.played),
+            self.counts,
+            self.sizes,
+            self.played,
             self.to_beat,
             self.trick_owner,
             self.pass_count,
             self.turn,
             self.winner,
-            tuple(self.move_log),
-            tuple(tuple(v) for v in self.recent),
+            self.last_moves,
+            self.recent,
             self.rng.getstate(),
         )
 
     def restore(self, snap) -> None:
-        (self.landlord, counts, played, self.to_beat, self.trick_owner, self.pass_count, self.turn,
-         self.winner, log, recent, rng_state) = snap
-        self.counts = [list(c) for c in counts]
-        self.played = list(played)
-        self.move_log = list(log)
-        self.recent = [list(v) for v in recent]
+        (self.landlord, self.counts, self.sizes, self.played, self.to_beat, self.trick_owner, self.pass_count,
+         self.turn, self.winner, self.last_moves, self.recent, rng_state) = snap
         self.rng.setstate(rng_state)
 
 
@@ -164,32 +175,29 @@ def capture(game: DoudizhuGame, seat: int, terminal: bool = False):
     view = (
         seat,
         game.landlord,
-        tuple(map(tuple, game.counts)),
-        tuple(game.played),
-        tuple(map(tuple, game.recent)),
+        game.counts,
+        game.sizes,
+        game.played,
+        game.recent,
         game.to_beat,
         game.trick_owner,
-        tuple(game.move_log[-3:]),
+        game.last_moves,
     )
     return legal, view
 
 
 def render_raw(view) -> dict:
-    seat, landlord, counts, played, recent, to_beat, trick_owner, moves = view
-    others = [0] * NUM_RANKS
-    for other in range(NUM_PLAYERS):
-        if other != seat:
-            for r in range(NUM_RANKS):
-                others[r] += counts[other][r]
+    seat, landlord, counts, sizes, played, recent, to_beat, trick_owner, moves = view
+    others = tuple(map(add, counts[(seat + 1) % NUM_PLAYERS], counts[(seat + 2) % NUM_PLAYERS]))
     return {
         "seat": seat,
         "landlord": landlord,
         "hand": hand_literal(counts[seat]),
         "hand_counts": counts[seat],
-        "others_counts": tuple(others),
+        "others_counts": others,
         "played_counts": played,
         "recent_counts": recent,
-        "hand_sizes": tuple(sum(c) for c in counts),
+        "hand_sizes": sizes,
         "to_beat": None if to_beat is None else to_beat.literal(),
         "trick_owner": trick_owner,
         "recent_moves": moves,
@@ -197,7 +205,7 @@ def render_raw(view) -> dict:
 
 
 def render_key(view) -> str:
-    seat, landlord, counts, played, _, to_beat, _, moves = view
+    seat, landlord, counts, _, played, _, to_beat, _, moves = view
     recent = ",".join(f"{s}:{aid}" for s, aid in moves)
     lead = "-" if to_beat is None else str(abstract_id(to_beat))
     return f"D{seat}|L{landlord}|{hand_literal(counts[seat])}|p{hand_literal(played)}|b{lead}|{recent}"

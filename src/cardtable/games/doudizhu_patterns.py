@@ -31,11 +31,29 @@ exactly one pattern. Kickers never reuse a primal rank. Solo kickers
 may be 2s or jokers; pair kickers stop at rank 12. Playing a trio,
 pair, or chain card out of a held bomb is allowed.
 
+Legal ids come from per-category id tables built at import:
+`_IDS[category, length][primal]` is the id of that triple. A matcher
+walks the tables in table order, so its list comes out sorted with no
+sort. Leading and responding take separate paths:
+
+- a lead reads the hand once: the ranks holding at least one, two,
+  three and four cards, the maximal chain runs among the first three,
+  and the count of eligible solo and pair kicker ranks. Every primal
+  rank is itself an eligible kicker rank, so a span of n primal ranks
+  leaves that count minus n, and a kicker category needs no per-rank
+  scan. Chains of each length are slices of the runs.
+- a response checks only to_beat's category at to_beat's length, above
+  its primal, then the bombs (above the bomb to beat, if any) and the
+  rocket.
+
 Decoding an abstract action completes the kickers deterministically:
 take the lowest eligible kicker ranks that do not break a bomb (a rank
 held as all four) or the rocket (both jokers held); fall back to
 breaking ranks, lowest first, only when nothing else remains. Within a
-rank the engine discards the lowest card ids first.
+rank the engine discards the lowest card ids first. `complete` does this
+for an id known to be legal and also returns the cards taken per rank;
+`decode` calls it and then checks the hand holds them and the move beats
+the trick.
 """
 
 from __future__ import annotations
@@ -147,131 +165,175 @@ def abstract_id(pattern: CardPattern) -> int:
     return ACTION_INDEX[(pattern.category, pattern.primal, pattern.length)]
 
 
-def _chain_runs(cnt, need: int) -> list[int]:
-    """run[s] = consecutive ranks from s (chain ranks only) holding at least `need` cards."""
-    run = [0] * (CHAIN_TOP + 2)
-    for s in range(CHAIN_TOP, -1, -1):
-        run[s] = run[s + 1] + 1 if cnt[s] >= need else 0
-    return run
+# Per-category id tables, built once: _IDS[cat, length][primal] is the id of
+# (cat, primal, length). Primals of one (category, length) start at 0 and run
+# up in table order, so an id list built by ascending primal is sorted.
+def _build_id_tables() -> dict[tuple[str, int], tuple[int, ...]]:
+    tables: dict[tuple[str, int], list[int]] = {}
+    for i, (cat, primal, length) in enumerate(ABSTRACT_ACTIONS):
+        if cat in ("pass", "rocket"):
+            continue
+        ids = tables.setdefault((cat, length), [])
+        assert primal == len(ids), f"{cat} primals are not 0, 1, 2, ..."
+        ids.append(i)
+    return {key: tuple(ids) for key, ids in tables.items()}
 
 
-def _kicker_ranks(cnt, primal_lo: int, primal_hi: int, need: int, pair_kicker: bool) -> list[int]:
-    """Ranks eligible as kickers, ascending. The primal span is excluded."""
-    top = 13 if pair_kicker else 15
+_IDS = _build_id_tables()
+_SOLO, _PAIR, _TRIO, _BOMB = (_IDS[cat, 1] for cat in ("solo", "pair", "trio", "bomb"))
+_TRIO_SINGLE, _TRIO_PAIR = _IDS["trio_single", 1], _IDS["trio_pair", 1]
+_QUAD_TWO_SOLO, _QUAD_TWO_PAIR = _IDS["quad_two_solo", 1], _IDS["quad_two_pair", 1]
+ROCKET_ID = ACTION_INDEX[("rocket", 13, 1)]
+
+# kicker categories: (kicker cards per kicker rank, kicker ranks per primal rank)
+_KICKERS = {
+    "trio_single": (1, 1), "trio_pair": (2, 1),
+    "plane_solo": (1, 1), "plane_pair": (2, 1),
+    "quad_two_solo": (1, 2), "quad_two_pair": (2, 2),
+}
+
+
+def _chain_runs(ranks) -> list[list[int]]:
+    """[start, stop) of each maximal run of consecutive chain ranks in `ranks` (ascending)."""
+    runs: list[list[int]] = []
+    for r in ranks:
+        if r > CHAIN_TOP:
+            break
+        if runs and runs[-1][1] == r:
+            runs[-1][1] = r + 1
+        else:
+            runs.append([r, r + 1])
+    return runs
+
+
+def _chain_ids(cat: str, n: int, runs) -> list[int]:
+    """Ids of the n-rank chains of cat that fit in runs, by start rank."""
+    ids = _IDS.get((cat, n), ())
+    out: list[int] = []
+    for start, stop in runs:
+        if stop - start >= n:
+            out += ids[start : stop - n + 1]
+    return out
+
+
+def _kicker_ranks(cnt, primal_lo: int, primal_hi: int, need: int) -> list[int]:
+    """Ranks eligible as kickers of `need` cards each, ascending. The primal span is excluded."""
+    top = 13 if need == 2 else 15
     return [k for k in range(top) if cnt[k] >= need and not primal_lo <= k < primal_hi]
+
+
+def _lead(cnt) -> list[int]:
+    """Every id a leader can play, in table order."""
+    solos = [r for r in range(NUM_RANKS) if cnt[r] >= 1]
+    pairs = [r for r in solos if r < 13 and cnt[r] >= 2]
+    trios = [r for r in pairs if cnt[r] >= 3]
+    quads = [r for r in trios if cnt[r] == 4]
+    # a primal rank is itself an eligible kicker rank, so a span of n
+    # ranks leaves the eligible count minus n
+    n_solo, n_pair = len(solos), len(pairs)
+    out = [_SOLO[r] for r in solos]
+    out += [_PAIR[r] for r in pairs]
+    out += [_TRIO[r] for r in trios]
+    if n_solo >= 2:
+        out += [_TRIO_SINGLE[r] for r in trios]
+    if n_pair >= 2:
+        out += [_TRIO_PAIR[r] for r in trios]
+    runs1, runs2, runs3 = _chain_runs(solos), _chain_runs(pairs), _chain_runs(trios)
+    for cat, runs, lo, hi in (
+        ("solo_chain", runs1, 5, 12),
+        ("pair_chain", runs2, 3, 10),
+        ("plane", runs3, 2, 6),
+        ("plane_solo", runs3, 2, min(5, n_solo // 2)),
+        ("plane_pair", runs3, 2, min(4, n_pair // 2)),
+    ):
+        longest = max([stop - start for start, stop in runs], default=0)
+        for n in range(lo, min(hi, longest) + 1):
+            out += _chain_ids(cat, n, runs)
+    if n_solo >= 3:
+        out += [_QUAD_TWO_SOLO[r] for r in quads]
+    if n_pair >= 3:
+        out += [_QUAD_TWO_PAIR[r] for r in quads]
+    out += [_BOMB[r] for r in quads]
+    if cnt[13] and cnt[14]:
+        out.append(ROCKET_ID)
+    return out
+
+
+def _respond(cnt, to_beat: CardPattern) -> list[int]:
+    """Pass, then the ids of to_beat's category and length above it, then bombs and the rocket."""
+    cat = to_beat.category
+    out = [PASS_ID]
+    if cat == "rocket":
+        return out
+    bomb_floor = 0
+    if cat == "bomb":
+        bomb_floor = to_beat.primal + 1
+    else:
+        length = to_beat.length
+        need = _CARDS_PER_RANK[cat]
+        kicker_need, per_rank = _KICKERS.get(cat, (0, 0))
+        # the count below includes the primal span (see _lead)
+        if not kicker_need or len(_kicker_ranks(cnt, 0, 0, kicker_need)) >= (per_rank + 1) * length:
+            floor = to_beat.primal + 1
+            if length > 1:
+                held = [r for r in range(floor, CHAIN_TOP + 1) if cnt[r] >= need]
+                out += _chain_ids(cat, length, _chain_runs(held))
+            else:
+                ids = _IDS[cat, 1]
+                if need == 4:
+                    out += [ids[r] for r in range(floor, len(ids)) if cnt[r] == 4]
+                else:
+                    out += [ids[r] for r in range(floor, len(ids)) if cnt[r] >= need]
+    if 4 in cnt:
+        out += [_BOMB[r] for r in range(bomb_floor, 13) if cnt[r] == 4]
+    if cnt[13] and cnt[14]:
+        out.append(ROCKET_ID)
+    return out
 
 
 def matching_abstract_ids(cnt, to_beat: CardPattern | None) -> list[int]:
     """Sorted abstract ids playable from a count vector against to_beat (None = leading)."""
-    out: list[int] = []
-    lead = to_beat is None
-    if not lead:
-        if to_beat.category == "pass":
-            raise ValueError("to_beat cannot be a pass")
-        out.append(PASS_ID)
-
-    # rocket and bombs answer anything except the rocket or a bigger bomb
-    if lead or to_beat.category != "rocket":
-        if cnt[13] and cnt[14]:
-            out.append(ACTION_INDEX[("rocket", 13, 1)])
-        bomb_floor = to_beat.primal if not lead and to_beat.category == "bomb" else -1
-        for r in range(13):
-            if cnt[r] == 4 and r > bomb_floor:
-                out.append(ACTION_INDEX[("bomb", r, 1)])
-    if not lead and to_beat.category in ("bomb", "rocket"):
-        return sorted(set(out))
-
-    def want(cat: str) -> bool:
-        return lead or to_beat.category == cat
-
-    def floor_of(cat: str) -> int:
-        return to_beat.primal if not lead and to_beat.category == cat else -1
-
-    if want("solo"):
-        out += [ACTION_INDEX[("solo", r, 1)] for r in range(floor_of("solo") + 1, 15) if cnt[r] >= 1]
-    if want("pair"):
-        out += [ACTION_INDEX[("pair", r, 1)] for r in range(floor_of("pair") + 1, 13) if cnt[r] >= 2]
-    if want("trio"):
-        out += [ACTION_INDEX[("trio", r, 1)] for r in range(floor_of("trio") + 1, 13) if cnt[r] >= 3]
-    for cat, need in (("trio_single", 1), ("trio_pair", 2)):
-        if want(cat):
-            for r in range(floor_of(cat) + 1, 13):
-                if cnt[r] >= 3 and _kicker_ranks(cnt, r, r + 1, need, cat == "trio_pair"):
-                    out.append(ACTION_INDEX[(cat, r, 1)])
-
-    chain_specs = (
-        ("solo_chain", 1, 0, 5, 12),
-        ("pair_chain", 2, 0, 3, 10),
-        ("plane", 3, 0, 2, 6),
-        ("plane_solo", 3, 1, 2, 5),
-        ("plane_pair", 3, 2, 2, 4),
-    )
-    for cat, per_rank, kick_need, lo_len, hi_len in chain_specs:
-        if not want(cat):
-            continue
-        run = _chain_runs(cnt, per_rank)
-        lens = range(lo_len, hi_len + 1) if lead else (to_beat.length,)
-        for n in lens:
-            for s in range(floor_of(cat) + 1, CHAIN_TOP - n + 2):
-                if run[s] < n:
-                    continue
-                if kick_need and len(_kicker_ranks(cnt, s, s + n, kick_need, kick_need == 2)) < n:
-                    continue
-                out.append(ACTION_INDEX[(cat, s, n)])
-
-    for cat, need in (("quad_two_solo", 1), ("quad_two_pair", 2)):
-        if want(cat):
-            for r in range(floor_of(cat) + 1, 13):
-                if cnt[r] == 4 and len(_kicker_ranks(cnt, r, r + 1, need, cat == "quad_two_pair")) >= 2:
-                    out.append(ACTION_INDEX[(cat, r, 1)])
-
-    return sorted(set(out))
+    if to_beat is None:
+        return _lead(cnt)
+    if to_beat.category == "pass":
+        raise ValueError("to_beat cannot be a pass")
+    return _respond(cnt, to_beat)
 
 
-def legal_patterns(cnt, to_beat: CardPattern | None) -> list[CardPattern]:
-    """Every concrete pattern playable from a count vector, kickers enumerated."""
-    out: list[CardPattern] = []
-    for aid in matching_abstract_ids(cnt, to_beat):
-        cat, primal, length = ABSTRACT_ACTIONS[aid]
-        if cat == "pass":
-            out.append(PASS)
-        elif cat in ("trio_single", "trio_pair"):
-            need = 1 if cat == "trio_single" else 2
-            for k in _kicker_ranks(cnt, primal, primal + 1, need, cat == "trio_pair"):
-                out.append(CardPattern(cat, primal, 1, (k,) * need))
-        elif cat in ("plane_solo", "plane_pair", "quad_two_solo", "quad_two_pair"):
-            pair_kicker = cat.endswith("pair")
-            need = 2 if pair_kicker else 1
-            span = length if cat.startswith("plane") else 1
-            n_kick = length if cat.startswith("plane") else 2
-            pool = _kicker_ranks(cnt, primal, primal + span, need, pair_kicker)
-            for combo in combinations(pool, n_kick):
-                kick = tuple(sorted(k for k in combo for _ in range(need)))
-                out.append(CardPattern(cat, primal, length, kick))
-        else:
-            out.append(CardPattern(cat, primal, length))
-    return out
+def _build_bodies() -> tuple[tuple[int, ...], ...]:
+    """Per id, the cards of the move without its kickers as a count vector."""
+    bodies = []
+    for cat, primal, length in ABSTRACT_ACTIONS:
+        body = [0] * NUM_RANKS
+        if cat == "rocket":
+            body[13] = body[14] = 1
+        elif cat != "pass":
+            for r in range(primal, primal + length):
+                body[r] = _CARDS_PER_RANK[cat]
+        bodies.append(tuple(body))
+    return tuple(bodies)
 
 
-def decode(action_id: int, cnt, to_beat: CardPattern | None) -> CardPattern:
-    """Concrete pattern for an abstract id, kickers completed by the documented rule."""
-    if not 0 <= action_id < NUM_ACTIONS:
-        raise NoConcreteMove(f"action id {action_id} out of range")
+_BODIES = _build_bodies()
+_PLAIN = tuple(  # the whole pattern of each id that carries no kickers
+    None if cat in _KICKERS else CardPattern(cat, primal, length)
+    for cat, primal, length in ABSTRACT_ACTIONS
+)
+
+
+def complete(action_id: int, cnt) -> tuple[CardPattern, tuple[int, ...]]:
+    """(pattern, cards taken per rank) for a non-pass id, kickers completed by the documented rule.
+
+    Nothing is checked beyond the kickers' existence: the caller knows
+    the id is legal for this hand, or checks the result (see decode).
+    """
+    pattern = _PLAIN[action_id]
+    if pattern is not None:
+        return pattern, _BODIES[action_id]
     cat, primal, length = ABSTRACT_ACTIONS[action_id]
-    if cat == "pass":
-        if to_beat is None:
-            raise NoConcreteMove("cannot pass while leading")
-        return PASS
-    if cat not in ("trio_single", "trio_pair", "plane_solo", "plane_pair", "quad_two_solo", "quad_two_pair"):
-        pattern = CardPattern(cat, primal, length)
-        _require_playable(pattern, cnt, to_beat)
-        return pattern
-
-    pair_kicker = cat.endswith("pair")
-    need = 2 if pair_kicker else 1
-    span = length if cat.startswith("plane") else 1
-    n_kick = {"trio_single": 1, "trio_pair": 1, "quad_two_solo": 2, "quad_two_pair": 2}.get(cat, length)
-    pool = _kicker_ranks(cnt, primal, primal + span, need, pair_kicker)
+    need, per_rank = _KICKERS[cat]
+    n_kick = per_rank * length
+    pool = _kicker_ranks(cnt, primal, primal + length, need)
     has_rocket = cnt[13] >= 1 and cnt[14] >= 1
 
     def breaks_protected(k: int) -> bool:
@@ -282,19 +344,44 @@ def decode(action_id: int, cnt, to_beat: CardPattern | None) -> CardPattern:
     chosen = safe[:n_kick] + risky[: max(0, n_kick - len(safe))]
     if len(chosen) < n_kick:
         raise NoConcreteMove(f"no kicker completion for action {action_id}")
+    taken = list(_BODIES[action_id])
+    for k in chosen:
+        taken[k] += need
     kick = tuple(sorted(k for k in chosen for _ in range(need)))
-    pattern = CardPattern(cat, primal, length, kick)
-    _require_playable(pattern, cnt, to_beat)
-    return pattern
+    return CardPattern(cat, primal, length, kick), tuple(taken)
 
 
-def _require_playable(pattern: CardPattern, cnt, to_beat: CardPattern | None) -> None:
-    needed = pattern.rank_multiset()
-    for r in set(needed):
-        if cnt[r] < needed.count(r):
-            raise NoConcreteMove(f"hand lacks cards for {pattern.category} at rank {pattern.primal}")
+def legal_patterns(cnt, to_beat: CardPattern | None) -> list[CardPattern]:
+    """Every concrete pattern playable from a count vector, kickers enumerated."""
+    out: list[CardPattern] = []
+    for aid in matching_abstract_ids(cnt, to_beat):
+        pattern = _PLAIN[aid]
+        if pattern is not None:
+            out.append(pattern)
+            continue
+        cat, primal, length = ABSTRACT_ACTIONS[aid]
+        need, per_rank = _KICKERS[cat]
+        pool = _kicker_ranks(cnt, primal, primal + length, need)
+        for combo in combinations(pool, per_rank * length):
+            kick = tuple(sorted(k for k in combo for _ in range(need)))
+            out.append(CardPattern(cat, primal, length, kick))
+    return out
+
+
+def decode(action_id: int, cnt, to_beat: CardPattern | None) -> CardPattern:
+    """Concrete pattern for an abstract id, kickers completed by the documented rule."""
+    if not 0 <= action_id < NUM_ACTIONS:
+        raise NoConcreteMove(f"action id {action_id} out of range")
+    if action_id == PASS_ID:
+        if to_beat is None:
+            raise NoConcreteMove("cannot pass while leading")
+        return PASS
+    pattern, taken = complete(action_id, cnt)
+    if any(t > c for t, c in zip(taken, cnt)):
+        raise NoConcreteMove(f"hand lacks cards for {pattern.category} at rank {pattern.primal}")
     if to_beat is not None and not beats(pattern, to_beat):
         raise NoConcreteMove(f"{pattern.category} at rank {pattern.primal} does not beat the trick")
+    return pattern
 
 
 def parse(ranks) -> CardPattern | None:

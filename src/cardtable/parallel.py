@@ -20,7 +20,7 @@ from cardtable.agents.base import RandomAgent
 from cardtable.agents.policy import PolicyAgent, PolicyTable
 from cardtable.core.rng import split_seed
 from cardtable.env import EnvConfig, game_spec, make, serialize_trajectories
-from cardtable.errors import InvalidParam, WorkerFailure
+from cardtable.errors import InvalidParam, ParseError, WorkerFailure
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def build_agent(descriptor: str, game_id: str | None = None):
     return PolicyAgent(PolicyTable.load(descriptor, num_actions))
 
 
-def _play_block(config: EnvConfig, agent_specs, indices, collect_logs: bool):
+def _play_block(config: EnvConfig, agents, indices, collect_logs: bool):
     """Worker body: plays the given game indices, one result tuple each.
 
     Failures are returned, not raised, so the parent can attach the
@@ -88,7 +88,7 @@ def _play_block(config: EnvConfig, agent_specs, indices, collect_logs: bool):
     """
     try:
         env = make(config)
-        env.set_agents([build_agent(spec) for spec in agent_specs])
+        env.set_agents(list(agents))
     except Exception as exc:  # noqa: BLE001 - repackaged with the game index
         return [(indices[0], None, 0, f"{type(exc).__name__}: {exc}")]
     out = []
@@ -113,7 +113,9 @@ def rollout_parallel(spec: RolloutSpec, collect_logs: bool = False) -> RolloutRe
 
     Results are merged in game-index order and are bit-identical for
     any n_workers. n_games=0 returns an empty result without spawning
-    anything; n_workers=1 runs inline in this process.
+    anything; n_workers=1 runs inline in this process. Policy files are
+    loaded once, in this process, and checked against the game's action
+    space; the loaded agents are sent to the workers.
     """
     if spec.n_workers < 1:
         raise InvalidParam(f"n_workers must be >= 1, got {spec.n_workers}")
@@ -125,14 +127,22 @@ def rollout_parallel(spec: RolloutSpec, collect_logs: bool = False) -> RolloutRe
     if spec.n_games == 0:
         return RolloutResult((), (0.0,) * seats, 0, () if collect_logs else None)
 
+    # Policy files load once, here, checked against the game: an action id
+    # outside its space raises InvalidPolicy before any worker starts. Any
+    # other load failure is charged to game 0, like a worker's setup failure.
+    try:
+        agents = tuple(build_agent(descriptor, spec.env_config.game_id) for descriptor in spec.agents)
+    except (OSError, UnicodeDecodeError, ParseError) as exc:
+        raise WorkerFailure(0, f"{type(exc).__name__}: {exc}") from exc
+
     workers = min(spec.n_workers, spec.n_games)
     chunks = [list(range(w, spec.n_games, workers)) for w in range(workers)]
     if workers == 1:
-        blocks = [_play_block(spec.env_config, spec.agents, chunks[0], collect_logs)]
+        blocks = [_play_block(spec.env_config, agents, chunks[0], collect_logs)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_play_block, spec.env_config, spec.agents, chunk, collect_logs)
+                pool.submit(_play_block, spec.env_config, agents, chunk, collect_logs)
                 for chunk in chunks
             ]
             blocks = [f.result() for f in futures]

@@ -5,13 +5,14 @@ counting, with no shared code or tables, and the grammar tests require
 the production enumerator to agree triple for triple on random hands.
 """
 
+import copy
 from collections import Counter
 
 import pytest
 
 from cardtable.core.rng import Rng
 from cardtable.errors import IllegalMove, InvalidParam, NoConcreteMove
-from cardtable.games.doudizhu import DoudizhuGame, encode_planes, hand_literal, observe
+from cardtable.games.doudizhu import DoudizhuGame, capture, encode_planes, hand_literal, observe
 from cardtable.games.doudizhu_patterns import (
     ABSTRACT_ACTIONS,
     ACTION_INDEX,
@@ -432,15 +433,55 @@ class TestEngine:
             assert game.step_back()
         assert game.snapshot() == start
 
+    @staticmethod
+    def state(game):
+        """A deep copy of every field a move can change."""
+        return copy.deepcopy((
+            game.counts, game.sizes, game.played, game.recent, game.last_moves,
+            game.to_beat, game.trick_owner, game.pass_count, game.turn, game.winner,
+        ))
+
+    def test_capture_and_snapshot_are_not_aliased(self):
+        for variant in ("full", "mini"):
+            game = DoudizhuGame(Rng(32), allow_step_back=True, variant=variant)
+            game.reset()
+            rng = Rng(91)
+            while not game.is_over():
+                views = [capture(game, seat) for seat in range(3)]
+                snap = game.snapshot()
+                frozen = copy.deepcopy((views, snap))
+                game.step(rng.choice(game.legal_moves()))
+                assert (views, snap) == frozen
+                assert game.sizes == tuple(sum(c) for c in game.counts)
+
+    def test_step_back_past_the_winning_move_restores_everything(self):
+        for seed in range(6):
+            game = DoudizhuGame(Rng(seed), allow_step_back=True, variant=("full", "mini")[seed % 2])
+            game.reset()
+            rng = Rng(100 + seed)
+            while True:
+                before = self.state(game)
+                game.step(rng.choice(game.legal_moves()))
+                if game.is_over():
+                    break
+            assert game.sizes[game.winner] == 0 and sum(game.counts[game.winner]) == 0
+            assert game.step_back()
+            assert self.state(game) == before
+            assert game.sizes == tuple(sum(c) for c in game.counts)
+            assert not game.is_over()
+
     def test_same_seed_same_log(self):
         logs = []
         for _ in range(2):
             game = DoudizhuGame(Rng(123), landlord="random")
             game.reset()
             rng = Rng(55)
+            moves = []
             while not game.is_over():
-                game.step(rng.choice(game.legal_moves()))
-            logs.append((game.landlord, tuple(game.move_log), tuple(game.payoffs())))
+                action = rng.choice(game.legal_moves())
+                moves.append((game.current_player(), action))
+                game.step(action)
+            logs.append((game.landlord, tuple(moves), tuple(game.payoffs())))
         assert logs[0] == logs[1]
 
 

@@ -81,13 +81,14 @@ class TestRollout:
         assert info.value.game_index == 0
         assert "FileNotFoundError" in str(info.value)
 
-    def test_mid_game_failure_carries_game_index(self, tmp_path):
-        # a loadable policy that plays an out-of-range action id
+    @staticmethod
+    def leduc_policy_playing(path, action_id):
+        """A policy file that plays action_id at every seat-0 info set of leduc."""
         from cardtable.agents import PolicyTable
         from cardtable.trees import LeducTree
 
         tree = LeducTree()
-        poisoned = PolicyTable()
+        table = PolicyTable()
         stack = [tree.root()]
         while stack:
             node = stack.pop()
@@ -97,18 +98,31 @@ class TestRollout:
                 stack.extend(child for child, _ in tree.chance_outcomes(node))
                 continue
             if tree.player(node) == 0:
-                poisoned.set(tree.info_key(node), (9,), (1.0,))
+                table.set(tree.info_key(node), (action_id,), (1.0,))
             stack.extend(tree.child(node, a) for a in tree.actions(node))
-        path = tmp_path / "poisoned.tsv"
-        poisoned.save(path)
+        table.save(path)
+        return str(path)
 
+    def test_mid_game_failure_carries_game_index(self, tmp_path):
+        # a policy whose ids are all in range but that calls (0) with nothing bet
+        path = self.leduc_policy_playing(tmp_path / "poisoned.tsv", 0)
         config = EnvConfig("leduc", seed=1)
         for workers in (1, 2):
-            bad = RolloutSpec(config, (str(path), "random"), 6, workers)
+            bad = RolloutSpec(config, (path, "random"), 6, workers)
             with pytest.raises(WorkerFailure) as info:
                 rollout_parallel(bad)
             assert info.value.game_index == 0
             assert "IllegalAction" in str(info.value)
+
+    def test_out_of_range_policy_id_fails_before_any_worker(self, tmp_path):
+        from cardtable.errors import InvalidPolicy
+
+        path = self.leduc_policy_playing(tmp_path / "out_of_range.tsv", 9)
+        config = EnvConfig("leduc", seed=1)
+        for workers in (1, 2):
+            bad = RolloutSpec(config, (path, "random"), 6, workers)
+            with pytest.raises(InvalidPolicy, match=r"line \d+: '.+' holds action id 9, outside 0\.\.3"):
+                rollout_parallel(bad)
 
 
 class TestBuildAgent:
