@@ -137,14 +137,3 @@ def test_matches_frozen_reference(ranks, jokers, seed):
             assert doudizhu_patterns.matching_abstract_ids(cnt, to_beat) == want, (cnt, to_beat)
             assert doudizhu_patterns.matching_abstract_ids(tuple(cnt), to_beat) == want, (cnt, to_beat)
 
-
-def test_every_to_beat_shape_is_covered():
-    shapes = {(p.category, p.length) for p in TO_BEAT}
-    assert shapes == {(cat, length) for cat, _, length in ABSTRACT_ACTIONS[1:]}
-    assert ("bomb", 1) in shapes and ("rocket", 1) in shapes and ("plane_pair", 4) in shapes
-
-
-def test_pass_to_beat_rejected_by_both():
-    for matcher in (matching_abstract_ids, doudizhu_patterns.matching_abstract_ids):
-        with pytest.raises(ValueError):
-            matcher([1] * 15, CardPattern("pass", 0, 0))
