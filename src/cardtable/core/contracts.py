@@ -1,8 +1,8 @@
 """The Game contract every engine implements.
 
 A Game owns the turn loop and exposes step/step_back. Each engine keeps
-its own state, the stock and hands included, as plain lists of card ids
-or ranks. step_back is implemented once here as a stack of full-state
+its own state, the stock and hands included, as plain lists or tuples
+of card ids or ranks. step_back is implemented once here as a stack of full-state
 snapshots; each game supplies snapshot() and restore() plus the move
 application. Snapshots capture everything the transition touched,
 including the generator state, so a restored game replays chance
@@ -11,11 +11,12 @@ throughput paths leave it off, and a move the engine rejects pushes
 nothing.
 
 Legal moves are computed at most once per state, also here: the first
-legal_moves() call on a state caches the engine's _legal_moves() result,
-and reset, step and step_back drop it. step is the one legality check:
-a move outside that list raises IllegalMove before any state changes, so
-an engine's _apply only ever sees legal moves. Env turns that error into
-IllegalAction naming the seat that chose the move.
+legal_moves() call on a state caches the engine's _legal_moves() tuple,
+and reset, step and step_back drop it; observations hand out that same
+tuple, uncopied. step is the one legality check: a move outside that
+tuple raises IllegalMove before any state changes, so an engine's _apply
+only ever sees legal moves. Env turns that error into IllegalAction
+naming the seat that chose the move.
 
 Engines check their integer parameters with int_param, so a float, a
 string or a bool (which Python counts as an int) fails at construction
@@ -43,10 +44,10 @@ class Game(ABC):
 
     legal_moves() returns the current player's moves, computed once per
     state: step's legality check and the env's observation read the same
-    cached list. The list is shared, so callers must not mutate it. The
-    cache is dropped by reset, step and step_back, the only ways the base
-    class sees the state change; code that edits an engine's fields
-    directly must do so before the first legal_moves() call on that state.
+    cached tuple. The cache is dropped by reset, step and step_back, the
+    only ways the base class sees the state change; code that edits an
+    engine's fields directly must do so before the first legal_moves()
+    call on that state.
     """
 
     num_players: int = 1
@@ -55,7 +56,7 @@ class Game(ABC):
         self.rng = rng
         self.allow_step_back = allow_step_back
         self._history: list[Any] = []
-        self._legal: list | None = None
+        self._legal: tuple | None = None
 
     def reset(self) -> int:
         """Deal a fresh hand; returns the first player to act."""
@@ -73,7 +74,7 @@ class Game(ABC):
             raise GameOver("step on a finished game")
         legal = self.legal_moves()
         if move not in legal:
-            raise IllegalMove(f"move {move!r} not in legal set {tuple(legal)}")
+            raise IllegalMove(f"move {move!r} not in legal set {legal}")
         if self.allow_step_back:
             self._history.append(self.snapshot())
         self._apply(move)
@@ -88,8 +89,8 @@ class Game(ABC):
         self._legal = None
         return True
 
-    def legal_moves(self) -> list:
-        """The current player's legal moves; the same list until the state changes."""
+    def legal_moves(self) -> tuple:
+        """The current player's legal moves; the same tuple until the state changes."""
         legal = self._legal
         if legal is None:
             legal = self._legal = self._legal_moves()
@@ -99,7 +100,7 @@ class Game(ABC):
         """The legal ids seat observes: its moves on its turn in a running game, else ()."""
         if terminal or self.is_over() or seat != self.current_player():
             return ()
-        return tuple(self.legal_moves())
+        return self.legal_moves()
 
     @abstractmethod
     def _start(self) -> int: ...
@@ -115,8 +116,8 @@ class Game(ABC):
     def current_player(self) -> int: ...
 
     @abstractmethod
-    def _legal_moves(self) -> list:
-        """Compute the current player's legal moves from the state."""
+    def _legal_moves(self) -> tuple:
+        """Compute the current player's legal moves from the state, as a tuple."""
 
     @abstractmethod
     def payoffs(self) -> list[float]: ...

@@ -32,7 +32,7 @@ the same functions, returning (raw, legal, key).
 
 The engine computes legal moves once per state (Game.legal_moves), and
 Game.step is the one legality check: the observation's legal ids and that
-check read the same list. Every mode applies a decision through one
+check read the same tuple. Every mode applies a decision through one
 helper, which turns the engine's IllegalMove into IllegalAction naming
 who chose the action (agent, opponent, learner or player) and their
 seat; the game and the timestep count are left as they were.

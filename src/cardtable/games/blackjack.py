@@ -18,6 +18,7 @@ from cardtable.errors import GameNotOver
 
 HIT, STAND = 0, 1
 NUM_ACTIONS = 2
+_MOVES = (HIT, STAND)
 
 _RANK_SCORE = tuple(min(r + 2, 10) for r in range(12)) + (1,)  # ace counts 1 here
 _DECK_RANKS = tuple(cid % 13 for cid in DECKS["standard52"])
@@ -76,8 +77,8 @@ class BlackjackGame(Game):
     def current_player(self) -> int:
         return 0
 
-    def _legal_moves(self) -> list[int]:
-        return [HIT, STAND]
+    def _legal_moves(self) -> tuple[int, ...]:
+        return _MOVES
 
     def payoffs(self) -> list[float]:
         if self._payoff is None:

@@ -93,8 +93,8 @@ class DoudizhuGame(Game):
 
     # move plumbing -------------------------------------------------
 
-    def _legal_moves(self) -> list[int]:
-        return matching_abstract_ids(self.counts[self.turn], self.to_beat)
+    def _legal_moves(self) -> tuple[int, ...]:
+        return tuple(matching_abstract_ids(self.counts[self.turn], self.to_beat))
 
     def current_player(self) -> int:
         return self.turn

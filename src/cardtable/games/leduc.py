@@ -57,28 +57,43 @@ def info_key(seat: int, private_rank: int, public_rank: int | None, history: str
     return f"L{seat}|{LEDUC_RANKS[private_rank]}|{pub}|{history}"
 
 
+def _add(pair: tuple[int, int], seat: int, amount: int) -> tuple[int, int]:
+    return (pair[0] + amount, pair[1]) if seat == 0 else (pair[0], pair[1] + amount)
+
+
+# indexed [facing a bet][raises this round]
+_LEGAL = tuple(
+    tuple(round_legal_moves(facing, raises) for raises in range(MAX_RAISES + 1)) for facing in (False, True)
+)
+
+
 class LeducGame(Game):
+    """The leduc engine.
+
+    hands, chips and round_bets are tuples replaced on change, and stock
+    is copied only in _advance_round, just before the public draw, so a
+    snapshot shares them all by reference and restore only assigns them.
+    """
+
     num_players = 2
 
     def _start(self) -> int:
         self.stock = stock = list(DECKS["leduc6"])
-        self.hands = [self.rng.draw(stock), self.rng.draw(stock)]  # private card id by seat
+        self.hands = (self.rng.draw(stock), self.rng.draw(stock))  # private card id by seat
         self.public: int | None = None  # card id
-        self.chips = [ANTE, ANTE]  # total contribution to the pot
+        self.chips = (ANTE, ANTE)  # total contribution to the pot
         self.round_index = 0
         self.raises = 0  # this round
         self.to_act = 0
         self.acted = 0  # moves made this round
-        self.round_bets = [0, 0]
+        self.round_bets = (0, 0)
         self.history = ""
         self._winner: int | None = None  # -1 split
         return 0
 
-    def facing_bet(self, seat: int) -> bool:
-        return self.round_bets[seat] < max(self.round_bets)
-
-    def _legal_moves(self) -> list[int]:
-        return list(round_legal_moves(self.facing_bet(self.to_act), self.raises))
+    def _legal_moves(self) -> tuple[int, ...]:
+        bets = self.round_bets
+        return _LEGAL[bets[self.to_act] < max(bets)][self.raises]
 
     def current_player(self) -> int:
         return self.to_act
@@ -91,18 +106,17 @@ class LeducGame(Game):
             self._winner = other
             return
         if move == RAISE:
-            owe = max(self.round_bets) - self.round_bets[seat]
-            put = owe + RAISE_SIZE[self.round_index]
-            self.round_bets[seat] += put
-            self.chips[seat] += put
+            put = max(self.round_bets) - self.round_bets[seat] + RAISE_SIZE[self.round_index]
+            self.round_bets = _add(self.round_bets, seat, put)
+            self.chips = _add(self.chips, seat, put)
             self.raises += 1
             self.acted += 1
             self.to_act = other
             return
         if move == CALL:
             owe = max(self.round_bets) - self.round_bets[seat]
-            self.round_bets[seat] += owe
-            self.chips[seat] += owe
+            self.round_bets = _add(self.round_bets, seat, owe)
+            self.chips = _add(self.chips, seat, owe)
             round_over = True
         else:  # CHECK
             round_over = self.acted >= 1
@@ -114,10 +128,12 @@ class LeducGame(Game):
 
     def _advance_round(self) -> None:
         if self.round_index == 0:
-            self.public = self.rng.draw(self.stock)
+            # earlier snapshots hold the old stock; draw from a copy
+            self.stock = stock = list(self.stock)
+            self.public = self.rng.draw(stock)
             self.round_index = 1
             self.raises = self.to_act = self.acted = 0
-            self.round_bets = [0, 0]
+            self.round_bets = (0, 0)
             self.history += "/"
         else:
             self._winner = showdown_winner(self.hands[0] % 3, self.hands[1] % 3, self.public % 3)
@@ -135,27 +151,23 @@ class LeducGame(Game):
 
     def snapshot(self):
         return (
-            tuple(self.hands),
+            self.hands,
             self.public,
-            tuple(self.chips),
-            tuple(self.round_bets),
+            self.chips,
+            self.round_bets,
             self.round_index,
             self.raises,
             self.to_act,
             self.acted,
             self.history,
             self._winner,
-            tuple(self.stock),
+            self.stock,
             self.rng.getstate(),
         )
 
     def restore(self, snap) -> None:
-        (hands, self.public, chips, bets, self.round_index, self.raises, self.to_act, self.acted,
-         self.history, self._winner, stock, rng_state) = snap
-        self.hands = list(hands)
-        self.chips = list(chips)
-        self.round_bets = list(bets)
-        self.stock = list(stock)
+        (self.hands, self.public, self.chips, self.round_bets, self.round_index, self.raises, self.to_act,
+         self.acted, self.history, self._winner, self.stock, rng_state) = snap
         self.rng.setstate(rng_state)
 
 

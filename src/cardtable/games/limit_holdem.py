@@ -37,6 +37,8 @@ BIG_BLIND = 2
 MAX_RAISES = 4
 _COMMUNITY_PER_ROUND = (0, 3, 1, 1)
 _MOVE_CHAR = {CALL: "c", RAISE: "r", FOLD: "f", CHECK: "k"}
+# legal moves in id order, indexed [facing a bet][a raise is left]
+_LEGAL = (((FOLD, CHECK), (RAISE, FOLD, CHECK)), ((CALL, FOLD), (CALL, RAISE, FOLD)))
 
 
 def card_name(cid: int) -> str:
@@ -99,13 +101,8 @@ class LimitHoldemGame(Game):
     def facing_bet(self, seat: int) -> bool:
         return self.round_bets[seat] < max(self.round_bets)
 
-    def _legal_moves(self) -> list[int]:
-        moves = [CALL] if self.facing_bet(self.to_act) else [CHECK]
-        if self.raises < MAX_RAISES:
-            moves.append(RAISE)
-        moves.append(FOLD)
-        moves.sort()
-        return moves
+    def _legal_moves(self) -> tuple[int, ...]:
+        return _LEGAL[self.facing_bet(self.to_act)][self.raises < MAX_RAISES]
 
     def current_player(self) -> int:
         return self.to_act

@@ -143,9 +143,9 @@ class UnoGame(Game):
     def current_player(self) -> int:
         return self.turn
 
-    def _legal_moves(self) -> list[int]:
+    def _legal_moves(self) -> tuple[int, ...]:
         if self.pending is not None:
-            return play_action_ids(self.pending) + [PASS_ACTION]
+            return (*play_action_ids(self.pending), PASS_ACTION)
         # playable()'s rule with the top read once; a wild top matches by color only
         top = self.discard[-1]
         color = self.declared if top >= 52 else top // 13
@@ -155,8 +155,8 @@ class UnoGame(Game):
             if held and (t >= 52 or t // 13 == color or t % 13 == symbol):
                 moves += play_action_ids(t)
         if not moves:  # stuck players draw, nobody draws voluntarily
-            moves.append(DRAW_ACTION)
-        return moves
+            return (DRAW_ACTION,)
+        return tuple(moves)
 
     def _apply(self, action_id: int) -> None:
         seat = self.turn

@@ -250,6 +250,11 @@ class TestMCCFR:
             assert abs(sum(probs) - 1.0) < 1e-12
             assert all(p >= 0 for p in probs)
 
+    @pytest.mark.parametrize("game_id", ["uno", "doudizhu", "mini_doudizhu"])
+    def test_refuses_games_it_cannot_traverse(self, game_id):
+        with pytest.raises(GameTooLarge, match=game_id):
+            MCCFRTrainer(EnvConfig(game_id))
+
     def test_trainer_restores_env_between_iterations(self):
         trainer = MCCFRTrainer(EnvConfig("leduc", seed=5))
         trainer.run(1)

@@ -48,7 +48,7 @@ class TestGamePlay:
         assert len(game.hand) == 2
         assert len(game.dealer_hand) == 2
         assert game.current_player() == 0
-        assert game.legal_moves() == [HIT, STAND]
+        assert game.legal_moves() == (HIT, STAND)
 
     def test_stand_plays_out_dealer_to_17(self):
         for seed in range(60):

@@ -47,6 +47,15 @@ MCCFR_LEDUC_2000_SHA256 = "811de2765782aa4ca03432318df0085bb88e598518d3bbe509eba
 QLEARN_BLACKJACK_5000_SHA256 = "dcc3367e58afd0b78f7ab1f976bad07ef68724d8954a2af949ae87958469e024"
 HOLDEM_3P_LOG_SHA256 = "ab0ccee60983b4f451953574b25bcceea503b47aa3fc567da6c654fac68f688a"
 
+# MCCFRTrainer(EnvConfig(game_id, seed=7, num_players=n)).run(iterations)
+# policy dumps: blackjack deals naturals that end the game before any
+# decision, and the hold'em pins cover two and three seats
+MCCFR_SHA256 = {
+    ("blackjack", None, 500): "a087571db57bc4629cc91f0cf3a2b2f167b72e79ee9e56df8d1c4caa0dcfe0a1",
+    ("limit_holdem", 2, 3): "c08234fa33a6f0dffee2af776c30d798068791b64f66fc6b6e88bcb987bdb91c",
+    ("limit_holdem", 3, 2): "a0567faf40970205e26678864a319f094d770e51812ed7daa45e3ed51733ac1d",
+}
+
 
 def _random_env(game_id: str, seed: int, num_players: int | None = None):
     env = make(EnvConfig(game_id, seed=seed, num_players=num_players))
@@ -104,6 +113,13 @@ def test_mccfr_leduc_policy_unchanged():
     trainer = MCCFRTrainer(EnvConfig("leduc", seed=SEED))
     trainer.run(2000)
     assert _sha256(trainer.policy().dumps()) == MCCFR_LEDUC_2000_SHA256
+
+
+@pytest.mark.parametrize("game_id,num_players,iterations", list(MCCFR_SHA256))
+def test_mccfr_policy_unchanged(game_id, num_players, iterations):
+    trainer = MCCFRTrainer(EnvConfig(game_id, seed=SEED, num_players=num_players))
+    trainer.run(iterations)
+    assert _sha256(trainer.policy().dumps()) == MCCFR_SHA256[game_id, num_players, iterations]
 
 
 def test_qlearn_blackjack_policy_unchanged():

@@ -143,7 +143,7 @@ class TestShuffleDeal:
             while not game.is_over():  # never fold, so the public card is dealt
                 game.step(picker.choice([m for m in game.legal_moves() if m != LEDUC_FOLD]))
             top = shuffled("leduc6", seed)[::-1]
-            assert game.hands + [game.public] == top[:3]
+            assert [*game.hands, game.public] == top[:3]
 
             game = LimitHoldemGame(rng_from_seed(seed), num_players=3)
             game.reset()

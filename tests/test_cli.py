@@ -254,6 +254,13 @@ class TestTrain:
         assert main(argv) == 0
         assert len(PolicyTable.load(str(out / "policy.txt"))) > 0
 
+    def test_mccfr_refuses_uno(self, tmp_path, capsys):
+        argv = ["train", "--algo", "mccfr", "--game", "uno", "--iters", "1", "--out", str(tmp_path / "m")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: MCCFR cannot traverse uno")
+        assert not (tmp_path / "m").exists()
+
     def test_out_is_required(self, capsys):
         assert main(["train", "--algo", "cfr", "--game", "leduc", "--iters", "1"]) == 1
         assert capsys.readouterr().err.startswith("error:")

@@ -1,5 +1,7 @@
 """Leduc engine rules and the exact tree's move-for-move equivalence."""
 
+import copy
+
 import pytest
 
 from cardtable.core.rng import Rng
@@ -46,11 +48,11 @@ class TestRules:
         game = LeducGame(Rng(1))
         game.reset()
         game.step(RAISE)
-        assert game.chips == [3, 1]
+        assert game.chips == (3, 1)
         game.step(CALL)
-        assert game.chips == [3, 3]
+        assert game.chips == (3, 3)
         game.step(RAISE)  # round 2 raise is 4
-        assert game.chips == [7, 3]
+        assert game.chips == (7, 3)
 
     def test_check_check_advances_round(self):
         game = LeducGame(Rng(2))
@@ -92,6 +94,30 @@ class TestRules:
             snaps.pop()
             assert game.snapshot() == snaps[-1]
         assert len(snaps) == 1
+
+    def test_snapshot_before_the_public_draw_survives_it(self):
+        """Snapshots share the state by reference: the draw and later steps leave them be."""
+        for seed in range(40):
+            game = LeducGame(Rng(seed), allow_step_back=True)
+            game.reset()
+            game.step(RAISE)
+            before = game.snapshot()
+            kept = copy.deepcopy(before)
+            state = (list(game.stock), game.public, game.chips, game.round_bets, game.rng.getstate())
+            game.step(CALL)  # ends round one: the public card is drawn
+            public = game.public
+            assert public is not None and public not in game.stock
+            game.step(RAISE)
+            game.step(CALL)
+            assert game.is_over()
+            assert before == kept
+            game.step_back()
+            game.step_back()
+            game.step_back()
+            assert (game.stock, game.public, game.chips, game.round_bets, game.rng.getstate()) == state
+            assert game.snapshot() == kept
+            game.step(CALL)
+            assert game.public == public
 
 
 class TestObserve:

@@ -100,7 +100,7 @@ def test_illegal_ids_are_rejected(game_id):
     env = tree_env(game_id)
     legal = env.game.legal_moves()
     illegal = next(a for a in range(env.num_actions + 1) if a not in legal)
-    before = legal.copy()
+    before = legal
     with pytest.raises(IllegalAction):
         env.step(illegal)
     with pytest.raises(IllegalMove):

@@ -90,7 +90,7 @@ class TestPlayability:
                         want = sorted(a for t in playable for a in play_action_ids(t))
                         assert sorted(legal) == want
                     else:
-                        assert legal == [DRAW_ACTION]
+                        assert legal == (DRAW_ACTION,)
                 assert PASS_ACTION in legal or game.pending is None
                 game.step(rng.choice(legal))
                 assert total_cards(game) == 108
@@ -192,7 +192,7 @@ class TestDrawing:
         game.declared = None
         give_hand(game, 0, [BLUE * 13 + 9])  # stuck
         game.pile = [RED * 13 + 7]  # will draw a playable card
-        assert game.legal_moves() == [DRAW_ACTION]
+        assert game.legal_moves() == (DRAW_ACTION,)
         game.step(DRAW_ACTION)
         assert game.pending == RED * 13 + 7
         assert game.turn == 0
