@@ -70,7 +70,7 @@ class MCCFRTrainer:
         for _ in range(iterations):
             for traverser in range(players):
                 seat = env._begin_game()
-                if not game.is_over():  # a blackjack natural ends at the deal
+                if not game.is_over():  # skip a game that ends at its deal
                     self._traverse(seat, traverser)
             self.iterations += 1
 

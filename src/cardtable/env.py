@@ -12,7 +12,12 @@ An Env is built from an EnvConfig by make() and exposes three modes:
   one step including every chance event (enable it with the
   allow_step_back config flag).
 * make_single_agent(): gym-style reset()/sa_step() where one learner
-  seat acts and every other seat is auto-played by a fixed agent.
+  seat acts and every other seat is auto-played by a fixed agent. The
+  auto-play loop follows the seat each step returns until it is the
+  learner's or the game is over, so it asks the game nothing between
+  moves. reset skips any seeded game that ends before the learner's
+  first decision. learner_seat must be an int seat (InvalidParam at
+  make_single_agent otherwise).
 
 Reproducibility contract: game number i of an Env seeded with S is
 played from the derived seed split_seed(S, i). The deal uses stream 0
@@ -49,6 +54,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
 
+from cardtable.core.contracts import int_param
 from cardtable.core.rng import Rng, split_seed
 from cardtable.errors import (
     AgentsNotSet,
@@ -370,24 +376,25 @@ class Env:
 
     # single-agent mode ---------------------------------------------------
 
-    def _autoplay_opponents(self) -> None:
-        while not self.game.is_over() and self.game.current_player() != self._sa_learner:
-            seat = self.game.current_player()
+    def _autoplay_opponents(self, seat: int | None) -> int | None:
+        """Play the opponents from seat on; returns the learner's seat, None when over."""
+        learner = self._sa_learner
+        while seat is not None and seat != learner:
             obs = self.extract_state(seat)
             action = self._sa_opponents[seat].eval_step(obs, self._agent_rngs[seat])
-            self._act(action, "opponent")
+            seat = self._act(action, "opponent")
+        return seat
 
     def reset(self) -> Observation:
         """Start episodes until the learner has a decision; returns their view."""
         if self._sa_learner is None:
             raise NotSingleAgentMode("env was not built by make_single_agent()")
         while True:
-            self._begin_game()
-            self._autoplay_opponents()
-            if not self.game.is_over():
+            seat = self._begin_game()
+            if not self.game.is_over() and self._autoplay_opponents(seat) is not None:
                 return self.extract_state(self._sa_learner)
-            # the opponents ended the game before the learner ever moved;
-            # skip to the next seeded game so reset always yields a decision
+            # the game ended before the learner ever moved; skip to the
+            # next seeded game so reset always yields a decision
 
     def sa_step(self, action_id: int):
         """Learner action in; (next obs, reward, done) out."""
@@ -395,9 +402,7 @@ class Env:
             raise NotSingleAgentMode("env was not built by make_single_agent()")
         if self.game.is_over():
             raise GameOver("episode finished; call reset()")
-        self._act(action_id, "learner")
-        self._autoplay_opponents()
-        if self.game.is_over():
+        if self._autoplay_opponents(self._act(action_id, "learner")) is None:
             obs = self.extract_state(self._sa_learner, terminal=True)
             reward = float(self.game.payoffs()[self._sa_learner])
             return obs, reward, True
@@ -425,8 +430,7 @@ def make_single_agent(config: EnvConfig, opponents, learner_seat: int = 0) -> En
     opponents = list(opponents)
     if len(opponents) != env.num_players - 1:
         raise AgentsNotSet(f"need {env.num_players - 1} opponents, got {len(opponents)}")
-    if not 0 <= learner_seat < env.num_players:
-        raise InvalidParam(f"learner_seat {learner_seat} out of range")
+    int_param("learner_seat", learner_seat, 0, env.num_players - 1)
     seats: list = [None] * env.num_players
     idx = 0
     for s in range(env.num_players):

@@ -208,7 +208,25 @@ def tree_policy_value(game, tables) -> tuple[float, ...]:
 def best_response(game, policy: PolicyTable, player: int, node_limit: int = NODE_LIMIT):
     """Exact best response for one player against a fixed policy.
 
-    Returns (br_policy, br_value). Pass 1 sweeps the compiled tree in
+    Returns (br_policy, br_value): br_policy plays, at each of the
+    player's info sets, the action _best_response_value chose there.
+    """
+    tree, best_action, br_value = _best_response_value(game, policy, player, node_limit)
+    br_policy = PolicyTable()
+    for i, key in enumerate(tree.keys):
+        if tree.info_seat[i] == player:
+            pick = best_action(i)
+            actions = tree.actions[i]
+            br_policy.set(key, actions, [1.0 if a == pick else 0.0 for a in range(len(actions))])
+    return br_policy, br_value
+
+
+def _best_response_value(game, policy: PolicyTable, player: int, node_limit: int = NODE_LIMIT):
+    """The best-response value for player, without building its policy.
+
+    Returns (tree, best_action, value): the compiled tree, the function
+    giving the best action's index at each of the player's info sets,
+    and the value of the tree's root. Pass 1 sweeps the compiled tree in
     preorder, recording every node's chance-and-opponent reach
     probability and grouping the responding player's nodes by info set;
     pass 2 picks, per info set, the action maximizing the reach-weighted
@@ -274,13 +292,7 @@ def best_response(game, policy: PolicyTable, player: int, node_limit: int = NODE
         chosen[i] = best
         return best
 
-    br_policy = PolicyTable()
-    for i, key in enumerate(tree.keys):
-        if tree.info_seat[i] == player:
-            pick = best_action(i)
-            actions = tree.actions[i]
-            br_policy.set(key, actions, [1.0 if a == pick else 0.0 for a in range(len(actions))])
-    return br_policy, value(0)
+    return tree, best_action, value(0)
 
 
 # independent leduc route: explicit hidden-state weights on the public tree
@@ -431,8 +443,8 @@ def exploitability(game_id: str, policy: PolicyTable) -> ExploitabilityReport:
     if game_id not in _ZERO_SUM_2P:
         raise NotZeroSum(f"{game_id} is not a two-player zero-sum game")
     tree = tree_for(game_id)  # limit_holdem raises GameTooLarge here
-    _, br0 = best_response(tree, policy, 0)
-    _, br1 = best_response(tree, policy, 1)
+    _, _, br0 = _best_response_value(tree, policy, 0)
+    _, _, br1 = _best_response_value(tree, policy, 1)
     return ExploitabilityReport(
         game_id=game_id,
         br_values=(br0, br1),

@@ -26,7 +26,7 @@ snapshots and captured views share them without copying.
 
 from __future__ import annotations
 
-from operator import add, sub
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -50,6 +50,7 @@ NUM_PLAYERS = 3
 _VARIANTS = {"full": ("doudizhu54", 17, 3), "mini": ("mini_doudizhu", 9, 1)}
 _DD_RANK = tuple(french_to_dd_rank(cid // 13, cid % 13) for cid in range(54))  # by french_joker id
 _NO_CARDS = (0,) * NUM_RANKS
+_LEVELS = np.arange(5).reshape(5, 1)  # the count each row of a plane stands for
 
 
 class DoudizhuGame(Game):
@@ -166,7 +167,7 @@ class DoudizhuGame(Game):
 
 def hand_literal(counts) -> str:
     """Rank characters of a count vector, ascending ("3344452BR")."""
-    return "".join(DD_RANK_NAMES[r] * counts[r] for r in range(NUM_RANKS))
+    return "".join(map(mul, DD_RANK_NAMES, counts))
 
 
 def capture(game: DoudizhuGame, seat: int, terminal: bool = False):
@@ -221,14 +222,16 @@ def encode_planes(raw: dict) -> np.ndarray:
 
     Plane 0 is the player's hand, plane 1 the union of the other two
     hands, planes 2-4 the three most recent moves (oldest first), and
-    plane 5 the union of everything played so far.
+    plane 5 the union of everything played so far. Row k of a plane is 1
+    at the ranks counted exactly k times, and row 4 also where more are.
+
+    The six count vectors become one (6, 15) array, clamped at 4, and a
+    single broadcast comparison against the levels 0..4 gives the one-hot
+    tensor: a fresh, writeable, C-contiguous int8 array of shape
+    (6, 5, 15).
     """
-    vecs = [raw["hand_counts"], raw["others_counts"], *raw["recent_counts"], raw["played_counts"]]
-    planes = np.zeros((6, 5, NUM_RANKS), dtype=np.int8)
-    for p, vec in enumerate(vecs):
-        for r in range(NUM_RANKS):
-            planes[p, min(vec[r], 4), r] = 1
-    return planes
+    counts = np.minimum((raw["hand_counts"], raw["others_counts"], *raw["recent_counts"], raw["played_counts"]), 4)
+    return (counts[:, None, :] == _LEVELS).astype(np.int8)
 
 
 def decode_action(game: DoudizhuGame, action_id: int) -> CardPattern:

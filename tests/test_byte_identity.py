@@ -16,7 +16,7 @@ import pytest
 from cardtable.agents import RandomAgent
 from cardtable.agents.mccfr import MCCFRTrainer
 from cardtable.agents.qlearning import QLearnParams, qlearn_train
-from cardtable.env import GAME_IDS, EnvConfig, make, make_single_agent, serialize_trajectories
+from cardtable.env import GAME_IDS, EnvConfig, game_spec, make, make_single_agent, serialize_trajectories
 
 SEED = 7
 LOG_GAMES = 200
@@ -48,12 +48,28 @@ QLEARN_BLACKJACK_5000_SHA256 = "dcc3367e58afd0b78f7ab1f976bad07ef68724d8954a2af9
 HOLDEM_3P_LOG_SHA256 = "ab0ccee60983b4f451953574b25bcceea503b47aa3fc567da6c654fac68f688a"
 
 # MCCFRTrainer(EnvConfig(game_id, seed=7, num_players=n)).run(iterations)
-# policy dumps: blackjack deals naturals that end the game before any
-# decision, and the hold'em pins cover two and three seats
+# policy dumps: blackjack covers the one-seat game (a natural still asks
+# for a decision), and the hold'em pins cover two and three seats
 MCCFR_SHA256 = {
     ("blackjack", None, 500): "a087571db57bc4629cc91f0cf3a2b2f167b72e79ee9e56df8d1c4caa0dcfe0a1",
     ("limit_holdem", 2, 3): "c08234fa33a6f0dffee2af776c30d798068791b64f66fc6b6e88bcb987bdb91c",
     ("limit_holdem", 3, 2): "a0567faf40970205e26678864a319f094d770e51812ed7daa45e3ed51733ac1d",
+}
+
+
+# make_single_agent(EnvConfig(game_id, seed=7), random opponents,
+# learner_seat) over SA_EPISODES resets, the learner choosing uniformly
+# with env.learner_rng: the game index each reset lands on, then the legal
+# ids, planes, reward and done flag of every observation. Dou dizhu seats
+# 1 and 2 see the opponents move before their first decision; at leduc
+# seat 1 the opponent often folds first, and reset skips those games.
+SA_EPISODES = 200
+SA_SHA256 = {
+    ("doudizhu", 0): "bdaa39000217155c1797e217ebf581e6b417aa6986b03649c622acbba3690e9d",
+    ("doudizhu", 1): "703027c44cb3e62779a66e3f35b9f47bbc65fcf5ccc2e4b96f4fedd4b90c38bb",
+    ("doudizhu", 2): "5956935a4573648f46408b5a9780d7942d6578c514fb43a7d6e756b4229b4d6e",
+    ("blackjack", 0): "0cced78ce64e2453eaa57e27240336595a414cc22d4505c03230913c95590f21",
+    ("leduc", 1): "e916dd7fce6031686e4256421a006fec0337495f7536109a4cfa934d5b86aa3a",
 }
 
 
@@ -91,6 +107,24 @@ def view_digest(game_id: str) -> str:
     return digest.hexdigest()
 
 
+def single_agent_digest(game_id: str, learner_seat: int) -> str:
+    opponents = [RandomAgent() for _ in range(game_spec(game_id).default_players - 1)]
+    env = make_single_agent(EnvConfig(game_id, seed=SEED), opponents, learner_seat)
+    digest = hashlib.sha256()
+    for _ in range(SA_EPISODES):
+        obs, reward, done = env.reset(), 0.0, False
+        digest.update(f"game {env.game_index}".encode())
+        rng = env.learner_rng
+        while True:
+            digest.update(repr((obs.legal_action_ids, reward, done)).encode())
+            digest.update(obs.planes.tobytes())
+            if done:
+                break
+            legal = obs.legal_action_ids
+            obs, reward, done = env.sa_step(legal[rng.randbelow(len(legal))])
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("game_id", GAME_IDS)
 def test_selfplay_logs_unchanged(game_id):
     assert log_digest(game_id) == LOG_SHA256[game_id]
@@ -103,6 +137,11 @@ def test_observation_views_unchanged(game_id):
 
 def test_three_player_holdem_log_unchanged():
     assert log_digest("limit_holdem", num_players=3) == HOLDEM_3P_LOG_SHA256
+
+
+@pytest.mark.parametrize("game_id,learner_seat", list(SA_SHA256))
+def test_single_agent_stream_unchanged(game_id, learner_seat):
+    assert single_agent_digest(game_id, learner_seat) == SA_SHA256[game_id, learner_seat]
 
 
 def _sha256(text: str) -> str:

@@ -8,15 +8,21 @@ the production enumerator to agree triple for triple on random hands.
 import copy
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cardtable.agents import RandomAgent
 from cardtable.core.rng import Rng
+from cardtable.env import EnvConfig, make
 from cardtable.errors import IllegalMove, InvalidParam, NoConcreteMove
 from cardtable.games.doudizhu import DoudizhuGame, capture, encode_planes, hand_literal, observe
 from cardtable.games.doudizhu_patterns import (
     ABSTRACT_ACTIONS,
     ACTION_INDEX,
     NUM_ACTIONS,
+    NUM_RANKS,
     PASS,
     PASS_ID,
     ROCKET,
@@ -505,3 +511,42 @@ class TestObserve:
         for r in range(15):
             assert planes[0, raw["hand_counts"][r], r] == 1
         assert planes.sum() == 6 * 15  # each column one-hot in every plane
+
+
+def oracle_planes(raw):
+    """The plane encoder as 90 scalar writes, frozen as the reference."""
+    vecs = [raw["hand_counts"], raw["others_counts"], *raw["recent_counts"], raw["played_counts"]]
+    planes = np.zeros((6, 5, NUM_RANKS), dtype=np.int8)
+    for p, vec in enumerate(vecs):
+        for r in range(NUM_RANKS):
+            planes[p, min(vec[r], 4), r] = 1
+    return planes
+
+
+def assert_planes_match_oracle(raw):
+    planes = encode_planes(raw)
+    assert planes.dtype == np.int8 and planes.shape == (6, 5, NUM_RANKS)
+    assert planes.flags.c_contiguous and planes.flags.writeable and planes.flags.owndata
+    assert planes.tobytes() == oracle_planes(raw).tobytes()
+
+
+_COUNTS = st.tuples(*[st.integers(0, 6)] * NUM_RANKS)  # past 4, so the clamp is exercised
+
+
+class TestPlanesAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(hand=_COUNTS, others=_COUNTS, recent=st.tuples(_COUNTS, _COUNTS, _COUNTS), played=_COUNTS)
+    def test_drawn_count_vectors(self, hand, others, recent, played):
+        raw = {"hand_counts": hand, "others_counts": others, "recent_counts": recent, "played_counts": played}
+        assert_planes_match_oracle(raw)
+
+    @pytest.mark.parametrize("game_id", ["doudizhu", "mini_doudizhu"])
+    def test_every_observation_of_seeded_games(self, game_id):
+        env = make(EnvConfig(game_id, seed=7))
+        env.set_agents([RandomAgent() for _ in range(3)])
+        for _ in range(20):
+            trajectories, _ = env.run()
+            for trajectory in trajectories:
+                for t in trajectory.transitions:
+                    assert_planes_match_oracle(t.state.raw)
+                    assert_planes_match_oracle(t.next_state.raw)

@@ -201,6 +201,11 @@ class TestSingleAgentMode:
         with pytest.raises(InvalidParam):
             make_single_agent(EnvConfig("leduc"), [RandomAgent()], learner_seat=2)
 
+    @pytest.mark.parametrize("seat", [1.0, "1", True], ids=["float", "str", "bool"])
+    def test_learner_seat_must_be_an_int(self, seat):
+        with pytest.raises(InvalidParam, match="learner_seat"):
+            make_single_agent(EnvConfig("leduc"), [RandomAgent()], learner_seat=seat)
+
     def test_matches_run_mode_payoffs(self):
         # the same seats, streams, and uniform play in both modes
         config = EnvConfig("leduc", seed=77)
