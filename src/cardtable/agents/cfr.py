@@ -1,17 +1,56 @@
 """Vanilla counterfactual regret minimization on exact game trees.
 
-Every iteration walks the whole tree once, expanding chance nodes by
-their exact outcome probabilities, so the regret and average-strategy
-accumulators carry no sampling noise. Both players update on the same
-walk, and the average strategy weights every iteration uniformly. The
-average policy is what converges; the current regret-matched strategy
-is only the exploration vehicle.
+Every iteration sweeps the whole tree, expanding chance nodes by their
+exact outcome probabilities, so the regret and average-strategy
+accumulators carry no sampling noise. Both players update in the same
+iteration, and the average strategy weights every iteration uniformly.
+The average policy is what converges; the current regret-matched
+strategy is only the exploration vehicle.
+
+The updates keep the order of a depth-first walk that updates in
+place: a decision node reads its info set's regret-matched strategy
+when the walk enters it, and adds its regret and strategy-sum updates
+when the walk leaves it. So a node sees this iteration's updates from
+exactly those nodes of its info set that precede it in preorder and are
+not its ancestors. Textbook vanilla CFR holds the strategy fixed for the
+whole iteration instead; switching would change every output.
+
+The sweep keeps that order without walking. A WaveSchedule, built once
+per compiled tree, splits each iteration into waves:
+
+- a node's read wave is 0 if no node of its info set precedes it in
+  that sense, else one more than the largest done wave among those that
+  do;
+- a node's done wave is the largest read wave among the node, its
+  ancestors and its descendants: the first wave that knows both its
+  reach and its subtree's values.
+
+On leduc this gives 5 waves. A wave regret-matches the info sets read
+in it, pushes reach down and values up the tree one depth level at a
+time, then adds the updates of the nodes done in it in the walk's
+postorder (add.at where one slot updates twice in a wave). Its sums run
+in the walk's order too: only elementwise operations, take, bincount
+and add.at, no pairwise reductions. So every accumulator is bit-equal
+to the walk's.
+
+The walk returned 0 at a decision node whose two player reaches are both
+0, and created the node's info set only when one reach was nonzero. The
+sweep computes such a node's value anyway, but the value only meets an
+accumulator multiplied by an exact zero: the edge into the first such
+node on a path has strategy probability 0 at an acting node whose
+opponent reach, and so counterfactual weight, is 0. An info set is
+marked visited where one of its nodes has a nonzero player reach.
 """
 
 from __future__ import annotations
 
+import weakref
+from typing import NamedTuple
+
+import numpy as np
+
 from cardtable.agents.policy import PolicyTable, average_policy
-from cardtable.trees import CHANCE, NODE_LIMIT, TERMINAL, compiled_tree
+from cardtable.trees import CHANCE, DECISION, NODE_LIMIT, TERMINAL, CompiledTree, compiled_tree
 
 
 def regret_matching(regrets) -> list[float]:
@@ -23,105 +62,277 @@ def regret_matching(regrets) -> list[float]:
     return [p / total for p in positives]
 
 
+class _Wave(NamedTuple):
+    """Index arrays for one wave of a WaveSchedule.
+
+    read_slots, read_group   action slots of the info sets read in this
+                             wave, set by set, and the set of each (0,
+                             1, ... within the wave), for bincount
+    read_sets, read_uniform  the number of those sets; 1 / width per slot
+    sigma_from               read slot that gives each edge out of a
+                             node read in this wave its probability
+    sigma_prob, sigma_reach  those edges in the buffer's edge-probability
+                             row and in the reach multipliers
+    gather                   (6, E) buffer indices for the E edges out of
+                             the nodes done in this wave, in postorder:
+                             child value, node value, chance reach,
+                             opponent reach, own reach, edge probability
+    sign                     1.0 at a seat 0 edge, -1.0 at a seat 1 edge
+    slots, sets              action slot and info set of each done edge
+    repeats                  whether a slot repeats, so that add.at must
+                             apply the repeats in order
+    """
+
+    read_slots: np.ndarray
+    read_group: np.ndarray
+    read_sets: int
+    read_uniform: np.ndarray
+    sigma_from: np.ndarray
+    sigma_prob: np.ndarray
+    sigma_reach: np.ndarray
+    gather: np.ndarray
+    sign: np.ndarray
+    slots: np.ndarray
+    sets: np.ndarray
+    repeats: bool
+
+
+def _intp(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.intp)
+
+
+class WaveSchedule:
+    """A compiled tree laid out for CFR sweeps, and its waves.
+
+    Nodes take positions in level order (by depth, then preorder), so a
+    depth level is a slice and the children of a node are adjacent and
+    in action order. A sweep works on one float buffer of 5 * size
+    entries: the two player reaches of each position, interleaved, then
+    one row each of values (player 0's), edge probabilities (of the
+    chance outcome or current strategy that leads into a position) and
+    chance reach, which no strategy changes. `down` lists the levels
+    whose reach a sweep pushes, `up` the levels whose values it sums
+    into their parents', deepest first.
+
+    Built once per compiled tree by wave_schedule and shared by every
+    trainer of the tree; deepcopy returns the same object.
+    """
+
+    def __init__(self, tree: CompiledTree):
+        kind, children, info, seat = tree.kind, tree.children, tree.info, tree.seat
+        n = self.size = tree.num_nodes
+        offsets = [0]
+        for acts in tree.actions:
+            offsets.append(offsets[-1] + len(acts))
+        self.offsets = offsets
+        self.num_slots = offsets[-1]
+        pos, parent, bounds, depth = _level_order(tree)
+
+        # reach matters down to the deepest decision level, values up to
+        # the shallowest one
+        decision_depths = [depth[node] for node in range(n) if kind[node] == DECISION]
+        top, bottom = min(decision_depths, default=0), max(decision_depths, default=-1)
+        self.down, self.up = [], []
+        for k in range(1, len(bounds) - 1):
+            lo, hi, plo, phi = bounds[k], bounds[k + 1], bounds[k - 1], bounds[k]
+            if k <= bottom:
+                pairs = [2 * p + s for p in parent[lo:hi] for s in (0, 1)]
+                self.down.append((2 * lo, 2 * hi, _intp(pairs)))
+            if k > top:
+                self.up.append((lo, hi, plo, phi, _intp(parent[lo:hi]) - plo))
+        self.up.reverse()
+
+        self.base = np.zeros(n)  # player 0's payoff at terminal positions, else 0
+        self.multipliers = np.ones(2 * n)  # reach factors of the edge into each position
+        self.buffer = np.zeros(5 * n)
+        self.buffer[0:2] = 1.0  # the root's player reaches
+        value, edge_prob, chance_reach = (self.buffer[k * n : (k + 1) * n] for k in (2, 3, 4))
+        chance_reach[0] = 1.0
+        for node in range(n):  # preorder, so chance reach is the walk's product
+            p = pos[node]
+            if kind[node] == CHANCE:
+                for child, prob in zip(children[node], tree.probs[node]):
+                    edge_prob[pos[child]] = prob
+                    chance_reach[pos[child]] = chance_reach[p] * prob
+            elif kind[node] == DECISION:
+                for child in children[node]:
+                    chance_reach[pos[child]] = chance_reach[p]
+            else:
+                self.base[p] = tree.payoff[node]
+        value[:] = self.base
+
+        read, done, postorder = _wave_numbers(tree)
+        self.waves = []
+        for w in range(max(done, default=-1) + 1):
+            readers = [node for node in range(n) if read[node] == w]
+            sets = sorted({info[node] for node in readers})
+            local = {}
+            read_slots, read_group, read_uniform = [], [], []
+            for g, i in enumerate(sets):
+                for slot in range(offsets[i], offsets[i + 1]):
+                    local[slot] = len(read_slots)
+                    read_slots.append(slot)
+                    read_group.append(g)
+                    read_uniform.append(1.0 / (offsets[i + 1] - offsets[i]))
+            sigma_from, sigma_prob, sigma_reach = [], [], []
+            for node in readers:
+                for a, child in enumerate(children[node]):
+                    sigma_from.append(local[offsets[info[node]] + a])
+                    sigma_prob.append(3 * n + pos[child])
+                    sigma_reach.append(2 * pos[child] + seat[node])
+            gather, sign, slots, edge_sets = [], [], [], []
+            for node in postorder:
+                if done[node] != w:
+                    continue
+                p, s = pos[node], seat[node]
+                for a, child in enumerate(children[node]):
+                    c = pos[child]
+                    gather.append((2 * n + c, 2 * n + p, 4 * n + p, 2 * p + 1 - s, 2 * p + s, 3 * n + c))
+                    sign.append(-1.0 if s else 1.0)
+                    slots.append(offsets[info[node]] + a)
+                    edge_sets.append(info[node])
+            self.waves.append(
+                _Wave(
+                    read_slots=_intp(read_slots),
+                    read_group=_intp(read_group),
+                    read_sets=len(sets),
+                    read_uniform=np.array(read_uniform),
+                    sigma_from=_intp(sigma_from),
+                    sigma_prob=_intp(sigma_prob),
+                    sigma_reach=_intp(sigma_reach),
+                    gather=_intp(gather).T.copy(),
+                    sign=np.array(sign),
+                    slots=_intp(slots),
+                    sets=_intp(edge_sets),
+                    repeats=len(set(slots)) < len(slots),
+                )
+            )
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+def _level_order(tree: CompiledTree):
+    """(position of each node, parent position of each position, level
+    bounds, depth of each node) for the level order of the nodes."""
+    n, children = tree.num_nodes, tree.children
+    depth = [0] * n
+    for node in range(n):  # preorder: a parent comes before its children
+        for child in children[node]:
+            depth[child] = depth[node] + 1
+    order = sorted(range(n), key=lambda node: (depth[node], node))
+    pos = [0] * n
+    for p, node in enumerate(order):
+        pos[node] = p
+    parent = [0] * n
+    for node in range(n):
+        for child in children[node]:
+            parent[pos[child]] = pos[node]
+    starts = [p for p in range(1, n) if depth[order[p]] != depth[order[p - 1]]]
+    return pos, parent, [0, *starts, n], depth
+
+
+def _wave_numbers(tree: CompiledTree):
+    """(read wave, done wave, decision nodes in postorder); -1 off decisions."""
+    kind, children, info = tree.kind, tree.children, tree.info
+    read = [-1] * tree.num_nodes
+    done = [-1] * tree.num_nodes
+    last_done = [-1] * len(tree.keys)  # largest done wave of a set's finished nodes
+    postorder: list[int] = []
+
+    def visit(node: int, above: int) -> int:
+        """Largest read wave in node's subtree; above is its ancestors'."""
+        if kind[node] == DECISION:
+            i = info[node]
+            read[node] = last_done[i] + 1
+            above = max(above, read[node])
+        below = -1
+        for child in children[node]:
+            below = max(below, visit(child, above))
+        if kind[node] != DECISION:
+            return below
+        done[node] = max(above, below)
+        last_done[i] = max(last_done[i], done[node])
+        postorder.append(node)
+        return max(below, read[node])
+
+    visit(0, -1)
+    return read, done, postorder
+
+
+_SCHEDULES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def wave_schedule(tree: CompiledTree) -> WaveSchedule:
+    """The WaveSchedule of a compiled tree, built once per tree."""
+    schedule = _SCHEDULES.get(tree)
+    if schedule is None:
+        schedule = _SCHEDULES[tree] = WaveSchedule(tree)
+    return schedule
+
+
 class CFRTrainer:
     """Simultaneous-update vanilla CFR over a two-player TreeGame.
 
-    Walks the game's compiled tree (trees.compiled_tree), shared by every
-    trainer of the same tree and never copied by deepcopy. Keeps one
-    cumulative-regret vector and one cumulative-strategy vector per
-    info-set index, aligned with the info set's legal actions, created
-    at the set's first visit. run() is incremental, so callers can
+    Sweeps the game's compiled tree (trees.compiled_tree) on its
+    WaveSchedule; both are shared by every trainer of the same tree and
+    never copied by deepcopy. Keeps the cumulative regrets and strategy
+    sums as flat float arrays with one slot per (info set, legal
+    action), info set i owning slots schedule.offsets[i] up to
+    offsets[i + 1], and marks an info set visited at the first iteration
+    in which one of its nodes has a nonzero player reach; policy()
+    covers the visited sets. run() is incremental, so callers can
     snapshot the average policy at checkpoints without restarting.
-
-    Regrets update in place during the walk: nodes of an info set that
-    the walk reaches later in an iteration already see that iteration's
-    earlier regret updates to the set. Textbook vanilla CFR holds the
-    strategy fixed for a whole iteration instead. Switching would change
-    every output of this trainer.
     """
 
     def __init__(self, game, node_limit: int = NODE_LIMIT):
         self.tree = compiled_tree(game, node_limit)  # raises GameTooLarge before any work
+        self.schedule = wave_schedule(self.tree)
         self.iterations = 0
-        self.regrets: list[list[float] | None] = [None] * len(self.tree.keys)
-        self.strategy_sum: list[list[float] | None] = [None] * len(self.tree.keys)
+        self.regrets = np.zeros(self.schedule.num_slots)
+        self.strategy_sum = np.zeros(self.schedule.num_slots)
+        self.visited = np.zeros(len(self.tree.keys), dtype=bool)
 
     def run(self, iterations: int) -> None:
-        walk = self._walker()
+        s = self.schedule
+        regrets, strategy_sum, visited = self.regrets, self.strategy_sum, self.visited
+        buffer, multipliers = s.buffer.copy(), s.multipliers.copy()
+        n = s.size
+        reach, value, edge_prob = buffer[: 2 * n], buffer[2 * n : 3 * n], buffer[3 * n : 4 * n]
         for _ in range(iterations):
-            walk(0, 1.0, 1.0, 1.0)
+            for wave in s.waves:
+                positives = np.maximum(regrets[wave.read_slots], 0.0)
+                totals = np.bincount(wave.read_group, positives, wave.read_sets)[wave.read_group]
+                sigma = np.divide(positives, totals, out=wave.read_uniform.copy(), where=totals > 0.0)
+                sigma = sigma[wave.sigma_from]
+                buffer[wave.sigma_prob] = sigma
+                multipliers[wave.sigma_reach] = sigma
+                for lo, hi, parents in s.down:
+                    np.multiply(reach[parents], multipliers[lo:hi], out=reach[lo:hi])
+                for lo, hi, plo, phi, group in s.up:
+                    sums = np.bincount(group, value[lo:hi] * edge_prob[lo:hi], phi - plo)
+                    np.add(sums, s.base[plo:phi], out=value[plo:phi])
+                # player 1's values are player 0's negated, hence the sign;
+                # an edge whose weight is 0 adds an exact 0
+                child, node, chance, other, own, prob = buffer[wave.gather]
+                regret_delta = chance * other * ((child - node) * wave.sign)
+                strategy_delta = own * prob
+                if wave.repeats:
+                    np.add.at(regrets, wave.slots, regret_delta)
+                    np.add.at(strategy_sum, wave.slots, strategy_delta)
+                else:
+                    regrets[wave.slots] += regret_delta
+                    strategy_sum[wave.slots] += strategy_delta
+                visited[wave.sets[(own != 0.0) | (other != 0.0)]] = True
             self.iterations += 1
 
     def policy(self) -> PolicyTable:
         """Normalized average strategy; unvisited keys fall back to uniform."""
-        tree = self.tree
+        tree, offsets = self.tree, self.schedule.offsets
         return average_policy(
-            (tree.keys[i], tree.actions[i], weights)
-            for i, weights in enumerate(self.strategy_sum)
-            if weights is not None
+            (tree.keys[i], tree.actions[i], self.strategy_sum[offsets[i] : offsets[i + 1]].tolist())
+            for i in np.flatnonzero(self.visited).tolist()
         )
-
-    def _walker(self):
-        """One iteration's depth-first walk, bound to this trainer's tables."""
-        tree = self.tree
-        kind, children, chance_probs = tree.kind, tree.children, tree.probs
-        seat_of, info_of, payoff = tree.seat, tree.info, tree.payoff
-        regrets, strategy_sum = self.regrets, self.strategy_sum
-
-        def walk(node: int, reach0: float, reach1: float, reach_c: float):
-            """Both players' expected values under the current strategies.
-
-            Decision nodes read terminal children in place rather than
-            walking them, which saves most of the calls.
-            """
-            k = kind[node]
-            if k == TERMINAL:
-                pay = payoff[node]
-                return pay, -pay
-            if k == CHANCE:
-                v0 = v1 = 0.0
-                for child, prob in zip(children[node], chance_probs[node]):
-                    c0, c1 = walk(child, reach0, reach1, reach_c * prob)
-                    v0 += prob * c0
-                    v1 += prob * c1
-                return v0, v1
-            if reach0 == 0.0 and reach1 == 0.0:
-                # no update anywhere below can carry weight
-                return 0.0, 0.0
-            i = info_of[node]
-            regr = regrets[i]
-            if regr is None:
-                regr = regrets[i] = [0.0] * len(children[node])
-                strategy_sum[i] = [0.0] * len(regr)
-            strategy = regret_matching(regr)
-            seat = seat_of[node]
-            values = []  # the acting seat's value of each action
-            v0 = v1 = 0.0
-            for prob, child in zip(strategy, children[node]):
-                pay = payoff[child]
-                if pay is not None:
-                    c0, c1 = pay, -pay
-                elif seat == 0:
-                    c0, c1 = walk(child, reach0 * prob, reach1, reach_c)
-                else:
-                    c0, c1 = walk(child, reach0, reach1 * prob, reach_c)
-                values.append(c1 if seat else c0)
-                v0 += prob * c0
-                v1 += prob * c1
-            if seat == 0:
-                counterfactual, mine, my_reach = reach_c * reach1, v0, reach0
-            else:
-                counterfactual, mine, my_reach = reach_c * reach0, v1, reach1
-            if counterfactual:
-                for a, value in enumerate(values):
-                    regr[a] += counterfactual * (value - mine)
-            if my_reach:
-                strat_sum = strategy_sum[i]
-                for a, prob in enumerate(strategy):
-                    strat_sum[a] += my_reach * prob
-            return v0, v1
-
-        return walk
 
 
 def cfr_train(game, iterations: int, node_limit: int = NODE_LIMIT) -> PolicyTable:

@@ -10,7 +10,9 @@ Config files are flat key=value text, one per line, with # comments.
 Keys mirror the long flags (game, seed, algo, iters, episodes, games,
 workers, agents, out); game-specific engine parameters use the
 param.NAME=value form, mirroring repeatable --param NAME=value flags.
-Flags win over file values.
+Flags win over file values. The counts iters, episodes and games must
+be integers of at least 0, and workers of at least 1, or the command
+fails with InvalidParam naming the key before any work starts.
 
 Exit codes: 0 success, 2 command-line usage errors, 1 anything that
 fails at run time.
@@ -34,6 +36,7 @@ from cardtable.agents import (
     RandomAgent,
     qlearn_train,
 )
+from cardtable.core.contracts import int_param
 from cardtable.env import GAME_IDS, EnvConfig, game_spec, make_single_agent
 from cardtable.errors import CardTableError, GameTooLarge, ParseError
 from cardtable.evaluation import count_info_sets, exploitability, tournament
@@ -89,6 +92,10 @@ class _Merged:
         if key in self.file:
             return _coerce(self.file[key])
         return default
+
+    def count(self, key: str, default: int, lo: int = 0) -> int:
+        """An integer flag or config value of at least lo; InvalidParam naming key."""
+        return int_param(key, self.get(key, default), lo)
 
     def seed(self) -> int:
         flag = getattr(self.args, "seed", None)
@@ -170,8 +177,8 @@ def _agent_list(merged: _Merged, config: EnvConfig):
 def _cmd_selfplay(args) -> int:
     merged = _Merged(args)
     config = merged.env_config()
-    n_games = int(merged.get("games", 1000))
-    workers = int(merged.get("workers", 1))
+    n_games = merged.count("games", 1000)
+    workers = merged.count("workers", 1, lo=1)
     spec = RolloutSpec(
         env_config=config,
         agents=("random",) * config.resolved_players(),
@@ -195,27 +202,27 @@ def _cmd_train(args) -> int:
     algo = merged.get("algo")
     config = merged.env_config()
     seed = merged.seed()
+    out = merged.get("out")
+    if out is None:
+        raise ParseError("train needs --out to store the policy")
     if algo == "cfr":
-        iters = int(merged.get("iters", 1000))
+        iters = merged.count("iters", 1000)
         trainer = CFRTrainer(config.game_id)
         trainer.run(iters)
         policy, detail = trainer.policy(), f"{iters} iterations"
     elif algo == "mccfr":
-        iters = int(merged.get("iters", 1000))
+        iters = merged.count("iters", 1000)
         trainer = MCCFRTrainer(config)
         trainer.run(iters)
         policy, detail = trainer.policy(), f"{iters} iterations"
     elif algo == "qlearn":
-        episodes = int(merged.get("episodes", 10000))
+        episodes = merged.count("episodes", 10000)
         seats = config.resolved_players()
         env = make_single_agent(config, opponents=[RandomAgent() for _ in range(seats - 1)])
         table = qlearn_train(env, episodes, QLearnParams())
         policy, detail = table.greedy_policy(), f"{episodes} episodes"
     else:  # random: an empty table plays uniform everywhere
         policy, detail = PolicyTable(), "no training"
-    out = merged.get("out")
-    if out is None:
-        raise ParseError("train needs --out to store the policy")
     _write_outputs(out, {"policy.txt": policy.dumps()}, "train", merged.manifest_config(algo=algo))
     print(f"trained {algo} on {config.game_id} ({detail}, seed {seed}): {len(policy)} info sets -> {out}/policy.txt")
     return 0
@@ -224,7 +231,7 @@ def _cmd_train(args) -> int:
 def _cmd_tournament(args) -> int:
     merged = _Merged(args)
     config = merged.env_config()
-    n_games = int(merged.get("games", 10000))
+    n_games = merged.count("games", 10000)
     agents, names = _agent_list(merged, config)
     result = tournament(config, agents, n_games)
     table = result.csv_table()
@@ -278,8 +285,8 @@ def _cmd_census(args) -> int:
 def _cmd_bench(args) -> int:
     merged = _Merged(args)
     config = merged.env_config()
-    n_games = int(merged.get("games", 1000))
-    workers = int(merged.get("workers", 1))
+    n_games = merged.count("games", 1000)
+    workers = merged.count("workers", 1, lo=1)
     report = bench(config.game_id, n_games, workers, seed=merged.seed())
     print(BenchReport.csv_header())
     print(report.csv_row())

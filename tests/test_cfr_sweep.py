@@ -1,0 +1,158 @@
+"""The wave-scheduled CFR sweep against the depth-first walk it replaced.
+
+walk_cfr.CFRTrainer is the old in-place walk, kept verbatim. On every
+tree below, after 1, 2, 10, 100 and 1000 iterations, the sweep's
+regrets and strategy sums must be bit-equal to the walk's, its visited
+info sets the walk's created ones, and its policy file the same text.
+"""
+
+import pytest
+
+from cardtable.agents import CFRTrainer
+from cardtable.agents.cfr import wave_schedule
+from cardtable.trees import compile_tree, compiled_tree
+
+import walk_cfr
+from test_trees import CoinTree
+
+CHECKPOINTS = (1, 2, 10, 100, 1000)
+
+
+class SpecTree:
+    """TreeGame over nested tuples, for hand-built trees:
+
+    ("chance", ((prob, child), ...))
+    ("decide", seat, info key, (child, ...))   actions are 0, 1, ...
+    ("end", player 0 payoff)
+    """
+
+    def __init__(self, root):
+        self._root = root
+
+    def root(self):
+        return self._root
+
+    def is_terminal(self, node):
+        return node[0] == "end"
+
+    def is_chance(self, node):
+        return node[0] == "chance"
+
+    def chance_outcomes(self, node):
+        return [(child, prob) for prob, child in node[1]]
+
+    def player(self, node):
+        return node[1]
+
+    def info_key(self, node):
+        return node[2]
+
+    def actions(self, node):
+        return tuple(range(len(node[3])))
+
+    def child(self, node, action):
+        return node[3][action]
+
+    def payoffs(self, node):
+        return (node[1], -node[1])
+
+
+def end(payoff):
+    return ("end", payoff)
+
+
+# seat 0 picks a side; seat 1 guesses it without seeing it, so the two
+# children of the root share one info set
+PENNIES = SpecTree(
+    ("decide", 0, "pick", (("decide", 1, "guess", (end(2), end(-1))), ("decide", 1, "guess", (end(-1), end(1)))))
+)
+
+
+def _zero_reach_branch(deep_key):
+    """After one update, seat 0 never plays "a" action 1 and seat 1 never
+    plays "b" action 1, so both reaches of the deep node are exactly 0."""
+    deep = ("decide", 0, deep_key, (end(3), ("decide", 1, "d", (end(2), end(-2)))))
+    return ("decide", 0, "a", (end(1), ("decide", 1, "b", (end(-1), deep))))
+
+
+# the second branch reads "a" and "b" after the first has updated them,
+# so its deep node is dead from the first iteration on and the walk
+# never creates its info set "e"
+ZERO_REACH = SpecTree(("chance", ((0.5, _zero_reach_branch("c")), (0.5, _zero_reach_branch("e")))))
+
+# one info set at a node and at its child: both update in the same wave
+ABSENT_MINDED = SpecTree(("decide", 0, "x", (end(0), ("decide", 0, "x", (end(4), end(1))))))
+
+TREES = {
+    "leduc": "leduc",
+    "coin": CoinTree(),
+    "pennies": PENNIES,
+    "zero_reach": ZERO_REACH,
+    "absent_minded": ABSENT_MINDED,
+}
+
+
+def sweep_accumulators(trainer):
+    """Per info set: (regret hexes, strategy-sum hexes), or None if unvisited."""
+    offsets = trainer.schedule.offsets
+    out = []
+    for i in range(len(trainer.tree.keys)):
+        if not trainer.visited[i]:
+            out.append(None)
+            continue
+        lo, hi = offsets[i], offsets[i + 1]
+        out.append((hexes(trainer.regrets[lo:hi].tolist()), hexes(trainer.strategy_sum[lo:hi].tolist())))
+    return out
+
+
+def walk_accumulators(trainer):
+    return [
+        None if regrets is None else (hexes(regrets), hexes(sums))
+        for regrets, sums in zip(trainer.regrets, trainer.strategy_sum)
+    ]
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_sweep_is_bit_equal_to_the_walk(name):
+    sweep, walk = CFRTrainer(TREES[name]), walk_cfr.CFRTrainer(TREES[name])
+    assert sweep.tree is walk.tree
+    done = 0
+    for n in CHECKPOINTS:
+        sweep.run(n - done)
+        walk.run(n - done)
+        done = n
+        assert sweep.iterations == walk.iterations == n
+        assert sweep_accumulators(sweep) == walk_accumulators(walk), f"{name} after {n} iterations"
+        assert sweep.policy().dumps() == walk.policy().dumps(), f"{name} after {n} iterations"
+
+
+def test_the_hand_built_trees_reach_their_cases():
+    trainer = CFRTrainer(ZERO_REACH)
+    trainer.run(3)
+    assert "e" not in trainer.policy() and "c" in trainer.policy()
+    assert any(wave.repeats for wave in CFRTrainer(ABSENT_MINDED).schedule.waves)
+    assert len(CFRTrainer(PENNIES).schedule.waves) == 2
+
+
+def test_leduc_schedule():
+    schedule = wave_schedule(compiled_tree("leduc"))
+    assert len(schedule.waves) == 5
+    assert not any(wave.repeats for wave in schedule.waves)
+    assert schedule.num_slots == 768 and schedule.offsets[-1] == 768
+
+
+def test_schedule_is_built_once_per_tree():
+    tree = compiled_tree("leduc")
+    assert wave_schedule(tree) is wave_schedule(tree)
+    assert CFRTrainer("leduc").schedule is CFRTrainer("leduc").schedule is wave_schedule(tree)
+    assert wave_schedule(compile_tree(CoinTree())) is not wave_schedule(compile_tree(CoinTree()))
+
+
+def test_a_tree_without_decisions_counts_iterations_only():
+    trainer = CFRTrainer(SpecTree(("chance", ((0.25, end(1)), (0.75, end(-1))))))
+    trainer.run(4)
+    assert trainer.iterations == 4 and len(trainer.policy()) == 0

@@ -265,6 +265,64 @@ class TestTrain:
         assert main(["train", "--algo", "cfr", "--game", "leduc", "--iters", "1"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_out_is_checked_before_any_trainer_is_built(self, monkeypatch, capsys):
+        def no_trainer(*args, **kwargs):
+            pytest.fail("a trainer was built for a run that cannot store its policy")
+
+        monkeypatch.setattr(cli, "CFRTrainer", no_trainer)
+        assert main(["train", "--algo", "cfr", "--game", "leduc", "--iters", "300"]) == 1
+        assert "train needs --out" in capsys.readouterr().err
+
+
+class TestCounts:
+    """iters, episodes, games and workers must be whole numbers in range."""
+
+    def config(self, tmp_path, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def test_fractional_iters_in_config_is_rejected(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, "game=leduc\niters=7.5\n")
+        out = tmp_path / "cfr"
+        assert main(["train", "--algo", "cfr", "--config", cfg, "--out", str(out)]) == 1
+        assert "error: iters must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_iters_in_config_is_rejected(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, "game=leduc\niters=abc\n")
+        out = tmp_path / "cfr"
+        assert main(["train", "--algo", "cfr", "--config", cfg, "--out", str(out)]) == 1
+        assert "error: iters must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fractional_games_in_config_is_rejected(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, "game=leduc\ngames=12.9\n")
+        assert main(["selfplay", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "error: games must be an integer" in captured.err
+        assert captured.out == ""
+
+    def test_negative_iters_flag_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "cfr"
+        assert main(["train", "--algo", "cfr", "--game", "leduc", "--iters", "-3", "--out", str(out)]) == 1
+        assert "error: iters must be an integer in 0.., got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["train", "--algo", "qlearn", "--game", "blackjack", "--episodes", "-1"], "episodes"),
+            (["selfplay", "--game", "leduc", "--games", "2", "--workers", "0"], "workers"),
+            (["bench", "--game", "leduc", "--games", "-5"], "games"),
+            (["tournament", "--game", "leduc", "--games", "-2"], "games"),
+        ],
+    )
+    def test_every_count_names_its_key(self, tmp_path, capsys, argv, key):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert f"error: {key} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestTournament:
     def test_csv_matches_direct_run(self, tmp_path, capsys):

@@ -176,6 +176,10 @@ class TestTrainerCopy:
         at_20 = trainer.policy().dumps()
         fork = copy.deepcopy(trainer)
         assert fork.tree is trainer.tree
+        assert fork.schedule is trainer.schedule
+        for name in ("regrets", "strategy_sum", "visited"):
+            mine, theirs = getattr(fork, name), getattr(trainer, name)
+            assert mine is not theirs and mine.tolist() == theirs.tolist()
         fork.run(10)
         assert fork.iterations == 30
         assert trainer.policy().dumps() == at_20
