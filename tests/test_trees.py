@@ -32,6 +32,7 @@ CFR_DUMPS_SHA256 = {
 }
 CFR_100_EXPLOITABILITY_REPR = "0.18198016616763046"
 LEDUC_KEYS_SHA256 = "59205c35d9f95895aba84ee294c73546a91d2f217511e2f038e7cb938e84ef25"
+LEDUC_TABLES_SHA256 = "6041c7355f3ab7700ca9ae7cbf5c0538200793677497f4dcb07b361c779b088e"
 
 
 def sha256(text: str) -> str:
@@ -129,6 +130,13 @@ class TestCompiledLeduc:
         assert tree.info_seat.count(0) == 144
         assert set(tree.keys) == leduc_info_keys()
         assert sha256("\n".join(sorted(tree.keys))) == LEDUC_KEYS_SHA256
+
+    def test_tables_pinned(self):
+        """Every table, with its value types: an int payoff and a float one repr differently."""
+        tree = compiled_tree("leduc")
+        tables = (tree.kind, tree.children, tree.probs, tree.seat, tree.info, tree.payoff, tree.keys,
+                  tree.actions, tree.info_seat)
+        assert sha256(repr(tables)) == LEDUC_TABLES_SHA256
 
     def test_info_sets_match_a_direct_walk(self):
         tree = compiled_tree("leduc")
