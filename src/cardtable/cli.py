@@ -11,8 +11,9 @@ Keys mirror the long flags (game, seed, algo, iters, episodes, games,
 workers, agents, out); game-specific engine parameters use the
 param.NAME=value form, mirroring repeatable --param NAME=value flags.
 Flags win over file values. The counts iters, episodes and games must
-be integers of at least 0, and workers of at least 1, or the command
-fails with InvalidParam naming the key before any work starts.
+be integers of at least 0, and workers of at least 1, and the seed any
+integer, or the command fails with InvalidParam naming the key (or
+CARDTABLE_SEED) before any work starts.
 
 Exit codes: 0 success, 2 command-line usage errors, 1 anything that
 fails at run time.
@@ -98,15 +99,12 @@ class _Merged:
         return int_param(key, self.get(key, default), lo)
 
     def seed(self) -> int:
-        flag = getattr(self.args, "seed", None)
-        if flag is not None:
-            return flag
-        if "seed" in self.file:
-            return int(self.file["seed"])
+        """Any integer, negative included; InvalidParam naming seed or CARDTABLE_SEED otherwise."""
+        seed = self.get("seed")
+        if seed is not None:
+            return int_param("seed", seed)
         env = os.environ.get("CARDTABLE_SEED")
-        if env is not None:
-            return int(env)
-        return 0
+        return 0 if env is None else int_param("CARDTABLE_SEED", _coerce(env))
 
     def game_params(self) -> dict:
         params = {

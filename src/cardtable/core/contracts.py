@@ -32,10 +32,12 @@ from cardtable.core.rng import Rng
 from cardtable.errors import GameOver, IllegalMove, InvalidParam
 
 
-def int_param(name: str, value, lo: int, hi: int | None = None) -> int:
-    """value if it is an int (not a bool) in lo..hi, else InvalidParam naming name."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < lo or (hi is not None and value > hi):
-        raise InvalidParam(f"{name} must be an integer in {lo}..{'' if hi is None else hi}, got {value!r}")
+def int_param(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """value if it is an int (not a bool) in lo..hi, a None bound open, else InvalidParam naming name."""
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if not is_int or (lo is not None and value < lo) or (hi is not None and value > hi):
+        bounds = "" if lo is None and hi is None else f" in {'' if lo is None else lo}..{'' if hi is None else hi}"
+        raise InvalidParam(f"{name} must be an integer{bounds}, got {value!r}")
     return value
 
 

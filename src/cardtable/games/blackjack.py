@@ -37,6 +37,16 @@ def hand_value(ranks) -> tuple[int, bool]:
     return total, False
 
 
+def upcard_score(rank: int) -> int:
+    """What the dealer's upcard shows: its blackjack score, an ace as 11."""
+    return 11 if rank == 12 else _RANK_SCORE[rank]
+
+
+def info_key(score: int, soft: bool, num_cards: int, dealer_visible: int) -> str:
+    """Information key of the player's total, softness, card count and the dealer's visible score."""
+    return f"B|{score}{'s' if soft else 'h'}|n{num_cards}|u{dealer_visible}"
+
+
 def settle(player_ranks, dealer_ranks) -> int:
     """The player's result once both hands are played out: -1, 0 or +1."""
     p, _ = hand_value(player_ranks)
@@ -110,7 +120,7 @@ def capture(game: BlackjackGame, seat: int, terminal: bool = False):
     if legal:
         up = game.dealer_hand[0]
         dealer = (up,)
-        dealer_visible = 11 if up == 12 else _RANK_SCORE[up]
+        dealer_visible = upcard_score(up)
     else:  # the hand is over (or the view is terminal): every dealer card shows
         dealer = tuple(game.dealer_hand)
         dealer_visible = hand_value(dealer)[0]
@@ -131,7 +141,7 @@ def render_raw(view) -> dict:
 
 def render_key(view) -> str:
     _, hand, score, soft, _, dealer_visible = view
-    return f"B|{score}{'s' if soft else 'h'}|n{len(hand)}|u{dealer_visible}"
+    return info_key(score, soft, len(hand), dealer_visible)
 
 
 def observe(game: BlackjackGame, seat: int, terminal: bool = False):

@@ -13,13 +13,14 @@ TreeGame methods once per process. CFR, best response, policy value,
 the node count and the leduc census all read the compiled tables.
 
 Only games small enough to enumerate get a tree: leduc here, plus a
-blackjack info-set enumeration used by the census. LeducTree mirrors
-the step-based engine move for move and uses the same information
-keys, which the test suite cross-checks by replaying lines through
-both. Leduc chance is deduplicated by rank: the two suits of a rank
-are interchangeable, so dealing (rank a, rank b) carries probability
-2/30 when a == b and 4/30 otherwise, and the public card keeps a
-rank-level count of what remains.
+blackjack info-set enumeration used by the census. LeducTree holds no
+betting rules of its own: its nodes are LeducGame snapshots, and it
+asks the engine for the seat, the legal moves, the information key and
+each move's result, so the solvers read the rules self-play plays.
+Leduc chance is deduplicated by rank: the two suits of a rank are
+interchangeable, so dealing (rank a, rank b) carries probability 2/30
+when a == b and 4/30 otherwise, and the public card keeps a rank-level
+count of what remains.
 """
 
 from __future__ import annotations
@@ -27,25 +28,31 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
+from cardtable.core.rng import Rng
 from cardtable.errors import GameTooLarge, NotZeroSum
-from cardtable.games import leduc
-from cardtable.games.blackjack import _RANK_SCORE, hand_value
-
-# leduc betting sub-state: (round index, raises, to_act, acted,
-# chips pair, round-bet pair, history string)
-_BET0 = (0, 0, 0, 0, (leduc.ANTE, leduc.ANTE), (0, 0), "")
+from cardtable.games import blackjack, leduc
 
 
 class LeducTree:
-    """Exact leduc tree. Nodes are tuples:
+    """Exact leduc tree over the engine. Nodes are tuples:
 
-    ("deal",)                      root chance node
-    ("pub", a, b, bet)             chance node for the public card
-    ("play", a, b, pub, bet)       decision node (pub is None in round 1)
-    ("end", p0)                    terminal, p0 = player 0 net payoff
+    ("deal",)        root chance node
+    ("pub", snap)    chance node for the public card, once round one has closed
+    ("play", snap)   decision node
+    ("end", p0)      terminal, p0 = player 0 net payoff
+
+    snap is a LeducGame snapshot, read by restoring it on one engine.
+    The deal gives seat 0 the suit-0 card of its rank and seat 1 the
+    suit-1 card; the public card of rank c is the suit-0 card unless
+    seat 0 holds it. The stock is never read after the public card.
     """
 
     num_players = 2
+
+    def __init__(self):
+        game = self._game = leduc.LeducGame(Rng(0))
+        game.reset()
+        self._start = game.snapshot()
 
     def root(self):
         return ("deal",)
@@ -56,74 +63,49 @@ class LeducTree:
     def is_terminal(self, node) -> bool:
         return node[0] == "end"
 
+    def _at(self, snap) -> leduc.LeducGame:
+        game = self._game
+        game.restore(snap)
+        game._legal = None  # restore keeps the legal moves cached for the state it replaced
+        return game
+
     def chance_outcomes(self, node):
+        out = []
         if node[0] == "deal":
-            out = []
+            game = self._at(self._start)
             for a in range(3):
                 for b in range(3):
-                    prob = (2 if a == b else 4) / 30
-                    out.append((("play", a, b, None, _BET0), prob))
+                    game.hands = (a, 3 + b)
+                    out.append((("play", game.snapshot()), (2 if a == b else 4) / 30))
             return out
-        _, a, b, bet = node
-        out = []
+        game = self._at(node[1])
+        a, b = game.hands[0], game.hands[1] - 3
         for c in range(3):
             remaining = 2 - (a == c) - (b == c)
             if remaining:
-                out.append((("play", a, b, c, bet), remaining / 4))
+                game.public = 3 + c if c == a else c
+                out.append((("play", game.snapshot()), remaining / 4))
         return out
 
     def player(self, node) -> int:
-        return node[4][2]
+        return self._at(node[1]).current_player()
 
     def info_key(self, node) -> str:
-        _, a, b, pub, bet = node
-        seat = bet[2]
-        return leduc.info_key(seat, a if seat == 0 else b, pub, bet[6])
+        game = self._at(node[1])
+        return leduc.render_key(leduc.capture(game, game.current_player())[1])
 
     def actions(self, node):
-        bet = node[4]
-        facing = bet[5][bet[2]] < max(bet[5])
-        return leduc.round_legal_moves(facing, bet[1])
+        return self._at(node[1]).legal_moves()
 
     def child(self, node, action):
-        _, a, b, pub, bet = node
-        rnd, raises, seat, acted, chips, bets, history = bet
-        other = 1 - seat
-        history += leduc._MOVE_CHAR[action]
-        if action == leduc.FOLD:
-            stake = chips[seat]  # winner nets what the folder put in
-            return ("end", stake if other == 0 else -stake)
-        if action == leduc.RAISE:
-            put = max(bets) - bets[seat] + leduc.RAISE_SIZE[rnd]
-            chips = _bump(chips, seat, put)
-            bets = _bump(bets, seat, put)
-            return ("play", a, b, pub, (rnd, raises + 1, other, acted + 1, chips, bets, history))
-        if action == leduc.CALL:
-            owe = max(bets) - bets[seat]
-            chips = _bump(chips, seat, owe)
-            bets = _bump(bets, seat, owe)
-            round_over = True
-        else:  # CHECK
-            round_over = acted >= 1
-        if not round_over:
-            return ("play", a, b, pub, (rnd, raises, other, acted + 1, chips, bets, history))
-        if rnd == 0:
-            nxt = (1, 0, 0, 0, chips, (0, 0), history + "/")
-            return ("pub", a, b, nxt)
-        winner = leduc.showdown_winner(a, b, pub)
-        if winner == -1:
-            return ("end", 0)
-        stake = chips[1 - winner]
-        return ("end", stake if winner == 0 else -stake)
+        game = self._at(node[1])
+        round_index = game.round_index
+        if game.step(action) is None:
+            return ("end", int(game.payoffs()[0]))
+        return ("play" if game.round_index == round_index else "pub", game.snapshot())
 
     def payoffs(self, node):
         return (node[1], -node[1])
-
-
-def _bump(pair, seat, amount):
-    lst = list(pair)
-    lst[seat] += amount
-    return tuple(lst)
 
 
 # node kinds of a compiled tree
@@ -282,16 +264,16 @@ def _blackjack_decision_walk() -> tuple[set[str], int]:
     keys: set[str] = set()
     states = 0
     for up in range(13):
-        up_score = 11 if up == 12 else _RANK_SCORE[up]
+        up_score = blackjack.upcard_score(up)
         counts = [4] * 13
         counts[up] -= 1
 
         def expand(hand: list[int]) -> None:
             nonlocal states
-            score, soft = hand_value(hand)
+            score, soft = blackjack.hand_value(hand)
             if score > 21:
                 return
-            keys.add(f"B|{score}{'s' if soft else 'h'}|n{len(hand)}|u{up_score}")
+            keys.add(blackjack.info_key(score, soft, len(hand), up_score))
             states += sum(1 for c in counts if c)  # reachable hole ranks
             lo = hand[-1] if hand else 0  # extend in sorted order, no permutations
             for r in range(lo, 13):

@@ -169,6 +169,29 @@ class TestSeedChain:
         assert main(["selfplay", "--game", "leduc", "--games", "2"]) == 0
         assert capsys.readouterr().out == direct_log("leduc", 0, 2)
 
+    def test_negative_seed_plays(self, tmp_path, capsys):
+        assert main(["selfplay", "--game", "leduc", "--games", "2", "--seed", "-3"]) == 0
+        assert capsys.readouterr().out == direct_log("leduc", -3, 2)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("game=leduc\nseed=-3\ngames=2\n", encoding="utf-8")
+        assert main(["selfplay", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == direct_log("leduc", -3, 2)
+
+    def test_fractional_config_seed_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("game=leduc\nseed=1.5\ngames=2\n", encoding="utf-8")
+        assert main(["selfplay", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "error: seed must be an integer, got 1.5" in captured.err
+        assert captured.out == ""
+
+    def test_non_numeric_env_seed_is_rejected(self, monkeypatch, capsys):
+        monkeypatch.setenv("CARDTABLE_SEED", "x")
+        assert main(["selfplay", "--game", "leduc", "--games", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "error: CARDTABLE_SEED must be an integer, got 'x'" in captured.err
+        assert captured.out == ""
+
 
 class TestSelfplay:
     def test_stdout_is_deterministic(self, capsys):

@@ -17,7 +17,7 @@ from cardtable.games.leduc import (
     round_legal_moves,
     showdown_winner,
 )
-from cardtable.trees import _BET0, LeducTree, count_nodes, leduc_info_keys
+from cardtable.trees import LeducTree, count_nodes, leduc_info_keys
 
 
 class TestRules:
@@ -147,8 +147,15 @@ class TestObserve:
         }
 
 
+def held_state(node):
+    """The engine state a ("play", snap) or ("pub", snap) tree node holds."""
+    game = LeducGame(Rng(0))
+    game.restore(node[1])
+    return game
+
+
 class TestTreeMatchesEngine:
-    """Replaying random lines through tree and engine must agree everywhere."""
+    """Random engine lines, followed through the tree, must agree everywhere."""
 
     def test_random_line_equivalence(self):
         tree = LeducTree()
@@ -156,8 +163,14 @@ class TestTreeMatchesEngine:
         for trial in range(800):
             game = LeducGame(Rng(trial))
             game.reset()
-            ranks = [game.hands[0] % 3, game.hands[1] % 3]
-            node = ("play", ranks[0], ranks[1], None, _BET0)
+            ranks = (game.hands[0] % 3, game.hands[1] % 3)
+            # enter through the deal outcome with the engine's hand ranks
+            matches = [
+                c for c, _ in tree.chance_outcomes(tree.root())
+                if tuple(card % 3 for card in held_state(c).hands) == ranks
+            ]
+            assert len(matches) == 1
+            node = matches[0]
             while not game.is_over():
                 assert not tree.is_terminal(node)
                 seat = game.current_player()
@@ -165,16 +178,28 @@ class TestTreeMatchesEngine:
                 assert tuple(tree.actions(node)) == tuple(game.legal_moves())
                 assert tree.info_key(node) == observe(game, seat)[2]
                 move = rng.choice(game.legal_moves())
+                before = game.public
                 game.step(move)
                 node = tree.child(node, move)
+                assert (node[0] == "pub") == (before is None and game.public is not None)
                 if node[0] == "pub":
-                    # the engine drew its public card; follow the same branch
+                    # the engine drew its public card; follow the same rank
                     pub_rank = game.public % 3
-                    matches = [c for c, _ in tree.chance_outcomes(node) if c[3] == pub_rank]
+                    matches = [c for c, _ in tree.chance_outcomes(node) if held_state(c).public % 3 == pub_rank]
                     assert len(matches) == 1
                     node = matches[0]
             assert tree.is_terminal(node)
             assert list(tree.payoffs(node)) == game.payoffs()
+
+    def test_reads_do_not_depend_on_order(self):
+        """Each read restores its own node, so reading another node in between changes nothing."""
+        tree = LeducTree()
+        start = tree.chance_outcomes(tree.root())[0][0]
+        raised = tree.child(start, RAISE)
+        assert tree.actions(start) == (RAISE, FOLD, CHECK)
+        assert tree.actions(raised) == (CALL, RAISE, FOLD)
+        assert tree.actions(start) == (RAISE, FOLD, CHECK)
+        assert tree.child(raised, CALL)[0] == "pub"
 
     def test_node_and_key_counts(self):
         tree = LeducTree()
