@@ -1,18 +1,25 @@
 """The Game contract every engine implements.
 
-A Game owns the turn loop and exposes step/step_back. Each engine keeps
-its own state, the stock and hands included, as plain lists or tuples
-of card ids or ranks. step_back is implemented once here as a stack of full-state
-snapshots; each game supplies snapshot() and restore() plus the move
-application. Snapshots capture everything the transition touched,
-including the generator state, so a restored game replays chance
-identically. The stack is only maintained when allow_step_back is set;
-throughput paths leave it off, and a move the engine rejects pushes
-nothing.
+A Game owns the turn loop and exposes step/step_back. step_back is
+implemented once here as a stack of full-state snapshots; each game
+supplies snapshot() and _restore() plus the move application. Snapshots
+capture everything the transition touched, including the generator
+state, so a restored game replays chance identically. The stack is only
+maintained when allow_step_back is set; throughput paths leave it off,
+and a move the engine rejects pushes nothing.
+
+Every engine follows one state rule. Each field a snapshot holds is
+immutable (an int, a string, a tuple of card ids or counts, a
+frozenset) and a move replaces it rather than editing it. The one
+exception is the stock or draw pile, a list that the engine copies just
+before it draws from it. So snapshot() returns the fields themselves,
+restore() only assigns them back, and an observation's capture shares
+them: none of the three copies a container, and an earlier snapshot or
+view still holds the state it was taken at.
 
 Legal moves are computed at most once per state, also here: the first
 legal_moves() call on a state caches the engine's _legal_moves() tuple,
-and reset, step and step_back drop it; observations hand out that same
+and reset, step and restore drop it; observations hand out that same
 tuple, uncopied. step is the one legality check: a move outside that
 tuple raises IllegalMove before any state changes, so an engine's _apply
 only ever sees legal moves. Env turns that error into IllegalAction
@@ -46,10 +53,13 @@ class Game(ABC):
 
     legal_moves() returns the current player's moves, computed once per
     state: step's legality check and the env's observation read the same
-    cached tuple. The cache is dropped by reset, step and step_back, the
-    only ways the base class sees the state change; code that edits an
-    engine's fields directly must do so before the first legal_moves()
-    call on that state.
+    cached tuple. The cache is dropped by reset, step and restore (which
+    step_back calls), the only ways the base class sees the state change;
+    code that edits an engine's fields directly must do so before the
+    first legal_moves() call on that state.
+
+    Engines keep the module's state rule, so snapshot() returns fields
+    by reference and _restore() only assigns them.
     """
 
     num_players: int = 1
@@ -88,8 +98,12 @@ class Game(ABC):
         if not self._history:
             return False
         self.restore(self._history.pop())
-        self._legal = None
         return True
+
+    def restore(self, snap: Any) -> None:
+        """Put the game back in the state snapshot() returned; legal moves are recomputed on the next read."""
+        self._restore(snap)
+        self._legal = None
 
     def legal_moves(self) -> tuple:
         """The current player's legal moves; the same tuple until the state changes."""
@@ -128,4 +142,5 @@ class Game(ABC):
     def snapshot(self) -> Any: ...
 
     @abstractmethod
-    def restore(self, snap: Any) -> None: ...
+    def _restore(self, snap: Any) -> None:
+        """Assign the fields a snapshot() holds back onto the engine."""

@@ -27,7 +27,7 @@ implementation sits at another table.
 
 Observations are captured when they are made and rendered when read.
 The default extract_state asks the engine module's capture() for the
-legal ids plus immutable copies of the state the view reads; the
+legal ids plus a view that shares the engine's immutable fields; the
 Observation renders raw (render_raw), info_key (render_key) and planes
 (encode_planes) from that capture on first read, each at most once.
 Agents that read only the legal ids, or only the key, never pay for the
@@ -149,8 +149,8 @@ class Observation:
     """One player's view of a state: legal ids, raw dict, info key, planes.
 
     The view is captured when the observation is made and rendered on
-    first read. The engine's capture takes the legal ids plus immutable
-    copies of the state the view reads; raw and info_key are each
+    first read. The engine's capture takes the legal ids plus a view that
+    shares the engine's immutable fields; raw and info_key are each
     rendered from that capture at most once, and planes are encoded from
     raw at most once. So a reader of info_key alone never builds the raw
     dict, and every view stays the one at observation time however the

@@ -183,26 +183,24 @@ def tree_policy_value(game, tables) -> tuple[float, ...]:
     ]
 
     def walk(node):
+        """Player 0's value; the game is zero-sum, so player 1's is its negation."""
         k = kind[node]
         if k == TERMINAL:
-            return payoff[node], -payoff[node]
+            return payoff[node]
         if k == CHANCE:
             branches = zip(children[node], chance_probs[node])
         else:
             branches = [(c, p) for c, p in zip(children[node], action_probs[info[node]]) if p != 0.0]
         total = None
         for child, prob in branches:
-            vals = walk(child)
             if total is None:
-                total = [prob * v for v in vals]
+                total = prob * walk(child)
             else:
-                for i, v in enumerate(vals):
-                    total[i] += prob * v
-        if total is None:
-            total = [0.0, 0.0]
-        return tuple(total)
+                total += prob * walk(child)
+        return 0.0 if total is None else total
 
-    return walk(0)
+    v = walk(0)
+    return v, 0.0 - v  # not -v: a game worth exactly 0 is worth +0.0 to both seats
 
 
 def best_response(game, policy: PolicyTable, player: int, node_limit: int = NODE_LIMIT):

@@ -64,21 +64,22 @@ class BlackjackGame(Game):
     def _start(self) -> int:
         self.stock = stock = list(_DECK_RANKS)  # a fresh 52-card stock per hand
         draw = self.rng.draw
-        self.hand = [draw(stock)]
-        self.dealer_hand = [draw(stock)]  # first dealer card is the upcard
-        self.hand.append(draw(stock))
-        self.dealer_hand.append(draw(stock))
+        player, upcard = draw(stock), draw(stock)  # the dealer's first card is the upcard
+        self.hand = (player, draw(stock))
+        self.dealer_hand = (upcard, draw(stock))
         self._payoff: int | None = None  # set when the hand ends
         return 0
 
     def _apply(self, move: int) -> None:
+        # earlier snapshots hold the old stock; draw from a copy
+        self.stock = stock = list(self.stock)
         if move == HIT:
-            self.hand.append(self.rng.draw(self.stock))
+            self.hand += (self.rng.draw(stock),)
             if hand_value(self.hand)[0] > 21:
                 self._payoff = -1
         else:
             while hand_value(self.dealer_hand)[0] < 17:  # the house stands on every 17
-                self.dealer_hand.append(self.rng.draw(self.stock))
+                self.dealer_hand += (self.rng.draw(stock),)
             self._payoff = settle(self.hand, self.dealer_hand)
 
     def is_over(self) -> bool:
@@ -96,19 +97,10 @@ class BlackjackGame(Game):
         return [float(self._payoff)]
 
     def snapshot(self):
-        return (
-            tuple(self.hand),
-            tuple(self.dealer_hand),
-            tuple(self.stock),
-            self._payoff,
-            self.rng.getstate(),
-        )
+        return self.hand, self.dealer_hand, self.stock, self._payoff, self.rng.getstate()
 
-    def restore(self, snap) -> None:
-        hand, dealer_hand, stock, self._payoff, rng_state = snap
-        self.hand = list(hand)
-        self.dealer_hand = list(dealer_hand)
-        self.stock = list(stock)
+    def _restore(self, snap) -> None:
+        self.hand, self.dealer_hand, self.stock, self._payoff, rng_state = snap
         self.rng.setstate(rng_state)
 
 
@@ -122,9 +114,9 @@ def capture(game: BlackjackGame, seat: int, terminal: bool = False):
         dealer = (up,)
         dealer_visible = upcard_score(up)
     else:  # the hand is over (or the view is terminal): every dealer card shows
-        dealer = tuple(game.dealer_hand)
+        dealer = game.dealer_hand
         dealer_visible = hand_value(dealer)[0]
-    return legal, (seat, tuple(game.hand), score, soft, dealer, dealer_visible)
+    return legal, (seat, game.hand, score, soft, dealer, dealer_visible)
 
 
 def render_raw(view) -> dict:

@@ -18,10 +18,6 @@ Moves are the 309 abstract action ids from doudizhu_patterns; kickers
 are completed by the documented lowest-non-breaking rule. Game.step has
 already checked a move, so _apply completes it with `complete` and does
 not decode it again.
-
-The state is immutable tuples (hands, hand sizes, the played union, the
-last three moves) that each move replaces rather than edits, so
-snapshots and captured views share them without copying.
 """
 
 from __future__ import annotations
@@ -159,7 +155,7 @@ class DoudizhuGame(Game):
             self.rng.getstate(),
         )
 
-    def restore(self, snap) -> None:
+    def _restore(self, snap) -> None:
         (self.landlord, self.counts, self.sizes, self.played, self.to_beat, self.trick_owner, self.pass_count,
          self.turn, self.winner, self.last_moves, self.recent, rng_state) = snap
         self.rng.setstate(rng_state)

@@ -68,13 +68,6 @@ _LEGAL = tuple(
 
 
 class LeducGame(Game):
-    """The leduc engine.
-
-    hands, chips and round_bets are tuples replaced on change, and stock
-    is copied only in _advance_round, just before the public draw, so a
-    snapshot shares them all by reference and restore only assigns them.
-    """
-
     num_players = 2
 
     def _start(self) -> int:
@@ -165,7 +158,7 @@ class LeducGame(Game):
             self.rng.getstate(),
         )
 
-    def restore(self, snap) -> None:
+    def _restore(self, snap) -> None:
         (self.hands, self.public, self.chips, self.round_bets, self.round_index, self.raises, self.to_act,
          self.acted, self.history, self._winner, self.stock, rng_state) = snap
         self.rng.setstate(rng_state)

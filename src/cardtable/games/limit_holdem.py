@@ -58,6 +58,12 @@ def showdown_winners(hole_by_seat, community, alive) -> list[int]:
     return out
 
 
+def _add(values: tuple, seat: int, amount) -> tuple:
+    out = list(values)
+    out[seat] += amount
+    return tuple(out)
+
+
 class LimitHoldemGame(Game):
     def __init__(self, rng, allow_step_back=False, num_players: int = 2, fixed_raise: int = 1):
         super().__init__(rng, allow_step_back)
@@ -78,21 +84,16 @@ class LimitHoldemGame(Game):
         n = self.num_players
         self.stock = stock = list(DECKS["standard52"])
         draw = self.rng.draw
-        self.hands = [sorted([draw(stock), draw(stock)]) for _ in range(n)]
-        self.community: list[int] = []
-        self.folded = [False] * n
-        self.chips = [0] * n
-        self.chips[0] = SMALL_BLIND
-        self.chips[1 % n] = BIG_BLIND
+        self.hands = tuple(tuple(sorted((draw(stock), draw(stock)))) for _ in range(n))
+        self.community: tuple[int, ...] = ()
+        self.folded = (False,) * n
+        self.chips = self.round_bets = (SMALL_BLIND, BIG_BLIND) + (0,) * (n - 2)
         self.round_index = 0
         self.raises = 0  # this round
         self.to_act = self._first_actor(0)
-        self.acted: set[int] = set()  # seats that have acted since the last raise this round
-        self.round_bets = [0] * n
-        self.round_bets[0] = SMALL_BLIND
-        self.round_bets[1 % n] = BIG_BLIND
+        self.acted: frozenset[int] = frozenset()  # seats that have acted since the last raise this round
         self.history = ""
-        self._results: list | None = None  # net half-bb per seat, Fraction when a pot splits unevenly
+        self._results: tuple | None = None  # net half-bb per seat, Fraction when a pot splits unevenly
         return self.to_act
 
     def alive(self) -> list[int]:
@@ -121,8 +122,8 @@ class LimitHoldemGame(Game):
         seat = self.to_act
         self.history += _MOVE_CHAR[move]
         if move == FOLD:
-            self.folded[seat] = True
-            self.acted.discard(seat)
+            self.folded = self.folded[:seat] + (True,) + self.folded[seat + 1 :]
+            self.acted -= {seat}
             alive = self.alive()
             if len(alive) == 1:
                 self._settle_fold(alive[0])
@@ -131,13 +132,13 @@ class LimitHoldemGame(Game):
             if move in (CALL, RAISE):
                 owe = max(self.round_bets) - self.round_bets[seat]
                 put = owe + (self._raise_size() if move == RAISE else 0)
-                self.round_bets[seat] += put
-                self.chips[seat] += put
+                self.round_bets = _add(self.round_bets, seat, put)
+                self.chips = _add(self.chips, seat, put)
             if move == RAISE:
                 self.raises += 1
-                self.acted = {seat}
+                self.acted = frozenset({seat})
             else:
-                self.acted.add(seat)
+                self.acted |= {seat}
         if self._round_settled():
             self._advance_round()
         else:
@@ -149,17 +150,19 @@ class LimitHoldemGame(Game):
             return
         self.round_index += 1
         dealt = _COMMUNITY_PER_ROUND[self.round_index]
-        self.community += [self.rng.draw(self.stock) for _ in range(dealt)]
+        # earlier snapshots hold the old stock; draw from a copy
+        self.stock = stock = list(self.stock)
+        self.community += tuple([self.rng.draw(stock) for _ in range(dealt)])
         self.raises = 0
-        self.acted = set()
+        self.acted = frozenset()
         first = self._first_actor(self.round_index)
         self.to_act = self._next_actor(first) if self.folded[first] else first
-        self.round_bets = [0] * self.num_players
+        self.round_bets = (0,) * self.num_players
         self.history += "/"
 
     def _settle_fold(self, winner: int) -> None:
         pot = sum(self.chips)
-        self._results = [pot - self.chips[i] if i == winner else -self.chips[i] for i in range(self.num_players)]
+        self._results = tuple(pot - c if i == winner else -c for i, c in enumerate(self.chips))
 
     def _settle_showdown(self) -> None:
         alive = self.alive()
@@ -168,9 +171,7 @@ class LimitHoldemGame(Game):
         share = Fraction(pot, len(winners))
         if share.denominator == 1:
             share = int(share)
-        self._results = [-c for c in self.chips]
-        for seat in winners:
-            self._results[seat] += share
+        self._results = tuple(-c + share if i in winners else -c for i, c in enumerate(self.chips))
 
     def is_over(self) -> bool:
         return self._results is not None
@@ -182,32 +183,24 @@ class LimitHoldemGame(Game):
 
     def snapshot(self):
         return (
-            tuple(map(tuple, self.hands)),
-            tuple(self.community),
-            tuple(self.folded),
-            tuple(self.chips),
-            tuple(self.round_bets),
+            self.hands,
+            self.community,
+            self.folded,
+            self.chips,
+            self.round_bets,
             self.round_index,
             self.raises,
             self.to_act,
-            frozenset(self.acted),
+            self.acted,
             self.history,
-            None if self._results is None else tuple(self._results),
-            tuple(self.stock),
+            self._results,
+            self.stock,
             self.rng.getstate(),
         )
 
-    def restore(self, snap) -> None:
-        (hands, community, folded, chips, bets, self.round_index, self.raises, self.to_act, acted,
-         self.history, results, stock, rng_state) = snap
-        self.hands = [list(hand) for hand in hands]
-        self.community = list(community)
-        self.folded = list(folded)
-        self.chips = list(chips)
-        self.round_bets = list(bets)
-        self.acted = set(acted)
-        self._results = None if results is None else list(results)
-        self.stock = list(stock)
+    def _restore(self, snap) -> None:
+        (self.hands, self.community, self.folded, self.chips, self.round_bets, self.round_index, self.raises,
+         self.to_act, self.acted, self.history, self._results, self.stock, rng_state) = snap
         self.rng.setstate(rng_state)
 
 
@@ -216,14 +209,14 @@ def capture(game: LimitHoldemGame, seat: int, terminal: bool = False):
     legal = game.legal_ids_for(seat, terminal)
     view = (
         seat,
-        tuple(game.hands[seat]),
-        tuple(game.community),
+        game.hands[seat],
+        game.community,
         game.history,
         game.round_index,
         game.chips[seat],
         max(game.round_bets),
         sum(game.chips),
-        tuple(game.folded),
+        game.folded,
     )
     return legal, view
 

@@ -85,15 +85,15 @@ class UnoGame(Game):
     def _start(self) -> int:
         self.pile = list(DECKS["uno108"])  # draw from the end
         self.rng.shuffle(self.pile)
-        self.hands = [[0] * NUM_TYPES for _ in range(self.num_players)]
-        for seat in range(self.num_players):
+        hands = [[0] * NUM_TYPES for _ in range(self.num_players)]
+        for hand in hands:
             for _ in range(self.hand_size):
-                self.hands[seat][self.pile.pop()] += 1
-        self.discard: list[int] = []
+                hand[self.pile.pop()] += 1
+        self.hands = tuple(map(tuple, hands))  # 54 type counts by seat
         while True:  # number card opens the game, action cards cycle to the bottom
             top = self.pile.pop()
             if top < 52 and top % 13 <= 9:
-                self.discard.append(top)
+                self.discard = (top,)
                 break
             self.pile.insert(0, top)
         self.declared: int | None = None
@@ -120,19 +120,29 @@ class UnoGame(Game):
             return True
         return top < 52 and type_id % 13 == top % 13
 
+    def _add_cards(self, seat: int, types, delta: int) -> None:
+        """Replace seat's hand with one holding delta more of each type in types."""
+        hand = list(self.hands[seat])
+        for t in types:
+            hand[t] += delta
+        hands = list(self.hands)
+        hands[seat] = tuple(hand)
+        self.hands = tuple(hands)
+
     def _draw_cards(self, seat: int, n: int) -> list[int]:
+        # earlier snapshots hold the old pile; draw from a copy
+        self.pile = pile = list(self.pile)
         got = []
         for _ in range(n):
-            if not self.pile:
+            if not pile:
                 if len(self.discard) > 1:
-                    self.pile = self.discard[:-1]
+                    self.pile = pile = list(self.discard[:-1])
                     self.discard = self.discard[-1:]
-                    self.rng.shuffle(self.pile)
-                if not self.pile:
+                    self.rng.shuffle(pile)
+                if not pile:
                     break
-            t = self.pile.pop()
-            self.hands[seat][t] += 1
-            got.append(t)
+            got.append(pile.pop())
+        self._add_cards(seat, got, 1)
         return got
 
     def _advance(self, seats: int) -> None:
@@ -179,8 +189,8 @@ class UnoGame(Game):
         else:
             played, declared = WD4, action_id - 56
         self.pending = None
-        self.hands[seat][played] -= 1
-        self.discard.append(played)
+        self._add_cards(seat, (played,), -1)
+        self.discard += (played,)
         self.declared = declared
         if sum(self.hands[seat]) == 0:
             self.winner = seat
@@ -214,9 +224,9 @@ class UnoGame(Game):
 
     def snapshot(self):
         return (
-            tuple(tuple(h) for h in self.hands),
-            tuple(self.pile),
-            tuple(self.discard),
+            self.hands,
+            self.pile,
+            self.discard,
             self.declared,
             self.direction,
             self.turn,
@@ -225,12 +235,9 @@ class UnoGame(Game):
             self.rng.getstate(),
         )
 
-    def restore(self, snap) -> None:
-        (hands, pile, discard, self.declared, self.direction, self.turn, self.pending, self.winner,
+    def _restore(self, snap) -> None:
+        (self.hands, self.pile, self.discard, self.declared, self.direction, self.turn, self.pending, self.winner,
          rng_state) = snap
-        self.hands = [list(h) for h in hands]
-        self.pile = list(pile)
-        self.discard = list(discard)
         self.rng.setstate(rng_state)
 
 
@@ -239,9 +246,9 @@ def capture(game: UnoGame, seat: int, terminal: bool = False):
     legal = game.legal_ids_for(seat, terminal)
     view = (
         seat,
-        tuple(game.hands[seat]),
+        game.hands[seat],
         tuple(map(sum, game.hands)),
-        tuple(game.discard),
+        game.discard,
         game.declared,
         game.active_color(),
         game.direction,

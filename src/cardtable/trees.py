@@ -66,7 +66,6 @@ class LeducTree:
     def _at(self, snap) -> leduc.LeducGame:
         game = self._game
         game.restore(snap)
-        game._legal = None  # restore keeps the legal moves cached for the state it replaced
         return game
 
     def chance_outcomes(self, node):

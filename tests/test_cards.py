@@ -150,8 +150,8 @@ class TestShuffleDeal:
             while not game.is_over():  # never fold, so the whole board is dealt
                 game.step(picker.choice([m for m in game.legal_moves() if m != HOLDEM_FOLD]))
             top = shuffled("standard52", seed)[::-1]
-            assert game.hands == [sorted(top[0:2]), sorted(top[2:4]), sorted(top[4:6])]
-            assert game.community == top[6:11]
+            assert game.hands == (tuple(sorted(top[0:2])), tuple(sorted(top[2:4])), tuple(sorted(top[4:6])))
+            assert game.community == tuple(top[6:11])
 
             game = BlackjackGame(rng_from_seed(seed))
             game.reset()
@@ -159,7 +159,7 @@ class TestShuffleDeal:
                 game.step(picker.choice(game.legal_moves()))
             top = [cid % 13 for cid in shuffled("standard52", seed)[::-1]]
             player, dealer = game.hand, game.dealer_hand
-            dealt = [player[0], dealer[0], player[1], dealer[1]] + player[2:] + dealer[2:]
+            dealt = [player[0], dealer[0], player[1], dealer[1], *player[2:], *dealer[2:]]
             assert dealt == top[: len(dealt)]
 
 

@@ -125,6 +125,28 @@ def test_step_back_restores_every_field(game_id, seed, players, choices):
     assert not game.step_back()
 
 
+@pytest.mark.parametrize("game_id", GAME_IDS)
+def test_restore_drops_the_cached_legal_moves(game_id):
+    """restore called directly, not through step_back, reads the restored state's moves.
+
+    Walking back, each restore replaces a state whose moves are cached, so
+    a stale cache shows wherever two neighbouring states differ in moves.
+    Blackjack's moves never change; every other walk must see two move sets.
+    """
+    env = make(EnvConfig(game_id, seed=2))
+    env.new_game()
+    game = env.game
+    rng = Rng(2)
+    seen = []
+    while not game.is_over():
+        seen.append((game.snapshot(), game.legal_moves()))
+        game.step(rng.choice(game.legal_moves()))
+    assert game_id == "blackjack" or len({moves for _, moves in seen}) > 1
+    for snap, moves in reversed(seen):
+        game.restore(snap)
+        assert game.legal_moves() == moves
+
+
 def check_final_payoffs(game_id, payoffs, landlord):
     if game_id == "blackjack":
         assert payoffs in ([-1.0], [0.0], [1.0])

@@ -5,6 +5,8 @@ tree module, one expands deals from the betting rules directly), so
 their agreement to 1e-9 is treated as a correctness gate for both.
 """
 
+import math
+
 import pytest
 
 from cardtable.agents import PolicyAgent, PolicyTable, RandomAgent, cfr_train, mccfr_external_train
@@ -21,6 +23,8 @@ from cardtable.evaluation import (
     winrate_vs_random,
 )
 from cardtable.trees import LeducTree
+
+from test_cfr_sweep import SpecTree, end
 
 UNIFORM_LEDUC_EXPLOITABILITY = 2.3308641975308646  # frozen from both oracles
 
@@ -123,6 +127,12 @@ class TestTreePolicyValue:
         shared = tree_policy_value(LeducTree(), policy)
         listed = tree_policy_value(LeducTree(), [policy, policy])
         assert shared == listed
+
+    def test_a_zero_value_is_positive_zero_for_both_seats(self):
+        coin = SpecTree(("chance", ((0.5, end(1)), (0.5, end(-1)))))
+        v = tree_policy_value(coin, PolicyTable())
+        assert v == (0.0, 0.0)
+        assert [math.copysign(1.0, x) for x in v] == [1.0, 1.0]
 
 
 class TestTournament:

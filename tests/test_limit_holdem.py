@@ -211,18 +211,18 @@ class TestBetting:
         game = LimitHoldemGame(Rng(0), num_players=3)
         game.reset()
         # the board plays for everyone: ace-high straight flush in clubs
-        game.community = [8, 9, 10, 11, 12]
-        game.hands = [[13, 14], [15, 16], [17, 18]]
-        game.folded = [False, False, False]
-        game.chips = [3, 3, 3]
+        game.community = (8, 9, 10, 11, 12)
+        game.hands = ((13, 14), (15, 16), (17, 18))
+        game.folded = (False, False, False)
+        game.chips = (3, 3, 3)
         game._settle_showdown()
-        assert game._results == [0, 0, 0]
+        assert game._results == (0, 0, 0)
 
-        game.folded = [False, False, True]
-        game.chips = [3, 3, 1]
+        game.folded = (False, False, True)
+        game.chips = (3, 3, 1)
         game._results = None
         game._settle_showdown()
-        assert game._results == [Fraction(1, 2), Fraction(1, 2), -1]
+        assert game._results == (Fraction(1, 2), Fraction(1, 2), -1)
         assert game.payoffs() == [0.25, 0.25, -0.5]
 
     def test_step_back_round_trip(self):

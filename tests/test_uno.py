@@ -32,9 +32,10 @@ def fresh_game(seed=0, players=2, **kw):
 
 
 def give_hand(game, seat, types):
-    game.hands[seat] = [0] * NUM_TYPES
+    hand = [0] * NUM_TYPES
     for t in types:
-        game.hands[seat][t] += 1
+        hand[t] += 1
+    game.hands = game.hands[:seat] + (tuple(hand),) + game.hands[seat + 1 :]
 
 
 def total_cards(game):
@@ -98,7 +99,7 @@ class TestPlayability:
 
     def test_color_and_symbol_matching(self):
         game = fresh_game(1)
-        game.discard = [RED * 13 + 5]
+        game.discard = (RED * 13 + 5,)
         game.declared = None
         assert game.playable(RED * 13 + 9)  # color match
         assert game.playable(BLUE * 13 + 5)  # symbol match
@@ -118,7 +119,7 @@ class TestPlayability:
 
     def test_illegal_moves_raise(self):
         game = fresh_game(4)
-        game.discard = [RED * 13 + 5]
+        game.discard = (RED * 13 + 5,)
         game.declared = None
         give_hand(game, game.turn, [BLUE * 13 + 9, RED * 13 + 1])
         with pytest.raises(IllegalMove):
@@ -134,7 +135,7 @@ class TestActionCards:
         game = fresh_game(5, players=3)
         game.turn = 0
         game.direction = 1
-        game.discard = [RED * 13 + 5]
+        game.discard = (RED * 13 + 5,)
         game.declared = None
         give_hand(game, 0, [RED * 13 + SKIP, BLUE * 13 + 1])
         game.step(RED * 13 + SKIP)
@@ -144,7 +145,7 @@ class TestActionCards:
         game = fresh_game(6, players=3)
         game.turn = 1
         game.direction = 1
-        game.discard = [RED * 13 + 5]
+        game.discard = (RED * 13 + 5,)
         game.declared = None
         give_hand(game, 1, [RED * 13 + REVERSE, BLUE * 13 + 1])
         game.step(RED * 13 + REVERSE)
@@ -154,7 +155,7 @@ class TestActionCards:
     def test_reverse_acts_as_skip_heads_up(self):
         game = fresh_game(7, players=2)
         game.turn = 0
-        game.discard = [RED * 13 + 5]
+        game.discard = (RED * 13 + 5,)
         game.declared = None
         give_hand(game, 0, [RED * 13 + REVERSE, BLUE * 13 + 1])
         game.step(RED * 13 + REVERSE)
@@ -164,7 +165,7 @@ class TestActionCards:
         game = fresh_game(8, players=3)
         game.turn = 0
         game.direction = 1
-        game.discard = [RED * 13 + 5]
+        game.discard = (RED * 13 + 5,)
         game.declared = None
         give_hand(game, 0, [RED * 13 + DRAW2, BLUE * 13 + 1])
         before = sum(game.hands[1])
@@ -188,7 +189,7 @@ class TestDrawing:
     def test_drawn_playable_card_may_be_replayed_or_passed(self):
         game = fresh_game(10)
         game.turn = 0
-        game.discard = [RED * 13 + 5]
+        game.discard = (RED * 13 + 5,)
         game.declared = None
         give_hand(game, 0, [BLUE * 13 + 9])  # stuck
         game.pile = [RED * 13 + 7]  # will draw a playable card
@@ -205,7 +206,7 @@ class TestDrawing:
     def test_drawn_playable_card_replay(self):
         game = fresh_game(11)
         game.turn = 0
-        game.discard = [RED * 13 + 5]
+        game.discard = (RED * 13 + 5,)
         game.declared = None
         give_hand(game, 0, [BLUE * 13 + 9])
         game.pile = [RED * 13 + 7]
@@ -217,7 +218,7 @@ class TestDrawing:
     def test_drawn_unplayable_card_passes_turn(self):
         game = fresh_game(12)
         game.turn = 0
-        game.discard = [RED * 13 + 5]
+        game.discard = (RED * 13 + 5,)
         game.declared = None
         give_hand(game, 0, [BLUE * 13 + 9])
         game.pile = [GREEN * 13 + 9]  # not playable on r-5
@@ -229,20 +230,20 @@ class TestDrawing:
     def test_empty_pile_reshuffles_discard(self):
         game = fresh_game(13)
         game.turn = 0
-        game.discard = [BLUE * 13 + 1, GREEN * 13 + 2, RED * 13 + 5]
+        game.discard = (BLUE * 13 + 1, GREEN * 13 + 2, RED * 13 + 5)
         game.declared = None
         give_hand(game, 0, [BLUE * 13 + 9])
         game.pile = []
         game.step(DRAW_ACTION)
         # top kept, the two buried cards became the new pile, one was drawn
-        assert game.discard == [RED * 13 + 5]
+        assert game.discard == (RED * 13 + 5,)
         assert len(game.pile) == 1
         assert sum(game.hands[0]) == 2
 
     def test_bare_draw_acts_like_pass_when_nothing_left(self):
         game = fresh_game(14)
         game.turn = 0
-        game.discard = [RED * 13 + 5]
+        game.discard = (RED * 13 + 5,)
         game.declared = None
         give_hand(game, 0, [BLUE * 13 + 9])
         game.pile = []
