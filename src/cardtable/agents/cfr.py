@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cardtable.agents.policy import PolicyTable, average_policy
-from cardtable.trees import CHANCE, DECISION, NODE_LIMIT, TERMINAL, CompiledTree, compiled_tree
+from cardtable.trees import DECISION, NODE_LIMIT, CompiledTree, compiled_tree
 
 
 def regret_matching(regrets) -> list[float]:
@@ -104,9 +104,9 @@ def _intp(values) -> np.ndarray:
 class WaveSchedule:
     """A compiled tree laid out for CFR sweeps, and its waves.
 
-    Nodes take positions in level order (by depth, then preorder), so a
-    depth level is a slice and the children of a node are adjacent and
-    in action order. A sweep works on one float buffer of 5 * size
+    Nodes take their positions in the tree's TreeLayout (level order, so
+    a depth level is a slice and the children of a node are adjacent and
+    in action order). A sweep works on one float buffer of 5 * size
     entries: the two player reaches of each position, interleaved, then
     one row each of values (player 0's), edge probabilities (of the
     chance outcome or current strategy that leads into a position) and
@@ -120,46 +120,31 @@ class WaveSchedule:
 
     def __init__(self, tree: CompiledTree):
         kind, children, info, seat = tree.kind, tree.children, tree.info, tree.seat
+        layout = tree.layout
         n = self.size = tree.num_nodes
-        offsets = [0]
-        for acts in tree.actions:
-            offsets.append(offsets[-1] + len(acts))
-        self.offsets = offsets
+        offsets = self.offsets = layout.offsets
         self.num_slots = offsets[-1]
-        pos, parent, bounds, depth = _level_order(tree)
+        pos, parent, bounds = layout.pos, layout.parent, layout.bounds
 
         # reach matters down to the deepest decision level, values up to
         # the shallowest one
-        decision_depths = [depth[node] for node in range(n) if kind[node] == DECISION]
+        decision_depths = [layout.depth[node] for node in range(n) if kind[node] == DECISION]
         top, bottom = min(decision_depths, default=0), max(decision_depths, default=-1)
         self.down, self.up = [], []
         for k in range(1, len(bounds) - 1):
             lo, hi, plo, phi = bounds[k], bounds[k + 1], bounds[k - 1], bounds[k]
             if k <= bottom:
-                pairs = [2 * p + s for p in parent[lo:hi] for s in (0, 1)]
-                self.down.append((2 * lo, 2 * hi, _intp(pairs)))
+                pairs = (2 * parent[lo:hi, None] + (0, 1)).ravel()  # both player reaches of each parent
+                self.down.append((2 * lo, 2 * hi, pairs))
             if k > top:
-                self.up.append((lo, hi, plo, phi, _intp(parent[lo:hi]) - plo))
+                self.up.append((lo, hi, plo, phi, parent[lo:hi] - plo))
         self.up.reverse()
 
-        self.base = np.zeros(n)  # player 0's payoff at terminal positions, else 0
+        self.base = layout.payoff  # player 0's payoff at terminal positions, else 0
         self.multipliers = np.ones(2 * n)  # reach factors of the edge into each position
         self.buffer = np.zeros(5 * n)
         self.buffer[0:2] = 1.0  # the root's player reaches
-        value, edge_prob, chance_reach = (self.buffer[k * n : (k + 1) * n] for k in (2, 3, 4))
-        chance_reach[0] = 1.0
-        for node in range(n):  # preorder, so chance reach is the walk's product
-            p = pos[node]
-            if kind[node] == CHANCE:
-                for child, prob in zip(children[node], tree.probs[node]):
-                    edge_prob[pos[child]] = prob
-                    chance_reach[pos[child]] = chance_reach[p] * prob
-            elif kind[node] == DECISION:
-                for child in children[node]:
-                    chance_reach[pos[child]] = chance_reach[p]
-            else:
-                self.base[p] = tree.payoff[node]
-        value[:] = self.base
+        self.buffer[2 * n :] = np.concatenate((layout.payoff, layout.edge_prob, layout.chance_reach))
 
         read, done, postorder = _wave_numbers(tree)
         self.waves = []
@@ -210,26 +195,6 @@ class WaveSchedule:
 
     def __deepcopy__(self, memo):
         return self
-
-
-def _level_order(tree: CompiledTree):
-    """(position of each node, parent position of each position, level
-    bounds, depth of each node) for the level order of the nodes."""
-    n, children = tree.num_nodes, tree.children
-    depth = [0] * n
-    for node in range(n):  # preorder: a parent comes before its children
-        for child in children[node]:
-            depth[child] = depth[node] + 1
-    order = sorted(range(n), key=lambda node: (depth[node], node))
-    pos = [0] * n
-    for p, node in enumerate(order):
-        pos[node] = p
-    parent = [0] * n
-    for node in range(n):
-        for child in children[node]:
-            parent[pos[child]] = pos[node]
-    starts = [p for p in range(1, n) if depth[order[p]] != depth[order[p - 1]]]
-    return pos, parent, [0, *starts, n], depth
 
 
 def _wave_numbers(tree: CompiledTree):

@@ -6,23 +6,25 @@ position, the landlord seat) cancels out of per-agent aggregates and
 the whole run is reproducible from one master seed.
 
 Best response comes in two independently written forms. The generic
-one sweeps the compiled tree (trees.compiled_tree), groups the
-responder's nodes by info set and maximizes reach-weighted action
-values recursively; the leduc-specific one never touches the
+one sweeps the compiled tree's TreeLayout with numpy, as policy value
+does (Johanson et al. 2011); the leduc-specific one never touches the
 tree module and instead pushes explicit hidden-state weight vectors
 (opponent card, board card) down the public betting sequence. The test
 suite requires them to agree to 1e-9, which guards both the tree
-construction and the recursion logic.
+construction and the sweep.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+
+import numpy as np
 
 from cardtable.agents.policy import PolicyTable
 from cardtable.env import REGISTRY, Env, EnvConfig, make
 from cardtable.errors import GameTooLarge, InvalidParam, NotZeroSum, SeatMismatch
-from cardtable.trees import CHANCE, DECISION, NODE_LIMIT, TERMINAL, blackjack_census, compiled_tree, tree_for
+from cardtable.trees import DECISION, NODE_LIMIT, CompiledTree, blackjack_census, compiled_tree
 
 # ---------------------------------------------------------------------------
 # tournaments
@@ -161,45 +163,121 @@ def winrate_vs_random(agent, config: EnvConfig, n_games: int) -> float:
 # best response and exploitability
 
 
-def _aligned_probs(policy: PolicyTable, key: str, actions) -> tuple[float, ...]:
-    """The policy's probability of each legal action at key, 0.0 where it stores none."""
-    ids, probs = policy.probs_for(key, actions)
-    by_id = dict(zip(ids, probs))
-    return tuple(by_id.get(action, 0.0) for action in actions)
+def _slot_probs(tree: CompiledTree, tables) -> np.ndarray:
+    """Each info set's action probabilities under its seat's table (tables
+    is one PolicyTable for every seat or a sequence per seat), by action
+    slot: uniform at a key the table lacks, 0.0 at an action it lacks."""
+    if isinstance(tables, PolicyTable):
+        tables = [tables, tables]
+    probs = []
+    for key, actions, seat in zip(tree.keys, tree.actions, tree.info_seat):
+        ids, stored = tables[seat].probs_for(key, actions)
+        if ids != actions:
+            by_id = dict(zip(ids, stored))
+            stored = [by_id.get(action, 0.0) for action in actions]
+        probs.extend(stored)
+    return np.array(probs)
+
+
+class _SweepPlan:
+    """Index arrays for value sweeps of a compiled tree in which seat (0 or
+    1) best-responds, or nobody does (None).
+
+    A sweep pushes reach down the levels, then values up in stages, each
+    reading only earlier ones. A node sums probability times value over
+    its children in action order; the responder's nodes take the value of
+    their info set's choice, made after every set below it: the first
+    action of largest sum, over the set's nodes in preorder, of reach
+    times child value. Only elementwise operations, take and bincount
+    compute, so every product and sum runs in a depth-first walk's order.
+    """
+
+    def __init__(self, tree: CompiledTree, seat):
+        layout = tree.layout
+        kind, children, info, pos = tree.kind, tree.children, tree.info, layout.pos
+        n, self.num_sets = tree.num_nodes, len(tree.keys)
+        responds = [kind[v] == DECISION and tree.seat[v] == seat for v in range(n)]
+        # a stage is a longest path over links from a child to its parent, or to
+        # the parent's set n + i if the parent responds (+1), and from a set to
+        # its nodes (+0); a set below itself closes a cycle that grows forever
+        up = [n + info[v] if responds[v] else v for v in range(n)]
+        links = [(c, up[v], 1) for v in range(n) for c in children[v]]
+        links += [(up[v], v, 0) for v in range(n) if responds[v]]
+        src, dst, step = np.array(links, dtype=np.intp).reshape(-1, 3).T
+        stage = np.zeros(n + self.num_sets, dtype=np.intp)
+        for rounds in range(2 * len(stage) + 1):
+            last = stage.copy()
+            np.maximum.at(stage, dst, last[src] + step)
+            if (stage == last).all():
+                break
+            if rounds == len(stage):  # past any path without a cycle: what grows on is on or above one
+                settled = stage.copy()
+        else:
+            stuck = [key for i, key in enumerate(tree.keys) if stage[n + i] != settled[n + i]]
+            raise ValueError(f"info keys {stuck} have no best-response order: each lies below itself or another of them")
+
+        self.value = 0.0 - layout.payoff if seat == 1 else layout.payoff
+        self.multipliers = layout.edge_prob.copy()  # 1.0 below the responder, so a child has its node's reach
+        opponent = [v for v in range(n) if kind[v] == DECISION and not responds[v]]
+        slotted = [(pos[c], layout.offsets[info[v]] + a) for v in opponent for a, c in enumerate(children[v])]
+        self.slot_pos, self.slots = np.array(slotted, dtype=np.intp).reshape(-1, 2).T
+        levels = zip(layout.bounds[1:], layout.bounds[2:]) if seat is not None else ()  # no reach without a responder
+        self.down = [(lo, hi, layout.parent[lo:hi]) for lo, hi in levels]
+
+        # edge rows in preorder: (stage, node, child), or below the responder (stage, set, action, node, child)
+        sums = [(stage[v], pos[v], pos[c]) for v in range(n) if not responds[v] for c in children[v]]
+        sums = np.array(sums, dtype=np.intp).reshape(-1, 3)
+        moves = [(stage[v], info[v], a, pos[v], pos[c]) for v in range(n) if responds[v] for a, c in enumerate(children[v])]
+        moves = np.array(moves, dtype=np.intp).reshape(-1, 5)
+        widths = np.array([len(acts) for acts in tree.actions], dtype=np.intp)
+        self.stages = []
+        for s in range(1, stage[0] + 1):
+            edges, scored = sums[sums[:, 0] == s], moves[moves[:, 0] == s]
+            nodes, group = np.unique(edges[:, 1], return_inverse=True)
+            sets, owner = np.unique(scored[:, 1], return_inverse=True)
+            members, first = np.unique(scored[:, 3], return_index=True)
+            pad = np.where(np.arange(widths[sets].max(initial=0)) < widths[sets, None], 0.0, -np.inf)
+            bins = owner * pad.shape[1] + scored[:, 2]
+            arrays = (nodes, edges[:, 2], group, sets, bins, scored[:, 4], pad, members, first, owner[first])
+            self.stages.append(tuple(np.ascontiguousarray(x) for x in arrays))
+
+    def sweep(self, slot_probs: np.ndarray) -> tuple[float, np.ndarray]:
+        """(root value to the responder, or to player 0 for None; chosen
+        action index per info set, 0 off the responder's sets)."""
+        multipliers = self.multipliers.copy()
+        multipliers[self.slot_pos] = slot_probs[self.slots]
+        value, reach = self.value.copy(), np.ones(len(self.value))
+        for lo, hi, parents in self.down:
+            np.multiply(reach[parents], multipliers[lo:hi], out=reach[lo:hi])
+        choice = np.zeros(self.num_sets, dtype=np.intp)
+        for nodes, edges, group, sets, bins, cols, pad, members, first, owner in self.stages:
+            if len(sets):
+                scores = np.bincount(bins, reach[cols] * value[cols], pad.size).reshape(pad.shape)
+                choice[sets] = picks = (scores + pad).argmax(axis=1)
+                value[members] = value[cols[first + picks[owner]]]
+            value[nodes] = np.bincount(group, multipliers[edges] * value[edges], len(nodes))
+        return float(value[0]), choice
+
+
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _sweep_plan(tree: CompiledTree, seat) -> _SweepPlan:
+    plans = _PLANS.setdefault(tree, {})
+    if seat not in plans:
+        plans[seat] = _SweepPlan(tree, seat)
+    return plans[seat]
 
 
 def tree_policy_value(game, tables) -> tuple[float, ...]:
     """Exact expected payoffs when every seat plays its PolicyTable.
 
     tables is one table shared by all seats or a sequence per seat;
-    unseen keys fall back to uniform, matching PolicyAgent.
+    unseen keys fall back to uniform, matching PolicyAgent. One upward
+    sweep of the tree's layout, with nobody responding.
     """
     tree = compiled_tree(game)
-    if isinstance(tables, PolicyTable):
-        tables = [tables, tables]
-    kind, children, chance_probs, info, payoff = tree.kind, tree.children, tree.probs, tree.info, tree.payoff
-    action_probs = [
-        _aligned_probs(tables[tree.info_seat[i]], key, tree.actions[i]) for i, key in enumerate(tree.keys)
-    ]
-
-    def walk(node):
-        """Player 0's value; the game is zero-sum, so player 1's is its negation."""
-        k = kind[node]
-        if k == TERMINAL:
-            return payoff[node]
-        if k == CHANCE:
-            branches = zip(children[node], chance_probs[node])
-        else:
-            branches = [(c, p) for c, p in zip(children[node], action_probs[info[node]]) if p != 0.0]
-        total = None
-        for child, prob in branches:
-            if total is None:
-                total = prob * walk(child)
-            else:
-                total += prob * walk(child)
-        return 0.0 if total is None else total
-
-    v = walk(0)
+    v, _ = _sweep_plan(tree, None).sweep(_slot_probs(tree, tables))
     return v, 0.0 - v  # not -v: a game worth exactly 0 is worth +0.0 to both seats
 
 
@@ -207,90 +285,17 @@ def best_response(game, policy: PolicyTable, player: int, node_limit: int = NODE
     """Exact best response for one player against a fixed policy.
 
     Returns (br_policy, br_value): br_policy plays, at each of the
-    player's info sets, the action _best_response_value chose there.
+    player's info sets, the first action of largest reach-weighted value.
+    Raises ValueError if the player's info sets have no bottom-up order.
     """
-    tree, best_action, br_value = _best_response_value(game, policy, player, node_limit)
+    tree = compiled_tree(game, node_limit)
+    br_value, choice = _sweep_plan(tree, player).sweep(_slot_probs(tree, policy))
     br_policy = PolicyTable()
     for i, key in enumerate(tree.keys):
         if tree.info_seat[i] == player:
-            pick = best_action(i)
             actions = tree.actions[i]
-            br_policy.set(key, actions, [1.0 if a == pick else 0.0 for a in range(len(actions))])
+            br_policy.set(key, actions, [1.0 if a == choice[i] else 0.0 for a in range(len(actions))])
     return br_policy, br_value
-
-
-def _best_response_value(game, policy: PolicyTable, player: int, node_limit: int = NODE_LIMIT):
-    """The best-response value for player, without building its policy.
-
-    Returns (tree, best_action, value): the compiled tree, the function
-    giving the best action's index at each of the player's info sets,
-    and the value of the tree's root. Pass 1 sweeps the compiled tree in
-    preorder, recording every node's chance-and-opponent reach
-    probability and grouping the responding player's nodes by info set;
-    pass 2 picks, per info set, the action maximizing the reach-weighted
-    value sum, evaluating nodes lazily so the choice at a set and the
-    values below it stay consistent. Ties break to the earliest legal
-    action.
-    """
-    tree = compiled_tree(game, node_limit)
-    kind, children, chance_probs = tree.kind, tree.children, tree.probs
-    seat, info, payoff = tree.seat, tree.info, tree.payoff
-    opponent_probs = [
-        None if tree.info_seat[i] == player else _aligned_probs(policy, key, tree.actions[i])
-        for i, key in enumerate(tree.keys)
-    ]
-    members: list[list[int]] = [[] for _ in tree.keys]
-    reach = [1.0] * tree.num_nodes
-    for node, k in enumerate(kind):
-        if k == TERMINAL:
-            continue
-        r = reach[node]
-        if k == CHANCE:
-            for child, prob in zip(children[node], chance_probs[node]):
-                reach[child] = r * prob
-        elif seat[node] == player:
-            members[info[node]].append(node)
-            for child in children[node]:
-                reach[child] = r
-        else:
-            for child, prob in zip(children[node], opponent_probs[info[node]]):
-                reach[child] = r * prob
-
-    values: list = [None] * tree.num_nodes
-    chosen: list = [None] * len(tree.keys)
-
-    def value(node) -> float:
-        v = values[node]
-        if v is not None:
-            return v
-        k = kind[node]
-        if k == TERMINAL:
-            v = payoff[node] if player == 0 else -payoff[node]
-        elif k == CHANCE:
-            v = sum(prob * value(child) for child, prob in zip(children[node], chance_probs[node]))
-        elif seat[node] == player:
-            v = value(children[node][best_action(info[node])])
-        else:
-            branches = zip(children[node], opponent_probs[info[node]])
-            v = sum(prob * value(child) for child, prob in branches if prob)
-        values[node] = v
-        return v
-
-    def best_action(i: int) -> int:
-        """Index, within info set i's actions, of the best response."""
-        hit = chosen[i]
-        if hit is not None:
-            return hit
-        best = None
-        best_score = None
-        for a in range(len(tree.actions[i])):
-            score = sum(reach[node] * value(children[node][a]) for node in members[i])
-            if best_score is None or score > best_score:
-                best, best_score = a, score
-        chosen[i] = best
-        return best
-
-    return tree, best_action, value(0)
 
 
 # independent leduc route: explicit hidden-state weights on the public tree
@@ -440,9 +445,9 @@ def exploitability(game_id: str, policy: PolicyTable) -> ExploitabilityReport:
     """
     if game_id not in _ZERO_SUM_2P:
         raise NotZeroSum(f"{game_id} is not a two-player zero-sum game")
-    tree = tree_for(game_id)  # limit_holdem raises GameTooLarge here
-    _, _, br0 = _best_response_value(tree, policy, 0)
-    _, _, br1 = _best_response_value(tree, policy, 1)
+    tree = compiled_tree(game_id)  # limit_holdem raises GameTooLarge here
+    slot_probs = _slot_probs(tree, policy)
+    br0, br1 = (_sweep_plan(tree, seat).sweep(slot_probs)[0] for seat in (0, 1))
     return ExploitabilityReport(
         game_id=game_id,
         br_values=(br0, br1),

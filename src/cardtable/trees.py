@@ -10,7 +10,9 @@ info-set index and terminal payoff, plus per-info-set keys and action
 ids. compiled_tree caches that form per tree instance, and tree_for
 maps a game id to one shared tree, so a game is walked through its
 TreeGame methods once per process. CFR, best response, policy value,
-the node count and the leduc census all read the compiled tables.
+the node count and the leduc census all read the compiled tables; the
+numpy sweeps (CFR, best response, policy value) read them through the
+tree's TreeLayout, which renumbers the nodes in level order.
 
 Only games small enough to enumerate get a tree: leduc here, plus a
 blackjack info-set enumeration used by the census. LeducTree holds no
@@ -27,6 +29,10 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, repeat
+
+import numpy as np
 
 from cardtable.core.rng import Rng
 from cardtable.errors import GameTooLarge, NotZeroSum
@@ -134,7 +140,8 @@ class CompiledTree:
     actions    legal action ids, aligned with the children of each of its nodes
     info_seat  acting seat
 
-    Instances are immutable and shared: deepcopy returns the same object.
+    layout is its TreeLayout, built at first use. Instances are immutable
+    and shared: deepcopy returns the same object.
     """
 
     kind: tuple[int, ...]
@@ -150,6 +157,10 @@ class CompiledTree:
     @property
     def num_nodes(self) -> int:
         return len(self.kind)
+
+    @cached_property
+    def layout(self) -> TreeLayout:
+        return TreeLayout(self)
 
     def __deepcopy__(self, memo):
         return self
@@ -238,6 +249,39 @@ def compiled_tree(game, node_limit: int = NODE_LIMIT) -> CompiledTree:
     elif compiled.num_nodes > node_limit:
         raise GameTooLarge(f"tree exceeds {node_limit} nodes")
     return compiled
+
+
+class TreeLayout:
+    """A compiled tree's nodes in breadth-first order: the tables its sweeps share.
+
+    Positions number the nodes level by level, in preorder within a level,
+    so level k is the slice bounds[k]:bounds[k + 1] and a node's children
+    sit side by side in action order. pos and depth are lists by node;
+    parent, edge_prob (the chance probability leading in, 1.0 below a
+    decision), chance_reach (the product of edge_prob from the root) and
+    payoff (player 0's at terminals, else 0.0) are arrays by position.
+    Info set i owns the action slots offsets[i] up to offsets[i + 1].
+    """
+
+    def __init__(self, tree: CompiledTree):
+        n, kind, children = tree.num_nodes, tree.kind, tree.children
+        order, pos, depth = [0], [0] * n, [0] * n
+        parent, edge_prob, chance_reach, payoff = [0] * n, [1.0] * n, [1.0] * n, [0.0] * n
+        for node in order:  # grows as it goes: a parent's reach is ready before its children's
+            p = pos[node]
+            if kind[node] == TERMINAL:
+                payoff[p] = tree.payoff[node]
+            for child, prob in zip(children[node], tree.probs[node] if kind[node] == CHANCE else repeat(1.0)):
+                c = pos[child] = len(order)
+                order.append(child)
+                depth[child] = depth[node] + 1
+                parent[c], edge_prob[c], chance_reach[c] = p, prob, chance_reach[p] * prob
+        self.pos, self.depth = pos, depth
+        self.bounds = [0, *(p for p in range(1, n) if depth[order[p]] != depth[order[p - 1]]), n]
+        self.offsets = [0, *accumulate(len(acts) for acts in tree.actions)]
+        self.parent = np.array(parent, dtype=np.intp)
+        self.edge_prob, self.chance_reach = np.array(edge_prob), np.array(chance_reach)
+        self.payoff = np.array(payoff, dtype=float)
 
 
 def count_nodes(tree, limit: int = NODE_LIMIT) -> int:
