@@ -16,7 +16,8 @@ not its ancestors. Textbook vanilla CFR holds the strategy fixed for the
 whole iteration instead; switching would change every output.
 
 The sweep keeps that order without walking. A WaveSchedule, built once
-per compiled tree, splits each iteration into waves:
+per compiled tree from its TreeLayout's arrays, splits each iteration
+into waves:
 
 - a node's read wave is 0 if no node of its info set precedes it in
   that sense, else one more than the largest done wave among those that
@@ -25,13 +26,15 @@ per compiled tree, splits each iteration into waves:
   ancestors and its descendants: the first wave that knows both its
   reach and its subtree's values.
 
-On leduc this gives 5 waves. A wave regret-matches the info sets read
-in it, pushes reach down and values up the tree one depth level at a
-time, then adds the updates of the nodes done in it in the walk's
-postorder (add.at where one slot updates twice in a wave). Its sums run
-in the walk's order too: only elementwise operations, take, bincount
-and add.at, no pairwise reductions. So every accumulator is bit-equal
-to the walk's.
+_wave_numbers finds both, and the walk's postorder, in one pass of the
+walk on an explicit stack, so a tree of any depth up to the node guard
+trains. On leduc this gives 5 waves. A wave regret-matches the info
+sets read in it, pushes reach down and values up the tree one depth
+level at a time, then adds the updates of the nodes done in it in the
+walk's postorder (add.at where one slot updates twice in a wave). Its
+sums run in the walk's order too: only elementwise operations, take,
+bincount and add.at, no pairwise reductions. So every accumulator is
+bit-equal to the walk's.
 
 The walk returned 0 at a decision node whose two player reaches are both
 0, and created the node's info set only when one reach was nonzero. The
@@ -68,7 +71,7 @@ class _Wave(NamedTuple):
     read_slots, read_group   action slots of the info sets read in this
                              wave, set by set, and the set of each (0,
                              1, ... within the wave), for bincount
-    read_sets, read_uniform  the number of those sets; 1 / width per slot
+    read_uniform             1 / width per read slot
     sigma_from               read slot that gives each edge out of a
                              node read in this wave its probability
     sigma_prob, sigma_reach  those edges in the buffer's edge-probability
@@ -85,7 +88,6 @@ class _Wave(NamedTuple):
 
     read_slots: np.ndarray
     read_group: np.ndarray
-    read_sets: int
     read_uniform: np.ndarray
     sigma_from: np.ndarray
     sigma_prob: np.ndarray
@@ -95,10 +97,6 @@ class _Wave(NamedTuple):
     slots: np.ndarray
     sets: np.ndarray
     repeats: bool
-
-
-def _intp(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.intp)
 
 
 class WaveSchedule:
@@ -119,17 +117,16 @@ class WaveSchedule:
     """
 
     def __init__(self, tree: CompiledTree):
-        kind, children, info, seat = tree.kind, tree.children, tree.info, tree.seat
         layout = tree.layout
         n = self.size = tree.num_nodes
         offsets = self.offsets = layout.offsets
         self.num_slots = offsets[-1]
-        pos, parent, bounds = layout.pos, layout.parent, layout.bounds
+        parent, bounds, slot, seat, info = layout.parent, layout.bounds, layout.slot, layout.seat, layout.info
 
         # reach matters down to the deepest decision level, values up to
         # the shallowest one
-        decision_depths = [layout.depth[node] for node in range(n) if kind[node] == DECISION]
-        top, bottom = min(decision_depths, default=0), max(decision_depths, default=-1)
+        levels = np.searchsorted(bounds, np.flatnonzero(layout.kind == DECISION), side="right") - 1
+        top, bottom = (levels[0], levels[-1]) if len(levels) else (0, -1)
         self.down, self.up = [], []
         for k in range(1, len(bounds) - 1):
             lo, hi, plo, phi = bounds[k], bounds[k + 1], bounds[k - 1], bounds[k]
@@ -146,50 +143,32 @@ class WaveSchedule:
         self.buffer[0:2] = 1.0  # the root's player reaches
         self.buffer[2 * n :] = np.concatenate((layout.payoff, layout.edge_prob, layout.chance_reach))
 
-        read, done, postorder = _wave_numbers(tree)
+        read, done, rank = (numbers[layout.node] for numbers in _wave_numbers(tree))
+        widths = np.diff(offsets)
+        slot_set = np.repeat(np.arange(len(tree.keys)), widths)  # the info set of each slot
+        edges = np.flatnonzero(slot >= 0)  # positions entered from a decision, children in action order
         self.waves = []
-        for w in range(max(done, default=-1) + 1):
-            readers = [node for node in range(n) if read[node] == w]
-            sets = sorted({info[node] for node in readers})
-            local = {}
-            read_slots, read_group, read_uniform = [], [], []
-            for g, i in enumerate(sets):
-                for slot in range(offsets[i], offsets[i + 1]):
-                    local[slot] = len(read_slots)
-                    read_slots.append(slot)
-                    read_group.append(g)
-                    read_uniform.append(1.0 / (offsets[i + 1] - offsets[i]))
-            sigma_from, sigma_prob, sigma_reach = [], [], []
-            for node in readers:
-                for a, child in enumerate(children[node]):
-                    sigma_from.append(local[offsets[info[node]] + a])
-                    sigma_prob.append(3 * n + pos[child])
-                    sigma_reach.append(2 * pos[child] + seat[node])
-            gather, sign, slots, edge_sets = [], [], [], []
-            for node in postorder:
-                if done[node] != w:
-                    continue
-                p, s = pos[node], seat[node]
-                for a, child in enumerate(children[node]):
-                    c = pos[child]
-                    gather.append((2 * n + c, 2 * n + p, 4 * n + p, 2 * p + 1 - s, 2 * p + s, 3 * n + c))
-                    sign.append(-1.0 if s else 1.0)
-                    slots.append(offsets[info[node]] + a)
-                    edge_sets.append(info[node])
+        for w in range(done.max(initial=-1) + 1):
+            read_slots = np.flatnonzero(np.isin(slot_set, info[read == w]))
+            read_group = np.unique(slot_set[read_slots], return_inverse=True)[1]
+            sigma = edges[read[parent[edges]] == w]
+            closed = edges[done[parent[edges]] == w]
+            closed = closed[np.argsort(rank[parent[closed]], kind="stable")]  # the walk's postorder
+            p, slots = parent[closed], slot[closed]
+            s = seat[p]
             self.waves.append(
                 _Wave(
-                    read_slots=_intp(read_slots),
-                    read_group=_intp(read_group),
-                    read_sets=len(sets),
-                    read_uniform=np.array(read_uniform),
-                    sigma_from=_intp(sigma_from),
-                    sigma_prob=_intp(sigma_prob),
-                    sigma_reach=_intp(sigma_reach),
-                    gather=_intp(gather).T.copy(),
-                    sign=np.array(sign),
-                    slots=_intp(slots),
-                    sets=_intp(edge_sets),
-                    repeats=len(set(slots)) < len(slots),
+                    read_slots=read_slots,
+                    read_group=read_group,
+                    read_uniform=1.0 / widths[slot_set[read_slots]],
+                    sigma_from=np.searchsorted(read_slots, slot[sigma]),
+                    sigma_prob=3 * n + sigma,
+                    sigma_reach=2 * sigma + seat[parent[sigma]],
+                    gather=np.stack((2 * n + closed, 2 * n + p, 4 * n + p, 2 * p + 1 - s, 2 * p + s, 3 * n + closed)),
+                    sign=np.where(s == 1, -1.0, 1.0),
+                    slots=slots,
+                    sets=info[p],
+                    repeats=len(set(slots.tolist())) < len(slots),
                 )
             )
 
@@ -198,31 +177,30 @@ class WaveSchedule:
 
 
 def _wave_numbers(tree: CompiledTree):
-    """(read wave, done wave, decision nodes in postorder); -1 off decisions."""
+    """(read wave, done wave, postorder rank) by node as arrays; waves are -1 off decisions."""
     kind, children, info = tree.kind, tree.children, tree.info
-    read = [-1] * tree.num_nodes
-    done = [-1] * tree.num_nodes
+    read, done, rank, deepest = ([-1] * tree.num_nodes for _ in range(4))  # deepest: largest read wave in the subtree
     last_done = [-1] * len(tree.keys)  # largest done wave of a set's finished nodes
-    postorder: list[int] = []
-
-    def visit(node: int, above: int) -> int:
-        """Largest read wave in node's subtree; above is its ancestors'."""
+    left = 0  # nodes left so far
+    stack = [(0, -1)]  # (node, largest read wave of its ancestors), or (~node, of it and them) to leave it
+    while stack:
+        node, above = stack.pop()
+        if node >= 0:
+            if kind[node] == DECISION:
+                read[node] = last_done[info[node]] + 1
+                above = max(above, read[node])
+            stack.append((~node, above))
+            stack.extend((child, above) for child in reversed(children[node]))
+            continue
+        node = ~node
+        below = max((deepest[child] for child in children[node]), default=-1)
+        rank[node], left = left, left + 1
         if kind[node] == DECISION:
-            i = info[node]
-            read[node] = last_done[i] + 1
-            above = max(above, read[node])
-        below = -1
-        for child in children[node]:
-            below = max(below, visit(child, above))
-        if kind[node] != DECISION:
-            return below
-        done[node] = max(above, below)
-        last_done[i] = max(last_done[i], done[node])
-        postorder.append(node)
-        return max(below, read[node])
-
-    visit(0, -1)
-    return read, done, postorder
+            done[node] = max(above, below)
+            last_done[info[node]] = max(last_done[info[node]], done[node])
+            below = max(below, read[node])
+        deepest[node] = below
+    return np.array(read), np.array(done), np.array(rank)
 
 
 _SCHEDULES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -267,7 +245,7 @@ class CFRTrainer:
         for _ in range(iterations):
             for wave in s.waves:
                 positives = np.maximum(regrets[wave.read_slots], 0.0)
-                totals = np.bincount(wave.read_group, positives, wave.read_sets)[wave.read_group]
+                totals = np.bincount(wave.read_group, positives)[wave.read_group]
                 sigma = np.divide(positives, totals, out=wave.read_uniform.copy(), where=totals > 0.0)
                 sigma = sigma[wave.sigma_from]
                 buffer[wave.sigma_prob] = sigma

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from cardtable.agents.cfr import regret_matching
-from cardtable.agents.policy import PolicyTable, average_policy
+from cardtable.agents.policy import PolicyTable, average_policy, sample_index
 from cardtable.core.rng import Rng, split_seed
 from cardtable.env import EnvConfig, make
 from cardtable.errors import GameTooLarge
@@ -97,7 +97,7 @@ class MCCFRTrainer:
         if seat != traverser:
             for i, prob in enumerate(strategy):
                 strat_sum[i] += prob
-            nxt = game.step(legal[self._sample(strategy)])
+            nxt = game.step(legal[sample_index(strategy, self.rng)])
             value = game.payoffs()[traverser] if nxt is None else self._traverse(nxt, traverser)
             game.step_back()
             return value
@@ -110,15 +110,6 @@ class MCCFRTrainer:
         for i, v in enumerate(values):
             regr[i] += v - ev
         return ev
-
-    def _sample(self, strategy) -> int:
-        pick = self.rng.random()
-        acc = 0.0
-        for i, prob in enumerate(strategy):
-            acc += prob
-            if pick < acc:
-                return i
-        return len(strategy) - 1
 
 
 def mccfr_external_train(game, iterations: int, rng_seed: int = 0) -> PolicyTable:

@@ -143,10 +143,16 @@ class PolicyAgent(Agent):
 
     def eval_step(self, obs, rng) -> int:
         ids, probs = self.table.probs_for(obs.info_key, obs.legal_action_ids)
-        pick = rng.random()
-        acc = 0.0
-        for a, p in zip(ids, probs):
-            acc += p
-            if pick < acc:
-                return a
-        return ids[-1]
+        return ids[sample_index(probs, rng)]
+
+
+def sample_index(probs, rng) -> int:
+    """Index drawn from probs with one rng.random(): the first whose running
+    sum passes the draw, or the last if rounding leaves the sum short."""
+    pick = rng.random()
+    acc = 0.0
+    for i, p in enumerate(probs):
+        acc += p
+        if pick < acc:
+            return i
+    return len(probs) - 1

@@ -81,34 +81,33 @@ class GameSpec:
     default_players: int
     player_range: tuple[int, int]
     params: tuple[str, ...]
-    plane_shape: tuple[int, ...]
 
 
 def _build_registry() -> dict[str, GameSpec]:
     return {
         "blackjack": GameSpec(
             lambda rng, back, n, p: blackjack.BlackjackGame(rng, back),
-            blackjack, blackjack.NUM_ACTIONS, 1, (1, 1), (), (2,),
+            blackjack, blackjack.NUM_ACTIONS, 1, (1, 1), (),
         ),
         "leduc": GameSpec(
             lambda rng, back, n, p: leduc.LeducGame(rng, back),
-            leduc, leduc.NUM_ACTIONS, 2, (2, 2), (), (14,),
+            leduc, leduc.NUM_ACTIONS, 2, (2, 2), (),
         ),
         "limit_holdem": GameSpec(
             lambda rng, back, n, p: limit_holdem.LimitHoldemGame(rng, back, num_players=n, **p),
-            limit_holdem, limit_holdem.NUM_ACTIONS, 2, (2, 10), ("fixed_raise",), (107,),
+            limit_holdem, limit_holdem.NUM_ACTIONS, 2, (2, 10), ("fixed_raise",),
         ),
         "uno": GameSpec(
             lambda rng, back, n, p: uno.UnoGame(rng, back, num_players=n, **p),
-            uno, uno.NUM_ACTIONS, 2, (2, 4), ("hand_size",), (4, 54),
+            uno, uno.NUM_ACTIONS, 2, (2, 4), ("hand_size",),
         ),
         "doudizhu": GameSpec(
             lambda rng, back, n, p: doudizhu.DoudizhuGame(rng, back, variant="full", **p),
-            doudizhu, doudizhu.NUM_ACTIONS, 3, (3, 3), ("landlord",), (6, 5, 15),
+            doudizhu, doudizhu.NUM_ACTIONS, 3, (3, 3), ("landlord",),
         ),
         "mini_doudizhu": GameSpec(
             lambda rng, back, n, p: doudizhu.DoudizhuGame(rng, back, variant="mini", **p),
-            doudizhu, doudizhu.NUM_ACTIONS, 3, (3, 3), ("landlord",), (6, 5, 15),
+            doudizhu, doudizhu.NUM_ACTIONS, 3, (3, 3), ("landlord",),
         ),
     }
 

@@ -194,16 +194,17 @@ class _SweepPlan:
 
     def __init__(self, tree: CompiledTree, seat):
         layout = tree.layout
-        kind, children, info, pos = tree.kind, tree.children, tree.info, layout.pos
+        parent, info, slot = layout.parent, layout.info, layout.slot
         n, self.num_sets = tree.num_nodes, len(tree.keys)
-        responds = [kind[v] == DECISION and tree.seat[v] == seat for v in range(n)]
+        responds = layout.seat == seat if seat is not None else np.zeros(n, dtype=bool)
         # a stage is a longest path over links from a child to its parent, or to
         # the parent's set n + i if the parent responds (+1), and from a set to
         # its nodes (+0); a set below itself closes a cycle that grows forever
-        up = [n + info[v] if responds[v] else v for v in range(n)]
-        links = [(c, up[v], 1) for v in range(n) for c in children[v]]
-        links += [(up[v], v, 0) for v in range(n) if responds[v]]
-        src, dst, step = np.array(links, dtype=np.intp).reshape(-1, 3).T
+        up = np.where(responds, n + info, np.arange(n))
+        responders = np.flatnonzero(responds)
+        src = np.concatenate((np.arange(1, n), n + info[responders]))
+        dst = np.concatenate((up[parent[1:]], responders))
+        step = np.repeat((1, 0), (n - 1, len(responders)))
         stage = np.zeros(n + self.num_sets, dtype=np.intp)
         for rounds in range(2 * len(stage) + 1):
             last = stage.copy()
@@ -218,28 +219,25 @@ class _SweepPlan:
 
         self.value = 0.0 - layout.payoff if seat == 1 else layout.payoff
         self.multipliers = layout.edge_prob.copy()  # 1.0 below the responder, so a child has its node's reach
-        opponent = [v for v in range(n) if kind[v] == DECISION and not responds[v]]
-        slotted = [(pos[c], layout.offsets[info[v]] + a) for v in opponent for a, c in enumerate(children[v])]
-        self.slot_pos, self.slots = np.array(slotted, dtype=np.intp).reshape(-1, 2).T
+        self.slot_pos = np.flatnonzero((slot >= 0) & ~responds[parent])
+        self.slots = slot[self.slot_pos]
         levels = zip(layout.bounds[1:], layout.bounds[2:]) if seat is not None else ()  # no reach without a responder
-        self.down = [(lo, hi, layout.parent[lo:hi]) for lo, hi in levels]
+        self.down = [(lo, hi, parent[lo:hi]) for lo, hi in levels]
 
-        # edge rows in preorder: (stage, node, child), or below the responder (stage, set, action, node, child)
-        sums = [(stage[v], pos[v], pos[c]) for v in range(n) if not responds[v] for c in children[v]]
-        sums = np.array(sums, dtype=np.intp).reshape(-1, 3)
-        moves = [(stage[v], info[v], a, pos[v], pos[c]) for v in range(n) if responds[v] for a, c in enumerate(children[v])]
-        moves = np.array(moves, dtype=np.intp).reshape(-1, 5)
-        widths = np.array([len(acts) for acts in tree.actions], dtype=np.intp)
+        # edges in the walk's order: by the parent's preorder index, then by action
+        child = 1 + np.argsort(layout.node[parent[1:]], kind="stable")
+        by_responder = responds[parent[child]]
+        summed, moved = child[~by_responder], child[by_responder]
+        widths = np.diff(layout.offsets)
         self.stages = []
         for s in range(1, stage[0] + 1):
-            edges, scored = sums[sums[:, 0] == s], moves[moves[:, 0] == s]
-            nodes, group = np.unique(edges[:, 1], return_inverse=True)
-            sets, owner = np.unique(scored[:, 1], return_inverse=True)
-            members, first = np.unique(scored[:, 3], return_index=True)
+            edges, scored = summed[stage[parent[summed]] == s], moved[stage[parent[moved]] == s]
+            nodes, group = np.unique(parent[edges], return_inverse=True)
+            sets, owner = np.unique(info[parent[scored]], return_inverse=True)
+            members, first = np.unique(parent[scored], return_index=True)
             pad = np.where(np.arange(widths[sets].max(initial=0)) < widths[sets, None], 0.0, -np.inf)
-            bins = owner * pad.shape[1] + scored[:, 2]
-            arrays = (nodes, edges[:, 2], group, sets, bins, scored[:, 4], pad, members, first, owner[first])
-            self.stages.append(tuple(np.ascontiguousarray(x) for x in arrays))
+            bins = owner * pad.shape[1] + layout.action[scored]
+            self.stages.append((nodes, edges, group, sets, bins, scored, pad, members, first, owner[first]))
 
     def sweep(self, slot_probs: np.ndarray) -> tuple[float, np.ndarray]:
         """(root value to the responder, or to player 0 for None; chosen

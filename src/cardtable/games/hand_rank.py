@@ -14,19 +14,6 @@ straight with top card 5. Equal tuples mean a chopped pot.
 
 from __future__ import annotations
 
-CATEGORY_NAMES = (
-    "high_card",
-    "pair",
-    "two_pair",
-    "trips",
-    "straight",
-    "flush",
-    "full_house",
-    "quads",
-    "straight_flush",
-)
-
-
 def _straight_top(present: int) -> int:
     """Best straight top rank in a rank bitmask, -1 if none. Wheel top is rank 3 (the five)."""
     run = 0b11111

@@ -4,15 +4,18 @@ A TreeGame (root, is_terminal, is_chance, chance_outcomes, player,
 info_key, actions, child, payoffs) describes an immutable node graph
 with explicit chance nodes whose outcome probabilities are exact, which
 is what vanilla CFR and best-response sweeps need. compile_tree walks
-one TreeGame once and flattens it into a CompiledTree: preorder node
+one TreeGame once, on its own stack, so a tree of any depth up to the
+node guard compiles, and flattens it into a CompiledTree: preorder node
 indices with per-node kind, children, chance probabilities, seat,
 info-set index and terminal payoff, plus per-info-set keys and action
 ids. compiled_tree caches that form per tree instance, and tree_for
 maps a game id to one shared tree, so a game is walked through its
-TreeGame methods once per process. CFR, best response, policy value,
-the node count and the leduc census all read the compiled tables; the
-numpy sweeps (CFR, best response, policy value) read them through the
-tree's TreeLayout, which renumbers the nodes in level order.
+TreeGame methods once per process. The node count and the leduc census
+read the compiled tables. The numpy sweeps (CFR, best response, policy
+value) take their node tables from the tree's TreeLayout, the one
+level-order numbering: it holds each table by position, so the sweeps
+select and sort its arrays instead of walking the tree. Only CFR's
+wave numbers still walk it once, to replay a depth-first walk's order.
 
 Only games small enough to enumerate get a tree: leduc here, plus a
 blackjack info-set enumeration used by the census. LeducTree holds no
@@ -30,7 +33,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 import numpy as np
 
@@ -169,6 +172,7 @@ class CompiledTree:
 def compile_tree(tree, node_limit: int = NODE_LIMIT) -> CompiledTree:
     """Walk a TreeGame once and return its compiled form.
 
+    The walk keeps its own stack, so depth alone never stops it.
     Raises GameTooLarge as soon as the node count passes node_limit,
     NotZeroSum at a terminal whose payoffs are not (p, -p), and
     ValueError if one information key shows two action lists or seats.
@@ -184,12 +188,15 @@ def compile_tree(tree, node_limit: int = NODE_LIMIT) -> CompiledTree:
     actions: list[tuple[int, ...]] = []
     info_seat: list[int] = []
 
-    def add(node) -> int:
+    stack = [(tree.root(), [])]  # (TreeGame node, its parent's child list); popped in preorder
+    while stack:
+        node, siblings = stack.pop()
         n = len(kind)
         if n >= node_limit:
             raise GameTooLarge(f"tree exceeds {node_limit} nodes")
+        siblings.append(n)
         kind.append(TERMINAL)
-        children.append(())
+        children.append([])
         for table in (probs, seat, info, payoff):
             table.append(None)
         if tree.is_terminal(node):
@@ -197,11 +204,12 @@ def compile_tree(tree, node_limit: int = NODE_LIMIT) -> CompiledTree:
             if len(pay) != 2 or pay[1] != -pay[0]:
                 raise NotZeroSum(f"terminal payoffs {pay} are not two-player zero-sum")
             payoff[n] = pay[0]
-        elif tree.is_chance(node):
+            continue
+        if tree.is_chance(node):
             outcomes = tree.chance_outcomes(node)
             kind[n] = CHANCE
             probs[n] = tuple(prob for _, prob in outcomes)
-            children[n] = tuple(add(child) for child, _ in outcomes)
+            below = [child for child, _ in outcomes]
         else:
             key = tree.info_key(node)
             acts = tuple(tree.actions(node))
@@ -217,13 +225,12 @@ def compile_tree(tree, node_limit: int = NODE_LIMIT) -> CompiledTree:
             kind[n] = DECISION
             seat[n] = who
             info[n] = i
-            children[n] = tuple(add(tree.child(node, a)) for a in acts)
-        return n
+            below = [tree.child(node, a) for a in acts]
+        stack.extend((child, children[n]) for child in reversed(below))  # the first child pops first
 
-    add(tree.root())
     return CompiledTree(
         kind=tuple(kind),
-        children=tuple(children),
+        children=tuple(map(tuple, children)),
         probs=tuple(probs),
         seat=tuple(seat),
         info=tuple(info),
@@ -252,36 +259,48 @@ def compiled_tree(game, node_limit: int = NODE_LIMIT) -> CompiledTree:
 
 
 class TreeLayout:
-    """A compiled tree's nodes in breadth-first order: the tables its sweeps share.
+    """A compiled tree's nodes in breadth-first order: the one numbering its sweeps share.
 
     Positions number the nodes level by level, in preorder within a level,
     so level k is the slice bounds[k]:bounds[k + 1] and a node's children
-    sit side by side in action order. pos and depth are lists by node;
-    parent, edge_prob (the chance probability leading in, 1.0 below a
-    decision), chance_reach (the product of edge_prob from the root) and
-    payoff (player 0's at terminals, else 0.0) are arrays by position.
-    Info set i owns the action slots offsets[i] up to offsets[i + 1].
+    sit side by side in action order. Info set i owns the action slots
+    offsets[i] up to offsets[i + 1]. Arrays by position:
+
+    node          the preorder index
+    kind          TERMINAL, CHANCE or DECISION
+    seat, info    acting seat and info-set index at decisions, else -1
+    parent        the parent's position (0 at the root)
+    action        the place among the parent's children (-1 at the root)
+    slot          the action slot of the edge in from a decision, else -1
+    edge_prob     the chance probability leading in, 1.0 below a decision
+    chance_reach  the product of edge_prob from the root
+    payoff        player 0's payoff at terminals, else 0.0
     """
 
     def __init__(self, tree: CompiledTree):
-        n, kind, children = tree.num_nodes, tree.kind, tree.children
-        order, pos, depth = [0], [0] * n, [0] * n
-        parent, edge_prob, chance_reach, payoff = [0] * n, [1.0] * n, [1.0] * n, [0.0] * n
-        for node in order:  # grows as it goes: a parent's reach is ready before its children's
-            p = pos[node]
-            if kind[node] == TERMINAL:
-                payoff[p] = tree.payoff[node]
-            for child, prob in zip(children[node], tree.probs[node] if kind[node] == CHANCE else repeat(1.0)):
-                c = pos[child] = len(order)
+        children, probs, info = tree.children, tree.probs, tree.info
+        offsets = self.offsets = [0, *accumulate(len(acts) for acts in tree.actions)]
+        order, parent, action, slot, edge_prob, chance_reach = [0], [0], [-1], [-1], [1.0], [1.0]
+        self.bounds = [0, 1]
+        for p, node in enumerate(order):  # grows as it goes: a parent's reach is ready before its children's
+            if p == self.bounds[-1]:  # a new level: every child of the last one is in
+                self.bounds.append(len(order))
+            for a, child in enumerate(children[node]):
+                prob = probs[node][a] if probs[node] else 1.0
                 order.append(child)
-                depth[child] = depth[node] + 1
-                parent[c], edge_prob[c], chance_reach[c] = p, prob, chance_reach[p] * prob
-        self.pos, self.depth = pos, depth
-        self.bounds = [0, *(p for p in range(1, n) if depth[order[p]] != depth[order[p - 1]]), n]
-        self.offsets = [0, *accumulate(len(acts) for acts in tree.actions)]
-        self.parent = np.array(parent, dtype=np.intp)
+                parent.append(p)
+                action.append(a)
+                slot.append(-1 if info[node] is None else offsets[info[node]] + a)
+                edge_prob.append(prob)
+                chance_reach.append(chance_reach[p] * prob)
+        self.node, self.parent, self.action, self.slot = (np.array(x, dtype=np.intp) for x in (order, parent, action, slot))
         self.edge_prob, self.chance_reach = np.array(edge_prob), np.array(chance_reach)
-        self.payoff = np.array(payoff, dtype=float)
+
+        def by_position(table, missing, dtype=np.intp):
+            return np.array([missing if x is None else x for x in table], dtype=dtype)[self.node]
+
+        self.kind, self.seat, self.info = by_position(tree.kind, -1), by_position(tree.seat, -1), by_position(info, -1)
+        self.payoff = by_position(tree.payoff, 0.0, float)
 
 
 def count_nodes(tree, limit: int = NODE_LIMIT) -> int:

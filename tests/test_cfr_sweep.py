@@ -4,13 +4,15 @@ walk_cfr.CFRTrainer is the old in-place walk, kept verbatim. On every
 tree below, after 1, 2, 10, 100 and 1000 iterations, the sweep's
 regrets and strategy sums must be bit-equal to the walk's, its visited
 info sets the walk's created ones, and its policy file the same text.
+The same trees check that each TreeLayout table is the compiled tree's
+preorder table renumbered.
 """
 
 import pytest
 
 from cardtable.agents import CFRTrainer
 from cardtable.agents.cfr import wave_schedule
-from cardtable.trees import compile_tree, compiled_tree
+from cardtable.trees import DECISION, compile_tree, compiled_tree
 
 import walk_cfr
 from test_trees import CoinTree
@@ -156,3 +158,23 @@ def test_a_tree_without_decisions_counts_iterations_only():
     trainer = CFRTrainer(SpecTree(("chance", ((0.25, end(1)), (0.75, end(-1))))))
     trainer.run(4)
     assert trainer.iterations == 4 and len(trainer.policy()) == 0
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_layout_tables_renumber_the_preorder_tables(name):
+    tree = compiled_tree(TREES[name])
+    layout, n = tree.layout, tree.num_nodes
+    node = layout.node.tolist()
+    assert sorted(node) == list(range(n)) and node[0] == 0
+    rebuilt = [{} for _ in range(n)]
+    for p in range(1, n):
+        rebuilt[node[layout.parent[p]]][layout.action[p]] = node[p]
+    assert [tuple(kids[a] for a in range(len(kids))) for kids in rebuilt] == list(tree.children)
+    assert layout.kind.tolist() == [tree.kind[v] for v in node]
+    assert layout.seat.tolist() == [-1 if tree.seat[v] is None else tree.seat[v] for v in node]
+    assert layout.info.tolist() == [-1 if tree.info[v] is None else tree.info[v] for v in node]
+    assert layout.payoff.tolist() == [0.0 if tree.payoff[v] is None else tree.payoff[v] for v in node]
+    for p in range(n):
+        up = layout.parent[p]
+        below = p > 0 and layout.kind[up] == DECISION
+        assert layout.slot[p] == (layout.offsets[layout.info[up]] + layout.action[p] if below else -1), p

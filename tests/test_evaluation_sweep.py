@@ -5,9 +5,12 @@ walk_best_response holds the old walks, kept verbatim. On leduc and on
 the hand-built trees, for trained, uniform and random sparse policies,
 every best-response value, best-response policy file and policy value
 of the sweeps must be bit-equal to the walks' (compared as float.hex).
+A chain deeper than the interpreter's recursion limit must compile,
+train and evaluate, and match the walks run under a raised limit.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -19,7 +22,8 @@ from cardtable.evaluation import best_response, exploitability, tree_policy_valu
 from cardtable.trees import compiled_tree
 
 import walk_best_response as walk
-from test_cfr_sweep import ABSENT_MINDED, PENNIES, ZERO_REACH, SpecTree, end
+import walk_cfr
+from test_cfr_sweep import ABSENT_MINDED, PENNIES, ZERO_REACH, SpecTree, end, sweep_accumulators, walk_accumulators
 from test_trees import CoinTree
 
 # "y" (seat 1) sits at depths 2 and 1, "b" (seat 0) at depths 3 and 2,
@@ -55,6 +59,20 @@ def _x(w, u):
 # than "x" in the same stage, scores below 0 for both its actions
 ROUNDING = SpecTree(
     ("chance", ((0.1, _x(0, 1)), (0.2, _x(0, 1)), (0.3, _x(2, 1)), (0.4, ("decide", 0, "y", (end(-1), end(-2))))))
+)
+
+# the same sums with the first "x" one level deeper, so that level order
+# would sum it last and tie at 0.6
+DEEP_ROUNDING = SpecTree(
+    (
+        "chance",
+        (
+            (0.1, ("chance", ((1.0, _x(0, 1)),))),
+            (0.2, _x(0, 1)),
+            (0.3, _x(2, 1)),
+            (0.4, ("decide", 0, "y", (end(-1), end(-2)))),
+        ),
+    )
 )
 
 SMALL_TREES = {
@@ -165,6 +183,13 @@ def test_the_first_largest_score_wins_in_preorder_sums():
     assert value == (0.1 + 0.2) + 0.3 - 0.4
 
 
+def test_a_set_at_two_depths_scores_its_nodes_in_preorder_not_level_order():
+    table, value = best_response(DEEP_ROUNDING, PolicyTable(), 0)
+    assert table.probs_for("x", (0, 1, 2))[1] == (0.0, 1.0, 0.0)
+    for policy in small_policies(DEEP_ROUNDING):
+        assert best_responses(evaluation, DEEP_ROUNDING, policy) == best_responses(walk, DEEP_ROUNDING, policy)
+
+
 def test_a_seat_without_cycles_responds_when_the_other_has_one():
     for policy in (PolicyTable(), sparse_table(compiled_tree(ABSENT_MINDED), 3)):
         ours, theirs = (best_responses(m, ABSENT_MINDED, policy, (1,)) for m in (evaluation, walk))
@@ -214,3 +239,42 @@ def test_random_trees_match_the_walk_or_have_no_order():
             pair = [policy, policies[0]]
             assert hexes(tree_policy_value(game, pair)) == hexes(walk.tree_policy_value(game, pair)), seed
     assert orderable > 300  # of 600 seats
+
+
+def deep_chain(levels):
+    """A SpecTree path of the given depth: chance, seat 0 and seat 1 in
+    turn, each level ending the game on one branch and going on along
+    the other, with one info key per level."""
+    node = end(1)
+    for k in reversed(range(levels)):
+        leaf = end(k % 7 - 3)
+        if k % 3 == 0:
+            node = ("chance", ((0.25, leaf), (0.75, node)))
+        else:
+            seat = k % 3 - 1
+            node = ("decide", seat, f"{seat}:{k}", (leaf, node) if k % 2 else (node, leaf))
+    return SpecTree(node)
+
+
+def test_a_chain_deeper_than_the_recursion_limit_matches_the_walks():
+    game = deep_chain(1200)
+    tree = compiled_tree(game)
+    assert len(tree.layout.bounds) - 1 == 1201
+    sweep = CFRTrainer(game)
+    sweep.run(20)
+    policies = [PolicyTable(), sweep.policy(), sparse_table(tree, 1)]
+    ours = [best_responses(evaluation, game, policy) for policy in policies]
+    values = [hexes(tree_policy_value(game, [a, b])) for a in policies for b in policies]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)  # the oracles recurse once or more per level
+    try:
+        walked = walk_cfr.CFRTrainer(game)
+        walked.run(20)
+        theirs = [best_responses(walk, game, policy) for policy in policies]
+        walk_values = [hexes(walk.tree_policy_value(game, [a, b])) for a in policies for b in policies]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sweep_accumulators(sweep) == walk_accumulators(walked)
+    assert sweep.policy().dumps() == walked.policy().dumps()
+    assert ours == theirs
+    assert values == walk_values
