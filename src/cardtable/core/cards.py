@@ -15,8 +15,8 @@ DECKS maps a deck kind to its canonical id tuple: ascending, duplicates
 adjacent. uno108 holds duplicates (one 0, two of each 1..9/skip/reverse/
 draw2 per color, four of each wild), so ids identify the printed card,
 not the physical copy. Engines copy a tuple into a list and take cards
-from its end: blackjack, leduc and limit hold'em with Rng.draw, which
-shuffles only the positions it deals, uno and dou dizhu after a full
+from its end: blackjack, leduc, limit hold'em and uno with Rng.draw,
+which shuffles only the positions it deals, dou dizhu after a full
 Rng.shuffle. Both give the same card sequence for the same stream.
 """
 

@@ -17,10 +17,10 @@ Cards are dealt lazily. A Fisher-Yates shuffle from the end fixes
 position i for good at its step i, so `draw(stock)`, which runs one such
 step on the stock's last position and pops it, yields the same cards in
 the same order, from the same `randbelow` calls, as `shuffle(stock)`
-followed by `stock.pop()` each time. Blackjack, leduc and limit hold'em
-draw this way and pay only for the cards a hand uses; uno (which
-reshuffles its discards from the same stream) and dou dizhu (which deals
-the whole deck) shuffle.
+followed by `stock.pop()` each time. Blackjack, leduc, limit hold'em
+and uno draw this way and pay only for the cards a hand uses; uno also
+reshuffles its discards lazily, drawing from them as they lie. Only dou
+dizhu, which deals the whole deck, shuffles.
 """
 
 from __future__ import annotations

@@ -20,6 +20,14 @@ number card from the top of the pile; action cards flipped before it
 go to the bottom. Wild-draw-four may be played regardless of held
 colors, and there are no challenges or UNO calls.
 
+Cards are drawn lazily (`Rng.draw`): the pile is the unshuffled rest of
+the deck, or of the discards after a reshuffle, and each draw runs the
+one shuffle step that fixes the next card. The opening's action cards
+wait in `bottom`, a tuple drawn first-in-first-out once the pile is
+empty, so every card comes out as from the pile shuffled up front with
+those cards beneath it. `sizes` holds each seat's card count, kept in
+step with `hands`, so a view or a win check never sums a hand.
+
 First to empty their hand wins: payoff 1, everyone else 0.
 
 Log literals: "r-7", "g-skip", "wild+b", "wild-d4+y" (declared color
@@ -64,6 +72,18 @@ def play_action_ids(type_id: int) -> list[int]:
     return [type_id]
 
 
+_PLAYS = tuple(tuple(play_action_ids(t)) for t in range(NUM_TYPES))
+# _MATCH[color][symbol + 1]: the ascending types playable on a top of that
+# active color and symbol; symbol -1 is a wild top, which matches by color only
+_MATCH = tuple(
+    tuple(
+        tuple(t for t in range(NUM_TYPES) if t >= 52 or t // 13 == color or t % 13 == symbol)
+        for symbol in range(-1, 13)
+    )
+    for color in range(4)
+)
+
+
 def action_literal(action_id: int) -> str:
     if action_id == DRAW_ACTION:
         return "draw"
@@ -77,25 +97,33 @@ def action_literal(action_id: int) -> str:
 
 
 class UnoGame(Game):
+    """hands: 54 type counts by seat; sizes: their totals. pile: the
+    undrawn stock, drawn lazily from the end; bottom: the opening's action
+    cards, drawn in order once the pile is empty. discard: played types,
+    top last."""
+
     def __init__(self, rng, allow_step_back: bool = False, num_players: int = 2, hand_size: int = 7):
         self.num_players = int_param("num_players", num_players, 2, 4)
         self.hand_size = int_param("hand_size", hand_size, 1, MAX_HAND_SIZE)
         super().__init__(rng, allow_step_back)
 
     def _start(self) -> int:
-        self.pile = list(DECKS["uno108"])  # draw from the end
-        self.rng.shuffle(self.pile)
+        self.pile = pile = list(DECKS["uno108"])
+        draw = self.rng.draw
         hands = [[0] * NUM_TYPES for _ in range(self.num_players)]
         for hand in hands:
             for _ in range(self.hand_size):
-                hand[self.pile.pop()] += 1
-        self.hands = tuple(map(tuple, hands))  # 54 type counts by seat
-        while True:  # number card opens the game, action cards cycle to the bottom
-            top = self.pile.pop()
+                hand[draw(pile)] += 1
+        self.hands = tuple(map(tuple, hands))
+        self.sizes = (self.hand_size,) * self.num_players
+        bottom = []
+        while True:  # number card opens the game, action cards go to the bottom
+            top = draw(pile)
             if top < 52 and top % 13 <= 9:
-                self.discard = (top,)
                 break
-            self.pile.insert(0, top)
+            bottom.append(top)
+        self.bottom = tuple(bottom)
+        self.discard = (top,)
         self.declared: int | None = None
         self.direction = 1
         self.turn = 0
@@ -128,20 +156,26 @@ class UnoGame(Game):
         hands = list(self.hands)
         hands[seat] = tuple(hand)
         self.hands = tuple(hands)
+        sizes = list(self.sizes)
+        sizes[seat] += delta * len(types)
+        self.sizes = tuple(sizes)
 
     def _draw_cards(self, seat: int, n: int) -> list[int]:
         # earlier snapshots hold the old pile; draw from a copy
         self.pile = pile = list(self.pile)
+        draw = self.rng.draw
         got = []
         for _ in range(n):
             if not pile:
-                if len(self.discard) > 1:
-                    self.pile = pile = list(self.discard[:-1])
-                    self.discard = self.discard[-1:]
-                    self.rng.shuffle(pile)
-                if not pile:
+                if self.bottom:
+                    got.append(self.bottom[0])
+                    self.bottom = self.bottom[1:]
+                    continue
+                if len(self.discard) == 1:
                     break
-            got.append(pile.pop())
+                self.pile = pile = list(self.discard[:-1])  # reshuffled draw by draw
+                self.discard = self.discard[-1:]
+            got.append(draw(pile))
         self._add_cards(seat, got, 1)
         return got
 
@@ -155,15 +189,11 @@ class UnoGame(Game):
 
     def _legal_moves(self) -> tuple[int, ...]:
         if self.pending is not None:
-            return (*play_action_ids(self.pending), PASS_ACTION)
-        # playable()'s rule with the top read once; a wild top matches by color only
+            return (*_PLAYS[self.pending], PASS_ACTION)
         top = self.discard[-1]
-        color = self.declared if top >= 52 else top // 13
-        symbol = top % 13 if top < 52 else -1
-        moves = []
-        for t, held in enumerate(self.hands[self.turn]):
-            if held and (t >= 52 or t // 13 == color or t % 13 == symbol):
-                moves += play_action_ids(t)
+        match = _MATCH[self.declared][0] if top >= 52 else _MATCH[top // 13][top % 13 + 1]
+        hand = self.hands[self.turn]
+        moves = [a for t in match if hand[t] for a in _PLAYS[t]]
         if not moves:  # stuck players draw, nobody draws voluntarily
             return (DRAW_ACTION,)
         return tuple(moves)
@@ -192,7 +222,7 @@ class UnoGame(Game):
         self._add_cards(seat, (played,), -1)
         self.discard += (played,)
         self.declared = declared
-        if sum(self.hands[seat]) == 0:
+        if not self.sizes[seat]:
             self.winner = seat
             return
         if played >= 52:
@@ -225,7 +255,9 @@ class UnoGame(Game):
     def snapshot(self):
         return (
             self.hands,
+            self.sizes,
             self.pile,
+            self.bottom,
             self.discard,
             self.declared,
             self.direction,
@@ -236,8 +268,8 @@ class UnoGame(Game):
         )
 
     def _restore(self, snap) -> None:
-        (self.hands, self.pile, self.discard, self.declared, self.direction, self.turn, self.pending, self.winner,
-         rng_state) = snap
+        (self.hands, self.sizes, self.pile, self.bottom, self.discard, self.declared, self.direction, self.turn,
+         self.pending, self.winner, rng_state) = snap
         self.rng.setstate(rng_state)
 
 
@@ -247,7 +279,7 @@ def capture(game: UnoGame, seat: int, terminal: bool = False):
     view = (
         seat,
         game.hands[seat],
-        tuple(map(sum, game.hands)),
+        game.sizes,
         game.discard,
         game.declared,
         game.active_color(),

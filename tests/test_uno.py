@@ -1,5 +1,7 @@
 """UNO rules: playability, action cards, forced draws, reshuffles."""
 
+from collections import Counter
+
 import pytest
 
 from cardtable.core.cards import UNO_COLORS
@@ -22,6 +24,8 @@ from cardtable.games.uno import (
     type_literal,
 )
 
+from walk_uno import EagerUnoGame
+
 RED, GREEN, BLUE, YELLOW = (UNO_COLORS.index(c) for c in "rgby")
 
 
@@ -36,10 +40,11 @@ def give_hand(game, seat, types):
     for t in types:
         hand[t] += 1
     game.hands = game.hands[:seat] + (tuple(hand),) + game.hands[seat + 1 :]
+    game.sizes = game.sizes[:seat] + (len(types),) + game.sizes[seat + 1 :]
 
 
 def total_cards(game):
-    return sum(map(sum, game.hands)) + len(game.pile) + len(game.discard)
+    return sum(map(sum, game.hands)) + len(game.pile) + len(game.bottom) + len(game.discard)
 
 
 class TestSetup:
@@ -95,6 +100,7 @@ class TestPlayability:
                 assert PASS_ACTION in legal or game.pending is None
                 game.step(rng.choice(legal))
                 assert total_cards(game) == 108
+                assert game.sizes == tuple(map(sum, game.hands))
                 steps += 1
 
     def test_color_and_symbol_matching(self):
@@ -234,6 +240,7 @@ class TestDrawing:
         game.declared = None
         give_hand(game, 0, [BLUE * 13 + 9])
         game.pile = []
+        game.bottom = ()
         game.step(DRAW_ACTION)
         # top kept, the two buried cards became the new pile, one was drawn
         assert game.discard == (RED * 13 + 5,)
@@ -247,9 +254,74 @@ class TestDrawing:
         game.declared = None
         give_hand(game, 0, [BLUE * 13 + 9])
         game.pile = []
+        game.bottom = ()
         game.step(DRAW_ACTION)
         assert game.turn == 1
         assert sum(game.hands[0]) == 1
+
+
+def recorded_draws(game):
+    """Route game's draws through a recorder; returns the list of drawn-card lists."""
+    drawn = []
+    draw_cards = game._draw_cards
+
+    def record(seat, n):
+        got = draw_cards(seat, n)
+        drawn.append(got)
+        return got
+
+    game._draw_cards = record
+    return drawn
+
+
+def lockstep(seed, players, hand_size, choose, paths):
+    """Play UnoGame and the eager oracle side by side, checking them after every
+    step; counts in paths the games that take each deal path."""
+    lazy = UnoGame(Rng(seed), num_players=players, hand_size=hand_size)
+    eager = EagerUnoGame(Rng(seed), num_players=players, hand_size=hand_size)
+    lazy.reset()
+    eager.reset()
+    lazy_draws, eager_draws = recorded_draws(lazy), recorded_draws(eager)
+    taken = {"opening to bottom"} if lazy.bottom else set()
+    while True:
+        assert lazy.hands == eager.hands and lazy.discard == eager.discard, seed
+        assert lazy.sizes == tuple(map(sum, lazy.hands))
+        assert sorted(lazy.pile + list(lazy.bottom)) == sorted(eager.pile)
+        assert lazy_draws == eager_draws
+        assert lazy.is_over() == eager.is_over()
+        if lazy.is_over():
+            break
+        legal = lazy.legal_moves()
+        assert legal == eager.legal_moves()
+        bottom, discard = len(lazy.bottom), len(lazy.discard)
+        action = choose(legal)
+        lazy.step(action)
+        eager.step(action)
+        if bottom >= 2 and len(lazy.bottom) < bottom:
+            taken.add("drawn from a bottom of two or more")
+        if len(lazy.discard) < discard:
+            taken.add("reshuffle")
+    assert lazy.payoffs() == eager.payoffs()
+    paths.update(taken)
+
+
+class TestLazyDeal:
+    def test_lockstep_with_the_eager_deal(self):
+        """The lazy deal gives every card the eagerly shuffled pile gave, and the
+        match table the moves of the 54-type scan (tests/walk_uno.py)."""
+        paths = Counter()
+        chooser = Rng(8)
+        for seed in range(300):
+            lockstep(seed, 2 + seed % 3, 1 + seed % 12, chooser.choice, paths)
+        # openings that put two or more action cards under the pile, on the
+        # fullest table, played by the highest id (a wild-draw-four when held)
+        # so that the pile runs out: the bottom comes back in the order it went
+        for seed in range(600):
+            game = UnoGame(Rng(seed), num_players=4, hand_size=12)
+            game.reset()
+            if len(game.bottom) >= 2:
+                lockstep(seed, 4, 12, lambda legal: legal[-1], paths)
+        assert len(paths) == 3 and min(paths.values()) >= 5, paths
 
 
 class TestFullGames:
