@@ -52,14 +52,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cardtable.agents.policy import PolicyTable, average_policy
+from cardtable.agents.policy import PolicyTable, average_policy, left_sum
 from cardtable.trees import DECISION, NODE_LIMIT, CompiledTree, compiled_tree
 
 
 def regret_matching(regrets) -> list[float]:
     """Strategy proportional to positive regret, uniform if none is positive."""
     positives = [r if r > 0.0 else 0.0 for r in regrets]
-    total = sum(positives)
+    total = left_sum(positives)
     if total <= 0.0:
         return [1.0 / len(positives)] * len(positives)
     return [p / total for p in positives]

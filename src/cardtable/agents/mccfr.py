@@ -1,22 +1,34 @@
-"""External-sampling Monte Carlo CFR through the step interface.
+"""External-sampling Monte Carlo CFR (Lanctot et al. 2009).
 
 Where vanilla CFR expands every chance outcome exactly, this variant
-plays real games: each traversal starts a freshly seeded game, samples
+samples: each traversal starts the next seeded game of the Env, samples
 the deal and the opponents' actions once, and enumerates only the
-traverser's actions by stepping in and backing out of the engine. The
-walk drives the engine itself, not the Env: it reads legal ids and the
-info key from the engine module's capture and render_key, applies moves
-with Game.step, learns that a game ended from step returning None, and
-undoes with Game.step_back. That is the same step/step_back machinery
-agents use, so agreement with the tree-walking solver cross-checks the
-engine itself. Only the start of each game goes through the Env, so
-deals follow its per-game seed fan-out (game_index, seek); the Env's
-timesteps count no MCCFR steps.
+traverser's actions. One iteration runs one traversal per seat. Regrets
+update at the traverser's information sets; average-strategy mass
+accumulates at the sampled opponents' information sets, which is where
+the external sampling scheme makes the average unbiased.
 
-One iteration runs one traversal per seat. Regrets update at the
-traverser's information sets; average-strategy mass accumulates at the
-sampled opponents' information sets, which is where the external
-sampling scheme makes the average unbiased.
+Once the deal is known, a traversal is a walk down the game tree along
+that deal, and the trainer has two ways to walk it:
+
+- Leduc walks compiled_tree("leduc"), the exact tree CFR trains on. The
+  Env deals the private cards, LeducGame.draw_public draws the public
+  card from the same stream, and LeducTree.deal_children names the chance
+  children the deal leads to. A leduc snapshot holds the deal stream, so
+  every branch of a stepped game reveals that same public card: the tree
+  walk visits the info keys the engine walk would, in the same order,
+  and its outputs are equal bit for bit (tests/test_agents.py runs the
+  two in lockstep).
+- Blackjack and limit hold'em, which have no compiled tree, walk the
+  engine: info keys and legal ids come from the engine module's capture
+  and render_key, Game.step applies a move and returns None when the
+  game ends, and Game.step_back undoes it.
+
+Only the start of each game goes through the Env, by Env._deal: deals
+follow its per-game seed fan-out (game_index, seek), no agent streams
+are built, and the Env's timesteps count no MCCFR steps. Sums that reach
+the regrets add left to right (policy.left_sum), so the bytes do not
+depend on the Python version's sum().
 
 Only games whose sampled traversal ends can be trained: uno and dou
 dizhu recurse past the interpreter's stack or visit hundreds of
@@ -27,12 +39,14 @@ GameTooLarge when it is built.
 from __future__ import annotations
 
 from dataclasses import replace
+from operator import mul
 
 from cardtable.agents.cfr import regret_matching
-from cardtable.agents.policy import PolicyTable, average_policy, sample_index
+from cardtable.agents.policy import PolicyTable, average_policy, left_sum, sample_index
 from cardtable.core.rng import Rng, split_seed
 from cardtable.env import EnvConfig, make
 from cardtable.errors import GameTooLarge
+from cardtable.trees import CHANCE, TERMINAL, LeducTree, compiled_tree
 
 TRAVERSABLE_GAMES = ("blackjack", "leduc", "limit_holdem")
 
@@ -56,6 +70,8 @@ class MCCFRTrainer:
         self.game = self.env.game
         module = self.env.spec.module
         self._capture, self._render_key = module.capture, module.render_key
+        self._tree = compiled_tree("leduc") if config.game_id == "leduc" else None
+        self._public_child = 0  # the current leduc deal's child at the public chance node
         if sample_seed is None:
             sample_seed = split_seed(config.seed, 0x5CF)
         self.rng = Rng(sample_seed)
@@ -65,13 +81,9 @@ class MCCFRTrainer:
         self.actions_at: dict[str, tuple] = {}
 
     def run(self, iterations: int) -> None:
-        env, game = self.env, self.game
-        players = env.num_players
+        iterate = self._iterate_engine if self._tree is None else self._iterate_tree
         for _ in range(iterations):
-            for traverser in range(players):
-                seat = env._begin_game()
-                if not game.is_over():  # skip a game that ends at its deal
-                    self._traverse(seat, traverser)
+            iterate()
             self.iterations += 1
 
     def policy(self) -> PolicyTable:
@@ -79,6 +91,22 @@ class MCCFRTrainer:
         return average_policy(
             (key, self.actions_at[key], weights) for key, weights in self.strategy_sum.items()
         )
+
+    def _iterate_engine(self) -> None:
+        """One traversal per seat, stepping and backing out of the engine."""
+        env, game = self.env, self.game
+        for traverser in range(env.num_players):
+            seat = env._deal()
+            if not game.is_over():  # skip a game that ends at its deal
+                self._traverse(seat, traverser)
+
+    def _iterate_tree(self) -> None:
+        """One traversal per seat down the compiled leduc tree, along the env's deals."""
+        env, game, deals = self.env, self.game, self._tree.children[0]
+        for traverser in (0, 1):
+            env._deal()
+            deal_child, self._public_child = LeducTree.deal_children(game.hands, game.draw_public())
+            self._walk(deals[deal_child], traverser)
 
     def _tables(self, key: str, legal) -> tuple[list[float], list[float]]:
         regr = self.regrets.get(key)
@@ -88,6 +116,20 @@ class MCCFRTrainer:
             self.actions_at[key] = legal
         return regr, self.strategy_sum[key]
 
+    def _sample(self, strategy: list[float], strat_sum: list[float]) -> int:
+        """At an opponent's set: add the strategy to its sum and sample one action's index."""
+        for i, prob in enumerate(strategy):
+            strat_sum[i] += prob
+        return sample_index(strategy, self.rng)
+
+    @staticmethod
+    def _update(regr: list[float], strategy: list[float], values: list[float]) -> float:
+        """At the traverser's set: add each action's regret and return the node's value."""
+        ev = left_sum(map(mul, strategy, values))
+        for i, v in enumerate(values):
+            regr[i] += v - ev
+        return ev
+
     def _traverse(self, seat: int, traverser: int) -> float:
         """Sampled counterfactual value for the traverser of a running game, seat to act."""
         game = self.game
@@ -95,9 +137,7 @@ class MCCFRTrainer:
         regr, strat_sum = self._tables(self._render_key(view), legal)
         strategy = regret_matching(regr)
         if seat != traverser:
-            for i, prob in enumerate(strategy):
-                strat_sum[i] += prob
-            nxt = game.step(legal[sample_index(strategy, self.rng)])
+            nxt = game.step(legal[self._sample(strategy, strat_sum)])
             value = game.payoffs()[traverser] if nxt is None else self._traverse(nxt, traverser)
             game.step_back()
             return value
@@ -106,10 +146,24 @@ class MCCFRTrainer:
             nxt = game.step(action)
             values.append(game.payoffs()[traverser] if nxt is None else self._traverse(nxt, traverser))
             game.step_back()
-        ev = sum(p * v for p, v in zip(strategy, values))
-        for i, v in enumerate(values):
-            regr[i] += v - ev
-        return ev
+        return self._update(regr, strategy, values)
+
+    def _walk(self, node: int, traverser: int) -> float:
+        """Sampled counterfactual value for the traverser at a node of the compiled leduc tree."""
+        tree = self._tree
+        kind = tree.kind[node]
+        if kind == TERMINAL:
+            p0 = tree.payoff[node]
+            return float(p0 if traverser == 0 else -p0)
+        children = tree.children[node]
+        if kind == CHANCE:
+            return self._walk(children[self._public_child], traverser)
+        i = tree.info[node]
+        regr, strat_sum = self._tables(tree.keys[i], tree.actions[i])
+        strategy = regret_matching(regr)
+        if tree.seat[node] != traverser:
+            return self._walk(children[self._sample(strategy, strat_sum)], traverser)
+        return self._update(regr, strategy, [self._walk(child, traverser) for child in children])
 
 
 def mccfr_external_train(game, iterations: int, rng_seed: int = 0) -> PolicyTable:

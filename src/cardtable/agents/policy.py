@@ -146,6 +146,19 @@ class PolicyAgent(Agent):
         return ids[sample_index(probs, rng)]
 
 
+def left_sum(values) -> float:
+    """Float sum added one term at a time from the left, starting at 0.0.
+
+    Python 3.10 and 3.11's sum() adds floats exactly so; 3.12 made it
+    compensated, which can move the last bits. Output paths that must be
+    byte-stable across Python versions sum with this.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def sample_index(probs, rng) -> int:
     """Index drawn from probs with one rng.random(): the first whose running
     sum passes the draw, or the last if rounding leaves the sum short."""

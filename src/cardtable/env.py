@@ -258,6 +258,7 @@ class Env:
         self.game_index = -1  # becomes 0 on the first game
         self.timesteps = 0  # decisions taken across all games
         self._agents = None
+        self._game_seed = None
         self._agent_rngs = None
         # customization hook; a replacement may change raw/planes but
         # must preserve the engine's legal action ids
@@ -276,13 +277,22 @@ class Env:
 
     # shared plumbing --------------------------------------------------
 
-    def _begin_game(self) -> int:
-        """Advance to the next game in the seed sequence; returns first seat."""
+    def _deal(self) -> int:
+        """Advance to the next game in the seed sequence and deal it from
+        the game seed's stream 0; returns the first seat. Builds no agent
+        streams, so a solver that samples with its own stream calls this
+        alone."""
         self.game_index += 1
-        game_seed = split_seed(self.config.seed, self.game_index)
+        self._game_seed = game_seed = split_seed(self.config.seed, self.game_index)
         self.game.rng = Rng(split_seed(game_seed, 0))
-        self._agent_rngs = [Rng(split_seed(game_seed, 1 + s)) for s in range(self.num_players)]
         return self.game.reset()
+
+    def _begin_game(self) -> int:
+        """_deal, plus the agent streams: seat s draws from stream 1 + s."""
+        seat = self._deal()
+        game_seed = self._game_seed
+        self._agent_rngs = [Rng(split_seed(game_seed, 1 + s)) for s in range(self.num_players)]
+        return seat
 
     def seek(self, game_index: int) -> None:
         """Make the next game played use the given index's seed fan-out.

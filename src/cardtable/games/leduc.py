@@ -119,11 +119,19 @@ class LeducGame(Game):
         else:
             self.to_act = other
 
+    def draw_public(self) -> int:
+        """The public card: the deal stream's next draw from the stock.
+
+        Round one's close reveals it; a solver that walks the compiled
+        tree along this deal draws it straight after the reset. Earlier
+        snapshots hold the old stock, so the draw takes a copy.
+        """
+        self.stock = stock = list(self.stock)
+        return self.rng.draw(stock)
+
     def _advance_round(self) -> None:
         if self.round_index == 0:
-            # earlier snapshots hold the old stock; draw from a copy
-            self.stock = stock = list(self.stock)
-            self.public = self.rng.draw(stock)
+            self.public = self.draw_public()
             self.round_index = 1
             self.raises = self.to_act = self.acted = 0
             self.round_bets = (0, 0)

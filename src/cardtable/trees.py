@@ -16,6 +16,8 @@ value) take their node tables from the tree's TreeLayout, the one
 level-order numbering: it holds each table by position, so the sweeps
 select and sort its arrays instead of walking the tree. Only CFR's
 wave numbers still walk it once, to replay a depth-first walk's order.
+MCCFR on leduc walks the preorder tables themselves, down one sampled
+deal at a time (LeducTree.deal_children).
 
 Only games small enough to enumerate get a tree: leduc here, plus a
 blackjack info-set enumeration used by the census. LeducTree holds no
@@ -94,6 +96,15 @@ class LeducTree:
                 game.public = 3 + c if c == a else c
                 out.append((("play", game.snapshot()), remaining / 4))
         return out
+
+    @staticmethod
+    def deal_children(hands, public) -> tuple[int, int]:
+        """Where one deal leads: the root's child for the private cards
+        hands and the public chance node's child for the card public
+        (card ids), as chance_outcomes orders them."""
+        a, b, c = hands[0] % 3, hands[1] % 3, public % 3
+        skipped = a == b and a < c  # both seats hold rank a, so no public card has it
+        return a * 3 + b, c - skipped
 
     def player(self, node) -> int:
         return self._at(node[1]).current_player()

@@ -1,5 +1,7 @@
 """Agents, tabular policies, and the three trainers."""
 
+import builtins
+import hashlib
 import math
 import os
 import tempfile
@@ -26,7 +28,32 @@ from cardtable.core.rng import Rng
 from cardtable.env import EnvConfig, make, make_single_agent
 from cardtable.agents.policy import average_policy
 from cardtable.errors import CardTableError, GameTooLarge, InvalidPolicy, ParseError
+from cardtable.games.leduc import LeducGame
 from cardtable.trees import LeducTree
+
+
+def hex_table(table):
+    return {key: [x.hex() for x in row] for key, row in table.items()}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+_builtin_sum = builtins.sum
+
+
+def compensated_sum(values, start=0):
+    """Python 3.12's sum() of floats, Neumaier's compensated summation; other sums as before."""
+    values = list(values)
+    if not values or not all(isinstance(x, float) for x in values):
+        return _builtin_sum(values, start)
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation
 
 
 def obs_stub(key="k", legal=(0, 1, 2)):
@@ -261,6 +288,38 @@ class TestMCCFR:
         index_after_one = trainer.env.game_index
         trainer.run(1)
         assert trainer.env.game_index == 2 * index_after_one + 1  # one game per seat
+
+    @pytest.mark.parametrize("seed", [7, 0, 123])
+    def test_leduc_tree_walk_is_the_engine_walk(self, seed, monkeypatch):
+        """run() on leduc walks the compiled tree; stepping the engine along
+        the same deals gives the same tables, byte for byte, in the same order."""
+        engine = MCCFRTrainer(EnvConfig("leduc", seed=seed))
+        for _ in range(2000):
+            engine._iterate_engine()
+        tree = MCCFRTrainer(EnvConfig("leduc", seed=seed))
+        monkeypatch.setattr(LeducGame, "step", None)  # the tree walk never steps the engine
+        tree.run(2000)
+        for table in ("regrets", "strategy_sum", "actions_at"):
+            assert list(getattr(tree, table)) == list(getattr(engine, table))
+        for table in ("regrets", "strategy_sum"):
+            assert hex_table(getattr(tree, table)) == hex_table(getattr(engine, table))
+        assert tree.actions_at == engine.actions_at
+        assert tree.env.game_index == engine.env.game_index == 3999
+        assert sha256(tree.policy().dumps()) == sha256(engine.policy().dumps())
+
+    @pytest.mark.parametrize("walk", ["_iterate_tree", "_iterate_engine"])
+    def test_regrets_do_not_depend_on_the_builtin_sum(self, walk, monkeypatch):
+        """Python 3.12's sum() of floats is compensated; the walks' sums must not use it."""
+
+        def run():
+            trainer = MCCFRTrainer(EnvConfig("leduc", seed=7))
+            for _ in range(300):
+                getattr(trainer, walk)()
+            return hex_table(trainer.regrets), hex_table(trainer.strategy_sum)
+
+        plain = run()
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert run() == plain
 
 
 class TestQLearning:

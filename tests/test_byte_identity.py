@@ -5,8 +5,9 @@ field of every observation a run hands out (raw dict, info key, legal
 ids and planes), for the state and the next state of each transition.
 A change to an engine, to `observe` or to `Observation` that moves any
 byte of either fails here. The policy pins cover the two learners that
-play real deals, MCCFR (which also steps back through chance) and
-Q-learning, as `cardtable train` saves them.
+play real deals, MCCFR (whose engine walk, on blackjack and limit
+hold'em, also steps back through chance) and Q-learning, as
+`cardtable train` saves them.
 """
 
 import hashlib
