@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cardtable.agents.policy import PolicyTable, average_policy, left_sum
-from cardtable.trees import DECISION, NODE_LIMIT, CompiledTree, compiled_tree
+from cardtable.trees import DECISION, CompiledTree, compiled_tree
 
 
 def regret_matching(regrets) -> list[float]:
@@ -228,8 +228,8 @@ class CFRTrainer:
     snapshot the average policy at checkpoints without restarting.
     """
 
-    def __init__(self, game, node_limit: int = NODE_LIMIT):
-        self.tree = compiled_tree(game, node_limit)  # raises GameTooLarge before any work
+    def __init__(self, game):
+        self.tree = compiled_tree(game)  # raises GameTooLarge before any work
         self.schedule = wave_schedule(self.tree)
         self.iterations = 0
         self.regrets = np.zeros(self.schedule.num_slots)
@@ -278,12 +278,12 @@ class CFRTrainer:
         )
 
 
-def cfr_train(game, iterations: int, node_limit: int = NODE_LIMIT) -> PolicyTable:
+def cfr_train(game, iterations: int) -> PolicyTable:
     """Train vanilla CFR and return the average policy.
 
     game may be a game id or a TreeGame instance; ids without an exact
     tree, and trees past the node guard, raise GameTooLarge.
     """
-    trainer = CFRTrainer(game, node_limit)
+    trainer = CFRTrainer(game)
     trainer.run(iterations)
     return trainer.policy()

@@ -47,7 +47,7 @@ class PolicyTable:
             raise InvalidPolicy(f"{key!r}: repeated action id in {action_ids}")
         if not all(0.0 <= p < math.inf for p in probs):
             raise InvalidPolicy(f"{key!r}: probabilities must be finite and non-negative, got {probs}")
-        total = sum(probs)
+        total = left_sum(probs)
         if not 0.0 < total < math.inf:
             raise InvalidPolicy(f"{key!r}: probabilities must have positive, finite mass")
         self._table[key] = (action_ids, tuple(p / total for p in probs))
@@ -123,7 +123,7 @@ def average_policy(entries) -> PolicyTable:
     """
     table = PolicyTable()
     for key, ids, weights in entries:
-        total = sum(weights)
+        total = left_sum(weights)
         if total > 0.0:
             table.set(key, ids, [w / total for w in weights])
         else:

@@ -119,7 +119,7 @@ class _Merged:
             params[key.strip()] = _coerce(value.strip())
         return params
 
-    def env_config(self, seed: int | None = None, allow_step_back: bool = False) -> EnvConfig:
+    def env_config(self) -> EnvConfig:
         game = self.get("game")
         if game is None:
             raise ParseError("no game given (flag --game or config key game)")
@@ -127,10 +127,9 @@ class _Merged:
         num_players = params.pop("num_players", None)
         return EnvConfig(
             game_id=game,
-            seed=self.seed() if seed is None else seed,
+            seed=self.seed(),
             num_players=num_players,
             game_params=params,
-            allow_step_back=allow_step_back,
         )
 
     def manifest_config(self, **extra) -> dict:

@@ -2,12 +2,11 @@
 
 from cardtable.core.cards import DECKS
 from cardtable.core.contracts import Game
-from cardtable.core.rng import Rng, rng_from_seed, split_seed
+from cardtable.core.rng import Rng, split_seed
 
 __all__ = [
     "DECKS",
     "Game",
     "Rng",
-    "rng_from_seed",
     "split_seed",
 ]

@@ -115,8 +115,3 @@ class Rng:
 
     def setstate(self, state: tuple[int, int, int, int]) -> None:
         self._s0, self._s1, self._s2, self._s3 = state
-
-
-def rng_from_seed(seed: int) -> Rng:
-    """Construct the canonical generator for a 64-bit seed."""
-    return Rng(seed)

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cardtable.agents.policy import PolicyTable
+from cardtable.agents.policy import PolicyTable, left_sum
 from cardtable.env import REGISTRY, Env, EnvConfig, make
 from cardtable.errors import GameTooLarge, InvalidParam, NotZeroSum, SeatMismatch
-from cardtable.trees import DECISION, NODE_LIMIT, CompiledTree, blackjack_census, compiled_tree
+from cardtable.trees import DECISION, CompiledTree, blackjack_census, compiled_tree
 
 # ---------------------------------------------------------------------------
 # tournaments
@@ -89,8 +89,8 @@ class TournamentResult:
 
 def _mean_var(values) -> tuple[float, float]:
     n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
+    mean = left_sum(values) / n
+    var = left_sum((v - mean) ** 2 for v in values) / n
     return mean, var
 
 
@@ -279,14 +279,14 @@ def tree_policy_value(game, tables) -> tuple[float, ...]:
     return v, 0.0 - v  # not -v: a game worth exactly 0 is worth +0.0 to both seats
 
 
-def best_response(game, policy: PolicyTable, player: int, node_limit: int = NODE_LIMIT):
+def best_response(game, policy: PolicyTable, player: int):
     """Exact best response for one player against a fixed policy.
 
     Returns (br_policy, br_value): br_policy plays, at each of the
     player's info sets, the first action of largest reach-weighted value.
     Raises ValueError if the player's info sets have no bottom-up order.
     """
-    tree = compiled_tree(game, node_limit)
+    tree = compiled_tree(game)
     br_value, choice = _sweep_plan(tree, player).sweep(_slot_probs(tree, policy))
     br_policy = PolicyTable()
     for i, key in enumerate(tree.keys):
@@ -357,7 +357,7 @@ def leduc_best_response_value(policy: PolicyTable, br_seat: int) -> float:
             groups: dict[int, dict] = {}
             for (a, b), mass in weights.items():
                 groups.setdefault(a if br_seat == 0 else b, {})[(a, b)] = mass
-            return sum(
+            return left_sum(
                 max(
                     apply(move, part, board, history, rnd, bets, contrib, to_act, raises, acted)
                     for move in moves

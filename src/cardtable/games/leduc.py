@@ -8,6 +8,11 @@ in round one and 4 in round two, at most two raises per round. Folding
 is legal even when checking is free and simply forfeits the pot.
 Payoffs are net units won (antes count), so they sum to zero.
 
+A betting round closes once both seats have acted since the last raise.
+One counter, `to_close`, holds the moves left before that: 2 at the
+start of a round, 1 after a raise, one less after any other move. The
+round closes when it reaches 0.
+
 Hands hold card ids 0..5 (suit * 3 + rank); play only ever depends on
 the rank, id % 3. Action ids (shared with limit hold'em): 0 call,
 1 raise, 2 fold, 3 check. Betting history letters: c call, r raise,
@@ -78,7 +83,7 @@ class LeducGame(Game):
         self.round_index = 0
         self.raises = 0  # this round
         self.to_act = 0
-        self.acted = 0  # moves made this round
+        self.to_close = 2  # moves left before this round closes
         self.round_bets = (0, 0)
         self.history = ""
         self._winner: int | None = None  # -1 split
@@ -93,31 +98,23 @@ class LeducGame(Game):
 
     def _apply(self, move: int) -> None:
         seat = self.to_act
-        other = 1 - seat
         self.history += _MOVE_CHAR[move]
         if move == FOLD:
-            self._winner = other
+            self._winner = 1 - seat
             return
+        put = max(self.round_bets) - self.round_bets[seat]
+        self.to_close -= 1
         if move == RAISE:
-            put = max(self.round_bets) - self.round_bets[seat] + RAISE_SIZE[self.round_index]
+            put += RAISE_SIZE[self.round_index]
+            self.raises += 1
+            self.to_close = 1
+        if put:
             self.round_bets = _add(self.round_bets, seat, put)
             self.chips = _add(self.chips, seat, put)
-            self.raises += 1
-            self.acted += 1
-            self.to_act = other
-            return
-        if move == CALL:
-            owe = max(self.round_bets) - self.round_bets[seat]
-            self.round_bets = _add(self.round_bets, seat, owe)
-            self.chips = _add(self.chips, seat, owe)
-            round_over = True
-        else:  # CHECK
-            round_over = self.acted >= 1
-        self.acted += 1
-        if round_over:
-            self._advance_round()
+        if self.to_close:
+            self.to_act = 1 - seat
         else:
-            self.to_act = other
+            self._advance_round()
 
     def draw_public(self) -> int:
         """The public card: the deal stream's next draw from the stock.
@@ -133,7 +130,8 @@ class LeducGame(Game):
         if self.round_index == 0:
             self.public = self.draw_public()
             self.round_index = 1
-            self.raises = self.to_act = self.acted = 0
+            self.raises = self.to_act = 0
+            self.to_close = 2
             self.round_bets = (0, 0)
             self.history += "/"
         else:
@@ -159,7 +157,7 @@ class LeducGame(Game):
             self.round_index,
             self.raises,
             self.to_act,
-            self.acted,
+            self.to_close,
             self.history,
             self._winner,
             self.stock,
@@ -168,7 +166,7 @@ class LeducGame(Game):
 
     def _restore(self, snap) -> None:
         (self.hands, self.public, self.chips, self.round_bets, self.round_index, self.raises, self.to_act,
-         self.acted, self.history, self._winner, self.stock, rng_state) = snap
+         self.to_close, self.history, self._winner, self.stock, rng_state) = snap
         self.rng.setstate(rng_state)
 
 

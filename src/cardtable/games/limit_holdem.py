@@ -10,6 +10,12 @@ raises per round. Stacks are unbounded so everyone either matches the
 bet or folds; there are no side pots. Folding is legal even when
 checking is free.
 
+A betting round closes once every live seat has acted since the last
+raise. One counter, `to_close`, holds the moves left before that: a new
+round sets it to the number of live seats, a raise to that number minus
+one, and every other move (a fold too) takes one off. The round closes
+when it reaches 0.
+
 Chips are tracked in integer half-big-blind units and split pots are
 divided exactly equally, so payoffs can be fractional big blinds but
 always sum to zero. Suits never break ties and the ace plays low in a
@@ -91,19 +97,14 @@ class LimitHoldemGame(Game):
         self.round_index = 0
         self.raises = 0  # this round
         self.to_act = self._first_actor(0)
-        self.acted: frozenset[int] = frozenset()  # seats that have acted since the last raise this round
+        self.to_close = n  # moves left before this round closes
         self.history = ""
         self._results: tuple | None = None  # net half-bb per seat, Fraction when a pot splits unevenly
         return self.to_act
 
-    def alive(self) -> list[int]:
-        return [i for i in range(self.num_players) if not self.folded[i]]
-
-    def facing_bet(self, seat: int) -> bool:
-        return self.round_bets[seat] < max(self.round_bets)
-
     def _legal_moves(self) -> tuple[int, ...]:
-        return _LEGAL[self.facing_bet(self.to_act)][self.raises < MAX_RAISES]
+        bets = self.round_bets
+        return _LEGAL[bets[self.to_act] < max(bets)][self.raises < MAX_RAISES]
 
     def current_player(self) -> int:
         return self.to_act
@@ -114,32 +115,24 @@ class LimitHoldemGame(Game):
             nxt = (nxt + 1) % self.num_players
         return nxt
 
-    def _round_settled(self) -> bool:
-        top = max(self.round_bets[i] for i in self.alive())
-        return all(i in self.acted and self.round_bets[i] == top for i in self.alive())
-
     def _apply(self, move: int) -> None:
         seat = self.to_act
         self.history += _MOVE_CHAR[move]
+        self.to_close -= 1
         if move == FOLD:
             self.folded = self.folded[:seat] + (True,) + self.folded[seat + 1 :]
-            self.acted -= {seat}
-            alive = self.alive()
-            if len(alive) == 1:
-                self._settle_fold(alive[0])
+            if self.folded.count(False) == 1:
+                self._settle_fold(self.folded.index(False))
                 return
-        else:
-            if move in (CALL, RAISE):
-                owe = max(self.round_bets) - self.round_bets[seat]
-                put = owe + (self._raise_size() if move == RAISE else 0)
-                self.round_bets = _add(self.round_bets, seat, put)
-                self.chips = _add(self.chips, seat, put)
+        elif move != CHECK:
+            put = max(self.round_bets) - self.round_bets[seat]
             if move == RAISE:
+                put += self._raise_size()
                 self.raises += 1
-                self.acted = frozenset({seat})
-            else:
-                self.acted |= {seat}
-        if self._round_settled():
+                self.to_close = self.folded.count(False) - 1
+            self.round_bets = _add(self.round_bets, seat, put)
+            self.chips = _add(self.chips, seat, put)
+        if not self.to_close:
             self._advance_round()
         else:
             self.to_act = self._next_actor(seat)
@@ -154,7 +147,7 @@ class LimitHoldemGame(Game):
         self.stock = stock = list(self.stock)
         self.community += tuple([self.rng.draw(stock) for _ in range(dealt)])
         self.raises = 0
-        self.acted = frozenset()
+        self.to_close = self.folded.count(False)
         first = self._first_actor(self.round_index)
         self.to_act = self._next_actor(first) if self.folded[first] else first
         self.round_bets = (0,) * self.num_players
@@ -165,7 +158,7 @@ class LimitHoldemGame(Game):
         self._results = tuple(pot - c if i == winner else -c for i, c in enumerate(self.chips))
 
     def _settle_showdown(self) -> None:
-        alive = self.alive()
+        alive = [i for i, out in enumerate(self.folded) if not out]
         winners = showdown_winners(self.hands, self.community, alive)
         pot = sum(self.chips)
         share = Fraction(pot, len(winners))
@@ -191,7 +184,7 @@ class LimitHoldemGame(Game):
             self.round_index,
             self.raises,
             self.to_act,
-            self.acted,
+            self.to_close,
             self.history,
             self._results,
             self.stock,
@@ -200,7 +193,7 @@ class LimitHoldemGame(Game):
 
     def _restore(self, snap) -> None:
         (self.hands, self.community, self.folded, self.chips, self.round_bets, self.round_index, self.raises,
-         self.to_act, self.acted, self.history, self._results, self.stock, rng_state) = snap
+         self.to_act, self.to_close, self.history, self._results, self.stock, rng_state) = snap
         self.rng.setstate(rng_state)
 
 

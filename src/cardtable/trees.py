@@ -255,17 +255,15 @@ def compile_tree(tree, node_limit: int = NODE_LIMIT) -> CompiledTree:
 _COMPILED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def compiled_tree(game, node_limit: int = NODE_LIMIT) -> CompiledTree:
+def compiled_tree(game) -> CompiledTree:
     """Compiled form of a game id or TreeGame, built once per tree instance.
 
-    Raises GameTooLarge past node_limit, for a cached tree as well.
+    Raises GameTooLarge past NODE_LIMIT.
     """
     tree = tree_for(game)
     compiled = _COMPILED.get(tree)
     if compiled is None:
-        compiled = _COMPILED[tree] = compile_tree(tree, node_limit)
-    elif compiled.num_nodes > node_limit:
-        raise GameTooLarge(f"tree exceeds {node_limit} nodes")
+        compiled = _COMPILED[tree] = compile_tree(tree)
     return compiled
 
 
@@ -314,9 +312,9 @@ class TreeLayout:
         self.payoff = by_position(tree.payoff, 0.0, float)
 
 
-def count_nodes(tree, limit: int = NODE_LIMIT) -> int:
-    """Total nodes reachable from the root; raises GameTooLarge past limit."""
-    return compiled_tree(tree, limit).num_nodes
+def count_nodes(tree) -> int:
+    """Total nodes reachable from the root; raises GameTooLarge past NODE_LIMIT."""
+    return compiled_tree(tree).num_nodes
 
 
 def leduc_info_keys() -> set[str]:

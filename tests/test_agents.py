@@ -253,8 +253,6 @@ class TestCFR:
     def test_node_guard(self):
         with pytest.raises(GameTooLarge):
             CFRTrainer("limit_holdem")
-        with pytest.raises(GameTooLarge):
-            CFRTrainer("leduc", node_limit=100)
 
 
 class TestMCCFR:

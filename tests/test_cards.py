@@ -2,7 +2,7 @@
 
 from collections import Counter
 
-from cardtable.core import DECKS, rng_from_seed
+from cardtable.core import DECKS, Rng
 from cardtable.core.cards import FRENCH_RANKS, FRENCH_SUITS
 from cardtable.games.blackjack import BlackjackGame
 from cardtable.games.doudizhu_patterns import DD_RANK_NAMES, french_to_dd_rank
@@ -16,7 +16,7 @@ from conftest import load_ints
 
 def shuffled(kind: str, seed: int) -> list[int]:
     order = list(DECKS[kind])
-    rng_from_seed(seed).shuffle(order)
+    Rng(seed).shuffle(order)
     return order
 
 
@@ -105,7 +105,7 @@ class TestShuffleDeal:
     def test_draw_all_is_shuffle_read_from_the_end(self):
         for kind, ids in DECKS.items():
             for seed in range(200):
-                stock, rng = list(ids), rng_from_seed(seed)
+                stock, rng = list(ids), Rng(seed)
                 drawn = [rng.draw(stock) for _ in ids]
                 assert drawn == shuffled(kind, seed)[::-1]
                 assert stock == []
@@ -115,7 +115,7 @@ class TestShuffleDeal:
             ("standard52", 3, "shuffle_standard52_seed3.txt"),
             ("leduc6", 11, "shuffle_leduc6_seed11.txt"),
         ):
-            stock, rng = list(DECKS[kind]), rng_from_seed(seed)
+            stock, rng = list(DECKS[kind]), Rng(seed)
             assert [rng.draw(stock) for _ in DECKS[kind]] == load_ints(name)[::-1]
 
     def test_first_k_draws_are_a_shuffle_prefix(self):
@@ -126,7 +126,7 @@ class TestShuffleDeal:
             for seed in range(5):
                 order = shuffled(kind, seed)
                 for k in range(n + 1):
-                    stock, rng = list(DECKS[kind]), rng_from_seed(seed)
+                    stock, rng = list(DECKS[kind]), Rng(seed)
                     drawn = [rng.draw(stock) for _ in range(k)]
                     assert drawn == order[::-1][:k]
                     rng.shuffle(stock)
@@ -136,16 +136,16 @@ class TestShuffleDeal:
         # every card a whole hand deals, in deal order, is the shuffled deck
         # read from its end; moves come from a separate stream
         for seed in range(200):
-            picker = rng_from_seed(10_000 + seed)
+            picker = Rng(10_000 + seed)
 
-            game = LeducGame(rng_from_seed(seed))
+            game = LeducGame(Rng(seed))
             game.reset()
             while not game.is_over():  # never fold, so the public card is dealt
                 game.step(picker.choice([m for m in game.legal_moves() if m != LEDUC_FOLD]))
             top = shuffled("leduc6", seed)[::-1]
             assert [*game.hands, game.public] == top[:3]
 
-            game = LimitHoldemGame(rng_from_seed(seed), num_players=3)
+            game = LimitHoldemGame(Rng(seed), num_players=3)
             game.reset()
             while not game.is_over():  # never fold, so the whole board is dealt
                 game.step(picker.choice([m for m in game.legal_moves() if m != HOLDEM_FOLD]))
@@ -153,7 +153,7 @@ class TestShuffleDeal:
             assert game.hands == (tuple(sorted(top[0:2])), tuple(sorted(top[2:4])), tuple(sorted(top[4:6])))
             assert game.community == tuple(top[6:11])
 
-            game = BlackjackGame(rng_from_seed(seed))
+            game = BlackjackGame(Rng(seed))
             game.reset()
             while not game.is_over():
                 game.step(picker.choice(game.legal_moves()))
@@ -166,7 +166,7 @@ class TestShuffleDeal:
 def test_replay_determinism_over_op_sequences():
     # identical seeds drive identical op sequences to identical results
     def trace(seed: int) -> list:
-        rng = rng_from_seed(seed)
+        rng = Rng(seed)
         stock = list(DECKS["uno108"])
         rng.shuffle(stock)
         out = []

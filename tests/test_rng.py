@@ -2,30 +2,30 @@
 
 import pytest
 
-from cardtable.core import Rng, rng_from_seed, split_seed
+from cardtable.core import Rng, split_seed
 
 from conftest import load_ints
 
 
 class TestStreams:
     def test_seed0_matches_frozen_vector(self):
-        r = rng_from_seed(0)
+        r = Rng(0)
         assert [r.next_u64() for _ in range(16)] == load_ints("rng_u64_seed0.txt")
 
     def test_seed7_matches_frozen_vector(self):
-        r = rng_from_seed(7)
+        r = Rng(7)
         assert [r.next_u64() for _ in range(16)] == load_ints("rng_u64_seed7.txt")
 
     def test_same_seed_same_stream(self):
-        a, b = rng_from_seed(123456789), rng_from_seed(123456789)
+        a, b = Rng(123456789), Rng(123456789)
         assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
 
     def test_different_seeds_diverge(self):
-        a, b = rng_from_seed(1), rng_from_seed(2)
+        a, b = Rng(1), Rng(2)
         assert [a.next_u64() for _ in range(4)] != [b.next_u64() for _ in range(4)]
 
     def test_state_roundtrip(self):
-        r = rng_from_seed(9)
+        r = Rng(9)
         r.next_u64()
         state = r.getstate()
         ahead = [r.next_u64() for _ in range(5)]
@@ -33,28 +33,28 @@ class TestStreams:
         assert [r.next_u64() for _ in range(5)] == ahead
 
     def test_seed_masked_to_64_bits(self):
-        assert rng_from_seed(1 << 64).next_u64() == rng_from_seed(0).next_u64()
+        assert Rng(1 << 64).next_u64() == Rng(0).next_u64()
 
 
 class TestBoundedDraws:
     def test_randbelow_frozen_vector(self):
-        r = rng_from_seed(42)
+        r = Rng(42)
         assert [r.randbelow(52) for _ in range(32)] == load_ints("randbelow52_seed42.txt")
 
     def test_randbelow_in_range(self):
-        r = rng_from_seed(5)
+        r = Rng(5)
         for n in (1, 2, 3, 7, 52, 54, 309, 1 << 20):
             for _ in range(200):
                 assert 0 <= r.randbelow(n) < n
 
     def test_randbelow_rejects_nonpositive(self):
-        r = rng_from_seed(0)
+        r = Rng(0)
         with pytest.raises(ValueError):
             r.randbelow(0)
 
     def test_randbelow_roughly_uniform(self):
         # 3-sigma band for 6000 draws over 6 buckets
-        r = rng_from_seed(77)
+        r = Rng(77)
         counts = [0] * 6
         for _ in range(6000):
             counts[r.randbelow(6)] += 1
@@ -62,7 +62,7 @@ class TestBoundedDraws:
             assert abs(c - 1000) < 3 * (1000 * 5 / 6) ** 0.5
 
     def test_random_unit_interval(self):
-        r = rng_from_seed(8)
+        r = Rng(8)
         xs = [r.random() for _ in range(1000)]
         assert all(0.0 <= x < 1.0 for x in xs)
         assert abs(sum(xs) / len(xs) - 0.5) < 0.05

@@ -20,7 +20,6 @@ from cardtable.trees import (
     LeducTree,
     compile_tree,
     compiled_tree,
-    count_nodes,
     leduc_info_keys,
     tree_for,
 )
@@ -170,11 +169,6 @@ class TestCompiledLeduc:
         assert compile_tree(LeducTree(), 2194).num_nodes == 2194
         with pytest.raises(GameTooLarge):
             compile_tree(LeducTree(), 2193)
-        compiled_tree("leduc")  # the cached form still honours a smaller limit
-        with pytest.raises(GameTooLarge):
-            count_nodes(tree_for("leduc"), 100)
-        with pytest.raises(GameTooLarge):
-            CFRTrainer("leduc", node_limit=100)
 
 
 class TestTrainerCopy:

@@ -1,17 +1,17 @@
 """The recursive best response and policy value that the level sweeps in
 cardtable.evaluation replaced.
 
-This is the code as it stood before the sweeps, kept verbatim as the
-test oracle: test_evaluation_sweep.py checks that the sweeps' values
-and best-response policy files are bit-equal to these walks'. Their
-sums run left to right, as Python 3.11's sum() does; Python 3.12 made
-sum() of floats compensated, which can move the walks' last bits.
+This is the code as it stood before the sweeps, kept as the test
+oracle: test_evaluation_sweep.py checks that the sweeps' values and
+best-response policy files are bit-equal to these walks'. Their sums
+run left to right (policy.left_sum), as Python 3.11's sum() does, so
+the compensated float sum() of Python 3.12 and later moves no bits.
 """
 
 from __future__ import annotations
 
-from cardtable.agents.policy import PolicyTable
-from cardtable.trees import CHANCE, NODE_LIMIT, TERMINAL, compiled_tree
+from cardtable.agents.policy import PolicyTable, left_sum
+from cardtable.trees import CHANCE, TERMINAL, compiled_tree
 
 
 def _aligned_probs(policy: PolicyTable, key: str, actions) -> tuple[float, ...]:
@@ -56,13 +56,13 @@ def tree_policy_value(game, tables) -> tuple[float, ...]:
     return v, 0.0 - v  # not -v: a game worth exactly 0 is worth +0.0 to both seats
 
 
-def best_response(game, policy: PolicyTable, player: int, node_limit: int = NODE_LIMIT):
+def best_response(game, policy: PolicyTable, player: int):
     """Exact best response for one player against a fixed policy.
 
     Returns (br_policy, br_value): br_policy plays, at each of the
     player's info sets, the action _best_response_value chose there.
     """
-    tree, best_action, br_value = _best_response_value(game, policy, player, node_limit)
+    tree, best_action, br_value = _best_response_value(game, policy, player)
     br_policy = PolicyTable()
     for i, key in enumerate(tree.keys):
         if tree.info_seat[i] == player:
@@ -72,7 +72,7 @@ def best_response(game, policy: PolicyTable, player: int, node_limit: int = NODE
     return br_policy, br_value
 
 
-def _best_response_value(game, policy: PolicyTable, player: int, node_limit: int = NODE_LIMIT):
+def _best_response_value(game, policy: PolicyTable, player: int):
     """The best-response value for player, without building its policy.
 
     Returns (tree, best_action, value): the compiled tree, the function
@@ -85,7 +85,7 @@ def _best_response_value(game, policy: PolicyTable, player: int, node_limit: int
     values below it stay consistent. Ties break to the earliest legal
     action.
     """
-    tree = compiled_tree(game, node_limit)
+    tree = compiled_tree(game)
     kind, children, chance_probs = tree.kind, tree.children, tree.probs
     seat, info, payoff = tree.seat, tree.info, tree.payoff
     opponent_probs = [
@@ -120,12 +120,12 @@ def _best_response_value(game, policy: PolicyTable, player: int, node_limit: int
         if k == TERMINAL:
             v = payoff[node] if player == 0 else -payoff[node]
         elif k == CHANCE:
-            v = sum(prob * value(child) for child, prob in zip(children[node], chance_probs[node]))
+            v = left_sum(prob * value(child) for child, prob in zip(children[node], chance_probs[node]))
         elif seat[node] == player:
             v = value(children[node][best_action(info[node])])
         else:
             branches = zip(children[node], opponent_probs[info[node]])
-            v = sum(prob * value(child) for child, prob in branches if prob)
+            v = left_sum(prob * value(child) for child, prob in branches if prob)
         values[node] = v
         return v
 
@@ -137,7 +137,7 @@ def _best_response_value(game, policy: PolicyTable, player: int, node_limit: int
         best = None
         best_score = None
         for a in range(len(tree.actions[i])):
-            score = sum(reach[node] * value(children[node][a]) for node in members[i])
+            score = left_sum(reach[node] * value(children[node][a]) for node in members[i])
             if best_score is None or score > best_score:
                 best, best_score = a, score
         chosen[i] = best

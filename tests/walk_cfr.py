@@ -1,17 +1,18 @@
 """The depth-first CFR walk that the wave sweep in cardtable.agents.cfr replaced.
 
-This is the trainer as it stood before the sweep, kept verbatim as the
-test oracle: test_cfr_sweep.py checks that the sweep's accumulators and
-policy files are bit-equal to this walk's. Its regret matching sums
-left to right, as Python 3.11's sum() does; Python 3.12 made sum()
-of floats compensated, which can move the walk's last bits.
+This is the trainer as it stood before the sweep, kept as the test
+oracle: test_cfr_sweep.py checks that the sweep's accumulators and
+policy files are bit-equal to this walk's. Its regret matching and
+policy sum left to right (policy.left_sum), as Python 3.11's sum()
+does, so the compensated float sum() of Python 3.12 and later moves no
+bits.
 """
 
 from __future__ import annotations
 
 from cardtable.agents.cfr import regret_matching
 from cardtable.agents.policy import PolicyTable, average_policy
-from cardtable.trees import CHANCE, NODE_LIMIT, TERMINAL, compiled_tree
+from cardtable.trees import CHANCE, TERMINAL, compiled_tree
 
 
 class CFRTrainer:
@@ -31,8 +32,8 @@ class CFRTrainer:
     every output of this trainer.
     """
 
-    def __init__(self, game, node_limit: int = NODE_LIMIT):
-        self.tree = compiled_tree(game, node_limit)  # raises GameTooLarge before any work
+    def __init__(self, game):
+        self.tree = compiled_tree(game)  # raises GameTooLarge before any work
         self.iterations = 0
         self.regrets: list[list[float] | None] = [None] * len(self.tree.keys)
         self.strategy_sum: list[list[float] | None] = [None] * len(self.tree.keys)
