@@ -33,7 +33,9 @@ Observation renders raw (render_raw), info_key (render_key) and planes
 Agents that read only the legal ids, or only the key, never pay for the
 rest, and a view read late still shows the state it was taken at.
 Each engine's observe(game, seat, terminal) is the eager composition of
-the same functions, returning (raw, legal, key).
+the same functions, returning (raw, legal, key). The Env never calls it.
+It stays because the tests use it as the eager reference for the lazy
+Observation, and perfbench/tracing.py wraps it by name as a trace point.
 
 The engine computes legal moves once per state (Game.legal_moves), and
 Game.step is the one legality check: the observation's legal ids and that

@@ -24,7 +24,7 @@ import numpy as np
 from cardtable.agents.policy import PolicyTable, left_sum
 from cardtable.env import REGISTRY, Env, EnvConfig, make
 from cardtable.errors import GameTooLarge, InvalidParam, NotZeroSum, SeatMismatch
-from cardtable.trees import DECISION, CompiledTree, blackjack_census, compiled_tree
+from cardtable.trees import DECISION, CompiledTree, blackjack_info_sets, compiled_tree
 
 # ---------------------------------------------------------------------------
 # tournaments
@@ -479,12 +479,12 @@ def count_info_sets(game_id: str) -> Census:
         raise InvalidParam(f"unknown game {game_id!r}")
     spec = REGISTRY[game_id]
     if game_id == "blackjack":
-        keys, states = blackjack_census()
+        keys, states = blackjack_info_sets()
         return Census(
             game_id=game_id,
             num_players=1,
-            info_sets_per_player=(keys,),
-            avg_states_per_info_set=states / keys,
+            info_sets_per_player=(len(keys),),
+            avg_states_per_info_set=states / len(keys),
             action_space_size=spec.num_actions,
         )
     if game_id == "leduc":

@@ -16,8 +16,9 @@ Bombs do not multiply payoffs.
 
 Moves are the 309 abstract action ids from doudizhu_patterns; kickers
 are completed by the documented lowest-non-breaking rule. Game.step has
-already checked a move, so _apply completes it with `complete` and does
-not decode it again.
+already checked a move against the cached legal moves, so _apply
+completes it with `complete` and does not decode it again;
+decode_action reads the same cache.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from cardtable.core.cards import DECKS
 from cardtable.core.contracts import Game
-from cardtable.errors import GameNotOver, InvalidParam
+from cardtable.errors import GameNotOver, InvalidParam, NoConcreteMove
 from cardtable.games.doudizhu_patterns import (
     DD_RANK_NAMES,
     NUM_ACTIONS,
@@ -37,7 +38,6 @@ from cardtable.games.doudizhu_patterns import (
     CardPattern,
     abstract_id,
     complete,
-    decode,
     french_to_dd_rank,
     matching_abstract_ids,
 )
@@ -95,9 +95,6 @@ class DoudizhuGame(Game):
 
     def current_player(self) -> int:
         return self.turn
-
-    def decode_move(self, action_id: int) -> CardPattern:
-        return decode(action_id, self.counts[self.turn], self.to_beat)
 
     def _apply(self, action_id: int) -> None:
         seat = self.turn
@@ -231,4 +228,7 @@ def encode_planes(raw: dict) -> np.ndarray:
 
 
 def decode_action(game: DoudizhuGame, action_id: int) -> CardPattern:
-    return game.decode_move(action_id)
+    """The concrete move an id plays in the current state; NoConcreteMove if it is not legal."""
+    if action_id not in game.legal_moves():
+        raise NoConcreteMove(f"action id {action_id} is not legal here")
+    return complete(action_id, game.counts[game.turn])[0]

@@ -51,15 +51,14 @@ take the lowest eligible kicker ranks that do not break a bomb (a rank
 held as all four) or the rocket (both jokers held); fall back to
 breaking ranks, lowest first, only when nothing else remains. Within a
 rank the engine discards the lowest card ids first. `complete` does this
-for an id known to be legal and also returns the cards taken per rank;
-`decode` calls it and then checks the hand holds them and the move beats
-the trick.
+for an id known to be legal and also returns the cards taken per rank.
+`decode` holds no rule of its own: it accepts exactly the ids
+`matching_abstract_ids` lists, then completes them with `complete`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from cardtable.errors import NoConcreteMove
 
@@ -104,31 +103,11 @@ class CardPattern:
             body += [r] * per
         return tuple(sorted(body + list(self.kickers)))
 
-    def size(self) -> int:
-        return len(self.rank_multiset())
-
     def literal(self) -> str:
         """Log form: concatenated rank characters ("333A"), or "pass"."""
         if self.category == "pass":
             return "pass"
         return "".join(DD_RANK_NAMES[r] for r in self.rank_multiset())
-
-
-PASS = CardPattern("pass", 0, 0)
-ROCKET = CardPattern("rocket", 13)
-
-
-def beats(a: CardPattern, b: CardPattern) -> bool:
-    """Does non-pass move a beat non-pass move b?"""
-    if a.category == "rocket":
-        return True
-    if b.category == "rocket":
-        return False
-    if a.category == "bomb":
-        return b.category != "bomb" or a.primal > b.primal
-    if b.category == "bomb":
-        return False
-    return a.category == b.category and a.length == b.length and a.primal > b.primal
 
 
 def _build_table() -> tuple[tuple[str, int, int], ...]:
@@ -322,10 +301,10 @@ _PLAIN = tuple(  # the whole pattern of each id that carries no kickers
 
 
 def complete(action_id: int, cnt) -> tuple[CardPattern, tuple[int, ...]]:
-    """(pattern, cards taken per rank) for a non-pass id, kickers completed by the documented rule.
+    """(pattern, cards taken per rank) for an id, kickers completed by the documented rule.
 
-    Nothing is checked beyond the kickers' existence: the caller knows
-    the id is legal for this hand, or checks the result (see decode).
+    Nothing is checked: the caller knows matching_abstract_ids lists the
+    id for this hand, so the kickers exist.
     """
     pattern = _PLAIN[action_id]
     if pattern is not None:
@@ -342,8 +321,6 @@ def complete(action_id: int, cnt) -> tuple[CardPattern, tuple[int, ...]]:
     safe = [k for k in pool if not breaks_protected(k)]
     risky = [k for k in pool if breaks_protected(k)]
     chosen = safe[:n_kick] + risky[: max(0, n_kick - len(safe))]
-    if len(chosen) < n_kick:
-        raise NoConcreteMove(f"no kicker completion for action {action_id}")
     taken = list(_BODIES[action_id])
     for k in chosen:
         taken[k] += need
@@ -351,96 +328,8 @@ def complete(action_id: int, cnt) -> tuple[CardPattern, tuple[int, ...]]:
     return CardPattern(cat, primal, length, kick), tuple(taken)
 
 
-def legal_patterns(cnt, to_beat: CardPattern | None) -> list[CardPattern]:
-    """Every concrete pattern playable from a count vector, kickers enumerated."""
-    out: list[CardPattern] = []
-    for aid in matching_abstract_ids(cnt, to_beat):
-        pattern = _PLAIN[aid]
-        if pattern is not None:
-            out.append(pattern)
-            continue
-        cat, primal, length = ABSTRACT_ACTIONS[aid]
-        need, per_rank = _KICKERS[cat]
-        pool = _kicker_ranks(cnt, primal, primal + length, need)
-        for combo in combinations(pool, per_rank * length):
-            kick = tuple(sorted(k for k in combo for _ in range(need)))
-            out.append(CardPattern(cat, primal, length, kick))
-    return out
-
-
 def decode(action_id: int, cnt, to_beat: CardPattern | None) -> CardPattern:
-    """Concrete pattern for an abstract id, kickers completed by the documented rule."""
-    if not 0 <= action_id < NUM_ACTIONS:
-        raise NoConcreteMove(f"action id {action_id} out of range")
-    if action_id == PASS_ID:
-        if to_beat is None:
-            raise NoConcreteMove("cannot pass while leading")
-        return PASS
-    pattern, taken = complete(action_id, cnt)
-    if any(t > c for t, c in zip(taken, cnt)):
-        raise NoConcreteMove(f"hand lacks cards for {pattern.category} at rank {pattern.primal}")
-    if to_beat is not None and not beats(pattern, to_beat):
-        raise NoConcreteMove(f"{pattern.category} at rank {pattern.primal} does not beat the trick")
-    return pattern
-
-
-def parse(ranks) -> CardPattern | None:
-    """Classify a rank multiset as one move, None if it is not a pattern."""
-    n = len(ranks)
-    if n == 0:
-        return PASS
-    cnt = [0] * NUM_RANKS
-    for r in ranks:
-        cnt[r] += 1
-    if cnt[13] > 1 or cnt[14] > 1:
-        return None
-    if n == 2 and cnt[13] == 1 and cnt[14] == 1:
-        return ROCKET
-
-    quads = [r for r in range(13) if cnt[r] == 4]
-    trios = [r for r in range(13) if cnt[r] == 3]
-    pairs = [r for r in range(13) if cnt[r] == 2]
-    singles = [r for r in range(NUM_RANKS) if cnt[r] == 1]
-
-    def consecutive(rs: list[int]) -> bool:
-        return bool(rs) and rs[-1] <= CHAIN_TOP and rs[-1] - rs[0] + 1 == len(rs)
-
-    if n == 1:
-        return CardPattern("solo", ranks[0])
-    if n == 2:
-        return CardPattern("pair", pairs[0]) if pairs else None
-    if n == 3:
-        return CardPattern("trio", trios[0]) if trios else None
-    if n == 4:
-        if quads:
-            return CardPattern("bomb", quads[0])
-        if trios and len(singles) == 1:
-            return CardPattern("trio_single", trios[0], 1, (singles[0],))
-        return None
-    if quads:
-        if len(quads) == 1 and not trios:
-            q = quads[0]
-            if n == 6 and len(singles) == 2:
-                return CardPattern("quad_two_solo", q, 1, tuple(singles))
-            if n == 8 and len(pairs) == 2:
-                return CardPattern("quad_two_pair", q, 1, (pairs[0], pairs[0], pairs[1], pairs[1]))
-        return None
-    if trios:
-        if n == 5 and len(trios) == 1 and len(pairs) == 1:
-            return CardPattern("trio_pair", trios[0], 1, (pairs[0],) * 2)
-        span = len(trios)
-        if not consecutive(trios):
-            return None
-        if n == 3 * span and 2 <= span <= 6:
-            return CardPattern("plane", trios[0], span)
-        if n == 4 * span and 2 <= span <= 5 and len(singles) == span:
-            return CardPattern("plane_solo", trios[0], span, tuple(singles))
-        if n == 5 * span and 2 <= span <= 4 and len(pairs) == span:
-            kick = tuple(sorted(p for p in pairs for _ in range(2)))
-            return CardPattern("plane_pair", trios[0], span, kick)
-        return None
-    if len(singles) == n and consecutive(singles) and n >= 5:
-        return CardPattern("solo_chain", singles[0], n)
-    if 2 * len(pairs) == n and consecutive(pairs) and len(pairs) >= 3:
-        return CardPattern("pair_chain", pairs[0], len(pairs))
-    return None
+    """Concrete pattern for an abstract id playable from cnt against to_beat, kickers completed."""
+    if action_id not in matching_abstract_ids(cnt, to_beat):
+        raise NoConcreteMove(f"action id {action_id} is not playable from this hand")
+    return complete(action_id, cnt)[0]

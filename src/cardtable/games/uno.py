@@ -140,13 +140,13 @@ class UnoGame(Game):
         top = self.top()
         return self.declared if top >= 52 else top // 13
 
+    def _matching(self) -> tuple[int, ...]:
+        """The ascending types playable on the top: its _MATCH row."""
+        top = self.discard[-1]
+        return _MATCH[self.declared][0] if top >= 52 else _MATCH[top // 13][top % 13 + 1]
+
     def playable(self, type_id: int) -> bool:
-        if type_id >= 52:
-            return True
-        top = self.top()
-        if type_id // 13 == self.active_color():
-            return True
-        return top < 52 and type_id % 13 == top % 13
+        return type_id in self._matching()
 
     def _add_cards(self, seat: int, types, delta: int) -> None:
         """Replace seat's hand with one holding delta more of each type in types."""
@@ -190,10 +190,8 @@ class UnoGame(Game):
     def _legal_moves(self) -> tuple[int, ...]:
         if self.pending is not None:
             return (*_PLAYS[self.pending], PASS_ACTION)
-        top = self.discard[-1]
-        match = _MATCH[self.declared][0] if top >= 52 else _MATCH[top // 13][top % 13 + 1]
         hand = self.hands[self.turn]
-        moves = [a for t in match if hand[t] for a in _PLAYS[t]]
+        moves = [a for t in self._matching() if hand[t] for a in _PLAYS[t]]
         if not moves:  # stuck players draw, nobody draws voluntarily
             return (DRAW_ACTION,)
         return tuple(moves)

@@ -10,14 +10,14 @@ indices with per-node kind, children, chance probabilities, seat,
 info-set index and terminal payoff, plus per-info-set keys and action
 ids. compiled_tree caches that form per tree instance, and tree_for
 maps a game id to one shared tree, so a game is walked through its
-TreeGame methods once per process. The node count and the leduc census
-read the compiled tables. The numpy sweeps (CFR, best response, policy
-value) take their node tables from the tree's TreeLayout, the one
-level-order numbering: it holds each table by position, so the sweeps
-select and sort its arrays instead of walking the tree. Only CFR's
-wave numbers still walk it once, to replay a depth-first walk's order.
-MCCFR on leduc walks the preorder tables themselves, down one sampled
-deal at a time (LeducTree.deal_children).
+TreeGame methods once per process. Node counts, info keys and the leduc
+census are read from the compiled tables. The numpy sweeps (CFR, best
+response, policy value) take their node tables from the tree's
+TreeLayout, the one level-order numbering: it holds each table by
+position, so the sweeps select and sort its arrays instead of walking
+the tree. Only CFR's wave numbers still walk it once, to replay a
+depth-first walk's order. MCCFR on leduc walks the preorder tables
+themselves, down one sampled deal at a time (LeducTree.deal_children).
 
 Only games small enough to enumerate get a tree: leduc here, plus a
 blackjack info-set enumeration used by the census. LeducTree holds no
@@ -312,18 +312,8 @@ class TreeLayout:
         self.payoff = by_position(tree.payoff, 0.0, float)
 
 
-def count_nodes(tree) -> int:
-    """Total nodes reachable from the root; raises GameTooLarge past NODE_LIMIT."""
-    return compiled_tree(tree).num_nodes
-
-
-def leduc_info_keys() -> set[str]:
-    """Every decision information key in leduc, both seats."""
-    return set(compiled_tree("leduc").keys)
-
-
-def _blackjack_decision_walk() -> tuple[set[str], int]:
-    """(info keys, underlying state count) for blackjack decisions.
+def blackjack_info_sets() -> tuple[set[str], int]:
+    """(every decision info key, the state count behind them) for blackjack.
 
     Walks reachable player hands (score <= 21 keeps the decision open)
     under the 52-card composition for each dealer upcard. Only the
@@ -367,17 +357,6 @@ def _blackjack_decision_walk() -> tuple[set[str], int]:
                 counts[r2] += 1
             counts[r1] += 1
     return keys, states
-
-
-def blackjack_info_keys() -> set[str]:
-    """Every decision information key in blackjack."""
-    return _blackjack_decision_walk()[0]
-
-
-def blackjack_census() -> tuple[int, int]:
-    """(number of distinct info keys, number of states behind them)."""
-    keys, states = _blackjack_decision_walk()
-    return len(keys), states
 
 
 _LEDUC = LeducTree()

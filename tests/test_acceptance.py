@@ -253,13 +253,17 @@ def test_criterion_10_throughput_and_parallel_speedup():
     assert quad.per_game_payoffs == serial.per_game_payoffs
     assert quad.mean_payoffs == serial.mean_payoffs
 
+    # best of three alternated runs each: a pool forked after the host sat
+    # idle can start on one CPU, which says nothing about scaling
     timing = replace(spec, n_games=1_200)
-    t0 = time.perf_counter()
-    rollout_parallel(timing)
-    serial_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    rollout_parallel(replace(timing, n_workers=4))
-    quad_s = time.perf_counter() - t0
+    serial_s = quad_s = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        rollout_parallel(timing)
+        serial_s = min(serial_s, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        rollout_parallel(replace(timing, n_workers=4))
+        quad_s = min(quad_s, time.perf_counter() - t0)
     speedup = serial_s / quad_s
     ok = speedup > 1.0
     print(f"criterion 10 {'PASS' if ok else 'FAIL'}: 4-worker doudizhu speedup {speedup:.2f} on {os.cpu_count()} cpus")

@@ -12,7 +12,7 @@ from cardtable.games.blackjack import (
     observe,
     settle,
 )
-from cardtable.trees import blackjack_census, blackjack_info_keys
+from cardtable.trees import blackjack_info_sets
 
 
 class TestHandValue:
@@ -117,16 +117,16 @@ class TestObserve:
 class TestCensus:
     def test_key_count_frozen(self):
         # full enumeration over 52-card compositions; value frozen after first run
-        keys = blackjack_info_keys()
+        keys, _ = blackjack_info_sets()
         assert len(keys) == 1373
 
     def test_census_consistency(self):
-        n_keys, n_states = blackjack_census()
-        assert n_keys == 1373
+        keys, n_states = blackjack_info_sets()
+        assert len(keys) == 1373
         assert n_states == 409172  # (hand multiset, upcard, hole rank) triples
 
     def test_every_played_key_is_enumerated(self):
-        keys = blackjack_info_keys()
+        keys, _ = blackjack_info_sets()
         rng = Rng(123)
         for seed in range(200):
             game = BlackjackGame(Rng(seed))

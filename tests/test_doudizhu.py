@@ -3,10 +3,14 @@
 The oracle below re-derives the playable move set of a hand by direct
 counting, with no shared code or tables, and the grammar tests require
 the production enumerator to agree triple for triple on random hands.
+Two more oracles work on concrete moves: legal_patterns enumerates every
+kicker choice of each legal id, and parse classifies a rank multiset, so
+each emitted move must parse back to itself.
 """
 
 import copy
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,23 +21,22 @@ from cardtable.agents import RandomAgent
 from cardtable.core.rng import Rng
 from cardtable.env import EnvConfig, make
 from cardtable.errors import IllegalMove, InvalidParam, NoConcreteMove
-from cardtable.games.doudizhu import DoudizhuGame, capture, encode_planes, hand_literal, observe
+from cardtable.games.doudizhu import DoudizhuGame, capture, decode_action, encode_planes, hand_literal, observe
 from cardtable.games.doudizhu_patterns import (
     ABSTRACT_ACTIONS,
     ACTION_INDEX,
+    CHAIN_TOP,
     NUM_ACTIONS,
     NUM_RANKS,
-    PASS,
     PASS_ID,
-    ROCKET,
     CardPattern,
     abstract_id,
-    beats,
     decode,
-    legal_patterns,
     matching_abstract_ids,
-    parse,
 )
+
+PASS = CardPattern("pass", 0, 0)
+ROCKET = CardPattern("rocket", 13)
 
 # ---------------------------------------------------------------------------
 # oracle: enumerate playable (category, primal, length) triples by counting
@@ -136,6 +139,96 @@ def production_triples(cnt, to_beat_pattern):
     return {ABSTRACT_ACTIONS[i] for i in matching_abstract_ids(cnt, to_beat_pattern)}
 
 
+# ---------------------------------------------------------------------------
+# oracles on concrete moves
+
+# kicker categories: (kicker cards per kicker rank, kicker ranks per primal rank)
+KICKERS = {
+    "trio_single": (1, 1), "trio_pair": (2, 1),
+    "plane_solo": (1, 1), "plane_pair": (2, 1),
+    "quad_two_solo": (1, 2), "quad_two_pair": (2, 2),
+}
+
+
+def legal_patterns(cnt, to_beat):
+    """Every concrete pattern playable from a count vector, kickers enumerated."""
+    out = []
+    for aid in matching_abstract_ids(cnt, to_beat):
+        cat, primal, length = ABSTRACT_ACTIONS[aid]
+        if cat not in KICKERS:
+            out.append(CardPattern(cat, primal, length))
+            continue
+        need, per_rank = KICKERS[cat]
+        top = 13 if need == 2 else 15  # pair kickers stop at the 2
+        pool = [k for k in range(top) if cnt[k] >= need and not primal <= k < primal + length]
+        for combo in combinations(pool, per_rank * length):
+            kick = tuple(sorted(k for k in combo for _ in range(need)))
+            out.append(CardPattern(cat, primal, length, kick))
+    return out
+
+
+def parse(ranks):
+    """Classify a rank multiset as one move, None if it is not a pattern."""
+    n = len(ranks)
+    if n == 0:
+        return PASS
+    cnt = [0] * NUM_RANKS
+    for r in ranks:
+        cnt[r] += 1
+    if cnt[13] > 1 or cnt[14] > 1:
+        return None
+    if n == 2 and cnt[13] == 1 and cnt[14] == 1:
+        return ROCKET
+
+    quads = [r for r in range(13) if cnt[r] == 4]
+    trios = [r for r in range(13) if cnt[r] == 3]
+    pairs = [r for r in range(13) if cnt[r] == 2]
+    singles = [r for r in range(NUM_RANKS) if cnt[r] == 1]
+
+    def consecutive(rs):
+        return bool(rs) and rs[-1] <= CHAIN_TOP and rs[-1] - rs[0] + 1 == len(rs)
+
+    if n == 1:
+        return CardPattern("solo", ranks[0])
+    if n == 2:
+        return CardPattern("pair", pairs[0]) if pairs else None
+    if n == 3:
+        return CardPattern("trio", trios[0]) if trios else None
+    if n == 4:
+        if quads:
+            return CardPattern("bomb", quads[0])
+        if trios and len(singles) == 1:
+            return CardPattern("trio_single", trios[0], 1, (singles[0],))
+        return None
+    if quads:
+        if len(quads) == 1 and not trios:
+            q = quads[0]
+            if n == 6 and len(singles) == 2:
+                return CardPattern("quad_two_solo", q, 1, tuple(singles))
+            if n == 8 and len(pairs) == 2:
+                return CardPattern("quad_two_pair", q, 1, (pairs[0], pairs[0], pairs[1], pairs[1]))
+        return None
+    if trios:
+        if n == 5 and len(trios) == 1 and len(pairs) == 1:
+            return CardPattern("trio_pair", trios[0], 1, (pairs[0],) * 2)
+        span = len(trios)
+        if not consecutive(trios):
+            return None
+        if n == 3 * span and 2 <= span <= 6:
+            return CardPattern("plane", trios[0], span)
+        if n == 4 * span and 2 <= span <= 5 and len(singles) == span:
+            return CardPattern("plane_solo", trios[0], span, tuple(singles))
+        if n == 5 * span and 2 <= span <= 4 and len(pairs) == span:
+            kick = tuple(sorted(p for p in pairs for _ in range(2)))
+            return CardPattern("plane_pair", trios[0], span, kick)
+        return None
+    if len(singles) == n and consecutive(singles) and n >= 5:
+        return CardPattern("solo_chain", singles[0], n)
+    if 2 * len(pairs) == n and consecutive(pairs) and len(pairs) >= 3:
+        return CardPattern("pair_chain", pairs[0], len(pairs))
+    return None
+
+
 class TestActionTable:
     def test_census_by_category(self):
         want = {
@@ -158,6 +251,14 @@ class TestActionTable:
     def test_ids_round_trip_through_index(self):
         for i, triple in enumerate(ABSTRACT_ACTIONS):
             assert ACTION_INDEX[triple] == i
+
+
+def beats(a, b):
+    """Does kicker-free move a beat b? Asked of the enumerator with a hand holding exactly a's cards."""
+    cnt = [0] * NUM_RANKS
+    for r in a.rank_multiset():
+        cnt[r] += 1
+    return abstract_id(a) in matching_abstract_ids(cnt, b)
 
 
 class TestBeats:
@@ -317,12 +418,38 @@ class TestDecode:
             decode(-1, cnt, None)
 
     def test_decode_agrees_with_legal_set(self):
+        """decode succeeds on exactly the listed ids, leading and responding, and plays held cards."""
         rng = Rng(815)
-        for _ in range(150):
-            cnt = random_deal_hand(rng)
-            for aid in matching_abstract_ids(cnt, None):
-                got = decode(aid, cnt, None)
+        for trial in range(300):
+            cnt = random_sparse_hand(rng) if trial % 4 == 3 else random_deal_hand(rng)
+            to_beat = None
+            if trial % 2:
+                to_beat = rng.choice(legal_patterns(random_deal_hand(rng), None))
+            legal = set(matching_abstract_ids(cnt, to_beat))
+            for aid in range(-1, NUM_ACTIONS + 1):
+                if aid not in legal:
+                    with pytest.raises(NoConcreteMove):
+                        decode(aid, cnt, to_beat)
+                    continue
+                got = decode(aid, cnt, to_beat)
                 assert abstract_id(got) == aid
+                ms = got.rank_multiset()
+                assert all(ms.count(r) <= cnt[r] for r in set(ms)), (got, cnt)
+
+    def test_decode_action_accepts_exactly_the_legal_moves(self):
+        rng = Rng(816)
+        for seed in range(4):
+            game = DoudizhuGame(Rng(seed), variant=("full", "mini")[seed % 2])
+            game.reset()
+            while not game.is_over():
+                legal = game.legal_moves()
+                for aid in range(-1, NUM_ACTIONS + 1):
+                    if aid in legal:
+                        assert decode_action(game, aid) == decode(aid, game.counts[game.turn], game.to_beat)
+                    else:
+                        with pytest.raises(NoConcreteMove):
+                            decode_action(game, aid)
+                game.step(rng.choice(legal))
 
 
 class TestEngine:

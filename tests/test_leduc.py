@@ -17,7 +17,7 @@ from cardtable.games.leduc import (
     round_legal_moves,
     showdown_winner,
 )
-from cardtable.trees import LeducTree, count_nodes, leduc_info_keys
+from cardtable.trees import LeducTree, compiled_tree
 
 
 class TestRules:
@@ -202,9 +202,8 @@ class TestTreeMatchesEngine:
         assert tree.child(raised, CALL)[0] == "pub"
 
     def test_node_and_key_counts(self):
-        tree = LeducTree()
-        assert count_nodes(tree) == 2194
-        keys = leduc_info_keys()
+        assert compiled_tree(LeducTree()).num_nodes == 2194
+        keys = set(compiled_tree("leduc").keys)
         assert len(keys) == 288
         assert len({k for k in keys if k.startswith("L0")}) == 144
 

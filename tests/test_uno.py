@@ -113,6 +113,17 @@ class TestPlayability:
         assert game.playable(WD4)
         assert not game.playable(BLUE * 13 + 9)
 
+    def test_playable_agrees_with_the_legal_moves_of_a_full_hand(self):
+        """Every top, every declared colour on a wild top: playable(t) iff t's plays are legal."""
+        for top in range(NUM_TYPES):
+            for declared in range(4) if top >= 52 else (None,):
+                game = fresh_game(3)
+                game.discard, game.declared = (top,), declared
+                give_hand(game, game.turn, range(NUM_TYPES))
+                legal = game.legal_moves()
+                for t in range(NUM_TYPES):
+                    assert game.playable(t) == (play_action_ids(t)[0] in legal), (top, declared, t)
+
     def test_wild_color_declaration(self):
         game = fresh_game(2)
         game.turn = 0
