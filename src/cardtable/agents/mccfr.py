@@ -166,13 +166,11 @@ class MCCFRTrainer:
         return self._update(regr, strategy, [self._walk(child, traverser) for child in children])
 
 
-def mccfr_external_train(game, iterations: int, rng_seed: int = 0) -> PolicyTable:
-    """Train external-sampling MCCFR and return the average policy.
+def mccfr_external_train(game: str, iterations: int, rng_seed: int = 0) -> PolicyTable:
+    """Train external-sampling MCCFR on a game id and return the average policy.
 
-    game may be a game id (seeded from rng_seed) or an EnvConfig whose
-    own seed then drives the deals while rng_seed drives the sampling.
+    rng_seed seeds the deals and, through split_seed(rng_seed, 1), the sampling.
     """
-    config = game if isinstance(game, EnvConfig) else EnvConfig(game_id=game, seed=rng_seed)
-    trainer = MCCFRTrainer(config, sample_seed=split_seed(rng_seed, 1))
+    trainer = MCCFRTrainer(EnvConfig(game_id=game, seed=rng_seed), sample_seed=split_seed(rng_seed, 1))
     trainer.run(iterations)
     return trainer.policy()

@@ -8,6 +8,8 @@ always playable. Entries are checked as they are stored: keys must be
 printable text, action ids distinct and probabilities finite,
 non-negative and of positive mass, or InvalidPolicy is raised; a file
 that repeats a key fails to load with a ParseError naming the line.
+set normalises what it is given; load stores the probabilities as
+written, so saving a loaded table writes the same bytes.
 Loading for a game (`num_actions` given) also rejects an action id
 outside that game's 0..num_actions-1 with InvalidPolicy naming the line,
 the key and the id, before any game is played with the table.
@@ -37,19 +39,7 @@ class PolicyTable:
 
     def set(self, key: str, action_ids, probs) -> None:
         """Store the normalized distribution; raises InvalidPolicy on a bad entry."""
-        if not key.isprintable():  # a tab, line break or lone surrogate would corrupt the file
-            raise InvalidPolicy(f"{key!r}: a key must be printable text")
-        action_ids = tuple(int(a) for a in action_ids)
-        probs = tuple(float(p) for p in probs)
-        if len(action_ids) != len(probs):
-            raise InvalidPolicy(f"{key!r}: {len(action_ids)} action ids but {len(probs)} probabilities")
-        if len(set(action_ids)) != len(action_ids):
-            raise InvalidPolicy(f"{key!r}: repeated action id in {action_ids}")
-        if not all(0.0 <= p < math.inf for p in probs):
-            raise InvalidPolicy(f"{key!r}: probabilities must be finite and non-negative, got {probs}")
-        total = left_sum(probs)
-        if not 0.0 < total < math.inf:
-            raise InvalidPolicy(f"{key!r}: probabilities must have positive, finite mass")
+        action_ids, probs, total = _checked(key, action_ids, probs)
         self._table[key] = (action_ids, tuple(p / total for p in probs))
 
     def probs_for(self, key: str, legal_action_ids) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -103,7 +93,7 @@ class PolicyTable:
                 if key in table:
                     raise ParseError(f"line {n}: key {key!r} repeats an earlier line")
                 try:
-                    table.set(key, ids, probs)
+                    table._table[key] = _checked(key, ids, probs)[:2]
                 except InvalidPolicy as exc:
                     raise ParseError(f"line {n}: {exc}") from exc
                 if num_actions is not None:
@@ -113,6 +103,24 @@ class PolicyTable:
                                 f"line {n}: {key!r} holds action id {a}, outside 0..{num_actions - 1}"
                             )
         return table
+
+
+def _checked(key: str, action_ids, probs) -> tuple[tuple[int, ...], tuple[float, ...], float]:
+    """(action ids, probabilities, their sum) of one entry; raises InvalidPolicy on a bad entry."""
+    if not key.isprintable():  # a tab, line break or lone surrogate would corrupt the file
+        raise InvalidPolicy(f"{key!r}: a key must be printable text")
+    action_ids = tuple(int(a) for a in action_ids)
+    probs = tuple(float(p) for p in probs)
+    if len(action_ids) != len(probs):
+        raise InvalidPolicy(f"{key!r}: {len(action_ids)} action ids but {len(probs)} probabilities")
+    if len(set(action_ids)) != len(action_ids):
+        raise InvalidPolicy(f"{key!r}: repeated action id in {action_ids}")
+    if not all(0.0 <= p < math.inf for p in probs):
+        raise InvalidPolicy(f"{key!r}: probabilities must be finite and non-negative, got {probs}")
+    total = left_sum(probs)
+    if not 0.0 < total < math.inf:
+        raise InvalidPolicy(f"{key!r}: probabilities must have positive, finite mass")
+    return action_ids, probs, total
 
 
 def average_policy(entries) -> PolicyTable:

@@ -4,19 +4,12 @@ Six cards (J, Q, K in two suits). Both players ante 1 unit. One private
 card each, a betting round, one public card, a second betting round,
 then showdown: a private card pairing the public card wins, otherwise
 the higher private rank; equal ranks split. Raises are fixed at 2 units
-in round one and 4 in round two, at most two raises per round. Folding
-is legal even when checking is free and simply forfeits the pot.
-Payoffs are net units won (antes count), so they sum to zero.
-
-A betting round closes once both seats have acted since the last raise.
-One counter, `to_close`, holds the moves left before that: 2 at the
-start of a round, 1 after a raise, one less after any other move. The
-round closes when it reaches 0.
+in round one and 4 in round two, at most two raises per round; the
+betting rule itself is limit hold'em's BettingGame. A fold forfeits
+the pot. Payoffs are net units won (antes count), so they sum to zero.
 
 Hands hold card ids 0..5 (suit * 3 + rank); play only ever depends on
-the rank, id % 3. Action ids (shared with limit hold'em): 0 call,
-1 raise, 2 fold, 3 check. Betting history letters: c call, r raise,
-f fold, k check, '/' between rounds.
+the rank, id % 3.
 """
 
 from __future__ import annotations
@@ -24,26 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from cardtable.core.cards import DECKS, LEDUC_RANKS
-from cardtable.core.contracts import Game
 from cardtable.errors import GameNotOver
-
-CALL, RAISE, FOLD, CHECK = 0, 1, 2, 3
-NUM_ACTIONS = 4
+from cardtable.games.limit_holdem import CALL, CHECK, FOLD, NUM_ACTIONS, RAISE, BettingGame  # noqa: F401
 
 ANTE = 1
-RAISE_SIZE = (2, 4)  # by round index
-MAX_RAISES = 2
-_MOVE_CHAR = {CALL: "c", RAISE: "r", FOLD: "f", CHECK: "k"}
-
-
-def round_legal_moves(facing_bet: bool, raises: int) -> tuple[int, ...]:
-    """Legal betting moves, sorted by action id."""
-    moves = [CALL] if facing_bet else [CHECK]
-    if raises < MAX_RAISES:
-        moves.append(RAISE)
-    moves.append(FOLD)
-    moves.sort()
-    return tuple(moves)
 
 
 def showdown_winner(rank0: int, rank1: int, public_rank: int) -> int:
@@ -62,59 +39,24 @@ def info_key(seat: int, private_rank: int, public_rank: int | None, history: str
     return f"L{seat}|{LEDUC_RANKS[private_rank]}|{pub}|{history}"
 
 
-def _add(pair: tuple[int, int], seat: int, amount: int) -> tuple[int, int]:
-    return (pair[0] + amount, pair[1]) if seat == 0 else (pair[0], pair[1] + amount)
-
-
-# indexed [facing a bet][raises this round]
-_LEGAL = tuple(
-    tuple(round_legal_moves(facing, raises) for raises in range(MAX_RAISES + 1)) for facing in (False, True)
-)
-
-
-class LeducGame(Game):
+class LeducGame(BettingGame):
     num_players = 2
+    MAX_RAISES = 2
+    raise_sizes = (2, 4)
 
     def _start(self) -> int:
         self.stock = stock = list(DECKS["leduc6"])
         self.hands = (self.rng.draw(stock), self.rng.draw(stock))  # private card id by seat
         self.public: int | None = None  # card id
+        self.folded = (False, False)
         self.chips = (ANTE, ANTE)  # total contribution to the pot
         self.round_index = 0
         self.raises = 0  # this round
         self.to_act = 0
         self.to_close = 2  # moves left before this round closes
-        self.round_bets = (0, 0)
         self.history = ""
         self._winner: int | None = None  # -1 split
         return 0
-
-    def _legal_moves(self) -> tuple[int, ...]:
-        bets = self.round_bets
-        return _LEGAL[bets[self.to_act] < max(bets)][self.raises]
-
-    def current_player(self) -> int:
-        return self.to_act
-
-    def _apply(self, move: int) -> None:
-        seat = self.to_act
-        self.history += _MOVE_CHAR[move]
-        if move == FOLD:
-            self._winner = 1 - seat
-            return
-        put = max(self.round_bets) - self.round_bets[seat]
-        self.to_close -= 1
-        if move == RAISE:
-            put += RAISE_SIZE[self.round_index]
-            self.raises += 1
-            self.to_close = 1
-        if put:
-            self.round_bets = _add(self.round_bets, seat, put)
-            self.chips = _add(self.chips, seat, put)
-        if self.to_close:
-            self.to_act = 1 - seat
-        else:
-            self._advance_round()
 
     def draw_public(self) -> int:
         """The public card: the deal stream's next draw from the stock.
@@ -132,10 +74,12 @@ class LeducGame(Game):
             self.round_index = 1
             self.raises = self.to_act = 0
             self.to_close = 2
-            self.round_bets = (0, 0)
             self.history += "/"
         else:
             self._winner = showdown_winner(self.hands[0] % 3, self.hands[1] % 3, self.public % 3)
+
+    def _settle_fold(self, winner: int) -> None:
+        self._winner = winner
 
     def is_over(self) -> bool:
         return self._winner is not None
@@ -152,8 +96,8 @@ class LeducGame(Game):
         return (
             self.hands,
             self.public,
+            self.folded,
             self.chips,
-            self.round_bets,
             self.round_index,
             self.raises,
             self.to_act,
@@ -165,8 +109,8 @@ class LeducGame(Game):
         )
 
     def _restore(self, snap) -> None:
-        (self.hands, self.public, self.chips, self.round_bets, self.round_index, self.raises, self.to_act,
-         self.to_close, self.history, self._winner, self.stock, rng_state) = snap
+        (self.hands, self.public, self.folded, self.chips, self.round_index, self.raises,
+         self.to_act, self.to_close, self.history, self._winner, self.stock, rng_state) = snap
         self.rng.setstate(rng_state)
 
 

@@ -1,4 +1,4 @@
-"""Fixed-limit texas hold'em, two players by default.
+"""Fixed-limit texas hold'em, two players by default, and the betting rule it shares with leduc.
 
 Seat 0 posts the small blind (0.5 bb), seat 1 the big blind (1 bb).
 Heads-up, the small blind acts first before the flop and second after
@@ -7,21 +7,13 @@ seat 0 opens the later rounds. Four betting rounds (hole cards, flop,
 turn, river) with a fixed raise of `fixed_raise` big blinds in the
 first two rounds and double that in the last two, and at most four
 raises per round. Stacks are unbounded so everyone either matches the
-bet or folds; there are no side pots. Folding is legal even when
-checking is free.
-
-A betting round closes once every live seat has acted since the last
-raise. One counter, `to_close`, holds the moves left before that: a new
-round sets it to the number of live seats, a raise to that number minus
-one, and every other move (a fold too) takes one off. The round closes
-when it reaches 0.
+bet or folds; there are no side pots. BettingGame states the betting
+rule itself.
 
 Chips are tracked in integer half-big-blind units and split pots are
 divided exactly equally, so payoffs can be fractional big blinds but
 always sum to zero. Suits never break ties and the ace plays low in a
 five-high straight.
-
-Action ids (shared with leduc): 0 call, 1 raise, 2 fold, 3 check.
 """
 
 from __future__ import annotations
@@ -40,9 +32,8 @@ NUM_ACTIONS = 4
 
 SMALL_BLIND = 1  # half big blinds
 BIG_BLIND = 2
-MAX_RAISES = 4
 _COMMUNITY_PER_ROUND = (0, 3, 1, 1)
-_MOVE_CHAR = {CALL: "c", RAISE: "r", FOLD: "f", CHECK: "k"}
+_MOVE_CHAR = "crfk"  # history letter by action id
 # legal moves in id order, indexed [facing a bet][a raise is left]
 _LEGAL = (((FOLD, CHECK), (RAISE, FOLD, CHECK)), ((CALL, FOLD), (CALL, RAISE, FOLD)))
 
@@ -64,47 +55,42 @@ def showdown_winners(hole_by_seat, community, alive) -> list[int]:
     return out
 
 
-def _add(values: tuple, seat: int, amount) -> tuple:
-    out = list(values)
-    out[seat] += amount
-    return tuple(out)
+class BettingGame(Game):
+    """The fixed-limit betting rule that leduc and limit hold'em share.
 
+    Action ids: 0 call, 1 raise, 2 fold, 3 check. The seat to act checks
+    when it has matched the round's highest bet and calls when it has
+    not; it may raise while the round has seen fewer than MAX_RAISES
+    raises, and it may always fold, even when checking is free. A call
+    puts in the difference to the highest bet, a raise that difference
+    plus raise_sizes[round_index]. Legal moves are listed in id order.
+    Bets are compared on `chips`, each seat's total in the pot: every
+    live seat has the same total when a round opens (hold'em's blinds
+    count as bets of the first round).
 
-class LimitHoldemGame(Game):
-    def __init__(self, rng, allow_step_back=False, num_players: int = 2, fixed_raise: int = 1):
-        super().__init__(rng, allow_step_back)
-        self.num_players = int_param("num_players", num_players, 2, 10)
-        self.fixed_raise = int_param("fixed_raise", fixed_raise, 1)
+    A betting round closes once every live seat has acted since the last
+    raise. One counter, `to_close`, holds the moves left before that: a
+    new round sets it to the number of live seats, a raise to that
+    number minus one, and every other move (a fold too) takes one off.
+    The round closes, through _advance_round, when it reaches 0; a fold
+    that leaves one live seat ends the hand through _settle_fold. The
+    turn passes to the next seat that has not folded.
 
-    def _raise_size(self) -> int:
-        bb = 2 * self.fixed_raise
-        return bb if self.round_index < 2 else 2 * bb
+    The betting history is one letter per move (c call, r raise, f fold,
+    k check), with '/' between rounds.
 
-    def _first_actor(self, round_index: int) -> int:
-        n = self.num_players
-        if round_index == 0:
-            return 0 if n == 2 else 2 % n
-        return 1 if n == 2 else 0
+    A subclass sets MAX_RAISES and raise_sizes and writes _start,
+    _advance_round and _settle_fold(winner). The state this rule reads
+    and replaces: to_act, to_close, raises (this round), chips, folded,
+    history, round_index.
+    """
 
-    def _start(self) -> int:
-        n = self.num_players
-        self.stock = stock = list(DECKS["standard52"])
-        draw = self.rng.draw
-        self.hands = tuple(tuple(sorted((draw(stock), draw(stock)))) for _ in range(n))
-        self.community: tuple[int, ...] = ()
-        self.folded = (False,) * n
-        self.chips = self.round_bets = (SMALL_BLIND, BIG_BLIND) + (0,) * (n - 2)
-        self.round_index = 0
-        self.raises = 0  # this round
-        self.to_act = self._first_actor(0)
-        self.to_close = n  # moves left before this round closes
-        self.history = ""
-        self._results: tuple | None = None  # net half-bb per seat, Fraction when a pot splits unevenly
-        return self.to_act
+    MAX_RAISES: int
+    raise_sizes: tuple[int, ...]  # by round index
 
     def _legal_moves(self) -> tuple[int, ...]:
-        bets = self.round_bets
-        return _LEGAL[bets[self.to_act] < max(bets)][self.raises < MAX_RAISES]
+        chips = self.chips
+        return _LEGAL[chips[self.to_act] < max(chips)][self.raises < self.MAX_RAISES]
 
     def current_player(self) -> int:
         return self.to_act
@@ -125,17 +111,51 @@ class LimitHoldemGame(Game):
                 self._settle_fold(self.folded.index(False))
                 return
         elif move != CHECK:
-            put = max(self.round_bets) - self.round_bets[seat]
+            chips = list(self.chips)
+            chips[seat] = max(chips)
             if move == RAISE:
-                put += self._raise_size()
+                chips[seat] += self.raise_sizes[self.round_index]
                 self.raises += 1
                 self.to_close = self.folded.count(False) - 1
-            self.round_bets = _add(self.round_bets, seat, put)
-            self.chips = _add(self.chips, seat, put)
+            self.chips = tuple(chips)
         if not self.to_close:
             self._advance_round()
         else:
             self.to_act = self._next_actor(seat)
+
+
+class LimitHoldemGame(BettingGame):
+    MAX_RAISES = 4
+
+    def __init__(self, rng, allow_step_back=False, num_players: int = 2, fixed_raise: int = 1):
+        super().__init__(rng, allow_step_back)
+        self.num_players = int_param("num_players", num_players, 2, 10)
+        self.fixed_raise = int_param("fixed_raise", fixed_raise, 1)
+        bb = 2 * self.fixed_raise
+        self.raise_sizes = (bb, bb, 2 * bb, 2 * bb)  # half big blinds, doubled from the turn
+
+    def _first_actor(self, round_index: int) -> int:
+        n = self.num_players
+        if round_index == 0:
+            return 0 if n == 2 else 2 % n
+        return 1 if n == 2 else 0
+
+    def _start(self) -> int:
+        n = self.num_players
+        self.stock = stock = list(DECKS["standard52"])
+        draw = self.rng.draw
+        self.hands = tuple(tuple(sorted((draw(stock), draw(stock)))) for _ in range(n))
+        self.community: tuple[int, ...] = ()
+        self.folded = (False,) * n
+        self.chips = (SMALL_BLIND, BIG_BLIND) + (0,) * (n - 2)
+        self.round_base = 0  # chips every live seat had in when this round opened
+        self.round_index = 0
+        self.raises = 0  # this round
+        self.to_act = self._first_actor(0)
+        self.to_close = n  # moves left before this round closes
+        self.history = ""
+        self._results: tuple | None = None  # net half-bb per seat, Fraction when a pot splits unevenly
+        return self.to_act
 
     def _advance_round(self) -> None:
         if self.round_index == 3:
@@ -150,7 +170,7 @@ class LimitHoldemGame(Game):
         self.to_close = self.folded.count(False)
         first = self._first_actor(self.round_index)
         self.to_act = self._next_actor(first) if self.folded[first] else first
-        self.round_bets = (0,) * self.num_players
+        self.round_base = max(self.chips)
         self.history += "/"
 
     def _settle_fold(self, winner: int) -> None:
@@ -180,7 +200,7 @@ class LimitHoldemGame(Game):
             self.community,
             self.folded,
             self.chips,
-            self.round_bets,
+            self.round_base,
             self.round_index,
             self.raises,
             self.to_act,
@@ -192,7 +212,7 @@ class LimitHoldemGame(Game):
         )
 
     def _restore(self, snap) -> None:
-        (self.hands, self.community, self.folded, self.chips, self.round_bets, self.round_index, self.raises,
+        (self.hands, self.community, self.folded, self.chips, self.round_base, self.round_index, self.raises,
          self.to_act, self.to_close, self.history, self._results, self.stock, rng_state) = snap
         self.rng.setstate(rng_state)
 
@@ -207,7 +227,7 @@ def capture(game: LimitHoldemGame, seat: int, terminal: bool = False):
         game.history,
         game.round_index,
         game.chips[seat],
-        max(game.round_bets),
+        max(game.chips) - game.round_base,
         sum(game.chips),
         game.folded,
     )

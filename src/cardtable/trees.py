@@ -180,11 +180,11 @@ class CompiledTree:
         return self
 
 
-def compile_tree(tree, node_limit: int = NODE_LIMIT) -> CompiledTree:
+def compile_tree(tree) -> CompiledTree:
     """Walk a TreeGame once and return its compiled form.
 
     The walk keeps its own stack, so depth alone never stops it.
-    Raises GameTooLarge as soon as the node count passes node_limit,
+    Raises GameTooLarge as soon as the node count passes NODE_LIMIT,
     NotZeroSum at a terminal whose payoffs are not (p, -p), and
     ValueError if one information key shows two action lists or seats.
     """
@@ -203,8 +203,8 @@ def compile_tree(tree, node_limit: int = NODE_LIMIT) -> CompiledTree:
     while stack:
         node, siblings = stack.pop()
         n = len(kind)
-        if n >= node_limit:
-            raise GameTooLarge(f"tree exceeds {node_limit} nodes")
+        if n >= NODE_LIMIT:
+            raise GameTooLarge(f"tree exceeds {NODE_LIMIT} nodes")
         siblings.append(n)
         kind.append(TERMINAL)
         children.append([])

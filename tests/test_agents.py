@@ -150,6 +150,13 @@ class TestPolicyTable:
         assert dict(loaded.items()) == dict(table.items())
         assert loaded.dumps() == table.dumps()
 
+    def test_load_then_save_writes_the_same_bytes(self):
+        """load keeps the file's 12-decimal probabilities instead of dividing them by their sum again."""
+        weights = PolicyTable()
+        weights.set("w", (0, 1, 2), (31262, 31262, 1))
+        for table in (weights, cfr_train("leduc", 100)):
+            assert reload(table).dumps() == table.dumps()
+
     @settings(max_examples=300, deadline=None)
     @given(entries=policy_entries)
     def test_fuzzed_dumps_load_round_trip(self, entries):

@@ -14,7 +14,6 @@ from cardtable.games.leduc import (
     LeducGame,
     info_key,
     observe,
-    round_legal_moves,
     showdown_winner,
 )
 from cardtable.trees import LeducTree, compiled_tree
@@ -22,9 +21,13 @@ from cardtable.trees import LeducTree, compiled_tree
 
 class TestRules:
     def test_round_legal_moves(self):
-        assert round_legal_moves(True, 0) == (CALL, RAISE, FOLD)
-        assert round_legal_moves(False, 0) == (RAISE, FOLD, CHECK)
-        assert round_legal_moves(True, 2) == (CALL, FOLD)  # raise cap
+        game = LeducGame(Rng(0))
+        game.reset()
+        assert game.legal_moves() == (RAISE, FOLD, CHECK)  # the opening
+        game.step(RAISE)
+        assert game.legal_moves() == (CALL, RAISE, FOLD)  # facing a bet
+        game.step(RAISE)
+        assert game.legal_moves() == (CALL, FOLD)  # raise cap
 
     def test_showdown_pairs_beat_high_card(self):
         assert showdown_winner(0, 2, 0) == 0  # J pairs the board J
@@ -103,7 +106,7 @@ class TestRules:
             game.step(RAISE)
             before = game.snapshot()
             kept = copy.deepcopy(before)
-            state = (list(game.stock), game.public, game.chips, game.round_bets, game.rng.getstate())
+            state = (list(game.stock), game.public, game.chips, game.rng.getstate())
             game.step(CALL)  # ends round one: the public card is drawn
             public = game.public
             assert public is not None and public not in game.stock
@@ -114,7 +117,7 @@ class TestRules:
             game.step_back()
             game.step_back()
             game.step_back()
-            assert (game.stock, game.public, game.chips, game.round_bets, game.rng.getstate()) == state
+            assert (game.stock, game.public, game.chips, game.rng.getstate()) == state
             assert game.snapshot() == kept
             game.step(CALL)
             assert game.public == public

@@ -20,7 +20,6 @@ from cardtable.games.limit_holdem import (
     CALL,
     CHECK,
     FOLD,
-    MAX_RAISES,
     RAISE,
     SMALL_BLIND,
     LimitHoldemGame,
@@ -118,7 +117,7 @@ class TestBetting:
         while RAISE in game.legal_moves():
             game.step(RAISE)
             raises += 1
-        assert raises == MAX_RAISES
+        assert raises == LimitHoldemGame.MAX_RAISES
 
     def test_fold_ends_heads_up(self):
         game = LimitHoldemGame(Rng(2))
@@ -140,7 +139,7 @@ class TestBetting:
         game.reset()
         pot_before = sum(game.chips)
         seat = game.current_player()
-        owed = max(game.round_bets) - game.round_bets[seat]
+        owed = max(game.chips) - game.chips[seat]
         game.step(RAISE)
         # a raise adds the owed amount plus fixed_raise big blinds (in half-bb)
         assert sum(game.chips) - pot_before == owed + 2 * BIG_BLIND

@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from cardtable import trees
 from cardtable.agents import CFRTrainer, cfr_train
 from cardtable.errors import GameTooLarge, NotZeroSum
 from cardtable.evaluation import exploitability
@@ -163,10 +164,12 @@ class TestCompiledLeduc:
         assert compiled_tree(mine) is compiled_tree(mine)
         assert compiled_tree(mine) is not compiled_tree("leduc")
 
-    def test_node_limit(self):
-        assert compile_tree(LeducTree(), 2194).num_nodes == 2194
+    def test_node_limit(self, monkeypatch):
+        monkeypatch.setattr(trees, "NODE_LIMIT", 2194)
+        assert compile_tree(LeducTree()).num_nodes == 2194
+        monkeypatch.setattr(trees, "NODE_LIMIT", 2193)
         with pytest.raises(GameTooLarge):
-            compile_tree(LeducTree(), 2193)
+            compile_tree(LeducTree())
 
 
 class TestTrainerCopy:
