@@ -30,11 +30,11 @@ _wave_numbers finds both, and the walk's postorder, in one pass of the
 walk on an explicit stack, so a tree of any depth up to the node guard
 trains. On leduc this gives 5 waves. A wave regret-matches the info
 sets read in it, pushes reach down and values up the tree one depth
-level at a time, then adds the updates of the nodes done in it in the
-walk's postorder (add.at where one slot updates twice in a wave). Its
-sums run in the walk's order too: only elementwise operations, take,
-bincount and add.at, no pairwise reductions. So every accumulator is
-bit-equal to the walk's.
+level at a time, then adds the updates of the nodes done in it with
+add.at, in the walk's postorder, so a slot updated twice in a wave
+takes both in the walk's order. Its sums run in the walk's order too:
+only elementwise operations, take, bincount and add.at, no pairwise
+reductions. So every accumulator is bit-equal to the walk's.
 
 The walk returned 0 at a decision node whose two player reaches are both
 0, and created the node's info set only when one reach was nonzero. The
@@ -82,8 +82,6 @@ class _Wave(NamedTuple):
                              opponent reach, own reach, edge probability
     sign                     1.0 at a seat 0 edge, -1.0 at a seat 1 edge
     slots, sets              action slot and info set of each done edge
-    repeats                  whether a slot repeats, so that add.at must
-                             apply the repeats in order
     """
 
     read_slots: np.ndarray
@@ -96,7 +94,6 @@ class _Wave(NamedTuple):
     sign: np.ndarray
     slots: np.ndarray
     sets: np.ndarray
-    repeats: bool
 
 
 class WaveSchedule:
@@ -154,7 +151,7 @@ class WaveSchedule:
             sigma = edges[read[parent[edges]] == w]
             closed = edges[done[parent[edges]] == w]
             closed = closed[np.argsort(rank[parent[closed]], kind="stable")]  # the walk's postorder
-            p, slots = parent[closed], slot[closed]
+            p = parent[closed]
             s = seat[p]
             self.waves.append(
                 _Wave(
@@ -166,9 +163,8 @@ class WaveSchedule:
                     sigma_reach=2 * sigma + seat[parent[sigma]],
                     gather=np.stack((2 * n + closed, 2 * n + p, 4 * n + p, 2 * p + 1 - s, 2 * p + s, 3 * n + closed)),
                     sign=np.where(s == 1, -1.0, 1.0),
-                    slots=slots,
+                    slots=slot[closed],
                     sets=info[p],
-                    repeats=len(set(slots.tolist())) < len(slots),
                 )
             )
 
@@ -260,12 +256,8 @@ class CFRTrainer:
                 child, node, chance, other, own, prob = buffer[wave.gather]
                 regret_delta = chance * other * ((child - node) * wave.sign)
                 strategy_delta = own * prob
-                if wave.repeats:
-                    np.add.at(regrets, wave.slots, regret_delta)
-                    np.add.at(strategy_sum, wave.slots, strategy_delta)
-                else:
-                    regrets[wave.slots] += regret_delta
-                    strategy_sum[wave.slots] += strategy_delta
+                np.add.at(regrets, wave.slots, regret_delta)
+                np.add.at(strategy_sum, wave.slots, strategy_delta)
                 visited[wave.sets[(own != 0.0) | (other != 0.0)]] = True
             self.iterations += 1
 

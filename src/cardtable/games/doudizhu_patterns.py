@@ -93,15 +93,12 @@ class CardPattern:
 
     def rank_multiset(self) -> tuple[int, ...]:
         """Every card of the move as a sorted rank tuple."""
-        if self.category == "pass":
-            return ()
-        if self.category == "rocket":
-            return (13, 14)
-        per = _CARDS_PER_RANK[self.category]
-        body = []
-        for r in range(self.primal, self.primal + self.length):
-            body += [r] * per
-        return tuple(sorted(body + list(self.kickers)))
+        body = _BODIES[abstract_id(self)]
+        ranks = list(self.kickers)
+        for r in range(NUM_RANKS):
+            if body[r]:
+                ranks += [r] * body[r]
+        return tuple(sorted(ranks))
 
     def literal(self) -> str:
         """Log form: concatenated rank characters ("333A"), or "pass"."""

@@ -1,12 +1,12 @@
 """Two-player leduc hold'em.
 
-Six cards (J, Q, K in two suits). Both players ante 1 unit. One private
-card each, a betting round, one public card, a second betting round,
-then showdown: a private card pairing the public card wins, otherwise
-the higher private rank; equal ranks split. Raises are fixed at 2 units
-in round one and 4 in round two, at most two raises per round; the
-betting rule itself is limit hold'em's BettingGame. A fold forfeits
-the pot. Payoffs are net units won (antes count), so they sum to zero.
+Six cards (J, Q, K in two suits). Both players ante 1 unit and get one
+private card. Two betting rounds with raises of 2 units in round one
+and 4 in round two, at most two raises per round; round one's close
+deals one public card. At showdown a private card pairing the public
+card wins, otherwise the higher private rank; equal ranks split.
+Payoffs are net units won, antes included. Limit hold'em's BettingGame
+states the rest of the hand.
 
 Hands hold card ids 0..5 (suit * 3 + rank); play only ever depends on
 the rank, id % 3.
@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from cardtable.core.cards import DECKS, LEDUC_RANKS
-from cardtable.errors import GameNotOver
 from cardtable.games.limit_holdem import CALL, CHECK, FOLD, NUM_ACTIONS, RAISE, BettingGame  # noqa: F401
 
 ANTE = 1
@@ -42,6 +41,8 @@ def info_key(seat: int, private_rank: int, public_rank: int | None, history: str
 class LeducGame(BettingGame):
     num_players = 2
     MAX_RAISES = 2
+    LAST_ROUND = 1
+    CHIPS_PER_UNIT = 1
     raise_sizes = (2, 4)
 
     def _start(self) -> int:
@@ -55,7 +56,7 @@ class LeducGame(BettingGame):
         self.to_act = 0
         self.to_close = 2  # moves left before this round closes
         self.history = ""
-        self._winner: int | None = None  # -1 split
+        self._results: tuple | None = None
         return 0
 
     def draw_public(self) -> int:
@@ -68,29 +69,15 @@ class LeducGame(BettingGame):
         self.stock = stock = list(self.stock)
         return self.rng.draw(stock)
 
-    def _advance_round(self) -> None:
-        if self.round_index == 0:
-            self.public = self.draw_public()
-            self.round_index = 1
-            self.raises = self.to_act = 0
-            self.to_close = 2
-            self.history += "/"
-        else:
-            self._winner = showdown_winner(self.hands[0] % 3, self.hands[1] % 3, self.public % 3)
+    def _deal_board(self) -> None:
+        self.public = self.draw_public()
 
-    def _settle_fold(self, winner: int) -> None:
-        self._winner = winner
+    def _first_actor(self, round_index: int) -> int:
+        return 0
 
-    def is_over(self) -> bool:
-        return self._winner is not None
-
-    def payoffs(self) -> list[float]:
-        if self._winner is None:
-            raise GameNotOver("leduc hand still running")
-        if self._winner == -1:
-            return [0.0, 0.0]
-        stake = float(self.chips[1 - self._winner])
-        return [stake, -stake] if self._winner == 0 else [-stake, stake]
+    def _showdown_winners(self) -> tuple[int, ...]:
+        winner = showdown_winner(self.hands[0] % 3, self.hands[1] % 3, self.public % 3)
+        return (0, 1) if winner < 0 else (winner,)
 
     def snapshot(self):
         return (
@@ -103,14 +90,14 @@ class LeducGame(BettingGame):
             self.to_act,
             self.to_close,
             self.history,
-            self._winner,
+            self._results,
             self.stock,
             self.rng.getstate(),
         )
 
     def _restore(self, snap) -> None:
         (self.hands, self.public, self.folded, self.chips, self.round_index, self.raises,
-         self.to_act, self.to_close, self.history, self._winner, self.stock, rng_state) = snap
+         self.to_act, self.to_close, self.history, self._results, self.stock, rng_state) = snap
         self.rng.setstate(rng_state)
 
 

@@ -1,19 +1,16 @@
-"""Fixed-limit texas hold'em, two players by default, and the betting rule it shares with leduc.
+"""Fixed-limit texas hold'em, two players by default, and the poker hand it shares with leduc.
 
-Seat 0 posts the small blind (0.5 bb), seat 1 the big blind (1 bb).
-Heads-up, the small blind acts first before the flop and second after
-it; with three or more seats the player after the big blind opens and
-seat 0 opens the later rounds. Four betting rounds (hole cards, flop,
-turn, river) with a fixed raise of `fixed_raise` big blinds in the
-first two rounds and double that in the last two, and at most four
-raises per round. Stacks are unbounded so everyone either matches the
-bet or folds; there are no side pots. BettingGame states the betting
-rule itself.
-
-Chips are tracked in integer half-big-blind units and split pots are
-divided exactly equally, so payoffs can be fractional big blinds but
-always sum to zero. Suits never break ties and the ace plays low in a
-five-high straight.
+Each seat gets two hole cards. Seat 0 posts the small blind (0.5 bb),
+seat 1 the big blind (1 bb); the blinds count as bets of the first
+round. Heads-up, the small blind acts first before the flop and second
+after it; with three or more seats the player after the big blind opens
+and seat 0 opens the later rounds. Four betting rounds (hole cards,
+flop, turn, river) deal 0, 3, 1 and 1 community cards, with a raise of
+`fixed_raise` big blinds in the first two rounds and double that in the
+last two, at most four raises per round. At showdown the best
+seven-card hand wins; suits never break ties and the ace plays low in
+a five-high straight. Chips count half big blinds, so payoffs can be
+fractional big blinds. BettingGame states the rest of the hand.
 """
 
 from __future__ import annotations
@@ -42,21 +39,8 @@ def card_name(cid: int) -> str:
     return FRENCH_RANKS[cid % 13] + FRENCH_SUITS[cid // 13]
 
 
-def showdown_winners(hole_by_seat, community, alive) -> list[int]:
-    """The seats among alive holding the best seven-card hand."""
-    best = None
-    out: list[int] = []
-    for seat in alive:
-        rank = evaluate_seven(hole_by_seat[seat] + community)
-        if best is None or rank > best:
-            best, out = rank, [seat]
-        elif rank == best:
-            out.append(seat)
-    return out
-
-
 class BettingGame(Game):
-    """The fixed-limit betting rule that leduc and limit hold'em share.
+    """One fixed-limit poker hand: the rule leduc and limit hold'em share.
 
     Action ids: 0 call, 1 raise, 2 fold, 3 check. The seat to act checks
     when it has matched the round's highest bet and calls when it has
@@ -65,27 +49,39 @@ class BettingGame(Game):
     puts in the difference to the highest bet, a raise that difference
     plus raise_sizes[round_index]. Legal moves are listed in id order.
     Bets are compared on `chips`, each seat's total in the pot: every
-    live seat has the same total when a round opens (hold'em's blinds
-    count as bets of the first round).
+    live seat has the same total when a round opens. Stacks are
+    unbounded, so every seat matches the bet or folds; there are no side
+    pots.
 
     A betting round closes once every live seat has acted since the last
     raise. One counter, `to_close`, holds the moves left before that: a
     new round sets it to the number of live seats, a raise to that
-    number minus one, and every other move (a fold too) takes one off.
-    The round closes, through _advance_round, when it reaches 0; a fold
-    that leaves one live seat ends the hand through _settle_fold. The
-    turn passes to the next seat that has not folded.
+    number minus one, and every other move (a fold too) takes one off;
+    the round closes at 0. The turn passes to the next live seat.
+
+    When a round before LAST_ROUND closes, the subclass deals its board
+    (_deal_board) and the first live seat from _first_actor(round_index)
+    opens the next. When round LAST_ROUND closes, the live seats show
+    down; _showdown_winners names the best hands. A fold that leaves one
+    live seat ends the hand at once, that seat winning. Either way the
+    winners split the pot equally: each nets pot / winners less its own
+    chips, every other seat loses its chips. Net chips are exact, an int
+    on an even split and a Fraction otherwise, so they sum to zero;
+    payoffs() divides them by CHIPS_PER_UNIT.
 
     The betting history is one letter per move (c call, r raise, f fold,
     k check), with '/' between rounds.
 
-    A subclass sets MAX_RAISES and raise_sizes and writes _start,
-    _advance_round and _settle_fold(winner). The state this rule reads
-    and replaces: to_act, to_close, raises (this round), chips, folded,
-    history, round_index.
+    A subclass sets MAX_RAISES, LAST_ROUND, CHIPS_PER_UNIT and
+    raise_sizes and writes _start, _deal_board, _first_actor and
+    _showdown_winners. The state this class reads and replaces: to_act,
+    to_close, raises (this round), chips, folded, history, round_index
+    and _results (net chips by seat once the hand is over, else None).
     """
 
     MAX_RAISES: int
+    LAST_ROUND: int
+    CHIPS_PER_UNIT: int
     raise_sizes: tuple[int, ...]  # by round index
 
     def _legal_moves(self) -> tuple[int, ...]:
@@ -108,7 +104,7 @@ class BettingGame(Game):
         if move == FOLD:
             self.folded = self.folded[:seat] + (True,) + self.folded[seat + 1 :]
             if self.folded.count(False) == 1:
-                self._settle_fold(self.folded.index(False))
+                self._settle((self.folded.index(False),))
                 return
         elif move != CHECK:
             chips = list(self.chips)
@@ -123,9 +119,43 @@ class BettingGame(Game):
         else:
             self.to_act = self._next_actor(seat)
 
+    def _advance_round(self) -> None:
+        if self.round_index == self.LAST_ROUND:
+            self._settle(self._showdown_winners())
+            return
+        self.round_index += 1
+        self._deal_board()
+        self.raises = 0
+        self.to_close = self.folded.count(False)
+        first = self._first_actor(self.round_index)
+        self.to_act = self._next_actor(first) if self.folded[first] else first
+        self.history += "/"
+
+    def _settle(self, winners) -> None:
+        chips = self.chips
+        pot = sum(chips)
+        share, odd = divmod(pot, len(winners))
+        if odd:
+            share = Fraction(pot, len(winners))
+        results = [-c for c in chips]
+        for i in winners:
+            results[i] += share
+        self._results = tuple(results)
+
+    def is_over(self) -> bool:
+        return self._results is not None
+
+    def payoffs(self) -> list[float]:
+        if self._results is None:
+            raise GameNotOver("poker hand still running")
+        unit = self.CHIPS_PER_UNIT
+        return [float(r) / unit for r in self._results]
+
 
 class LimitHoldemGame(BettingGame):
     MAX_RAISES = 4
+    LAST_ROUND = 3
+    CHIPS_PER_UNIT = 2  # half big blinds per big blind
 
     def __init__(self, rng, allow_step_back=False, num_players: int = 2, fixed_raise: int = 1):
         super().__init__(rng, allow_step_back)
@@ -154,45 +184,21 @@ class LimitHoldemGame(BettingGame):
         self.to_act = self._first_actor(0)
         self.to_close = n  # moves left before this round closes
         self.history = ""
-        self._results: tuple | None = None  # net half-bb per seat, Fraction when a pot splits unevenly
+        self._results: tuple | None = None
         return self.to_act
 
-    def _advance_round(self) -> None:
-        if self.round_index == 3:
-            self._settle_showdown()
-            return
-        self.round_index += 1
-        dealt = _COMMUNITY_PER_ROUND[self.round_index]
+    def _deal_board(self) -> None:
+        """Deal this round's community cards and note the bet every live seat has in."""
         # earlier snapshots hold the old stock; draw from a copy
         self.stock = stock = list(self.stock)
-        self.community += tuple([self.rng.draw(stock) for _ in range(dealt)])
-        self.raises = 0
-        self.to_close = self.folded.count(False)
-        first = self._first_actor(self.round_index)
-        self.to_act = self._next_actor(first) if self.folded[first] else first
+        self.community += tuple([self.rng.draw(stock) for _ in range(_COMMUNITY_PER_ROUND[self.round_index])])
         self.round_base = max(self.chips)
-        self.history += "/"
 
-    def _settle_fold(self, winner: int) -> None:
-        pot = sum(self.chips)
-        self._results = tuple(pot - c if i == winner else -c for i, c in enumerate(self.chips))
-
-    def _settle_showdown(self) -> None:
-        alive = [i for i, out in enumerate(self.folded) if not out]
-        winners = showdown_winners(self.hands, self.community, alive)
-        pot = sum(self.chips)
-        share = Fraction(pot, len(winners))
-        if share.denominator == 1:
-            share = int(share)
-        self._results = tuple(-c + share if i in winners else -c for i, c in enumerate(self.chips))
-
-    def is_over(self) -> bool:
-        return self._results is not None
-
-    def payoffs(self) -> list[float]:
-        if self._results is None:
-            raise GameNotOver("hold'em hand still running")
-        return [float(r) / 2 for r in self._results]  # half-bb to bb
+    def _showdown_winners(self) -> list[int]:
+        """The live seats holding the best seven-card hand."""
+        ranks = {i: evaluate_seven(self.hands[i] + self.community) for i, out in enumerate(self.folded) if not out}
+        best = max(ranks.values())
+        return [i for i, rank in ranks.items() if rank == best]
 
     def snapshot(self):
         return (

@@ -63,13 +63,13 @@ def type_literal(type_id: int, declared: int | None = None) -> str:
     return base
 
 
+# _PLAYED[action id]: (type played, color declared or None), for the play ids 0..59
+_PLAYED = tuple((t, None) for t in range(52)) + tuple((w, c) for w in (WILD, WD4) for c in range(4))
+
+
 def play_action_ids(type_id: int) -> list[int]:
     """Action ids that play one card of this type."""
-    if type_id == WILD:
-        return [52, 53, 54, 55]
-    if type_id == WD4:
-        return [56, 57, 58, 59]
-    return [type_id]
+    return [a for a, (t, _) in enumerate(_PLAYED) if t == type_id]
 
 
 _PLAYS = tuple(tuple(play_action_ids(t)) for t in range(NUM_TYPES))
@@ -89,11 +89,7 @@ def action_literal(action_id: int) -> str:
         return "draw"
     if action_id == PASS_ACTION:
         return "pass"
-    if action_id < 52:
-        return type_literal(action_id)
-    if action_id < 56:
-        return type_literal(WILD, action_id - 52)
-    return type_literal(WD4, action_id - 56)
+    return type_literal(*_PLAYED[action_id])
 
 
 class UnoGame(Game):
@@ -210,12 +206,7 @@ class UnoGame(Game):
             self._advance(1)
             return
 
-        if action_id < 52:
-            played, declared = action_id, None
-        elif action_id < 56:
-            played, declared = WILD, action_id - 52
-        else:
-            played, declared = WD4, action_id - 56
+        played, declared = _PLAYED[action_id]
         self.pending = None
         self._add_cards(seat, (played,), -1)
         self.discard += (played,)

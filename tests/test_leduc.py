@@ -1,6 +1,7 @@
 """Leduc engine rules and the exact tree's move-for-move equivalence."""
 
 import copy
+import math
 
 import pytest
 
@@ -46,6 +47,30 @@ class TestRules:
         # the folder never matched the raise, so the winner nets one ante
         assert payoffs[first] == 1.0
         assert sum(payoffs) == 0.0
+
+    @staticmethod
+    def _showdown(hands, public) -> LeducGame:
+        """A raised and called hand in both rounds, shown down with these card ids."""
+        game = LeducGame(Rng(0))
+        game.reset()
+        game.hands = hands
+        game.step(RAISE)
+        game.step(CALL)
+        game.public = public  # replaces the card round one's close dealt
+        game.step(RAISE)
+        game.step(CALL)
+        assert game.is_over() and game.chips == (7, 7)
+        return game
+
+    def test_showdown_winner_nets_the_losers_chips(self):
+        game = self._showdown((2, 1), 3)  # K against Q on a J board
+        assert game.payoffs() == [float(game.chips[1]), -float(game.chips[1])] == [7.0, -7.0]
+
+    def test_showdown_split_pays_positive_zero(self):
+        game = self._showdown((1, 4), 0)  # Q against Q on a J board
+        payoffs = game.payoffs()
+        assert payoffs == [0.0, 0.0]
+        assert [math.copysign(1.0, p) for p in payoffs] == [1.0, 1.0]
 
     def test_raise_sizes_double_across_rounds(self):
         game = LeducGame(Rng(1))

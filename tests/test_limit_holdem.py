@@ -214,13 +214,13 @@ class TestBetting:
         game.hands = ((13, 14), (15, 16), (17, 18))
         game.folded = (False, False, False)
         game.chips = (3, 3, 3)
-        game._settle_showdown()
+        game._settle(game._showdown_winners())
         assert game._results == (0, 0, 0)
 
         game.folded = (False, False, True)
         game.chips = (3, 3, 1)
         game._results = None
-        game._settle_showdown()
+        game._settle(game._showdown_winners())
         assert game._results == (Fraction(1, 2), Fraction(1, 2), -1)
         assert game.payoffs() == [0.25, 0.25, -0.5]
 
