@@ -22,7 +22,8 @@ that deal, and the trainer has two ways to walk it:
 - Blackjack and limit hold'em, which have no compiled tree, walk the
   engine: info keys and legal ids come from the engine module's capture
   and render_key, Game.step applies a move and returns None when the
-  game ends, and Game.step_back undoes it.
+  game ends, and each node takes one game.snapshot() that it restores
+  after every child.
 
 Only the start of each game goes through the Env, by Env._deal: deals
 follow its per-game seed fan-out (game_index, seek), no agent streams
@@ -38,7 +39,6 @@ GameTooLarge when it is built.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from operator import mul
 
 from cardtable.agents.cfr import regret_matching
@@ -60,8 +60,7 @@ class MCCFRTrainer:
     """
 
     def __init__(self, config: EnvConfig, sample_seed: int | None = None):
-        self.config = replace(config, allow_step_back=True)
-        self.env = make(self.config)
+        self.env = make(config)
         if config.game_id not in TRAVERSABLE_GAMES:
             raise GameTooLarge(
                 f"MCCFR cannot traverse {config.game_id}: one sampled traversal of it does not finish "
@@ -136,16 +135,17 @@ class MCCFRTrainer:
         legal, view = self._capture(game, seat)
         regr, strat_sum = self._tables(self._render_key(view), legal)
         strategy = regret_matching(regr)
+        snap = game.snapshot()
         if seat != traverser:
             nxt = game.step(legal[self._sample(strategy, strat_sum)])
             value = game.payoffs()[traverser] if nxt is None else self._traverse(nxt, traverser)
-            game.step_back()
+            game.restore(snap)
             return value
         values = []
         for action in legal:
             nxt = game.step(action)
             values.append(game.payoffs()[traverser] if nxt is None else self._traverse(nxt, traverser))
-            game.step_back()
+            game.restore(snap)
         return self._update(regr, strategy, values)
 
     def _walk(self, node: int, traverser: int) -> float:

@@ -72,36 +72,37 @@ class PolicyTable:
 
     @classmethod
     def load(cls, path, num_actions: int | None = None) -> "PolicyTable":
+        """Read a saved table; a file that cannot be opened or is not UTF-8 raises ParseError naming it."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                header, *lines = fh.read().split("\n")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"policy file {path}: {type(exc).__name__}: {exc}") from exc
+        if header != _HEADER:
+            raise ParseError(f"not a policy file (header {header!r})")
         table = cls()
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != _HEADER:
-                raise ParseError(f"not a policy file (header {header!r})")
-            for n, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ParseError(f"line {n}: expected 3 tab-separated fields")
-                key, ids_s, probs_s = parts
-                try:
-                    ids = tuple(int(x) for x in ids_s.split(","))
-                    probs = tuple(float(x) for x in probs_s.split(","))
-                except ValueError as exc:
-                    raise ParseError(f"line {n}: {exc}") from exc
-                if key in table:
-                    raise ParseError(f"line {n}: key {key!r} repeats an earlier line")
-                try:
-                    table._table[key] = _checked(key, ids, probs)[:2]
-                except InvalidPolicy as exc:
-                    raise ParseError(f"line {n}: {exc}") from exc
-                if num_actions is not None:
-                    for a in ids:
-                        if not 0 <= a < num_actions:
-                            raise InvalidPolicy(
-                                f"line {n}: {key!r} holds action id {a}, outside 0..{num_actions - 1}"
-                            )
+        for n, line in enumerate(lines, start=2):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ParseError(f"line {n}: expected 3 tab-separated fields")
+            key, ids_s, probs_s = parts
+            try:
+                ids = tuple(int(x) for x in ids_s.split(","))
+                probs = tuple(float(x) for x in probs_s.split(","))
+            except ValueError as exc:
+                raise ParseError(f"line {n}: {exc}") from exc
+            if key in table:
+                raise ParseError(f"line {n}: key {key!r} repeats an earlier line")
+            try:
+                table._table[key] = _checked(key, ids, probs)[:2]
+            except InvalidPolicy as exc:
+                raise ParseError(f"line {n}: {exc}") from exc
+            if num_actions is not None:
+                for a in ids:
+                    if not 0 <= a < num_actions:
+                        raise InvalidPolicy(f"line {n}: {key!r} holds action id {a}, outside 0..{num_actions - 1}")
         return table
 
 

@@ -39,7 +39,7 @@ from cardtable.agents import (
 )
 from cardtable.core.contracts import int_param
 from cardtable.env import GAME_IDS, EnvConfig, game_spec, make_single_agent
-from cardtable.errors import CardTableError, GameTooLarge, ParseError
+from cardtable.errors import CardTableError, GameTooLarge, InvalidParam, ParseError
 from cardtable.evaluation import count_info_sets, exploitability, tournament
 from cardtable.parallel import BenchReport, RolloutSpec, bench, build_agent, rollout_parallel
 
@@ -50,7 +50,7 @@ def load_config(path: str) -> dict[str, str]:
     """Flat key=value file; unknown keys and bad lines raise ParseError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"config file {path}: {exc}") from exc
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -141,28 +141,27 @@ class _Merged:
 
 
 def _write_outputs(out_dir: str, files: dict[str, str], command: str, config: dict) -> None:
-    """Write named text files plus a manifest with their content hashes."""
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    hashes = {}
-    for name, text in files.items():
-        data = text.encode("utf-8")
-        (path / name).write_bytes(data)
-        hashes[name] = hashlib.sha256(data).hexdigest()
+    """Write named text files plus a manifest with their content hashes; InvalidParam naming --out if that fails."""
+    data = {name: text.encode("utf-8") for name, text in files.items()}
     manifest = {
         "command": command,
         "config": config,
-        "outputs": hashes,
+        "outputs": {name: hashlib.sha256(blob).hexdigest() for name, blob in data.items()},
         "version": __version__,
     }
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    data["manifest.json"] = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        for name, blob in data.items():
+            (Path(out_dir) / name).write_bytes(blob)
+    except OSError as exc:
+        raise InvalidParam(f"--out {out_dir}: {type(exc).__name__}: {exc}") from exc
 
 
 def _agent_list(merged: _Merged, config: EnvConfig):
     spec = merged.get("agents")
     if spec is None:
-        seats = config.resolved_players()
-        return [RandomAgent() for _ in range(seats)], ("random",) * seats
+        return [RandomAgent() for _ in range(config.num_players)], ("random",) * config.num_players
     names = [part.strip() for part in str(spec).split(",") if part.strip()]
     return [build_agent(name, config.game_id) for name in names], tuple(names)
 
@@ -178,7 +177,7 @@ def _cmd_selfplay(args) -> int:
     workers = merged.count("workers", 1, lo=1)
     spec = RolloutSpec(
         env_config=config,
-        agents=("random",) * config.resolved_players(),
+        agents=("random",) * config.num_players,
         n_games=n_games,
         n_workers=workers,
     )
@@ -214,8 +213,7 @@ def _cmd_train(args) -> int:
         policy, detail = trainer.policy(), f"{iters} iterations"
     elif algo == "qlearn":
         episodes = merged.count("episodes", 10000)
-        seats = config.resolved_players()
-        env = make_single_agent(config, opponents=[RandomAgent() for _ in range(seats - 1)])
+        env = make_single_agent(config, opponents=[RandomAgent() for _ in range(config.num_players - 1)])
         table = qlearn_train(env, episodes, QLearnParams())
         policy, detail = table.greedy_policy(), f"{episodes} episodes"
     else:  # random: an empty table plays uniform everywhere
@@ -289,14 +287,13 @@ def _cmd_bench(args) -> int:
     print(report.csv_row())
     out = merged.get("out")
     if out is not None:
-        path = Path(out)
-        if path.is_dir():
-            path = path / "bench.csv"
-        fresh = not path.exists()
-        with open(path, "a", encoding="utf-8") as fh:
-            if fresh:
-                fh.write(BenchReport.csv_header() + "\n")
-            fh.write(report.csv_row() + "\n")
+        path = Path(out) / "bench.csv" if Path(out).is_dir() else Path(out)
+        header = "" if path.exists() else BenchReport.csv_header() + "\n"
+        try:
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(header + report.csv_row() + "\n")
+        except OSError as exc:
+            raise InvalidParam(f"--out {out}: {type(exc).__name__}: {exc}") from exc
     return 0
 
 

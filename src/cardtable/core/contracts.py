@@ -1,12 +1,11 @@
 """The Game contract every engine implements.
 
-A Game owns the turn loop and exposes step/step_back. step_back is
-implemented once here as a stack of full-state snapshots; each game
-supplies snapshot() and _restore() plus the move application. Snapshots
-capture everything the transition touched, including the generator
-state, so a restored game replays chance identically. The stack is only
-maintained when allow_step_back is set; throughput paths leave it off,
-and a move the engine rejects pushes nothing.
+A Game owns the turn loop: reset deals, step applies one move. Each
+game supplies the move application plus snapshot() and _restore();
+a snapshot captures everything a move can touch, including the
+generator state, so a restored game replays chance identically. Undo
+is not an engine option: a caller that walks back (the Env's tree mode,
+MCCFR) keeps its own snapshots and restores them.
 
 Every engine follows one state rule. Each field a snapshot holds is
 immutable (an int, a string, a tuple of card ids or counts, a
@@ -49,14 +48,14 @@ def int_param(name: str, value, lo: int | None = None, hi: int | None = None) ->
 
 
 class Game(ABC):
-    """Turn-based engine with optional snapshot-based undo.
+    """Turn-based engine whose full state snapshot() takes and restore() puts back.
 
     legal_moves() returns the current player's moves, computed once per
     state: step's legality check and the env's observation read the same
-    cached tuple. The cache is dropped by reset, step and restore (which
-    step_back calls), the only ways the base class sees the state change;
-    code that edits an engine's fields directly must do so before the
-    first legal_moves() call on that state.
+    cached tuple. The cache is dropped by reset, step and restore, the
+    only ways the base class sees the state change; code that edits an
+    engine's fields directly must do so before the first legal_moves()
+    call on that state.
 
     Engines keep the module's state rule, so snapshot() returns fields
     by reference and _restore() only assigns them.
@@ -64,15 +63,12 @@ class Game(ABC):
 
     num_players: int = 1
 
-    def __init__(self, rng: Rng, allow_step_back: bool = False):
+    def __init__(self, rng: Rng):
         self.rng = rng
-        self.allow_step_back = allow_step_back
-        self._history: list[Any] = []
         self._legal: tuple | None = None
 
     def reset(self) -> int:
         """Deal a fresh hand; returns the first player to act."""
-        self._history.clear()
         self._legal = None
         return self._start()
 
@@ -87,18 +83,9 @@ class Game(ABC):
         legal = self.legal_moves()
         if move not in legal:
             raise IllegalMove(f"move {move!r} not in legal set {legal}")
-        if self.allow_step_back:
-            self._history.append(self.snapshot())
         self._apply(move)
         self._legal = None
         return None if self.is_over() else self.current_player()
-
-    def step_back(self) -> bool:
-        """Undo the most recent step. False when there is nothing to undo."""
-        if not self._history:
-            return False
-        self.restore(self._history.pop())
-        return True
 
     def restore(self, snap: Any) -> None:
         """Put the game back in the state snapshot() returned; legal moves are recomputed on the next read."""

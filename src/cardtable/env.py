@@ -9,8 +9,8 @@ An Env is built from an EnvConfig by make() and exposes three modes:
   zero until done.
 * new_game()/step()/step_back(): manual tree traversal for solvers.
   step returns the new current player's observation; step_back undoes
-  one step including every chance event (enable it with the
-  allow_step_back config flag).
+  one step including every chance event, from the game.snapshot() the
+  Env keeps per step taken when the config sets allow_step_back.
 * make_single_agent(): gym-style reset()/sa_step() where one learner
   seat acts and every other seat is auto-played by a fixed agent. The
   auto-play loop follows the seat each step returns until it is the
@@ -88,27 +88,27 @@ class GameSpec:
 def _build_registry() -> dict[str, GameSpec]:
     return {
         "blackjack": GameSpec(
-            lambda rng, back, n, p: blackjack.BlackjackGame(rng, back),
+            lambda rng, n, p: blackjack.BlackjackGame(rng),
             blackjack, blackjack.NUM_ACTIONS, 1, (1, 1), (),
         ),
         "leduc": GameSpec(
-            lambda rng, back, n, p: leduc.LeducGame(rng, back),
+            lambda rng, n, p: leduc.LeducGame(rng),
             leduc, leduc.NUM_ACTIONS, 2, (2, 2), (),
         ),
         "limit_holdem": GameSpec(
-            lambda rng, back, n, p: limit_holdem.LimitHoldemGame(rng, back, num_players=n, **p),
+            lambda rng, n, p: limit_holdem.LimitHoldemGame(rng, num_players=n, **p),
             limit_holdem, limit_holdem.NUM_ACTIONS, 2, (2, 10), ("fixed_raise",),
         ),
         "uno": GameSpec(
-            lambda rng, back, n, p: uno.UnoGame(rng, back, num_players=n, **p),
+            lambda rng, n, p: uno.UnoGame(rng, num_players=n, **p),
             uno, uno.NUM_ACTIONS, 2, (2, 4), ("hand_size",),
         ),
         "doudizhu": GameSpec(
-            lambda rng, back, n, p: doudizhu.DoudizhuGame(rng, back, variant="full", **p),
+            lambda rng, n, p: doudizhu.DoudizhuGame(rng, variant="full", **p),
             doudizhu, doudizhu.NUM_ACTIONS, 3, (3, 3), ("landlord",),
         ),
         "mini_doudizhu": GameSpec(
-            lambda rng, back, n, p: doudizhu.DoudizhuGame(rng, back, variant="mini", **p),
+            lambda rng, n, p: doudizhu.DoudizhuGame(rng, variant="mini", **p),
             doudizhu, doudizhu.NUM_ACTIONS, 3, (3, 3), ("landlord",),
         ),
     }
@@ -127,15 +127,29 @@ def game_spec(game_id: str) -> GameSpec:
 
 @dataclass(frozen=True)
 class EnvConfig:
+    """A game's options, checked once, when the config is built.
+
+    An unregistered game_id raises UnknownGame; a seat count that is not
+    an int in the game's range, or a game_params name the game does not
+    take, InvalidParam. A None num_players becomes the game's default, so
+    every holder of a config reads a valid int. The engine checks the
+    parameter values; allow_step_back turns on the Env's tree-mode undo.
+    """
+
     game_id: str
     seed: int = 0
     num_players: int | None = None
     game_params: dict = field(default_factory=dict)
     allow_step_back: bool = False
 
-    def resolved_players(self) -> int:
-        spec = REGISTRY[self.game_id]
-        return spec.default_players if self.num_players is None else self.num_players
+    def __post_init__(self):
+        spec = game_spec(self.game_id)
+        n = spec.default_players if self.num_players is None else self.num_players
+        object.__setattr__(self, "num_players", int_param(f"{self.game_id} num_players", n, *spec.player_range))
+        for key in self.game_params:
+            if key not in spec.params:
+                allowed = ", ".join(spec.params) if spec.params else "none"
+                raise InvalidParam(f"{self.game_id} has no parameter {key!r} (allowed: {allowed})")
 
 
 def _given_raw(view):
@@ -242,21 +256,13 @@ class Env:
     """One card game behind the uniform run/step/step_back interface."""
 
     def __init__(self, config: EnvConfig):
-        spec = game_spec(config.game_id)
-        lo, hi = spec.player_range
-        n = config.resolved_players()
-        if isinstance(n, bool) or not isinstance(n, int) or not lo <= n <= hi:
-            raise InvalidParam(f"{config.game_id} supports {lo}..{hi} players, got {n!r}")
-        for key in config.game_params:
-            if key not in spec.params:
-                allowed = ", ".join(spec.params) if spec.params else "none"
-                raise InvalidParam(f"{config.game_id} has no parameter {key!r} (allowed: {allowed})")
         self.config = config
-        self.spec = spec
+        self.spec = spec = game_spec(config.game_id)
         self.game_id = config.game_id
-        self.num_players = n
+        self.num_players = config.num_players
         self.num_actions = spec.num_actions
-        self.game = spec.factory(Rng(config.seed), config.allow_step_back, n, dict(config.game_params))
+        self.game = spec.factory(Rng(config.seed), config.num_players, dict(config.game_params))
+        self._undo: list = []  # tree mode's snapshots, one per step taken since the deal
         self.game_index = -1  # becomes 0 on the first game
         self.timesteps = 0  # decisions taken across all games
         self._agents = None
@@ -287,6 +293,7 @@ class Env:
         self.game_index += 1
         self._game_seed = game_seed = split_seed(self.config.seed, self.game_index)
         self.game.rng = Rng(split_seed(game_seed, 0))
+        self._undo.clear()
         return self.game.reset()
 
     def _begin_game(self) -> int:
@@ -365,14 +372,21 @@ class Env:
         """Apply one action; returns (obs of new current player, seat)."""
         if self.game.is_over():
             raise GameOver("game already over; call new_game()")
-        nxt = self._act(action_id, "player")
+        snap = self.game.snapshot() if self.config.allow_step_back else None
+        nxt = self._act(action_id, "player")  # a rejected step raises here and pushes nothing
+        if snap is not None:
+            self._undo.append(snap)
         if nxt is None:
             seat = self.game.current_player()
             return self.extract_state(seat, terminal=True), seat
         return self.extract_state(nxt), nxt
 
     def step_back(self) -> bool:
-        return self.game.step_back()
+        """Undo the most recent step, chance included; False when there is nothing to undo."""
+        if not self._undo:
+            return False
+        self.game.restore(self._undo.pop())
+        return True
 
     def is_over(self) -> bool:
         return self.game.is_over()
@@ -438,16 +452,11 @@ def make_single_agent(config: EnvConfig, opponents, learner_seat: int = 0) -> En
     opponents maps the non-learner seats in ascending seat order.
     """
     env = Env(config)
-    opponents = list(opponents)
-    if len(opponents) != env.num_players - 1:
-        raise AgentsNotSet(f"need {env.num_players - 1} opponents, got {len(opponents)}")
+    seats = list(opponents)
+    if len(seats) != env.num_players - 1:
+        raise AgentsNotSet(f"need {env.num_players - 1} opponents, got {len(seats)}")
     int_param("learner_seat", learner_seat, 0, env.num_players - 1)
-    seats: list = [None] * env.num_players
-    idx = 0
-    for s in range(env.num_players):
-        if s != learner_seat:
-            seats[s] = opponents[idx]
-            idx += 1
+    seats.insert(learner_seat, None)
     env._sa_learner = learner_seat
     env._sa_opponents = seats
     return env

@@ -5,12 +5,12 @@ class CardTableError(Exception):
     """Base class for every error raised by this package."""
 
 
-class UnknownGame(CardTableError):
-    """game_id is not registered."""
-
-
 class InvalidParam(CardTableError):
     """A config carried an unknown or out-of-range parameter."""
+
+
+class UnknownGame(InvalidParam):
+    """game_id is not registered."""
 
 
 class AgentsNotSet(CardTableError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cardtable.agents.policy import PolicyTable, left_sum
-from cardtable.env import REGISTRY, Env, EnvConfig, make
+from cardtable.env import EnvConfig, game_spec, make
 from cardtable.errors import GameTooLarge, InvalidParam, NotZeroSum, SeatMismatch
 from cardtable.trees import DECISION, CompiledTree, blackjack_info_sets, compiled_tree
 
@@ -104,7 +104,7 @@ def tournament(config: EnvConfig, agents, n_games: int, rotate: bool = True) -> 
     count. rotate=False plays a single fixed-seat block.
     """
     agents = list(agents)
-    seats = config.resolved_players()
+    seats = config.num_players
     if len(agents) != seats:
         raise SeatMismatch(f"{config.game_id} seats {seats} players, got {len(agents)} agents")
     rotations = seats if rotate else 1
@@ -153,7 +153,7 @@ def winrate_vs_random(agent, config: EnvConfig, n_games: int) -> float:
     """
     from cardtable.agents.base import RandomAgent
 
-    seats = config.resolved_players()
+    seats = config.num_players
     lineup = [agent] + [RandomAgent() for _ in range(seats - 1)]
     result = tournament(config, lineup, n_games, rotate=False)
     return result.blocks[0].seat_means[0]
@@ -439,8 +439,9 @@ def exploitability(game_id: str, policy: PolicyTable) -> ExploitabilityReport:
     Zero at an exact equilibrium, positive elsewhere (within 1e-9);
     units are big blinds per hand (one leduc ante = one blind). Only
     two-player zero-sum games qualify, and of those only leduc fits
-    under the enumeration guard.
+    under the enumeration guard. An unregistered id raises UnknownGame.
     """
+    game_spec(game_id)
     if game_id not in _ZERO_SUM_2P:
         raise NotZeroSum(f"{game_id} is not a two-player zero-sum game")
     tree = compiled_tree(game_id)  # limit_holdem raises GameTooLarge here
@@ -474,10 +475,8 @@ class Census:
 
 
 def count_info_sets(game_id: str) -> Census:
-    """Census by exhaustive walk; games past the node guard raise."""
-    if game_id not in REGISTRY:
-        raise InvalidParam(f"unknown game {game_id!r}")
-    spec = REGISTRY[game_id]
+    """Census by exhaustive walk; games past the node guard raise, unregistered ids raise UnknownGame."""
+    spec = game_spec(game_id)
     if game_id == "blackjack":
         keys, states = blackjack_info_sets()
         return Census(

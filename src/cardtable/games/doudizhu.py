@@ -52,7 +52,7 @@ _LEVELS = np.arange(5).reshape(5, 1)  # the count each row of a plane stands for
 class DoudizhuGame(Game):
     """Three-seat dou dizhu over count-vector hands."""
 
-    def __init__(self, rng, allow_step_back: bool = False, landlord=0, variant: str = "full"):
+    def __init__(self, rng, landlord=0, variant: str = "full"):
         if variant not in _VARIANTS:
             raise InvalidParam(f"unknown variant {variant!r}, expected 'full' or 'mini'")
         seat = isinstance(landlord, int) and not isinstance(landlord, bool) and 0 <= landlord < NUM_PLAYERS
@@ -60,7 +60,7 @@ class DoudizhuGame(Game):
             raise InvalidParam(f"landlord must be a seat 0..2 or 'random', got {landlord!r}")
         self.variant = variant
         self.landlord_param = landlord
-        super().__init__(rng, allow_step_back)
+        super().__init__(rng)
 
     def _start(self) -> int:
         deck_kind, per_player, reserve = _VARIANTS[self.variant]

@@ -157,8 +157,8 @@ class LimitHoldemGame(BettingGame):
     LAST_ROUND = 3
     CHIPS_PER_UNIT = 2  # half big blinds per big blind
 
-    def __init__(self, rng, allow_step_back=False, num_players: int = 2, fixed_raise: int = 1):
-        super().__init__(rng, allow_step_back)
+    def __init__(self, rng, num_players: int = 2, fixed_raise: int = 1):
+        super().__init__(rng)
         self.num_players = int_param("num_players", num_players, 2, 10)
         self.fixed_raise = int_param("fixed_raise", fixed_raise, 1)
         bb = 2 * self.fixed_raise

@@ -98,10 +98,10 @@ class UnoGame(Game):
     cards, drawn in order once the pile is empty. discard: played types,
     top last."""
 
-    def __init__(self, rng, allow_step_back: bool = False, num_players: int = 2, hand_size: int = 7):
+    def __init__(self, rng, num_players: int = 2, hand_size: int = 7):
         self.num_players = int_param("num_players", num_players, 2, 4)
         self.hand_size = int_param("hand_size", hand_size, 1, MAX_HAND_SIZE)
-        super().__init__(rng, allow_step_back)
+        super().__init__(rng)
 
     def _start(self) -> int:
         self.pile = pile = list(DECKS["uno108"])

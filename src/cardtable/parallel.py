@@ -121,7 +121,7 @@ def rollout_parallel(spec: RolloutSpec, collect_logs: bool = False) -> RolloutRe
         raise InvalidParam(f"n_workers must be >= 1, got {spec.n_workers}")
     if spec.n_games < 0:
         raise InvalidParam(f"n_games must be >= 0, got {spec.n_games}")
-    seats = spec.env_config.resolved_players()
+    seats = spec.env_config.num_players
     if len(spec.agents) != seats:
         raise InvalidParam(f"{spec.env_config.game_id} seats {seats}, spec names {len(spec.agents)} agents")
     if spec.n_games == 0:
@@ -132,7 +132,7 @@ def rollout_parallel(spec: RolloutSpec, collect_logs: bool = False) -> RolloutRe
     # other load failure is charged to game 0, like a worker's setup failure.
     try:
         agents = tuple(build_agent(descriptor, spec.env_config.game_id) for descriptor in spec.agents)
-    except (OSError, UnicodeDecodeError, ParseError) as exc:
+    except ParseError as exc:
         raise WorkerFailure(0, f"{type(exc).__name__}: {exc}") from exc
 
     workers = min(spec.n_workers, spec.n_games)
@@ -174,7 +174,7 @@ def bench(game_id: str, n_games: int, n_workers: int, repeats: int = 3, seed: in
 
     Trajectories are discarded so the engines' own cost is what gets
     measured; per-step time is summed wall time over summed decision
-    steps.
+    steps, 0.0 when no decision was taken.
     """
     total_s = 0.0
     steps = 0
@@ -182,7 +182,7 @@ def bench(game_id: str, n_games: int, n_workers: int, repeats: int = 3, seed: in
         config = EnvConfig(game_id=game_id, seed=split_seed(seed, r))
         spec = RolloutSpec(
             env_config=config,
-            agents=("random",) * config.resolved_players(),
+            agents=("random",) * config.num_players,
             n_games=n_games,
             n_workers=n_workers,
         )
@@ -196,6 +196,6 @@ def bench(game_id: str, n_games: int, n_workers: int, repeats: int = 3, seed: in
         games=n_games * repeats,
         steps=steps,
         total_s=total_s,
-        per_step_s=total_s / steps,
+        per_step_s=total_s / steps if steps else 0.0,
         repeats=repeats,
     )

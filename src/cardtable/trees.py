@@ -40,6 +40,7 @@ from itertools import accumulate
 import numpy as np
 
 from cardtable.core.rng import Rng
+from cardtable.env import game_spec
 from cardtable.errors import GameTooLarge, NotZeroSum
 from cardtable.games import blackjack, leduc
 
@@ -367,11 +368,13 @@ def tree_for(game):
 
     Only leduc has a full multi-player decision tree small enough to
     expand with exact chance, and its id always maps to one shared
-    instance; every other id raises GameTooLarge, which callers surface
-    as the guard for full-traversal algorithms.
+    instance; every other registered id raises GameTooLarge, which
+    callers surface as the guard for full-traversal algorithms, and an
+    unregistered one UnknownGame.
     """
     if hasattr(game, "root"):
         return game
+    game_spec(game)
     if game == "leduc":
         return _LEDUC
     raise GameTooLarge(f"no exact tree for {game!r}; full expansion would exceed the node guard")

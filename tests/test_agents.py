@@ -204,6 +204,16 @@ class TestPolicyTable:
         with pytest.raises(ParseError):
             PolicyTable.load(bad_probs)
 
+    def test_unreadable_files_are_parse_errors_naming_path_and_cause(self, tmp_path):
+        with pytest.raises(ParseError, match="absent.txt: FileNotFoundError"):
+            PolicyTable.load(tmp_path / "absent.txt")
+        with pytest.raises(ParseError, match=f"{tmp_path.name}: IsADirectoryError"):
+            PolicyTable.load(tmp_path)
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(b"cardtable-policy v1\nJ\xe9\t0\t1.0\n")
+        with pytest.raises(ParseError, match="latin1.txt: UnicodeDecodeError"):
+            PolicyTable.load(latin1)
+
 
 class TestAgents:
     def test_random_agent_uses_the_stream(self):
@@ -286,6 +296,13 @@ class TestMCCFR:
     def test_refuses_games_it_cannot_traverse(self, game_id):
         with pytest.raises(GameTooLarge, match=game_id):
             MCCFRTrainer(EnvConfig(game_id))
+
+    @pytest.mark.parametrize("game_id, iterations, digest", [("limit_holdem", 30, "65f0127f0997"), ("blackjack", 300, "44d4a83192aa")])
+    def test_engine_walk_policy_bytes_are_pinned(self, game_id, iterations, digest):
+        """The engine walk restores one snapshot per node after each child; these bytes predate that walk."""
+        trainer = MCCFRTrainer(EnvConfig(game_id, seed=7))
+        trainer.run(iterations)
+        assert sha256(trainer.policy().dumps())[:12] == digest
 
     def test_trainer_restores_env_between_iterations(self):
         trainer = MCCFRTrainer(EnvConfig("leduc", seed=5))

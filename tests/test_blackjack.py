@@ -14,6 +14,8 @@ from cardtable.games.blackjack import (
 )
 from cardtable.trees import blackjack_info_sets
 
+from conftest import step_back
+
 
 class TestHandValue:
     def test_rank_scores(self):
@@ -87,13 +89,14 @@ class TestGamePlay:
         assert g1.dealer_hand == g2.dealer_hand
 
     def test_step_back_restores_everything(self):
-        game = BlackjackGame(Rng(5), allow_step_back=True)
+        game = BlackjackGame(Rng(5))
         game.reset()
         before = game.snapshot()
+        snaps = [game.snapshot()]
         game.step(HIT)
-        assert game.step_back()
+        assert step_back(game, snaps)
         assert game.snapshot() == before
-        assert not game.step_back()  # at root
+        assert not step_back(game, snaps)  # at root
 
 
 class TestObserve:

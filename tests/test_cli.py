@@ -1,6 +1,8 @@
 """End-to-end checks of the cardtable command line via main(argv)."""
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from cardtable.agents import PolicyTable, RandomAgent
 from cardtable import cli
 from cardtable.cli import load_config, main
-from cardtable.env import EnvConfig
+from cardtable.env import GAME_IDS, EnvConfig
 from cardtable.errors import ParseError
 from cardtable.evaluation import tournament
 from cardtable.parallel import BenchReport, RolloutSpec, rollout_parallel
@@ -30,7 +32,7 @@ def direct_log(game_id, seed, n_games, num_players=None, params=None):
     config = EnvConfig(game_id=game_id, seed=seed, num_players=num_players, game_params=params or {})
     spec = RolloutSpec(
         env_config=config,
-        agents=("random",) * config.resolved_players(),
+        agents=("random",) * config.num_players,
         n_games=n_games,
         n_workers=1,
     )
@@ -81,6 +83,12 @@ class TestConfigFile:
     def test_missing_file_is_parse_error(self, tmp_path):
         with pytest.raises(ParseError):
             load_config(str(tmp_path / "absent.cfg"))
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"game=l\xe9duc\n")
+        with pytest.raises(ParseError, match="latin1.cfg"):
+            load_config(str(path))
 
 
 KNOWN_KEYS = ("game", "seed", "algo", "iters", "episodes", "games", "workers", "agents", "out")
@@ -494,3 +502,133 @@ class TestExitCodes:
         cfg.write_text("game=leduc\nspeed=9\n", encoding="utf-8")
         assert main(["selfplay", "--config", str(cfg)]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+
+def run_main(argv):
+    """(exit code, stderr) of main(argv), output swallowed; argparse's SystemExit becomes its code."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+NO_SUCH = "no game called 'nosuch'"
+
+
+class TestBoundaryErrors:
+    """Bad options and unreadable files exit 1 with one error line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            pytest.param(["selfplay", "--config", "{nosuch}", "--games", "1"], NO_SUCH, id="selfplay-nosuch"),
+            pytest.param(["tournament", "--config", "{nosuch}", "--games", "2"], NO_SUCH, id="tournament-nosuch"),
+            pytest.param(["bench", "--config", "{nosuch}", "--games", "1"], NO_SUCH, id="bench-nosuch"),
+            pytest.param(["census", "--config", "{nosuch}"], NO_SUCH, id="census-nosuch"),
+            pytest.param(["exploit", "--config", "{nosuch}"], NO_SUCH, id="exploit-nosuch"),
+            pytest.param(["train", "--config", "{nosuch}", "--algo", "cfr", "--out", "{fresh}"], NO_SUCH, id="train-nosuch"),
+            pytest.param(
+                ["selfplay", "--game", "leduc", "--param", "num_players=abc", "--games", "1"], "num_players",
+                id="selfplay-players-abc",
+            ),
+            pytest.param(
+                ["tournament", "--game", "leduc", "--param", "num_players=abc", "--games", "2"], "num_players",
+                id="tournament-players-abc",
+            ),
+            pytest.param(["exploit", "--game", "leduc", "--param", "num_players=abc"], "num_players", id="exploit-players-abc"),
+            pytest.param(["census", "--game", "leduc", "--param", "bogus=1"], "bogus", id="census-bogus-param"),
+            pytest.param(
+                ["selfplay", "--game", "uno", "--param", "num_players=9", "--games", "1"], "uno num_players",
+                id="selfplay-uno-9-players",
+            ),
+            pytest.param(["exploit", "--game", "leduc", "--agents", "{missing}"], "FileNotFoundError", id="exploit-missing-policy"),
+            pytest.param(
+                ["tournament", "--game", "leduc", "--agents", "{missing},random", "--games", "2"], "FileNotFoundError",
+                id="tournament-missing-policy",
+            ),
+            pytest.param(["exploit", "--game", "leduc", "--agents", "{latin1}"], "UnicodeDecodeError", id="exploit-latin1-policy"),
+            pytest.param(["selfplay", "--game", "leduc", "--games", "1", "--config", "{latin1}"], "latin1.txt", id="latin1-config"),
+            pytest.param(["train", "--game", "leduc", "--algo", "random", "--out", "{a_file}"], "--out", id="train-out-is-a-file"),
+            pytest.param(
+                ["bench", "--game", "leduc", "--games", "1", "--out", "{missing}/bench.csv"], "--out", id="bench-out-in-no-dir",
+            ),
+        ],
+    )
+    def test_exits_1_with_one_error_line(self, tmp_path, argv, names):
+        files = {
+            "nosuch": tmp_path / "nosuch.cfg",
+            "fresh": tmp_path / "fresh",
+            "missing": tmp_path / "missing.txt",
+            "latin1": tmp_path / "latin1.txt",
+            "a_file": tmp_path / "a_file",
+        }
+        files["nosuch"].write_text("game=nosuch\n", encoding="utf-8")
+        files["latin1"].write_bytes(b"cardtable-policy v1\nJ\xe9\t0\t1.0\n")
+        files["a_file"].write_text("", encoding="utf-8")
+        code, err = run_main([arg.format(**files) for arg in argv])
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and names in err
+
+
+FUZZ_COMMANDS = ("selfplay", "train", "tournament", "exploit", "census", "bench")
+FUZZ_PARAMS = ("num_players", "hand_size", "fixed_raise", "landlord", "bogus")
+FUZZ_VALUES = ("abc", "0", "1", "2", "3", "9", "-1", "2.5", "random", "True")
+FUZZ_FLAGS = {  # the count flags each command takes, always passed so no default-sized run starts
+    "selfplay": ("--games", "--workers"),
+    "bench": ("--games", "--workers"),
+    "tournament": ("--games",),
+    "train": ("--iters", "--episodes"),
+}
+
+
+often = st.sampled_from((True, True, True, False))
+
+
+@st.composite
+def fuzz_argv(draw, files):
+    """argv for one command: ids, counts, seeds, params, agent lists and config files, good and bad."""
+    command = draw(st.sampled_from(FUZZ_COMMANDS))
+    argv = [command]
+    if draw(often):  # so that most runs get past the game id
+        argv += ["--game", draw(st.sampled_from(GAME_IDS))]
+    for flag in FUZZ_FLAGS.get(command, ()):
+        argv += [flag, str(draw(st.integers(-1, 2) if flag == "--workers" else st.integers(-2, 3)))]
+    if command == "train":
+        argv += ["--algo", draw(st.sampled_from(("cfr", "mccfr", "qlearn", "random")))]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(-(2**64), 2**64)))]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        argv += ["--param", f"{draw(st.sampled_from(FUZZ_PARAMS))}={draw(st.sampled_from(FUZZ_VALUES))}"]
+    if command in ("tournament", "exploit") and draw(st.booleans()):
+        agents = st.sampled_from(("random", *map(str, (files["policy"], files["missing"], files["garbage"]))))
+        argv += ["--agents", ",".join(draw(st.lists(agents, min_size=1, max_size=3)))]
+    if not draw(often):
+        if draw(st.booleans()):
+            files["config"].write_bytes(draw(st.binary(max_size=40)))
+        else:
+            keys = st.sampled_from(("game", "seed", "agents", "param.num_players", "param.bogus", "nosuch"))
+            values = st.sampled_from((*GAME_IDS, "nosuch", "0", "7", "abc", "2.5", "random"))
+            lines = draw(st.lists(st.tuples(keys, values), max_size=3))
+            files["config"].write_text("".join(f"{k}={v}\n" for k, v in lines), encoding="utf-8")
+        argv += ["--config", str(files["config"])]
+    if draw(often):
+        argv += ["--out", str(files["out"])]
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_outcome_is_success_a_typed_error_or_a_usage_error(self, tmp_path_factory, data):
+        """main returns 0, or 1 with a last stderr line starting error:, or argparse exits 2."""
+        base = tmp_path_factory.mktemp("fuzz")
+        files = {name: base / name for name in ("policy", "missing", "garbage", "config", "out")}
+        PolicyTable().save(files["policy"])
+        files["garbage"].write_bytes(data.draw(st.binary(max_size=40)))
+        argv = data.draw(fuzz_argv(files))
+        code, err = run_main(argv)
+        lines = err.splitlines()
+        assert code in (0, 2) or (code == 1 and lines and lines[-1].startswith("error:")), (argv, code, err)

@@ -35,6 +35,8 @@ from cardtable.games.doudizhu_patterns import (
     matching_abstract_ids,
 )
 
+from conftest import step_back
+
 PASS = CardPattern("pass", 0, 0)
 ROCKET = CardPattern("rocket", 13)
 
@@ -554,16 +556,18 @@ class TestEngine:
             game.step(999)
 
     def test_step_back_round_trip(self):
-        game = DoudizhuGame(Rng(31), allow_step_back=True)
+        game = DoudizhuGame(Rng(31))
         game.reset()
         rng = Rng(90)
         start = game.snapshot()
+        snaps = []
         moved = 0
         while moved < 30 and not game.is_over():
+            snaps.append(game.snapshot())
             game.step(rng.choice(game.legal_moves()))
             moved += 1
         for _ in range(moved):
-            assert game.step_back()
+            assert step_back(game, snaps)
         assert game.snapshot() == start
 
     @staticmethod
@@ -576,7 +580,7 @@ class TestEngine:
 
     def test_capture_and_snapshot_are_not_aliased(self):
         for variant in ("full", "mini"):
-            game = DoudizhuGame(Rng(32), allow_step_back=True, variant=variant)
+            game = DoudizhuGame(Rng(32), variant=variant)
             game.reset()
             rng = Rng(91)
             while not game.is_over():
@@ -589,16 +593,18 @@ class TestEngine:
 
     def test_step_back_past_the_winning_move_restores_everything(self):
         for seed in range(6):
-            game = DoudizhuGame(Rng(seed), allow_step_back=True, variant=("full", "mini")[seed % 2])
+            game = DoudizhuGame(Rng(seed), variant=("full", "mini")[seed % 2])
             game.reset()
             rng = Rng(100 + seed)
+            snaps = []
             while True:
                 before = self.state(game)
+                snaps.append(game.snapshot())
                 game.step(rng.choice(game.legal_moves()))
                 if game.is_over():
                     break
             assert game.sizes[game.winner] == 0 and sum(game.counts[game.winner]) == 0
-            assert game.step_back()
+            assert step_back(game, snaps)
             assert self.state(game) == before
             assert game.sizes == tuple(sum(c) for c in game.counts)
             assert not game.is_over()

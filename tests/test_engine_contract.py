@@ -28,9 +28,9 @@ def test_out_of_range_ids_are_illegal_moves(game_id):
 def test_rejected_move_leaves_nothing_to_undo(game_id):
     env = make(EnvConfig(game_id, seed=2, allow_step_back=True))
     env.new_game()
-    with pytest.raises(IllegalMove):
-        env.game.step(999)
-    assert not env.game.step_back()
+    with pytest.raises(IllegalAction):
+        env.step(999)
+    assert not env.step_back()
 
 
 def some_illegal_id(num_actions, legal):
@@ -93,9 +93,8 @@ def test_single_agent_opponents_choosing_illegal_ids(game_id):
 
 
 def full_state(game):
-    """A deep copy of every engine field except the undo stack and the move cache,
-    plus the generator state."""
-    fields = {k: v for k, v in vars(game).items() if k not in ("_history", "_legal", "rng")}
+    """A deep copy of every engine field except the move cache, plus the generator state."""
+    fields = {k: v for k, v in vars(game).items() if k not in ("_legal", "rng")}
     return copy.deepcopy(fields), game.rng.getstate()
 
 
@@ -118,11 +117,11 @@ def test_step_back_restores_every_field(game_id, seed, players, choices):
             break
         states.append(full_state(game))
         legal = game.legal_moves()
-        game.step(legal[choice % len(legal)])
+        env.step(legal[choice % len(legal)])
     while states:
-        assert game.step_back()
+        assert env.step_back()
         assert full_state(game) == states.pop()
-    assert not game.step_back()
+    assert not env.step_back()
 
 
 @pytest.mark.parametrize("game_id", GAME_IDS)

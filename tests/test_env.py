@@ -1,5 +1,8 @@
 """Env wrapper: seeding, run/tree/single-agent modes, serialization."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from cardtable.agents import RandomAgent
@@ -43,6 +46,25 @@ class TestConfig:
     def test_unknown_game(self):
         with pytest.raises(UnknownGame):
             make(EnvConfig("bridge"))
+
+    def test_options_are_checked_when_the_config_is_built(self):
+        with pytest.raises(UnknownGame):
+            EnvConfig("bridge")
+        with pytest.raises(InvalidParam, match="bridge"):  # UnknownGame is an InvalidParam
+            EnvConfig("bridge")
+        with pytest.raises(InvalidParam, match="num_players"):
+            EnvConfig("leduc", num_players="abc")
+        with pytest.raises(InvalidParam, match="bogus"):
+            EnvConfig("leduc", game_params={"bogus": 1})
+        with pytest.raises(InvalidParam, match="num_players"):
+            replace(EnvConfig("uno"), num_players=9)
+
+    def test_num_players_resolves_to_the_game_default(self):
+        assert EnvConfig("uno").num_players == 2
+        assert EnvConfig("doudizhu").num_players == 3
+        assert EnvConfig("uno", num_players=4).num_players == 4
+        config = EnvConfig("limit_holdem", seed=3, game_params={"fixed_raise": 2})
+        assert pickle.loads(pickle.dumps(config)) == config
 
     def test_player_range_enforced(self):
         with pytest.raises(InvalidParam):
@@ -164,6 +186,29 @@ class TestTreeMode:
         for i, action in enumerate(actions):
             obs, seat = env.step(action)
             assert (obs, seat) == trace[i + 1]
+
+    def test_rejected_step_and_new_deal_leave_nothing_to_undo(self):
+        env = make(EnvConfig("uno", seed=4, allow_step_back=True))
+        obs, _ = env.new_game()
+        start = env.game.snapshot()
+        with pytest.raises(IllegalAction):
+            env.step(999)
+        assert not env.step_back()
+        env.step(obs.legal_action_ids[0])
+        with pytest.raises(IllegalAction):
+            env.step(999)
+        assert env.step_back()  # undoes the legal step, the one the stack holds
+        assert env.game.snapshot() == start
+        assert not env.step_back()
+        env.step(obs.legal_action_ids[0])
+        env.new_game()
+        assert not env.step_back()
+
+    def test_no_undo_without_allow_step_back(self):
+        env = make(EnvConfig("uno", seed=4))
+        obs, _ = env.new_game()
+        env.step(obs.legal_action_ids[0])
+        assert not env.step_back()
 
     def test_terminal_obs_and_payoffs(self):
         env = make(EnvConfig("leduc", seed=1))

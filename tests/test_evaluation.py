@@ -12,7 +12,7 @@ import pytest
 from cardtable.agents import PolicyAgent, PolicyTable, RandomAgent, cfr_train, mccfr_external_train
 from cardtable.core.rng import Rng
 from cardtable.env import EnvConfig, make
-from cardtable.errors import GameTooLarge, InvalidParam, NotZeroSum, SeatMismatch
+from cardtable.errors import GameTooLarge, InvalidParam, NotZeroSum, SeatMismatch, UnknownGame
 from cardtable.evaluation import (
     best_response,
     count_info_sets,
@@ -22,7 +22,7 @@ from cardtable.evaluation import (
     tree_policy_value,
     winrate_vs_random,
 )
-from cardtable.trees import LeducTree
+from cardtable.trees import LeducTree, tree_for
 
 from test_cfr_sweep import SpecTree, end
 
@@ -245,3 +245,11 @@ class TestCensus:
                 count_info_sets(gid)
         with pytest.raises(InvalidParam):
             count_info_sets("bridge")
+
+    def test_unknown_ids_are_unknown_games_everywhere(self):
+        with pytest.raises(UnknownGame):
+            count_info_sets("bridge")
+        with pytest.raises(UnknownGame):
+            exploitability("bridge", PolicyTable())
+        with pytest.raises(UnknownGame):
+            tree_for("bridge")

@@ -19,6 +19,8 @@ from cardtable.games.leduc import (
 )
 from cardtable.trees import LeducTree, compiled_tree
 
+from conftest import step_back
+
 
 class TestRules:
     def test_round_legal_moves(self):
@@ -112,13 +114,15 @@ class TestRules:
 
     def test_step_back_round_trip(self):
         rng = Rng(5)
-        game = LeducGame(Rng(12), allow_step_back=True)
+        game = LeducGame(Rng(12))
         game.reset()
         snaps = [game.snapshot()]
+        undo = []
         while not game.is_over():
+            undo.append(game.snapshot())
             game.step(rng.choice(game.legal_moves()))
             snaps.append(game.snapshot())
-        while game.step_back():
+        while step_back(game, undo):
             snaps.pop()
             assert game.snapshot() == snaps[-1]
         assert len(snaps) == 1
@@ -126,22 +130,25 @@ class TestRules:
     def test_snapshot_before_the_public_draw_survives_it(self):
         """Snapshots share the state by reference: the draw and later steps leave them be."""
         for seed in range(40):
-            game = LeducGame(Rng(seed), allow_step_back=True)
+            game = LeducGame(Rng(seed))
             game.reset()
             game.step(RAISE)
             before = game.snapshot()
             kept = copy.deepcopy(before)
             state = (list(game.stock), game.public, game.chips, game.rng.getstate())
+            undo = [before]
             game.step(CALL)  # ends round one: the public card is drawn
             public = game.public
             assert public is not None and public not in game.stock
+            undo.append(game.snapshot())
             game.step(RAISE)
+            undo.append(game.snapshot())
             game.step(CALL)
             assert game.is_over()
             assert before == kept
-            game.step_back()
-            game.step_back()
-            game.step_back()
+            game.restore(undo.pop())
+            game.restore(undo.pop())
+            game.restore(undo.pop())
             assert (game.stock, game.public, game.chips, game.rng.getstate()) == state
             assert game.snapshot() == kept
             game.step(CALL)

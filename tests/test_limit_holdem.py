@@ -26,6 +26,8 @@ from cardtable.games.limit_holdem import (
     observe,
 )
 
+from conftest import step_back
+
 # ---------------------------------------------------------------------------
 # oracle: rank one 5-card hand from first principles
 
@@ -226,15 +228,17 @@ class TestBetting:
 
     def test_step_back_round_trip(self):
         rng = Rng(13)
-        game = LimitHoldemGame(Rng(21), num_players=4, allow_step_back=True)
+        game = LimitHoldemGame(Rng(21), num_players=4)
         game.reset()
         snaps = [game.snapshot()]
+        undo = []
         for _ in range(6):
             if game.is_over():
                 break
+            undo.append(game.snapshot())
             game.step(rng.choice(game.legal_moves()))
             snaps.append(game.snapshot())
-        while game.step_back():
+        while step_back(game, undo):
             snaps.pop()
             assert game.snapshot() == snaps[-1]
 

@@ -89,7 +89,7 @@ def test_cached_legal_moves_match_the_engine(game_id, seed, walk):
             assert game.legal_moves() == game._legal_moves()
             assert game.legal_moves() is game.legal_moves()
         if choice == 0 or game.is_over():
-            game.step_back()
+            env.step_back()
         else:
             legal = game.legal_moves()
             env.step(legal[choice % len(legal)])

@@ -12,7 +12,7 @@ def spec_for(game_id, n_games, n_workers, seed=5):
     config = EnvConfig(game_id=game_id, seed=seed)
     return RolloutSpec(
         env_config=config,
-        agents=("random",) * config.resolved_players(),
+        agents=("random",) * config.num_players,
         n_games=n_games,
         n_workers=n_workers,
     )

@@ -24,6 +24,7 @@ from cardtable.games.uno import (
     type_literal,
 )
 
+from conftest import step_back
 from walk_uno import EagerUnoGame
 
 RED, GREEN, BLUE, YELLOW = (UNO_COLORS.index(c) for c in "rgby")
@@ -365,17 +366,19 @@ class TestFullGames:
         assert logs[0] == logs[1]
 
     def test_step_back_round_trip(self):
-        game = UnoGame(Rng(31), num_players=3, allow_step_back=True)
+        game = UnoGame(Rng(31), num_players=3)
         game.reset()
         rng = Rng(90)
         start = game.snapshot()
+        snaps = []
         moved = 0
         while moved < 25 and not game.is_over():
+            snaps.append(game.snapshot())
             game.step(rng.choice(game.legal_moves()))
             moved += 1
         for _ in range(moved):
-            assert game.step_back()
-        assert not game.step_back()
+            assert step_back(game, snaps)
+        assert not step_back(game, snaps)
         assert game.snapshot() == start
 
 
