@@ -23,7 +23,10 @@ Reproducibility contract: game number i of an Env seeded with S is
 played from the derived seed split_seed(S, i). The deal uses stream 0
 of that game seed and the agent at seat s uses stream 1+s, so results
 never depend on how games are batched across processes or which agent
-implementation sits at another table.
+implementation sits at another table. The Env computes this fan-out
+for 64 games at a time (core.rng.fanout_block, cached by the block's
+first index) and builds each game's generators from their stored
+words; the streams are the ones Rng(split_seed(...)) gives.
 
 Observations are captured when they are made and rendered when read.
 The default extract_state asks the engine module's capture() for the
@@ -44,10 +47,12 @@ helper, which turns the engine's IllegalMove into IllegalAction naming
 who chose the action (agent, opponent, learner or player) and their
 seat; the game and the timestep count are left as they were.
 
-The observation hook (extract_state) is an instance attribute and can
-be replaced; a replacement may change raw views and planes but must
-keep the engine's legal action ids. Actions need no decoding hook: every
-engine steps on the action ids themselves.
+The observation hook (extract_state) is a method that an instance
+attribute of the same name replaces; a replacement may change raw views
+and planes but must keep the engine's legal action ids. Being a method,
+not a bound method stored on the instance, it leaves the Env free of
+reference cycles, so a dropped Env is freed at once. Actions need no
+decoding hook: every engine steps on the action ids themselves.
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from cardtable.core.contracts import int_param
-from cardtable.core.rng import Rng, split_seed
+from cardtable.core.rng import FANOUT_BLOCK, Rng, fanout_block
+from cardtable.core.rng import split_seed  # noqa: F401 - perfbench/tracing.py patches env.split_seed by name
 from cardtable.errors import (
     AgentsNotSet,
     GameNotOver,
@@ -266,18 +272,19 @@ class Env:
         self.game_index = -1  # becomes 0 on the first game
         self.timesteps = 0  # decisions taken across all games
         self._agents = None
-        self._game_seed = None
+        self._block_start = -1  # first game index of the cached fanout_block
+        self._block = None
+        self._words = None  # the current game's stream words, stream 0 first
         self._agent_rngs = None
-        # customization hook; a replacement may change raw/planes but
-        # must preserve the engine's legal action ids
-        self.extract_state = self._default_extract_state
         # single-agent mode plumbing
         self._sa_learner: int | None = None
         self._sa_opponents = None
 
     # hook -----------------------------------------------------------
 
-    def _default_extract_state(self, seat: int, terminal: bool = False) -> Observation:
+    def extract_state(self, seat: int, terminal: bool = False) -> Observation:
+        """Observation hook; an instance attribute of the same name replaces
+        it, and may change raw/planes but must keep the legal action ids."""
         module = self.spec.module
         legal, view = module.capture(self.game, seat, terminal)
         render = (module.render_raw, module.render_key, module.encode_planes)
@@ -290,17 +297,20 @@ class Env:
         the game seed's stream 0; returns the first seat. Builds no agent
         streams, so a solver that samples with its own stream calls this
         alone."""
-        self.game_index += 1
-        self._game_seed = game_seed = split_seed(self.config.seed, self.game_index)
-        self.game.rng = Rng(split_seed(game_seed, 0))
+        self.game_index = index = self.game_index + 1
+        start = index - index % FANOUT_BLOCK
+        if start != self._block_start:
+            self._block = fanout_block(self.config.seed, start, 1 + self.num_players)
+            self._block_start = start
+        self._words = words = self._block[index - start].tolist()
+        self.game.rng = Rng.from_words(words[0])
         self._undo.clear()
         return self.game.reset()
 
     def _begin_game(self) -> int:
         """_deal, plus the agent streams: seat s draws from stream 1 + s."""
         seat = self._deal()
-        game_seed = self._game_seed
-        self._agent_rngs = [Rng(split_seed(game_seed, 1 + s)) for s in range(self.num_players)]
+        self._agent_rngs = [Rng.from_words(words) for words in self._words[1:]]
         return seat
 
     def seek(self, game_index: int) -> None:

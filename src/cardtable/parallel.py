@@ -83,14 +83,10 @@ def _play_block(config: EnvConfig, agents, indices, collect_logs: bool):
     """Worker body: plays the given game indices, one result tuple each.
 
     Failures are returned, not raised, so the parent can attach the
-    failing game index to the error it surfaces; setup failures are
-    charged to the block's first game.
+    failing game index to the error it surfaces.
     """
-    try:
-        env = make(config)
-        env.set_agents(list(agents))
-    except Exception as exc:  # noqa: BLE001 - repackaged with the game index
-        return [(indices[0], None, 0, f"{type(exc).__name__}: {exc}")]
+    env = make(config)
+    env.set_agents(list(agents))
     out = []
     for i in indices:
         try:
@@ -113,9 +109,12 @@ def rollout_parallel(spec: RolloutSpec, collect_logs: bool = False) -> RolloutRe
 
     Results are merged in game-index order and are bit-identical for
     any n_workers. n_games=0 returns an empty result without spawning
-    anything; n_workers=1 runs inline in this process. Policy files are
-    loaded once, in this process, and checked against the game's action
-    space; the loaded agents are sent to the workers.
+    anything; n_workers=1 runs inline in this process. One engine is
+    built here first, so a bad game parameter value raises its
+    InvalidParam before any worker starts or any game is charged with
+    it. Policy files are loaded once, in this process, and checked
+    against the game's action space; the loaded agents are sent to the
+    workers.
     """
     if spec.n_workers < 1:
         raise InvalidParam(f"n_workers must be >= 1, got {spec.n_workers}")
@@ -124,12 +123,13 @@ def rollout_parallel(spec: RolloutSpec, collect_logs: bool = False) -> RolloutRe
     seats = spec.env_config.num_players
     if len(spec.agents) != seats:
         raise InvalidParam(f"{spec.env_config.game_id} seats {seats}, spec names {len(spec.agents)} agents")
+    make(spec.env_config)  # the engine checks the parameter values
     if spec.n_games == 0:
         return RolloutResult((), (0.0,) * seats, 0, () if collect_logs else None)
 
     # Policy files load once, here, checked against the game: an action id
     # outside its space raises InvalidPolicy before any worker starts. Any
-    # other load failure is charged to game 0, like a worker's setup failure.
+    # other load failure is charged to game 0.
     try:
         agents = tuple(build_agent(descriptor, spec.env_config.game_id) for descriptor in spec.agents)
     except ParseError as exc:

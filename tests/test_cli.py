@@ -572,6 +572,11 @@ class TestBoundaryErrors:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error:") and names in err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bad_param_value_is_not_charged_to_a_game(self, workers):
+        argv = ["selfplay", "--game", "uno", "--games", "1", "--workers", workers, "--param", "hand_size=abc"]
+        assert run_main(argv) == (1, "error: hand_size must be an integer in 1..12, got 'abc'\n")
+
 
 FUZZ_COMMANDS = ("selfplay", "train", "tournament", "exploit", "census", "bench")
 FUZZ_PARAMS = ("num_players", "hand_size", "fixed_raise", "landlord", "bogus")

@@ -1,6 +1,8 @@
 """Env wrapper: seeding, run/tree/single-agent modes, serialization."""
 
+import gc
 import pickle
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -157,6 +159,28 @@ class TestRunMode:
         assert trajectories == games[3][0]
         with pytest.raises(InvalidParam):
             env.seek(-1)
+
+    def test_seek_across_block_edges_matches_a_fresh_env(self):
+        for config in (EnvConfig("leduc", seed=13), EnvConfig("limit_holdem", seed=-4, num_players=3)):
+            _, games = run_games(config, 131)
+            env = make(config)
+            env.set_agents([RandomAgent() for _ in range(env.num_players)])
+            for index in (63, 64, 130, 0, 65):
+                env.seek(index)
+                trajectories, payoffs = env.run()
+                assert (trajectories, payoffs, env.game_index) == games[index]
+
+    def test_a_dropped_env_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            env = make(EnvConfig("leduc", seed=1))
+            env.set_agents([RandomAgent(), RandomAgent()])
+            env.run()
+            dropped = weakref.ref(env)
+            del env
+            assert dropped() is None
+        finally:
+            gc.enable()
 
     def test_timesteps_count_decisions(self):
         env, games = run_games(EnvConfig("leduc", seed=5), 3)

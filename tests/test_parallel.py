@@ -43,6 +43,13 @@ class TestRollout:
         assert solo.total_steps == quad.total_steps
         assert solo.mean_payoffs == quad.mean_payoffs
 
+    @pytest.mark.parametrize("game_id", ["leduc", "uno"])
+    def test_workers_across_seed_blocks_match_one(self, game_id):
+        # 131 games span three 64-game fan-out blocks, each worker seeking into all of them
+        solo = rollout_parallel(spec_for(game_id, 131, 1), collect_logs=True)
+        duo = rollout_parallel(spec_for(game_id, 131, 2), collect_logs=True)
+        assert solo == duo
+
     def test_more_workers_than_games(self):
         few = rollout_parallel(spec_for("blackjack", 3, 8))
         one = rollout_parallel(spec_for("blackjack", 3, 1))
@@ -72,6 +79,12 @@ class TestRollout:
         config = EnvConfig("leduc", seed=1)
         with pytest.raises(InvalidParam):
             rollout_parallel(RolloutSpec(config, ("random",), 5, 1))
+
+    def test_bad_param_value_fails_before_any_game(self):
+        config = EnvConfig("uno", seed=1, game_params={"hand_size": "abc"})
+        for workers in (1, 2):
+            with pytest.raises(InvalidParam, match=r"^hand_size must be an integer in 1\.\.12, got 'abc'$"):
+                rollout_parallel(RolloutSpec(config, ("random", "random"), 3, workers))
 
     def test_setup_failure_carries_game_index(self):
         config = EnvConfig("leduc", seed=1)

@@ -1,8 +1,13 @@
 """Generator determinism, frozen stream vectors, and seed splitting."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cardtable.core.rng as rng_module
 from cardtable.core import Rng, split_seed
+from cardtable.core.rng import FANOUT_BLOCK, fanout_block
 
 from conftest import load_ints
 
@@ -86,3 +91,42 @@ class TestSplit:
         a = Rng(split_seed(4, 0))
         b = Rng(split_seed(4, 1))
         assert [a.next_u64() for _ in range(8)] != [b.next_u64() for _ in range(8)]
+
+
+# a game index on either side of a block edge, or anywhere in the first blocks
+block_edge_index = st.builds(lambda edge, d: edge * FANOUT_BLOCK + d, st.integers(1, 2**40), st.integers(-2, 1))
+fanout_index = st.one_of(st.integers(0, 3 * FANOUT_BLOCK), block_edge_index)
+masters = st.one_of(st.integers(-(2**70), 2**70), st.integers(2**64 - 3, 2**64 + 3), st.integers(-3, 3))
+
+
+class TestFanoutBlock:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(master=masters, index=fanout_index, streams=st.integers(1, 11))
+    def test_entries_are_the_split_seed_states(self, master, index, streams):
+        start = index - index % FANOUT_BLOCK
+        block = fanout_block(master, start, streams)
+        assert block.shape == (FANOUT_BLOCK, streams, 4) and block.dtype == np.uint64
+        game_seed = split_seed(master, index)
+        for k, words in enumerate(block[index - start].tolist()):
+            want = Rng(split_seed(game_seed, k))
+            assert tuple(words) == want.getstate()
+            assert Rng.from_words(words).getstate() == want.getstate()
+
+    def test_every_row_of_a_ten_seat_block(self):
+        for master in (0, 7, -1, 2**64 + 5):
+            block = fanout_block(master, FANOUT_BLOCK, 11).tolist()
+            for g, row in enumerate(block):
+                game_seed = split_seed(master, FANOUT_BLOCK + g)
+                assert [tuple(words) for words in row] == [Rng(split_seed(game_seed, k)).getstate() for k in range(11)]
+
+    def test_rejects_negative_start(self):
+        with pytest.raises(ValueError):
+            fanout_block(0, -FANOUT_BLOCK, 1)
+
+    def test_all_zero_words_start_from_s0_one(self, monkeypatch):
+        zero_row = np.zeros((2, 4), dtype=np.uint64).tolist()
+        assert Rng.from_words(zero_row[0]).getstate() == (1, 0, 0, 0)
+        assert Rng.from_words([0, 0, 0, 5]).getstate() == (0, 0, 0, 5)
+        # a seed whose four words came out zero takes the same rule
+        monkeypatch.setattr(rng_module, "split_seed", lambda seed, index: 0)
+        assert Rng(5).getstate() == (1, 0, 0, 0)
