@@ -20,10 +20,11 @@ that deal, and the trainer has two ways to walk it:
   and its outputs are equal bit for bit (tests/test_agents.py runs the
   two in lockstep).
 - Blackjack and limit hold'em, which have no compiled tree, walk the
-  engine: info keys and legal ids come from the engine module's capture
-  and render_key, Game.step applies a move and returns None when the
-  game ends, and each node takes one game.snapshot() that it restores
-  after every child.
+  engine from the seat Env._deal returns: no deal ends a game (a
+  blackjack natural still asks hit or stand), info keys and legal ids
+  come from the engine module's capture and render_key, Game.step
+  applies a move and returns None when the game ends, and each node
+  takes one game.snapshot() that it restores after every child.
 
 Only the start of each game goes through the Env, by Env._deal: deals
 follow its per-game seed fan-out (game_index, seek), no agent streams
@@ -93,11 +94,8 @@ class MCCFRTrainer:
 
     def _iterate_engine(self) -> None:
         """One traversal per seat, stepping and backing out of the engine."""
-        env, game = self.env, self.game
-        for traverser in range(env.num_players):
-            seat = env._deal()
-            if not game.is_over():  # skip a game that ends at its deal
-                self._traverse(seat, traverser)
+        for traverser in range(self.env.num_players):
+            self._traverse(self.env._deal(), traverser)  # every deal asks for a decision
 
     def _iterate_tree(self) -> None:
         """One traversal per seat down the compiled leduc tree, along the env's deals."""

@@ -3,7 +3,7 @@
 Keys are the same information keys the rest of the toolkit uses, so a
 trained table converts directly into a playable greedy policy. The
 exploration stream is the env's own per-game learner stream, which
-makes a full training run reproducible from the env config alone and
+makes a whole qlearn_train run reproducible from the env config alone and
 makes the epsilon=1 schedule draw-for-draw identical to RandomAgent.
 """
 
@@ -20,7 +20,7 @@ class QLearnParams:
     discount: float = 0.99
     epsilon_start: float = 1.0
     epsilon_end: float = 0.05
-    anneal_fraction: float = 0.5  # epsilon reaches its floor this far into training
+    anneal_fraction: float = 0.5  # epsilon reaches its floor this far into the episodes
 
     def epsilon_at(self, episode: int, episodes: int) -> float:
         cut = max(1, int(episodes * self.anneal_fraction))

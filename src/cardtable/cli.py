@@ -217,7 +217,7 @@ def _cmd_train(args) -> int:
         table = qlearn_train(env, episodes, QLearnParams())
         policy, detail = table.greedy_policy(), f"{episodes} episodes"
     else:  # random: an empty table plays uniform everywhere
-        policy, detail = PolicyTable(), "no training"
+        policy, detail = PolicyTable(), "untrained"
     _write_outputs(out, {"policy.txt": policy.dumps()}, "train", merged.manifest_config(algo=algo))
     print(f"trained {algo} on {config.game_id} ({detail}, seed {seed}): {len(policy)} info sets -> {out}/policy.txt")
     return 0

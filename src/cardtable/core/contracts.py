@@ -68,7 +68,8 @@ class Game(ABC):
         self._legal: tuple | None = None
 
     def reset(self) -> int:
-        """Deal a fresh hand; returns the first player to act."""
+        """Deal a fresh hand; returns the first player to act. No deal ends
+        a hand: a blackjack natural still asks for a decision."""
         self._legal = None
         return self._start()
 
@@ -99,9 +100,9 @@ class Game(ABC):
             legal = self._legal = self._legal_moves()
         return legal
 
-    def legal_ids_for(self, seat: int, terminal: bool = False) -> tuple:
+    def legal_ids_for(self, seat: int) -> tuple:
         """The legal ids seat observes: its moves on its turn in a running game, else ()."""
-        if terminal or self.is_over() or seat != self.current_player():
+        if self.is_over() or seat != self.current_player():
             return ()
         return self.legal_moves()
 

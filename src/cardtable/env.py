@@ -2,22 +2,26 @@
 
 An Env is built from an EnvConfig by make() and exposes three modes:
 
-* run(training): play one full game with the registered agents and
-  return per-player trajectories plus payoffs. Transitions carry a
-  delayed next state: a player's next_state is their observation at
-  their own next decision point (or the terminal view), rewards are
+* run(): play one full game with the registered agents and return
+  per-player trajectories plus payoffs. Transitions carry a delayed
+  next state: a player's next_state is their observation at their own
+  next decision point (or the view of the ended game), rewards are
   zero until done.
 * new_game()/step()/step_back(): manual tree traversal for solvers.
   step returns the new current player's observation; step_back undoes
   one step including every chance event, from the game.snapshot() the
-  Env keeps per step taken when the config sets allow_step_back.
+  Env keeps per step taken. Under the engines' state rule a snapshot
+  is a tuple of references, so keeping one per step costs no copy.
 * make_single_agent(): gym-style reset()/sa_step() where one learner
-  seat acts and every other seat is auto-played by a fixed agent. The
-  auto-play loop follows the seat each step returns until it is the
-  learner's or the game is over, so it asks the game nothing between
-  moves. reset skips any seeded game that ends before the learner's
-  first decision. learner_seat must be an int seat (InvalidParam at
+  seat acts and every other seat is auto-played by a fixed agent.
+  reset skips any seeded game that ends before the learner's first
+  decision. learner_seat must be an int seat (InvalidParam at
   make_single_agent otherwise).
+
+Every loop follows the seat Game.reset and Game.step return, None once
+the game is over, and never asks is_over(). The engine's GameOver (step
+on a finished game) and GameNotOver (payoffs of a running one) pass
+through the Env unchecked.
 
 Reproducibility contract: game number i of an Env seeded with S is
 played from the derived seed split_seed(S, i). The deal uses stream 0
@@ -35,7 +39,7 @@ Observation renders raw (render_raw), info_key (render_key) and planes
 (encode_planes) from that capture on first read, each at most once.
 Agents that read only the legal ids, or only the key, never pay for the
 rest, and a view read late still shows the state it was taken at.
-Each engine's observe(game, seat, terminal) is the eager composition of
+Each engine's observe(game, seat) is the eager composition of
 the same functions, returning (raw, legal, key). The Env never calls it.
 It stays because the tests use it as the eager reference for the lazy
 Observation, and perfbench/tracing.py wraps it by name as a trace point.
@@ -66,8 +70,6 @@ from cardtable.core.rng import FANOUT_BLOCK, Rng, fanout_block
 from cardtable.core.rng import split_seed  # noqa: F401 - perfbench/tracing.py patches env.split_seed by name
 from cardtable.errors import (
     AgentsNotSet,
-    GameNotOver,
-    GameOver,
     IllegalAction,
     IllegalMove,
     InvalidParam,
@@ -139,14 +141,13 @@ class EnvConfig:
     an int in the game's range, or a game_params name the game does not
     take, InvalidParam. A None num_players becomes the game's default, so
     every holder of a config reads a valid int. The engine checks the
-    parameter values; allow_step_back turns on the Env's tree-mode undo.
+    parameter values.
     """
 
     game_id: str
     seed: int = 0
     num_players: int | None = None
     game_params: dict = field(default_factory=dict)
-    allow_step_back: bool = False
 
     def __post_init__(self):
         spec = game_spec(self.game_id)
@@ -156,14 +157,6 @@ class EnvConfig:
             if key not in spec.params:
                 allowed = ", ".join(spec.params) if spec.params else "none"
                 raise InvalidParam(f"{self.game_id} has no parameter {key!r} (allowed: {allowed})")
-
-
-def _given_raw(view):
-    return view[0]
-
-
-def _given_key(view):
-    return view[1]
 
 
 class Observation:
@@ -187,9 +180,9 @@ class Observation:
     def __init__(self, player_id, legal_action_ids, raw, info_key, planes_fn):
         self.player_id = player_id
         self.legal_action_ids = tuple(legal_action_ids)
-        self._view = (raw, info_key)
-        self._render = (_given_raw, _given_key, planes_fn)
-        self._raw = self._info_key = self._planes = None
+        self._view = None
+        self._render = (None, None, planes_fn)
+        self._raw, self._info_key, self._planes = raw, info_key, None
 
     @classmethod
     def captured(cls, player_id, legal_action_ids, view, render):
@@ -268,6 +261,7 @@ class Env:
         self.num_players = config.num_players
         self.num_actions = spec.num_actions
         self.game = spec.factory(Rng(config.seed), config.num_players, dict(config.game_params))
+        self._render = (spec.module.render_raw, spec.module.render_key, spec.module.encode_planes)
         self._undo: list = []  # tree mode's snapshots, one per step taken since the deal
         self.game_index = -1  # becomes 0 on the first game
         self.timesteps = 0  # decisions taken across all games
@@ -282,13 +276,11 @@ class Env:
 
     # hook -----------------------------------------------------------
 
-    def extract_state(self, seat: int, terminal: bool = False) -> Observation:
+    def extract_state(self, seat: int) -> Observation:
         """Observation hook; an instance attribute of the same name replaces
         it, and may change raw/planes but must keep the legal action ids."""
-        module = self.spec.module
-        legal, view = module.capture(self.game, seat, terminal)
-        render = (module.render_raw, module.render_key, module.encode_planes)
-        return Observation.captured(seat, legal, view, render)
+        legal, view = self.spec.module.capture(self.game, seat)
+        return Observation.captured(seat, legal, view, self._render)
 
     # shared plumbing --------------------------------------------------
 
@@ -342,34 +334,28 @@ class Env:
             raise AgentsNotSet(f"need {self.num_players} agents, got {len(agents)}")
         self._agents = agents
 
-    def run(self, training: bool = False):
+    def run(self):
         """Play one complete game; returns (trajectories, payoffs)."""
         if self._agents is None:
             raise AgentsNotSet("call set_agents() before run()")
         seat = self._begin_game()
         pending: list[tuple | None] = [None] * self.num_players
         transitions: list[list[Transition]] = [[] for _ in range(self.num_players)]
-        while not self.game.is_over():
+        while seat is not None:
             obs = self.extract_state(seat)
             if pending[seat] is not None:
                 prev_obs, prev_action = pending[seat]
                 transitions[seat].append(Transition(prev_obs, prev_action, 0.0, obs, False))
-            agent = self._agents[seat]
-            rng = self._agent_rngs[seat]
-            action = agent.sample_step(obs, rng) if training else agent.eval_step(obs, rng)
+            action = self._agents[seat].eval_step(obs, self._agent_rngs[seat])
             pending[seat] = (obs, action)
-            nxt = self._act(action, "agent")
-            if nxt is None:
-                break
-            seat = nxt
+            seat = self._act(action, "agent")
         payoffs = self.game.payoffs()
         for s in range(self.num_players):
             if pending[s] is not None:
                 prev_obs, prev_action = pending[s]
-                terminal_obs = self.extract_state(s, terminal=True)
-                transitions[s].append(Transition(prev_obs, prev_action, float(payoffs[s]), terminal_obs, True))
+                transitions[s].append(Transition(prev_obs, prev_action, payoffs[s], self.extract_state(s), True))
         trajectories = [Trajectory(s, tuple(transitions[s])) for s in range(self.num_players)]
-        return trajectories, [float(p) for p in payoffs]
+        return trajectories, payoffs
 
     # tree mode ----------------------------------------------------------
 
@@ -379,17 +365,13 @@ class Env:
         return self.extract_state(seat), seat
 
     def step(self, action_id: int):
-        """Apply one action; returns (obs of new current player, seat)."""
-        if self.game.is_over():
-            raise GameOver("game already over; call new_game()")
-        snap = self.game.snapshot() if self.config.allow_step_back else None
-        nxt = self._act(action_id, "player")  # a rejected step raises here and pushes nothing
-        if snap is not None:
-            self._undo.append(snap)
-        if nxt is None:
+        """Apply one action; returns (obs of new current player, seat), no legal ids once over."""
+        snap = self.game.snapshot()
+        seat = self._act(action_id, "player")  # a rejected step raises here and pushes nothing
+        self._undo.append(snap)
+        if seat is None:
             seat = self.game.current_player()
-            return self.extract_state(seat, terminal=True), seat
-        return self.extract_state(nxt), nxt
+        return self.extract_state(seat), seat
 
     def step_back(self) -> bool:
         """Undo the most recent step, chance included; False when there is nothing to undo."""
@@ -405,9 +387,8 @@ class Env:
         return self.game.current_player()
 
     def get_payoffs(self) -> list[float]:
-        if not self.game.is_over():
-            raise GameNotOver("payoffs undefined before the game ends")
-        return [float(p) for p in self.game.payoffs()]
+        """The finished game's payoffs; the engine's payoffs() refuses a running game."""
+        return self.game.payoffs()
 
     # single-agent mode ---------------------------------------------------
 
@@ -425,8 +406,7 @@ class Env:
         if self._sa_learner is None:
             raise NotSingleAgentMode("env was not built by make_single_agent()")
         while True:
-            seat = self._begin_game()
-            if not self.game.is_over() and self._autoplay_opponents(seat) is not None:
+            if self._autoplay_opponents(self._begin_game()) is not None:
                 return self.extract_state(self._sa_learner)
             # the game ended before the learner ever moved; skip to the
             # next seeded game so reset always yields a decision
@@ -435,12 +415,8 @@ class Env:
         """Learner action in; (next obs, reward, done) out."""
         if self._sa_learner is None:
             raise NotSingleAgentMode("env was not built by make_single_agent()")
-        if self.game.is_over():
-            raise GameOver("episode finished; call reset()")
         if self._autoplay_opponents(self._act(action_id, "learner")) is None:
-            obs = self.extract_state(self._sa_learner, terminal=True)
-            reward = float(self.game.payoffs()[self._sa_learner])
-            return obs, reward, True
+            return self.extract_state(self._sa_learner), self.game.payoffs()[self._sa_learner], True
         return self.extract_state(self._sa_learner), 0.0, False
 
     @property

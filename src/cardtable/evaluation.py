@@ -179,6 +179,14 @@ def _slot_probs(tree: CompiledTree, tables) -> np.ndarray:
     return np.array(probs)
 
 
+def _distinct_by_stage(stages, ids, size):
+    """np.unique(ids in 0..size-1) within each stage of sorted stages at once: the
+    distinct ids and their stages, each entry's index among its stage's, each distinct id's first entry."""
+    keys, first, inverse = np.unique(stages * size + ids, return_index=True, return_inverse=True)
+    kept = keys // size
+    return keys % size, kept, inverse - np.searchsorted(kept, stages), first
+
+
 class _SweepPlan:
     """Index arrays for value sweeps of a compiled tree in which seat (0 or
     1) best-responds, or nobody does (None).
@@ -199,23 +207,28 @@ class _SweepPlan:
         responds = layout.seat == seat if seat is not None else np.zeros(n, dtype=bool)
         # a stage is a longest path over links from a child to its parent, or to
         # the parent's set n + i if the parent responds (+1), and from a set to
-        # its nodes (+0); a set below itself closes a cycle that grows forever
+        # its nodes (+0), in one topological pass (Kahn) in which a set waits for
+        # all its nodes' children; what is never ready lies on or above a cycle
         up = np.where(responds, n + info, np.arange(n))
         responders = np.flatnonzero(responds)
         src = np.concatenate((np.arange(1, n), n + info[responders]))
         dst = np.concatenate((up[parent[1:]], responders))
-        step = np.repeat((1, 0), (n - 1, len(responders)))
-        stage = np.zeros(n + self.num_sets, dtype=np.intp)
-        for rounds in range(2 * len(stage) + 1):
-            last = stage.copy()
-            np.maximum.at(stage, dst, last[src] + step)
-            if (stage == last).all():
-                break
-            if rounds == len(stage):  # past any path without a cycle: what grows on is on or above one
-                settled = stage.copy()
-        else:
-            stuck = [key for i, key in enumerate(tree.keys) if stage[n + i] != settled[n + i]]
+        links = [[] for _ in range(n + self.num_sets)]
+        for v, d, step in zip(src.tolist(), dst.tolist(), [1] * (n - 1) + [0] * len(responders)):
+            links[v].append((d, step))
+        waiting = np.bincount(dst, minlength=len(links)).tolist()
+        stage = [0] * len(links)
+        ready = [v for v, count in enumerate(waiting) if not count]
+        for v in ready:  # grows as it goes
+            for d, step in links[v]:
+                stage[d] = max(stage[d], stage[v] + step)
+                waiting[d] -= 1
+                if not waiting[d]:
+                    ready.append(d)
+        stuck = [key for i, key in enumerate(tree.keys) if waiting[n + i]]
+        if stuck:
             raise ValueError(f"info keys {stuck} have no best-response order: each lies below itself or another of them")
+        stage = np.array(stage, dtype=np.intp)
 
         self.value = 0.0 - layout.payoff if seat == 1 else layout.payoff
         self.multipliers = layout.edge_prob.copy()  # 1.0 below the responder, so a child has its node's reach
@@ -224,20 +237,33 @@ class _SweepPlan:
         levels = zip(layout.bounds[1:], layout.bounds[2:]) if seat is not None else ()  # no reach without a responder
         self.down = [(lo, hi, parent[lo:hi]) for lo, hi in levels]
 
-        # edges in the walk's order: by the parent's preorder index, then by action
-        child = 1 + np.argsort(layout.node[parent[1:]], kind="stable")
+        # edges by their parent's stage, then in the walk's order: by the parent's
+        # preorder index, then by action; every stage's arrays are computed at
+        # once, then cut apart
+        child = 1 + np.lexsort((layout.node[parent[1:]], stage[parent[1:]]))
         by_responder = responds[parent[child]]
         summed, moved = child[~by_responder], child[by_responder]
+        edge_stage, move_stage = stage[parent[summed]], stage[parent[moved]]
+        nodes, node_stage, group, _ = _distinct_by_stage(edge_stage, parent[summed], n)
+        sets, set_stage, owner, _ = _distinct_by_stage(move_stage, info[parent[moved]], self.num_sets)
+        members, member_stage, _, first = _distinct_by_stage(move_stage, parent[moved], n)
         widths = np.diff(layout.offsets)
-        self.stages = []
-        for s in range(1, stage[0] + 1):
-            edges, scored = summed[stage[parent[summed]] == s], moved[stage[parent[moved]] == s]
-            nodes, group = np.unique(parent[edges], return_inverse=True)
-            sets, owner = np.unique(info[parent[scored]], return_inverse=True)
-            members, first = np.unique(parent[scored], return_index=True)
-            pad = np.where(np.arange(widths[sets].max(initial=0)) < widths[sets, None], 0.0, -np.inf)
-            bins = owner * pad.shape[1] + layout.action[scored]
-            self.stages.append((nodes, edges, group, sets, bins, scored, pad, members, first, owner[first]))
+        width = np.zeros(stage[0] + 1, dtype=np.intp)  # a stage's widest set
+        np.maximum.at(width, set_stage, widths[sets])
+        bins = owner * width[move_stage] + layout.action[moved]
+
+        def cut(values, stages):
+            at = np.searchsorted(stages, np.arange(1, stage[0] + 2)).tolist()
+            return [values[lo:hi] for lo, hi in zip(at, at[1:])]
+
+        stage_sets = cut(sets, set_stage)
+        pads = [np.where(np.arange(w) < widths[s, None], 0.0, -np.inf) for w, s in zip(width[1:].tolist(), stage_sets)]
+        chosen, first = owner[first], first - np.searchsorted(move_stage, member_stage)
+        self.stages = list(zip(
+            cut(nodes, node_stage), cut(summed, edge_stage), cut(group, edge_stage), stage_sets,
+            cut(bins, move_stage), cut(moved, move_stage), pads,
+            cut(members, member_stage), cut(first, member_stage), cut(chosen, member_stage),
+        ))
 
     def sweep(self, slot_probs: np.ndarray) -> tuple[float, np.ndarray]:
         """(root value to the responder, or to player 0 for None; chosen

@@ -104,16 +104,16 @@ class BlackjackGame(Game):
         self.rng.setstate(rng_state)
 
 
-def capture(game: BlackjackGame, seat: int, terminal: bool = False):
+def capture(game: BlackjackGame, seat: int):
     """(legal ids, view): the legal ids, the player's hand and its value, and
     the dealer's visible cards (the upcard until the hand is over) and value."""
     score, soft = hand_value(game.hand)
-    legal = game.legal_ids_for(seat, terminal)
+    legal = game.legal_ids_for(seat)
     if legal:
         up = game.dealer_hand[0]
         dealer = (up,)
         dealer_visible = upcard_score(up)
-    else:  # the hand is over (or the view is terminal): every dealer card shows
+    else:  # the hand is over: every dealer card shows
         dealer = game.dealer_hand
         dealer_visible = hand_value(dealer)[0]
     return legal, (seat, game.hand, score, soft, dealer, dealer_visible)
@@ -136,8 +136,8 @@ def render_key(view) -> str:
     return info_key(score, soft, len(hand), dealer_visible)
 
 
-def observe(game: BlackjackGame, seat: int, terminal: bool = False):
-    legal, view = capture(game, seat, terminal)
+def observe(game: BlackjackGame, seat: int):
+    legal, view = capture(game, seat)
     return render_raw(view), legal, render_key(view)
 
 

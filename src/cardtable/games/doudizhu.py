@@ -163,9 +163,9 @@ def hand_literal(counts) -> str:
     return "".join(map(mul, DD_RANK_NAMES, counts))
 
 
-def capture(game: DoudizhuGame, seat: int, terminal: bool = False):
+def capture(game: DoudizhuGame, seat: int):
     """(legal ids, view): the seat's legal ids and the state its view reads."""
-    legal = game.legal_ids_for(seat, terminal)
+    legal = game.legal_ids_for(seat)
     view = (
         seat,
         game.landlord,
@@ -205,8 +205,8 @@ def render_key(view) -> str:
     return f"D{seat}|L{landlord}|{hand_literal(counts[seat])}|p{hand_literal(played)}|b{lead}|{recent}"
 
 
-def observe(game: DoudizhuGame, seat: int, terminal: bool = False):
-    legal, view = capture(game, seat, terminal)
+def observe(game: DoudizhuGame, seat: int):
+    legal, view = capture(game, seat)
     return render_raw(view), legal, render_key(view)
 
 

@@ -101,9 +101,9 @@ class LeducGame(BettingGame):
         self.rng.setstate(rng_state)
 
 
-def capture(game: LeducGame, seat: int, terminal: bool = False):
+def capture(game: LeducGame, seat: int):
     """(legal ids, view): the seat's legal ids and the state its view reads."""
-    legal = game.legal_ids_for(seat, terminal)
+    legal = game.legal_ids_for(seat)
     view = (
         seat,
         game.hands[seat],
@@ -136,8 +136,8 @@ def render_key(view) -> str:
     return info_key(seat, private % 3, None if public is None else public % 3, history)
 
 
-def observe(game: LeducGame, seat: int, terminal: bool = False):
-    legal, view = capture(game, seat, terminal)
+def observe(game: LeducGame, seat: int):
+    legal, view = capture(game, seat)
     return render_raw(view), legal, render_key(view)
 
 

@@ -223,9 +223,9 @@ class LimitHoldemGame(BettingGame):
         self.rng.setstate(rng_state)
 
 
-def capture(game: LimitHoldemGame, seat: int, terminal: bool = False):
+def capture(game: LimitHoldemGame, seat: int):
     """(legal ids, view): the seat's legal ids and the state its view reads."""
-    legal = game.legal_ids_for(seat, terminal)
+    legal = game.legal_ids_for(seat)
     view = (
         seat,
         game.hands[seat],
@@ -264,8 +264,8 @@ def render_key(view) -> str:
     )
 
 
-def observe(game: LimitHoldemGame, seat: int, terminal: bool = False):
-    legal, view = capture(game, seat, terminal)
+def observe(game: LimitHoldemGame, seat: int):
+    legal, view = capture(game, seat)
     return render_raw(view), legal, render_key(view)
 
 

@@ -262,9 +262,9 @@ class UnoGame(Game):
         self.rng.setstate(rng_state)
 
 
-def capture(game: UnoGame, seat: int, terminal: bool = False):
+def capture(game: UnoGame, seat: int):
     """(legal ids, view): the seat's legal ids and the state its view reads."""
-    legal = game.legal_ids_for(seat, terminal)
+    legal = game.legal_ids_for(seat)
     view = (
         seat,
         game.hands[seat],
@@ -308,8 +308,8 @@ def render_key(view) -> str:
     )
 
 
-def observe(game: UnoGame, seat: int, terminal: bool = False):
-    legal, view = capture(game, seat, terminal)
+def observe(game: UnoGame, seat: int):
+    legal, view = capture(game, seat)
     return render_raw(view), legal, render_key(view)
 
 

@@ -70,7 +70,7 @@ def test_criterion_01_selfplay_determinism(capsys):
 def test_criterion_02_step_back_restores_state():
     started = time.perf_counter()
     for gid in GAME_IDS:
-        env = make(EnvConfig(game_id=gid, seed=3, allow_step_back=True))
+        env = make(EnvConfig(game_id=gid, seed=3))
         rng = Rng(90 + len(gid))
         probes = 0
         obs, _ = env.new_game()

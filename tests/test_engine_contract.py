@@ -1,5 +1,5 @@
-"""Engine boundaries on every game id: illegal ids, full-state undo, and
-payoffs only at the end."""
+"""Engine boundaries on every game id: illegal ids, full-state undo,
+payoffs only at the end, and deals that always ask for a decision."""
 
 import copy
 
@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from cardtable.agents import Agent, RandomAgent
 from cardtable.core.rng import Rng
 from cardtable.env import GAME_IDS, REGISTRY, EnvConfig, make, make_single_agent
-from cardtable.errors import GameNotOver, IllegalAction, IllegalMove
+from cardtable.errors import GameNotOver, GameOver, IllegalAction, IllegalMove
+from cardtable.games import blackjack
 
 
 @pytest.mark.parametrize("game_id", GAME_IDS)
@@ -26,7 +27,7 @@ def test_out_of_range_ids_are_illegal_moves(game_id):
 
 @pytest.mark.parametrize("game_id", GAME_IDS)
 def test_rejected_move_leaves_nothing_to_undo(game_id):
-    env = make(EnvConfig(game_id, seed=2, allow_step_back=True))
+    env = make(EnvConfig(game_id, seed=2))
     env.new_game()
     with pytest.raises(IllegalAction):
         env.step(999)
@@ -108,7 +109,7 @@ def full_state(game):
 def test_step_back_restores_every_field(game_id, seed, players, choices):
     """Walk forward, then undo each step: every field comes back, not only what snapshot() holds."""
     lo, hi = REGISTRY[game_id].player_range
-    env = make(EnvConfig(game_id, seed=seed, num_players=lo + players % (hi - lo + 1), allow_step_back=True))
+    env = make(EnvConfig(game_id, seed=seed, num_players=lo + players % (hi - lo + 1)))
     env.new_game()
     game = env.game
     states = []
@@ -179,3 +180,48 @@ def test_payoffs_only_at_the_end(game_id, seed, players):
     assert payoffs == game.payoffs()
     assert len(payoffs) == env.num_players
     check_final_payoffs(game_id, payoffs, getattr(game, "landlord", None))
+
+
+@pytest.mark.parametrize("players", ["fewest", "most"])
+@pytest.mark.parametrize("game_id", GAME_IDS)
+def test_every_deal_asks_for_a_decision(game_id, players):
+    """The Env follows the seat reset returns without asking is_over(): no deal may end a game."""
+    lo, hi = REGISTRY[game_id].player_range
+    env = make(EnvConfig(game_id, seed=11, num_players=lo if players == "fewest" else hi))
+    for _ in range(300):
+        _, seat = env.new_game()
+        assert type(seat) is int
+        assert seat == env.game.current_player()
+        assert not env.game.is_over()
+
+
+@pytest.mark.parametrize("game_id", GAME_IDS)
+def test_the_engine_raises_what_the_env_no_longer_checks(game_id):
+    env = make(EnvConfig(game_id, seed=4))
+    obs, _ = env.new_game()
+    with pytest.raises(GameNotOver):
+        env.get_payoffs()
+    rng = Rng(4)
+    while obs.legal_action_ids:
+        obs, _ = env.step(rng.choice(obs.legal_action_ids))
+    assert env.is_over()
+    with pytest.raises(GameOver):
+        env.step(0)
+    assert env.step_back()  # undoes the last legal move: the refused step pushed no snapshot
+    assert not env.is_over()
+
+
+def test_a_running_blackjack_hand_shows_one_dealer_card():
+    """Every view of a running hand, lazy or eager, hides the hole card; the ended hand shows it."""
+    env = make(EnvConfig("blackjack", seed=3))
+    rng = Rng(3)
+    for _ in range(200):
+        obs, seat = env.new_game()
+        while obs.legal_action_ids:
+            game = env.game
+            raw, _, key = blackjack.observe(game, seat)
+            _, view = blackjack.capture(game, seat)
+            assert len(obs.raw["dealer_cards"]) == len(raw["dealer_cards"]) == len(view[4]) == 1
+            assert obs.info_key == key
+            obs, seat = env.step(rng.choice(obs.legal_action_ids))
+        assert len(obs.raw["dealer_cards"]) >= 2

@@ -191,7 +191,7 @@ class TestRunMode:
 class TestTreeMode:
     def test_walk_and_undo(self):
         rng = Rng(8)
-        config = EnvConfig("doudizhu", seed=3, allow_step_back=True)
+        config = EnvConfig("doudizhu", seed=3)
         env = make(config)
         obs, seat = env.new_game()
         trace = [(obs, seat)]
@@ -212,7 +212,7 @@ class TestTreeMode:
             assert (obs, seat) == trace[i + 1]
 
     def test_rejected_step_and_new_deal_leave_nothing_to_undo(self):
-        env = make(EnvConfig("uno", seed=4, allow_step_back=True))
+        env = make(EnvConfig("uno", seed=4))
         obs, _ = env.new_game()
         start = env.game.snapshot()
         with pytest.raises(IllegalAction):
@@ -228,10 +228,14 @@ class TestTreeMode:
         env.new_game()
         assert not env.step_back()
 
-    def test_no_undo_without_allow_step_back(self):
+    def test_undo_needs_no_switch(self):
         env = make(EnvConfig("uno", seed=4))
         obs, _ = env.new_game()
+        before = env.game.snapshot()
         env.step(obs.legal_action_ids[0])
+        assert env.game.snapshot() != before
+        assert env.step_back()
+        assert env.game.snapshot() == before
         assert not env.step_back()
 
     def test_terminal_obs_and_payoffs(self):
@@ -322,8 +326,8 @@ class TestObservation:
         env = make(EnvConfig("leduc", seed=3))
         base_extract = env.extract_state
 
-        def tagged(seat, terminal=False):
-            obs = base_extract(seat, terminal)
+        def tagged(seat):
+            obs = base_extract(seat)
             obs.raw["tag"] = True
             return obs
 

@@ -13,13 +13,13 @@ from cardtable.errors import IllegalAction, IllegalMove
 
 
 def tree_env(game_id, seed=3):
-    env = make(EnvConfig(game_id, seed=seed, allow_step_back=True))
+    env = make(EnvConfig(game_id, seed=seed))
     env.new_game()
     return env
 
 
-def eager(env, seat, terminal=False):
-    return env.spec.module.observe(env.game, seat, terminal)
+def eager(env, seat):
+    return env.spec.module.observe(env.game, seat)
 
 
 @pytest.mark.parametrize("game_id", GAME_IDS)
@@ -81,7 +81,7 @@ def test_raw_renders_once():
 @given(seed=st.integers(0, 2**32 - 1), walk=st.lists(st.integers(0, 7), min_size=1, max_size=60))
 def test_cached_legal_moves_match_the_engine(game_id, seed, walk):
     """Random step/step_back walks: the cached list always equals a fresh computation."""
-    env = make(EnvConfig(game_id, seed=seed, allow_step_back=True))
+    env = make(EnvConfig(game_id, seed=seed))
     env.new_game()
     game = env.game
     for choice in walk:
