@@ -127,16 +127,12 @@ def _checked(key: str, action_ids, probs) -> tuple[tuple[int, ...], tuple[float,
 def average_policy(entries) -> PolicyTable:
     """Table from (key, action ids, cumulative strategy) triples.
 
-    Each strategy sum is normalized; one with no positive mass becomes
-    uniform over its action ids.
+    PolicyTable.set normalizes each strategy sum; one with no positive
+    mass becomes uniform over its action ids.
     """
     table = PolicyTable()
     for key, ids, weights in entries:
-        total = left_sum(weights)
-        if total > 0.0:
-            table.set(key, ids, [w / total for w in weights])
-        else:
-            table.set(key, ids, [1.0] * len(ids))
+        table.set(key, ids, weights if left_sum(weights) > 0.0 else [1.0] * len(ids))
     return table
 
 

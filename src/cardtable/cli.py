@@ -22,6 +22,7 @@ fails at run time.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -233,7 +234,7 @@ def _cmd_tournament(args) -> int:
     print(table)
     out = merged.get("out")
     if out is not None:
-        summary = json.dumps(result.summary_dict() | {"agents": list(names)}, indent=2, sort_keys=True) + "\n"
+        summary = json.dumps(dataclasses.asdict(result) | {"agents": list(names)}, indent=2, sort_keys=True) + "\n"
         _write_outputs(out, {"results.csv": table + "\n", "summary.json": summary}, "tournament", merged.manifest_config())
     return 0
 

@@ -3,10 +3,11 @@
 An Env is built from an EnvConfig by make() and exposes three modes:
 
 * run(): play one full game with the registered agents and return
-  per-player trajectories plus payoffs. Transitions carry a delayed
-  next state: a player's next_state is their observation at their own
-  next decision point (or the view of the ended game), rewards are
-  zero until done.
+  (trajectories, payoffs), where trajectories[s] is seat s's tuple of
+  Transition(state, action, reward, next_state, done) in turn order.
+  Transitions carry a delayed next state: a player's next_state is
+  their observation at their own next decision point (or the view of
+  the ended game), rewards are zero until done.
 * new_game()/step()/step_back(): manual tree traversal for solvers.
   step returns the new current player's observation; step_back undoes
   one step including every chance event, from the game.snapshot() the
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from cardtable.core.contracts import int_param
 from cardtable.core.rng import FANOUT_BLOCK, Rng, fanout_block
@@ -88,8 +89,7 @@ class GameSpec:
     factory: Callable
     module: object
     num_actions: int
-    default_players: int
-    player_range: tuple[int, int]
+    player_range: tuple[int, int]  # EnvConfig's default seat count is the low end
     params: tuple[str, ...]
 
 
@@ -97,27 +97,27 @@ def _build_registry() -> dict[str, GameSpec]:
     return {
         "blackjack": GameSpec(
             lambda rng, n, p: blackjack.BlackjackGame(rng),
-            blackjack, blackjack.NUM_ACTIONS, 1, (1, 1), (),
+            blackjack, blackjack.NUM_ACTIONS, (1, 1), (),
         ),
         "leduc": GameSpec(
             lambda rng, n, p: leduc.LeducGame(rng),
-            leduc, leduc.NUM_ACTIONS, 2, (2, 2), (),
+            leduc, leduc.NUM_ACTIONS, (2, 2), (),
         ),
         "limit_holdem": GameSpec(
             lambda rng, n, p: limit_holdem.LimitHoldemGame(rng, num_players=n, **p),
-            limit_holdem, limit_holdem.NUM_ACTIONS, 2, (2, 10), ("fixed_raise",),
+            limit_holdem, limit_holdem.NUM_ACTIONS, (2, 10), ("fixed_raise",),
         ),
         "uno": GameSpec(
             lambda rng, n, p: uno.UnoGame(rng, num_players=n, **p),
-            uno, uno.NUM_ACTIONS, 2, (2, 4), ("hand_size",),
+            uno, uno.NUM_ACTIONS, (2, 4), ("hand_size",),
         ),
         "doudizhu": GameSpec(
             lambda rng, n, p: doudizhu.DoudizhuGame(rng, variant="full", **p),
-            doudizhu, doudizhu.NUM_ACTIONS, 3, (3, 3), ("landlord",),
+            doudizhu, doudizhu.NUM_ACTIONS, (3, 3), ("landlord",),
         ),
         "mini_doudizhu": GameSpec(
             lambda rng, n, p: doudizhu.DoudizhuGame(rng, variant="mini", **p),
-            doudizhu, doudizhu.NUM_ACTIONS, 3, (3, 3), ("landlord",),
+            doudizhu, doudizhu.NUM_ACTIONS, (3, 3), ("landlord",),
         ),
     }
 
@@ -139,9 +139,9 @@ class EnvConfig:
 
     An unregistered game_id raises UnknownGame; a seat count that is not
     an int in the game's range, or a game_params name the game does not
-    take, InvalidParam. A None num_players becomes the game's default, so
-    every holder of a config reads a valid int. The engine checks the
-    parameter values.
+    take, InvalidParam. A None num_players becomes the low end of the
+    game's range, so every holder of a config reads a valid int. The
+    engine checks the parameter values.
     """
 
     game_id: str
@@ -151,7 +151,7 @@ class EnvConfig:
 
     def __post_init__(self):
         spec = game_spec(self.game_id)
-        n = spec.default_players if self.num_players is None else self.num_players
+        n = spec.player_range[0] if self.num_players is None else self.num_players
         object.__setattr__(self, "num_players", int_param(f"{self.game_id} num_players", n, *spec.player_range))
         for key in self.game_params:
             if key not in spec.params:
@@ -236,19 +236,14 @@ class Observation:
         return f"Observation(player={self.player_id}, key={self.info_key!r}, legal={self.legal_action_ids})"
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
+    """One decision of one seat, with the seat's view at its next decision."""
+
     state: Observation
     action: int
     reward: float
     next_state: Observation
     done: bool
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    player_id: int
-    transitions: tuple[Transition, ...]
 
 
 class Env:
@@ -335,27 +330,25 @@ class Env:
         self._agents = agents
 
     def run(self):
-        """Play one complete game; returns (trajectories, payoffs)."""
+        """Play one complete game; returns (trajectories, payoffs), where
+        trajectories[s] is seat s's tuple of transitions in turn order."""
         if self._agents is None:
             raise AgentsNotSet("call set_agents() before run()")
         seat = self._begin_game()
-        pending: list[tuple | None] = [None] * self.num_players
+        last: list[tuple | None] = [None] * self.num_players  # each seat's newest (state, action)
         transitions: list[list[Transition]] = [[] for _ in range(self.num_players)]
         while seat is not None:
             obs = self.extract_state(seat)
-            if pending[seat] is not None:
-                prev_obs, prev_action = pending[seat]
-                transitions[seat].append(Transition(prev_obs, prev_action, 0.0, obs, False))
+            if last[seat] is not None:
+                transitions[seat].append(Transition(*last[seat], 0.0, obs, False))
             action = self._agents[seat].eval_step(obs, self._agent_rngs[seat])
-            pending[seat] = (obs, action)
+            last[seat] = (obs, action)
             seat = self._act(action, "agent")
         payoffs = self.game.payoffs()
-        for s in range(self.num_players):
-            if pending[s] is not None:
-                prev_obs, prev_action = pending[s]
-                transitions[s].append(Transition(prev_obs, prev_action, payoffs[s], self.extract_state(s), True))
-        trajectories = [Trajectory(s, tuple(transitions[s])) for s in range(self.num_players)]
-        return trajectories, payoffs
+        for s, pair in enumerate(last):
+            if pair is not None:
+                transitions[s].append(Transition(*pair, payoffs[s], self.extract_state(s), True))
+        return [tuple(seat_transitions) for seat_transitions in transitions], payoffs
 
     # tree mode ----------------------------------------------------------
 
@@ -461,10 +454,10 @@ def serialize_trajectories(game_id: str, seed: int, game_index: int, trajectorie
     byte for byte.
     """
     lines = [f"# game={game_id} seed={seed} index={game_index} payoffs={','.join(f'{p:g}' for p in payoffs)}"]
-    for traj in trajectories:
-        for i, t in enumerate(traj.transitions):
+    for player, transitions in enumerate(trajectories):
+        for i, t in enumerate(transitions):
             lines.append(
-                f"{game_id},{seed},{game_index},{traj.player_id},{i},"
+                f"{game_id},{seed},{game_index},{player},{i},"
                 f"{state_hash(t.state.info_key)},{t.action},{t.reward:g},{int(t.done)}"
             )
     return "\n".join(lines) + "\n"

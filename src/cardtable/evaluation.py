@@ -68,24 +68,6 @@ class TournamentResult:
             lines.append(f"all,*,{a},{self.game_count},{mean:.6f},{var:.6f}")
         return "\n".join(lines)
 
-    def summary_dict(self) -> dict:
-        return {
-            "game_id": self.game_id,
-            "game_count": self.game_count,
-            "scheme": self.scheme,
-            "agent_means": list(self.agent_means),
-            "agent_variances": list(self.agent_variances),
-            "blocks": [
-                {
-                    "assignment": list(b.assignment),
-                    "games": b.games,
-                    "seat_means": list(b.seat_means),
-                    "seat_variances": list(b.seat_variances),
-                }
-                for b in self.blocks
-            ],
-        }
-
 
 def _mean_var(values) -> tuple[float, float]:
     n = len(values)

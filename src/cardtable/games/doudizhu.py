@@ -52,6 +52,8 @@ _LEVELS = np.arange(5).reshape(5, 1)  # the count each row of a plane stands for
 class DoudizhuGame(Game):
     """Three-seat dou dizhu over count-vector hands."""
 
+    num_players = NUM_PLAYERS
+
     def __init__(self, rng, landlord=0, variant: str = "full"):
         if variant not in _VARIANTS:
             raise InvalidParam(f"unknown variant {variant!r}, expected 'full' or 'mini'")

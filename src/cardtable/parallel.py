@@ -92,7 +92,7 @@ def _play_block(config: EnvConfig, agents, indices, collect_logs: bool):
         try:
             env.seek(i)
             trajectories, payoffs = env.run()
-            steps = sum(len(t.transitions) for t in trajectories)
+            steps = sum(map(len, trajectories))
             log = (
                 serialize_trajectories(config.game_id, config.seed, i, trajectories, payoffs)
                 if collect_logs

@@ -134,6 +134,12 @@ class TestPolicyTable:
         assert table.probs_for("a", ()) == ((0, 1), (0.25, 0.75))
         assert table.probs_for("b", ()) == ((2, 5), (0.5, 0.5))
 
+    def test_average_policy_divides_each_weight_once(self):
+        # a second division by the rounded sum of the first quotients
+        # would store 0.16666666666666669 and 0.6666666666666667
+        table = average_policy([("k", (0, 1, 2), [1.0, 4.0, 1.0])])
+        assert table.probs_for("k", ()) == ((0, 1, 2), (1.0 / 6, 4.0 / 6, 1.0 / 6))
+
     def test_unseen_key_uniform(self):
         table = PolicyTable()
         ids, probs = table.probs_for("missing", (4, 7))

@@ -102,14 +102,14 @@ def view_digest(game_id: str) -> str:
     for _ in range(VIEW_GAMES):
         trajectories, _ = env.run()
         for trajectory in trajectories:
-            for t in trajectory.transitions:
+            for t in trajectory:
                 _update_view(digest, t.state)
                 _update_view(digest, t.next_state)
     return digest.hexdigest()
 
 
 def single_agent_digest(game_id: str, learner_seat: int) -> str:
-    opponents = [RandomAgent() for _ in range(game_spec(game_id).default_players - 1)]
+    opponents = [RandomAgent() for _ in range(game_spec(game_id).player_range[0] - 1)]
     env = make_single_agent(EnvConfig(game_id, seed=SEED), opponents, learner_seat)
     digest = hashlib.sha256()
     for _ in range(SA_EPISODES):

@@ -3,9 +3,11 @@
 These are the outputs a refactor must leave byte for byte the same:
 `cardtable selfplay --games 1000 --seed 7` for every game id, the
 `policy.txt` of `cardtable train --game leduc --algo cfr --iters 1000
---seed 7`, and the `exploit.csv` that `cardtable exploit --game leduc`
-writes for that policy. Each runs through cli.main, as the command line
-does; tests/test_byte_identity.py pins the Env's shorter logs and views.
+--seed 7`, the `exploit.csv` that `cardtable exploit --game leduc`
+writes for that policy, and the `results.csv` and `summary.json` of
+`cardtable tournament --game leduc --games 2000 --seed 7`. Each runs
+through cli.main, as the command line does; tests/test_byte_identity.py
+pins the Env's shorter logs and views.
 """
 
 import contextlib
@@ -28,6 +30,10 @@ SELFPLAY_1000_SHA256 = {
 CFR_LEDUC_1000_POLICY_SHA256 = "cc699e5e2069273352ecfecf44b23228fa7848a923a3501731c0c978297c3c98"
 # the csv names the policy as given on the command line: policy.txt
 CFR_LEDUC_1000_EXPLOIT_SHA256 = "dbbeb927ea41c27ba81bae1c13e0a2919475967bad916aa410ba721d2f27e5f6"
+TOURNAMENT_LEDUC_2000_SHA256 = {
+    "results.csv": "fc894d20752b5ba8dd15a26bf2f30383ed7454d7505ea5b59ca494d1768f4a82",
+    "summary.json": "aba04eba98761d5d49fbc124606d28f50cfdb9bc6093dca4486fe1cf48ebfc9c",
+}
 
 
 @pytest.fixture(autouse=True)
@@ -58,3 +64,9 @@ def test_cfr_policy_and_its_exploitability(tmp_path, monkeypatch):
     assert sha256((tmp_path / "policy.txt").read_bytes()) == CFR_LEDUC_1000_POLICY_SHA256
     stdout_of(["exploit", "--game", "leduc", "--agents", "policy.txt", "--out", "."])
     assert sha256((tmp_path / "exploit.csv").read_bytes()) == CFR_LEDUC_1000_EXPLOIT_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(TOURNAMENT_LEDUC_2000_SHA256))
+def test_tournament_outputs(name, tmp_path):
+    stdout_of(["tournament", "--game", "leduc", "--games", "2000", "--seed", "7", "--out", str(tmp_path)])
+    assert sha256((tmp_path / name).read_bytes()) == TOURNAMENT_LEDUC_2000_SHA256[name]

@@ -8,6 +8,7 @@ of the compensated sum and check that the pinned outputs hold.
 """
 
 import builtins
+import dataclasses
 import hashlib
 import json
 import math
@@ -78,7 +79,7 @@ def test_best_responses_equal_the_walk(compensated):
 def test_tournament_summary_is_the_same_under_both_sums(monkeypatch):
     def summary():
         result = tournament(EnvConfig("leduc", seed=7), [RandomAgent(), RandomAgent()], 2000)
-        return json.dumps(result.summary_dict(), sort_keys=True)
+        return json.dumps(dataclasses.asdict(result), sort_keys=True)
 
     plain = summary()
     monkeypatch.setattr(builtins, "sum", compensated_sum)

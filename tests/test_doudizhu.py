@@ -680,6 +680,6 @@ class TestPlanesAgainstOracle:
         for _ in range(20):
             trajectories, _ = env.run()
             for trajectory in trajectories:
-                for t in trajectory.transitions:
+                for t in trajectory:
                     assert_planes_match_oracle(t.state.raw)
                     assert_planes_match_oracle(t.next_state.raw)

@@ -80,11 +80,11 @@ def test_env_reports_illegal_ids_as_illegal_actions(game_id):
     assert frozen(env) == before
 
 
-@pytest.mark.parametrize("game_id", [g for g in GAME_IDS if REGISTRY[g].default_players > 1])
+@pytest.mark.parametrize("game_id", [g for g in GAME_IDS if REGISTRY[g].player_range[0] > 1])
 def test_single_agent_opponents_choosing_illegal_ids(game_id):
     """Blackjack has no opponent seat, so it is not listed."""
     agent = IllegalAgent()
-    players = REGISTRY[game_id].default_players
+    players = REGISTRY[game_id].player_range[0]
     env = make_single_agent(EnvConfig(game_id, seed=5), [agent] * (players - 1), learner_seat=players - 1)
     agent.env = env
     with pytest.raises(IllegalAction, match="opponent at seat"):
@@ -193,6 +193,13 @@ def test_every_deal_asks_for_a_decision(game_id, players):
         assert type(seat) is int
         assert seat == env.game.current_player()
         assert not env.game.is_over()
+
+
+@pytest.mark.parametrize("game_id", GAME_IDS)
+def test_the_engine_seats_as_many_players_as_the_config(game_id):
+    for n in REGISTRY[game_id].player_range:
+        config = EnvConfig(game_id, num_players=n)
+        assert make(config).game.num_players == config.num_players
 
 
 @pytest.mark.parametrize("game_id", GAME_IDS)

@@ -124,13 +124,13 @@ class TestRunMode:
         for gid in ("leduc", "uno", "doudizhu", "blackjack"):
             _, games = run_games(EnvConfig(gid, seed=11), 8)
             for trajectories, payoffs, _ in games:
-                for traj in trajectories:
-                    steps = traj.transitions
+                for seat, steps in enumerate(trajectories):
                     for i, t in enumerate(steps):
+                        assert t.state.player_id == seat
                         assert t.action in t.state.legal_action_ids
                         last = i == len(steps) - 1
                         assert t.done is last
-                        assert t.reward == (payoffs[traj.player_id] if last else 0.0)
+                        assert t.reward == (payoffs[seat] if last else 0.0)
                         if not last:
                             assert t.next_state == steps[i + 1].state
                     if steps:
@@ -145,7 +145,7 @@ class TestRunMode:
 
     def test_games_differ_across_indices(self):
         _, games = run_games(EnvConfig("leduc", seed=2), 6)
-        keys = {g[0][0].transitions[0].state.info_key for g in games}
+        keys = {g[0][0][0].state.info_key for g in games}
         assert len(keys) > 1
 
     def test_seek_jumps_the_seed_sequence(self):
@@ -184,7 +184,7 @@ class TestRunMode:
 
     def test_timesteps_count_decisions(self):
         env, games = run_games(EnvConfig("leduc", seed=5), 3)
-        want = sum(len(t.transitions) for g in games for t in g[0])
+        want = sum(len(t) for g in games for t in g[0])
         assert env.timesteps == want
 
 
@@ -334,7 +334,7 @@ class TestObservation:
         env.extract_state = tagged
         env.set_agents([RandomAgent(), RandomAgent()])
         trajectories, _ = env.run()
-        assert all(t.state.raw["tag"] for traj in trajectories for t in traj.transitions)
+        assert all(t.state.raw["tag"] for traj in trajectories for t in traj)
 
 
 class TestSerialization:

@@ -5,6 +5,8 @@ tree module, one expands deals from the betting rules directly), so
 their agreement to 1e-9 is treated as a correctness gate for both.
 """
 
+import dataclasses
+import json
 import math
 
 import pytest
@@ -199,7 +201,7 @@ class TestTournament:
     def test_summary_dict_round_trips_fields(self):
         config = EnvConfig("leduc", seed=1)
         result = tournament(config, [RandomAgent(), RandomAgent()], 20)
-        summary = result.summary_dict()
+        summary = json.loads(json.dumps(dataclasses.asdict(result)))
         assert summary["game_id"] == "leduc"
         assert summary["scheme"] == result.scheme
         assert summary["agent_means"] == list(result.agent_means)

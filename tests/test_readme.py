@@ -1,0 +1,27 @@
+"""The README's library example runs as written and returns what it says."""
+
+import pathlib
+import re
+
+from cardtable.env import Transition
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
+
+
+def five_line_example() -> str:
+    section = README.read_text().split("## Library in five lines", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_in_five_lines():
+    names = {}
+    exec(five_line_example(), names)
+    trajectories, payoffs = names["trajectories"], names["payoffs"]
+    env = names["env"]
+    assert isinstance(trajectories, list)
+    assert len(trajectories) == len(payoffs) == env.num_players
+    for seat_transitions in trajectories:
+        assert type(seat_transitions) is tuple
+        assert seat_transitions
+        assert all(type(t) is Transition for t in seat_transitions)
+        assert seat_transitions[-1].done

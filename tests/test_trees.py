@@ -29,7 +29,7 @@ CFR_DUMPS_SHA256 = {
     10: "aaf7c51699ed87253f7fa71053a258c8be2066cdc160ebac95fb39d44a881489",
     100: "2b2fbff4a893d28f5d2ceb0f542ba2cb8b6cb9a14c45078bf8ff3620ce073efd",
 }
-CFR_100_EXPLOITABILITY_REPR = "0.18198016616763046"
+CFR_100_EXPLOITABILITY_REPR = "0.18198016616763038"
 LEDUC_KEYS_SHA256 = "59205c35d9f95895aba84ee294c73546a91d2f217511e2f038e7cb938e84ef25"
 LEDUC_TABLES_SHA256 = "6041c7355f3ab7700ca9ae7cbf5c0538200793677497f4dcb07b361c779b088e"
 
