@@ -56,11 +56,12 @@ class MCCFRTrainer:
     """External-sampling MCCFR over the traversable game ids.
 
     Deterministic for a fixed config seed: deals come from the env's
-    per-game fan-out and opponent sampling from a stream split off the
-    same master seed.
+    per-game fan-out and opponent sampling from the one stream
+    split_seed(config.seed, 0x5CF). tables maps each visited info key,
+    in first-visit order, to its (actions, regrets, strategy_sum).
     """
 
-    def __init__(self, config: EnvConfig, sample_seed: int | None = None):
+    def __init__(self, config: EnvConfig):
         self.env = make(config)
         if config.game_id not in TRAVERSABLE_GAMES:
             raise GameTooLarge(
@@ -72,13 +73,9 @@ class MCCFRTrainer:
         self._capture, self._render_key = module.capture, module.render_key
         self._tree = compiled_tree("leduc") if config.game_id == "leduc" else None
         self._public_child = 0  # the current leduc deal's child at the public chance node
-        if sample_seed is None:
-            sample_seed = split_seed(config.seed, 0x5CF)
-        self.rng = Rng(sample_seed)
+        self.rng = Rng(split_seed(config.seed, 0x5CF))
         self.iterations = 0
-        self.regrets: dict[str, list[float]] = {}
-        self.strategy_sum: dict[str, list[float]] = {}
-        self.actions_at: dict[str, tuple] = {}
+        self.tables: dict[str, tuple[tuple, list[float], list[float]]] = {}
 
     def run(self, iterations: int) -> None:
         iterate = self._iterate_engine if self._tree is None else self._iterate_tree
@@ -88,9 +85,7 @@ class MCCFRTrainer:
 
     def policy(self) -> PolicyTable:
         """Normalized average strategy; unvisited keys fall back to uniform."""
-        return average_policy(
-            (key, self.actions_at[key], weights) for key, weights in self.strategy_sum.items()
-        )
+        return average_policy((key, actions, weights) for key, (actions, _, weights) in self.tables.items())
 
     def _iterate_engine(self) -> None:
         """One traversal per seat, stepping and backing out of the engine."""
@@ -105,13 +100,12 @@ class MCCFRTrainer:
             deal_child, self._public_child = LeducTree.deal_children(game.hands, game.draw_public())
             self._walk(deals[deal_child], traverser)
 
-    def _tables(self, key: str, legal) -> tuple[list[float], list[float]]:
-        regr = self.regrets.get(key)
-        if regr is None:
-            regr = self.regrets[key] = [0.0] * len(legal)
-            self.strategy_sum[key] = [0.0] * len(legal)
-            self.actions_at[key] = legal
-        return regr, self.strategy_sum[key]
+    def _tables(self, key: str, legal) -> tuple[tuple, list[float], list[float]]:
+        """The (actions, regrets, strategy_sum) row of key, made on first visit."""
+        row = self.tables.get(key)
+        if row is None:
+            row = self.tables[key] = (legal, [0.0] * len(legal), [0.0] * len(legal))
+        return row
 
     def _sample(self, strategy: list[float], strat_sum: list[float]) -> int:
         """At an opponent's set: add the strategy to its sum and sample one action's index."""
@@ -131,7 +125,7 @@ class MCCFRTrainer:
         """Sampled counterfactual value for the traverser of a running game, seat to act."""
         game = self.game
         legal, view = self._capture(game, seat)
-        regr, strat_sum = self._tables(self._render_key(view), legal)
+        _, regr, strat_sum = self._tables(self._render_key(view), legal)
         strategy = regret_matching(regr)
         snap = game.snapshot()
         if seat != traverser:
@@ -157,7 +151,7 @@ class MCCFRTrainer:
         if kind == CHANCE:
             return self._walk(children[self._public_child], traverser)
         i = tree.info[node]
-        regr, strat_sum = self._tables(tree.keys[i], tree.actions[i])
+        _, regr, strat_sum = self._tables(tree.keys[i], tree.actions[i])
         strategy = regret_matching(regr)
         if tree.seat[node] != traverser:
             return self._walk(children[self._sample(strategy, strat_sum)], traverser)
@@ -167,8 +161,10 @@ class MCCFRTrainer:
 def mccfr_external_train(game: str, iterations: int, rng_seed: int = 0) -> PolicyTable:
     """Train external-sampling MCCFR on a game id and return the average policy.
 
-    rng_seed seeds the deals and, through split_seed(rng_seed, 1), the sampling.
+    Trains MCCFRTrainer(EnvConfig(game_id=game, seed=rng_seed)), so its
+    policy is byte for byte the one `cardtable train --algo mccfr --seed
+    rng_seed` writes.
     """
-    trainer = MCCFRTrainer(EnvConfig(game_id=game, seed=rng_seed), sample_seed=split_seed(rng_seed, 1))
+    trainer = MCCFRTrainer(EnvConfig(game_id=game, seed=rng_seed))
     trainer.run(iterations)
     return trainer.policy()

@@ -31,8 +31,7 @@ class QLearnParams:
 class QTable:
     """info_key -> action values aligned with the key's legal ids."""
 
-    def __init__(self, params: QLearnParams):
-        self.params = params
+    def __init__(self):
         self._table: dict[str, tuple[tuple[int, ...], list[float]]] = {}
 
     def __len__(self) -> int:
@@ -69,7 +68,7 @@ def qlearn_train(env, episodes: int, params: QLearnParams | None = None) -> QTab
     first (lowest) legal action id for determinism.
     """
     params = params or QLearnParams()
-    table = QTable(params)
+    table = QTable()
     lr = params.learning_rate
     gamma = params.discount
     for episode in range(episodes):

@@ -33,15 +33,11 @@ for 64 games at a time (core.rng.fanout_block, cached by the block's
 first index) and builds each game's generators from their stored
 words; the streams are the ones Rng(split_seed(...)) gives.
 
-Observations are captured when they are made and rendered when read.
-The default extract_state asks the engine module's capture() for the
-legal ids plus a view that shares the engine's immutable fields; the
-Observation renders raw (render_raw), info_key (render_key) and planes
-(encode_planes) from that capture on first read, each at most once.
-Agents that read only the legal ids, or only the key, never pay for the
-rest, and a view read late still shows the state it was taken at.
-Each engine's observe(game, seat) is the eager composition of
-the same functions, returning (raw, legal, key). The Env never calls it.
+Observations are captured when they are made and rendered when read
+(see Observation); the default extract_state renders with the engine
+module's render_raw, render_key and encode_planes. Each engine's
+observe(game, seat) is the eager composition of the same functions,
+returning (raw, legal, key). The Env never calls it.
 It stays because the tests use it as the eager reference for the lazy
 Observation, and perfbench/tracing.py wraps it by name as a trace point.
 
@@ -54,10 +50,11 @@ seat; the game and the timestep count are left as they were.
 
 The observation hook (extract_state) is a method that an instance
 attribute of the same name replaces; a replacement may change raw views
-and planes but must keep the engine's legal action ids. Being a method,
-not a bound method stored on the instance, it leaves the Env free of
-reference cycles, so a dropped Env is freed at once. Actions need no
-decoding hook: every engine steps on the action ids themselves.
+and planes, by passing its own renderers to Observation, but must keep
+the engine's legal action ids. Being a method, not a bound method stored
+on the instance, it leaves the Env free of reference cycles, so a
+dropped Env is freed at once. Actions need no decoding hook: every
+engine steps on the action ids themselves.
 """
 
 from __future__ import annotations
@@ -162,14 +159,14 @@ class EnvConfig:
 class Observation:
     """One player's view of a state: legal ids, raw dict, info key, planes.
 
-    The view is captured when the observation is made and rendered on
-    first read. The engine's capture takes the legal ids plus a view that
-    shares the engine's immutable fields; raw and info_key are each
-    rendered from that capture at most once, and planes are encoded from
-    raw at most once. So a reader of info_key alone never builds the raw
-    dict, and every view stays the one at observation time however the
-    game moves on. Observation(player_id, legal, raw, info_key,
-    planes_fn) wraps views already built, for replaced hooks.
+    Observation(player_id, legal_action_ids, view, render) holds an
+    engine capture, the legal ids tuple plus a view that shares the engine's
+    immutable fields, and render = (render_raw, render_key, planes_fn).
+    raw and info_key are each rendered from the view on first read, at
+    most once, and planes are encoded from raw at most once. So a reader
+    of the legal ids alone builds nothing, a reader of info_key alone
+    never builds the raw dict, and every view stays the one at
+    observation time however the game moves on.
 
     Equality ignores the planes tensor (it is derived from raw and may
     be re-encoded by a replaced hook).
@@ -177,23 +174,12 @@ class Observation:
 
     __slots__ = ("player_id", "legal_action_ids", "_view", "_render", "_raw", "_info_key", "_planes")
 
-    def __init__(self, player_id, legal_action_ids, raw, info_key, planes_fn):
+    def __init__(self, player_id, legal_action_ids, view, render):
         self.player_id = player_id
-        self.legal_action_ids = tuple(legal_action_ids)
-        self._view = None
-        self._render = (None, None, planes_fn)
-        self._raw, self._info_key, self._planes = raw, info_key, None
-
-    @classmethod
-    def captured(cls, player_id, legal_action_ids, view, render):
-        """An observation of a capture; render is (render_raw, render_key, planes_fn)."""
-        obs = cls.__new__(cls)
-        obs.player_id = player_id
-        obs.legal_action_ids = legal_action_ids
-        obs._view = view
-        obs._render = render
-        obs._raw = obs._info_key = obs._planes = None
-        return obs
+        self.legal_action_ids = legal_action_ids
+        self._view = view
+        self._render = render
+        self._raw = self._info_key = self._planes = None
 
     @property
     def raw(self) -> dict:
@@ -275,7 +261,7 @@ class Env:
         """Observation hook; an instance attribute of the same name replaces
         it, and may change raw/planes but must keep the legal action ids."""
         legal, view = self.spec.module.capture(self.game, seat)
-        return Observation.captured(seat, legal, view, self._render)
+        return Observation(seat, legal, view, self._render)
 
     # shared plumbing --------------------------------------------------
 

@@ -63,7 +63,8 @@ class WorkerFailure(CardTableError):
 
 class InvalidPolicy(CardTableError, ValueError):
     """A policy entry has mismatched lengths, repeated action ids, or
-    probabilities that are negative, non-finite or without positive mass."""
+    probabilities that are negative, non-finite or without positive mass;
+    or a policy holds keys its game has no info set for."""
 
 
 class ParseError(CardTableError):

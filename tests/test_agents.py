@@ -36,6 +36,11 @@ def hex_table(table):
     return {key: [x.hex() for x in row] for key, row in table.items()}
 
 
+def mccfr_column(trainer, i):
+    """Column i of an MCCFR trainer's tables: 0 actions, 1 regrets, 2 strategy sums."""
+    return {key: row[i] for key, row in trainer.tables.items()}
+
+
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -326,11 +331,10 @@ class TestMCCFR:
         tree = MCCFRTrainer(EnvConfig("leduc", seed=seed))
         monkeypatch.setattr(LeducGame, "step", None)  # the tree walk never steps the engine
         tree.run(2000)
-        for table in ("regrets", "strategy_sum", "actions_at"):
-            assert list(getattr(tree, table)) == list(getattr(engine, table))
-        for table in ("regrets", "strategy_sum"):
-            assert hex_table(getattr(tree, table)) == hex_table(getattr(engine, table))
-        assert tree.actions_at == engine.actions_at
+        assert list(tree.tables) == list(engine.tables)
+        for i in (1, 2):  # regrets, strategy sums
+            assert hex_table(mccfr_column(tree, i)) == hex_table(mccfr_column(engine, i))
+        assert mccfr_column(tree, 0) == mccfr_column(engine, 0)
         assert tree.env.game_index == engine.env.game_index == 3999
         assert sha256(tree.policy().dumps()) == sha256(engine.policy().dumps())
 
@@ -342,7 +346,7 @@ class TestMCCFR:
             trainer = MCCFRTrainer(EnvConfig("leduc", seed=7))
             for _ in range(300):
                 getattr(trainer, walk)()
-            return hex_table(trainer.regrets), hex_table(trainer.strategy_sum)
+            return hex_table(mccfr_column(trainer, 1)), hex_table(mccfr_column(trainer, 2))
 
         plain = run()
         monkeypatch.setattr(builtins, "sum", compensated_sum)
@@ -358,7 +362,7 @@ class TestQLearning:
         assert params.epsilon_at(99, 100) == pytest.approx(0.05)
 
     def test_qtable_lazy_rows_and_ties(self):
-        table = QTable(QLearnParams())
+        table = QTable()
         ids, values = table.values_for("k", (1, 0))
         assert ids == (1, 0) and values == [0.0, 0.0]
         assert table.best_value("k", (1, 0)) == 0.0

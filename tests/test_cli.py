@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardtable.agents import PolicyTable, RandomAgent
+from cardtable.agents import PolicyTable, RandomAgent, mccfr_external_train
 from cardtable import cli
 from cardtable.cli import load_config, main
 from cardtable.env import GAME_IDS, EnvConfig
@@ -285,6 +285,13 @@ class TestTrain:
         assert main(argv) == 0
         assert len(PolicyTable.load(str(out / "policy.txt"))) > 0
 
+    @pytest.mark.parametrize("game_id, iters", [("leduc", 50), ("limit_holdem", 5)])
+    def test_mccfr_external_train_writes_the_cli_bytes(self, tmp_path, game_id, iters):
+        out = tmp_path / "m"
+        argv = ["train", "--algo", "mccfr", "--game", game_id, "--iters", str(iters), "--seed", "7", "--out", str(out)]
+        assert main(argv) == 0
+        assert mccfr_external_train(game_id, iters, rng_seed=7).dumps() == (out / "policy.txt").read_text(encoding="utf-8")
+
     def test_mccfr_refuses_uno(self, tmp_path, capsys):
         argv = ["train", "--algo", "mccfr", "--game", "uno", "--iters", "1", "--out", str(tmp_path / "m")]
         assert main(argv) == 1
@@ -436,6 +443,35 @@ class TestExploit:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[1] == policy_path
         assert 0.0 <= float(row[2]) < UNIFORM_LEDUC_EXPLOITABILITY / 2
+
+    def test_rejects_a_policy_for_another_game(self, tmp_path, capsys):
+        trained = tmp_path / "bj"
+        argv = ["train", "--game", "blackjack", "--algo", "qlearn", "--episodes", "5000", "--seed", "7", "--out", str(trained)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        out = tmp_path / "exp"
+        assert main(["exploit", "--game", "leduc", "--agents", str(trained / "policy.txt"), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("error:") and "leduc" in last
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "train",
+        [
+            ["--algo", "random"],
+            ["--algo", "mccfr", "--iters", "3"],
+            ["--algo", "qlearn", "--episodes", "20"],
+        ],
+        ids=["empty", "mccfr", "qlearn"],
+    )
+    def test_accepts_partial_leduc_tables(self, tmp_path, capsys, train):
+        out = tmp_path / "pol"
+        assert main(["train", "--game", "leduc", *train, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["exploit", "--game", "leduc", "--agents", str(out / "policy.txt")]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("leduc,")
 
 
 class TestCensus:

@@ -4,6 +4,7 @@ import gc
 import pickle
 import weakref
 from dataclasses import replace
+from operator import itemgetter
 
 import pytest
 
@@ -308,18 +309,21 @@ class TestSingleAgentMode:
             assert reward in (-1.0, 0.0, 1.0)
 
 
+RAW_KEY = (itemgetter(0), itemgetter(1))  # render_raw, render_key of a (raw, key) view
+
+
 class TestObservation:
     def test_equality_ignores_planes(self):
-        a = Observation(0, (1, 2), {"x": 1}, "k", lambda raw: [1])
-        b = Observation(0, (1, 2), {"x": 1}, "k", lambda raw: [2])
+        a = Observation(0, (1, 2), ({"x": 1}, "k"), (*RAW_KEY, lambda raw: [1]))
+        b = Observation(0, (1, 2), ({"x": 1}, "k"), (*RAW_KEY, lambda raw: [2]))
         assert a == b
         assert hash(a) == hash(b)
         assert a.planes == [1] and b.planes == [2]
 
     def test_inequality(self):
-        a = Observation(0, (1, 2), {}, "k", lambda raw: None)
-        assert a != Observation(1, (1, 2), {}, "k", lambda raw: None)
-        assert a != Observation(0, (1,), {}, "k", lambda raw: None)
+        a = Observation(0, (1, 2), ({}, "k"), (*RAW_KEY, lambda raw: None))
+        assert a != Observation(1, (1, 2), ({}, "k"), (*RAW_KEY, lambda raw: None))
+        assert a != Observation(0, (1,), ({}, "k"), (*RAW_KEY, lambda raw: None))
         assert (a == object()) is False
 
     def test_hooks_replaceable(self):

@@ -13,6 +13,12 @@ def five_line_example() -> str:
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
+def hook_example() -> str:
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    (block,) = [b for b in blocks if "def my_planes" in b]
+    return block
+
+
 def test_library_in_five_lines():
     names = {}
     exec(five_line_example(), names)
@@ -25,3 +31,15 @@ def test_library_in_five_lines():
         assert seat_transitions
         assert all(type(t) is Transition for t in seat_transitions)
         assert seat_transitions[-1].done
+
+
+def test_replaced_hook_renders_its_own_planes():
+    names = {}
+    exec(hook_example(), names)
+    trajectories, payoffs = names["trajectories"], names["payoffs"]
+    assert len(trajectories) == len(payoffs) == 2
+    states = [t.state for seat_transitions in trajectories for t in seat_transitions]
+    assert states
+    for obs in states:
+        assert type(obs.planes) is list  # the engine's encode_planes returns an array
+        assert obs.planes == names["my_planes"](obs.raw) == [obs.raw["my_chips"], obs.raw["opp_chips"]]
