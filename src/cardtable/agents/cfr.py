@@ -47,7 +47,6 @@ marked visited where one of its nodes has a nonzero player reach.
 
 from __future__ import annotations
 
-import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -199,15 +198,9 @@ def _wave_numbers(tree: CompiledTree):
     return np.array(read), np.array(done), np.array(rank)
 
 
-_SCHEDULES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def wave_schedule(tree: CompiledTree) -> WaveSchedule:
     """The WaveSchedule of a compiled tree, built once per tree."""
-    schedule = _SCHEDULES.get(tree)
-    if schedule is None:
-        schedule = _SCHEDULES[tree] = WaveSchedule(tree)
-    return schedule
+    return tree.derived(WaveSchedule)
 
 
 class CFRTrainer:

@@ -16,7 +16,9 @@ integer, or the command fails with InvalidParam naming the key (or
 CARDTABLE_SEED) before any work starts.
 
 Exit codes: 0 success, 2 command-line usage errors, 1 anything that
-fails at run time.
+fails at run time. A closed stdout (a reader such as `head` that exits
+early) is one of those: main ends it with exit code 1 and no traceback,
+pointing stdout at os.devnull so that the exit flush writes nowhere.
 """
 
 from __future__ import annotations
@@ -257,7 +259,7 @@ def _cmd_exploit(args) -> int:
     lines = [
         "game,agent,exploitability,br_value_p0,br_value_p1,units",
         f"{config.game_id},{name},{report.exploitability:.12f},"
-        f"{report.br_values[0]:.12f},{report.br_values[1]:.12f},{report.units}",
+        f"{report.br_values[0]:.12f},{report.br_values[1]:.12f},bb/hand",
     ]
     text = "\n".join(lines)
     print(text)
@@ -364,11 +366,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except CardTableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
+        try:
+            return args.func(args)
+        except CardTableError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except KeyboardInterrupt:
+            return 1
+        finally:
+            sys.stdout.flush()  # so a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -46,7 +46,8 @@ class GameTooLarge(CardTableError):
 
 
 class NotZeroSum(CardTableError):
-    """Exploitability is only defined for two-player zero-sum games."""
+    """compile_tree met a terminal whose payoffs are not (p, -p): exact
+    solvers and exploitability need a two-player zero-sum tree."""
 
 
 class SeatMismatch(CardTableError):

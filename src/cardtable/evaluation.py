@@ -16,14 +16,13 @@ construction and the sweep.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from cardtable.agents.policy import PolicyTable, left_sum
 from cardtable.env import EnvConfig, game_spec, make
-from cardtable.errors import GameTooLarge, InvalidParam, NotZeroSum, SeatMismatch
+from cardtable.errors import InvalidParam, SeatMismatch
 from cardtable.trees import DECISION, CompiledTree, blackjack_info_sets, compiled_tree
 
 # ---------------------------------------------------------------------------
@@ -265,16 +264,6 @@ class _SweepPlan:
         return float(value[0]), choice
 
 
-_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _sweep_plan(tree: CompiledTree, seat) -> _SweepPlan:
-    plans = _PLANS.setdefault(tree, {})
-    if seat not in plans:
-        plans[seat] = _SweepPlan(tree, seat)
-    return plans[seat]
-
-
 def tree_policy_value(game, tables) -> tuple[float, ...]:
     """Exact expected payoffs when every seat plays its PolicyTable.
 
@@ -283,7 +272,7 @@ def tree_policy_value(game, tables) -> tuple[float, ...]:
     sweep of the tree's layout, with nobody responding.
     """
     tree = compiled_tree(game)
-    v, _ = _sweep_plan(tree, None).sweep(_slot_probs(tree, tables))
+    v, _ = tree.derived(_SweepPlan, None).sweep(_slot_probs(tree, tables))
     return v, 0.0 - v  # not -v: a game worth exactly 0 is worth +0.0 to both seats
 
 
@@ -295,7 +284,7 @@ def best_response(game, policy: PolicyTable, player: int):
     Raises ValueError if the player's info sets have no bottom-up order.
     """
     tree = compiled_tree(game)
-    br_value, choice = _sweep_plan(tree, player).sweep(_slot_probs(tree, policy))
+    br_value, choice = tree.derived(_SweepPlan, player).sweep(_slot_probs(tree, policy))
     br_policy = PolicyTable()
     for i, key in enumerate(tree.keys):
         if tree.info_seat[i] == player:
@@ -432,35 +421,24 @@ def _pair_add(pair, seat, amount):
 
 @dataclass(frozen=True)
 class ExploitabilityReport:
-    game_id: str
     br_values: tuple[float, float]
     exploitability: float
-    units: str
 
 
-_ZERO_SUM_2P = ("leduc", "limit_holdem")
-
-
-def exploitability(game_id: str, policy: PolicyTable) -> ExploitabilityReport:
+def exploitability(game, policy: PolicyTable) -> ExploitabilityReport:
     """Mean best-response value against the policy from both seats.
 
-    Zero at an exact equilibrium, positive elsewhere (within 1e-9);
-    units are big blinds per hand (one leduc ante = one blind). Only
-    two-player zero-sum games qualify, and of those only leduc fits
-    under the enumeration guard. An unregistered id raises UnknownGame.
+    game is a game id or a TreeGame: any tree compile_tree accepts, so
+    NotZeroSum is raised at a terminal whose payoffs are not (p, -p), an
+    id with no exact tree raises GameTooLarge and an unregistered one
+    UnknownGame. Zero at an exact equilibrium, positive elsewhere (within
+    1e-9), in the game's payoff units: big blinds per hand on leduc (one
+    ante = one blind).
     """
-    game_spec(game_id)
-    if game_id not in _ZERO_SUM_2P:
-        raise NotZeroSum(f"{game_id} is not a two-player zero-sum game")
-    tree = compiled_tree(game_id)  # limit_holdem raises GameTooLarge here
+    tree = compiled_tree(game)
     slot_probs = _slot_probs(tree, policy)
-    br0, br1 = (_sweep_plan(tree, seat).sweep(slot_probs)[0] for seat in (0, 1))
-    return ExploitabilityReport(
-        game_id=game_id,
-        br_values=(br0, br1),
-        exploitability=(br0 + br1) / 2,
-        units="bb/hand",
-    )
+    br0, br1 = (tree.derived(_SweepPlan, seat).sweep(slot_probs)[0] for seat in (0, 1))
+    return ExploitabilityReport(br_values=(br0, br1), exploitability=(br0 + br1) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +461,9 @@ class Census:
 
 
 def count_info_sets(game_id: str) -> Census:
-    """Census by exhaustive walk; games past the node guard raise, unregistered ids raise UnknownGame."""
+    """Census by exhaustive walk: blackjack's info-set enumeration, else the
+    game's tree, for any tree compile_tree accepts. Ids with no exact tree
+    raise GameTooLarge, unregistered ids UnknownGame."""
     spec = game_spec(game_id)
     if game_id == "blackjack":
         keys, states = blackjack_info_sets()
@@ -494,13 +474,11 @@ def count_info_sets(game_id: str) -> Census:
             avg_states_per_info_set=states / len(keys),
             action_space_size=spec.num_actions,
         )
-    if game_id == "leduc":
-        tree = compiled_tree("leduc")
-        return Census(
-            game_id=game_id,
-            num_players=2,
-            info_sets_per_player=(tree.info_seat.count(0), tree.info_seat.count(1)),
-            avg_states_per_info_set=tree.kind.count(DECISION) / len(tree.keys),
-            action_space_size=spec.num_actions,
-        )
-    raise GameTooLarge(f"{game_id} info sets are not enumerable under the 10^7-node guard")
+    tree = compiled_tree(game_id)
+    return Census(
+        game_id=game_id,
+        num_players=2,
+        info_sets_per_player=(tree.info_seat.count(0), tree.info_seat.count(1)),
+        avg_states_per_info_set=tree.kind.count(DECISION) / len(tree.keys),
+        action_space_size=spec.num_actions,
+    )

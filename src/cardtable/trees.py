@@ -155,8 +155,10 @@ class CompiledTree:
     actions    legal action ids, aligned with the children of each of its nodes
     info_seat  acting seat
 
-    layout is its TreeLayout, built at first use. Instances are immutable
-    and shared: deepcopy returns the same object.
+    layout is its TreeLayout, built at first use, and derived(build, *args)
+    memoizes what other modules build from the tree (CFR's WaveSchedule,
+    the best-response sweep plans), so those tables live and die with it.
+    Instances are immutable and shared: deepcopy returns the same object.
     """
 
     kind: tuple[int, ...]
@@ -176,6 +178,17 @@ class CompiledTree:
     @cached_property
     def layout(self) -> TreeLayout:
         return TreeLayout(self)
+
+    @cached_property
+    def _derived(self) -> dict:
+        return {}
+
+    def derived(self, build, *args):
+        """build(self, *args), built once per tree."""
+        key = (build, *args)
+        if key not in self._derived:
+            self._derived[key] = build(self, *args)
+        return self._derived[key]
 
     def __deepcopy__(self, memo):
         return self

@@ -4,7 +4,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -538,6 +542,52 @@ class TestExitCodes:
         cfg.write_text("game=leduc\nspeed=9\n", encoding="utf-8")
         assert main(["selfplay", "--config", str(cfg)]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+
+SRC = pathlib.Path(cli.__file__).parents[1]
+
+
+def run_into_closed_pipe(argv):
+    """(exit code, stderr) of the command line run in a child process
+    whose stdout is a pipe with its read end closed before anything is read.
+
+    stdout is block-buffered, as on any pipe, so a short output fails at
+    the flush and a long one while it is written."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "cardtable.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300
+        )
+    finally:
+        os.close(write_end)
+    return done.returncode, done.stderr.decode()
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early ends the run with exit code 1, not a
+    traceback; an error met after printing keeps its `error:` line."""
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["selfplay", "--game", "uno", "--games", "20"], ""),  # longer than the buffer
+            (["tournament", "--game", "leduc", "--games", "4"], ""),
+            (["exploit", "--game", "leduc"], ""),
+            (["census", "--game", "leduc"], ""),
+            (["bench", "--game", "leduc", "--games", "5"], ""),
+            (["tournament", "--game", "leduc", "--games", "4", "--out", "/dev/null/out"], "error: --out"),
+        ],
+        ids=["selfplay", "tournament", "exploit", "census", "bench", "tournament-bad-out"],
+    )
+    def test_exit_1_without_traceback(self, argv, error):
+        code, err = run_into_closed_pipe(argv)
+        assert code == 1, err
+        assert err.startswith(error)
+        for marker in ("Traceback", "BrokenPipeError", "Exception ignored"):
+            assert marker not in err
 
 
 def run_main(argv):

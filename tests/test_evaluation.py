@@ -27,6 +27,7 @@ from cardtable.evaluation import (
 from cardtable.trees import LeducTree, tree_for
 
 from test_cfr_sweep import SpecTree, end
+from test_trees import CoinTree
 
 UNIFORM_LEDUC_EXPLOITABILITY = 2.3308641975308646  # frozen from both oracles
 
@@ -100,8 +101,6 @@ class TestExploitability:
     def test_uniform_golden_value(self):
         report = exploitability("leduc", PolicyTable())
         assert report.exploitability == pytest.approx(UNIFORM_LEDUC_EXPLOITABILITY, abs=1e-12)
-        assert report.units == "bb/hand"
-        assert report.game_id == "leduc"
         assert report.exploitability == pytest.approx(sum(report.br_values) / 2, abs=1e-15)
 
     def test_training_reduces_exploitability(self):
@@ -109,13 +108,13 @@ class TestExploitability:
         assert 0.0 <= trained < UNIFORM_LEDUC_EXPLOITABILITY / 2
 
     def test_non_zero_sum_games_rejected(self):
-        for gid in ("blackjack", "uno", "doudizhu", "mini_doudizhu"):
-            with pytest.raises(NotZeroSum):
-                exploitability(gid, PolicyTable())
+        with pytest.raises(NotZeroSum):
+            exploitability(CoinTree(loss=(-1, 0)), PolicyTable())
 
-    def test_limit_holdem_exceeds_guard(self):
-        with pytest.raises(GameTooLarge):
-            exploitability("limit_holdem", PolicyTable())
+    def test_ids_without_a_tree_exceed_guard(self):
+        for gid in ("blackjack", "uno", "doudizhu", "mini_doudizhu", "limit_holdem"):
+            with pytest.raises(GameTooLarge):
+                exploitability(gid, PolicyTable())
 
 
 class TestTreePolicyValue:

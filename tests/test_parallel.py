@@ -1,5 +1,8 @@
 """Worker-count invariance and the throughput benchmark."""
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from cardtable.agents import RandomAgent, cfr_train
@@ -16,6 +19,12 @@ def spec_for(game_id, n_games, n_workers, seed=5):
         n_games=n_games,
         n_workers=n_workers,
     )
+
+
+def spawned_uno_logs():
+    """The joined uno logs of 131 games on 1 and on 2 workers, with spawn as the start method."""
+    multiprocessing.set_start_method("spawn", force=True)
+    return tuple("".join(rollout_parallel(spec_for("uno", 131, n), collect_logs=True).logs) for n in (1, 2))
 
 
 class TestRollout:
@@ -48,6 +57,12 @@ class TestRollout:
         # 131 games span three 64-game fan-out blocks, each worker seeking into all of them
         solo = rollout_parallel(spec_for(game_id, 131, 1), collect_logs=True)
         duo = rollout_parallel(spec_for(game_id, 131, 2), collect_logs=True)
+        assert solo == duo
+
+    def test_workers_match_one_under_spawn(self):
+        # the child's pools start their workers by spawn too, whatever this process's default
+        with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            solo, duo = pool.submit(spawned_uno_logs).result()
         assert solo == duo
 
     def test_more_workers_than_games(self):

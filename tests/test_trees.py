@@ -93,6 +93,53 @@ class CoinTree:
         return node[1]
 
 
+class KuhnTree:
+    """Kuhn poker (Kuhn 1950): three cards J < Q < K, an ante of 1 each,
+    one card dealt to each seat, one round with a single bet of 1.
+
+    Action 0 checks or folds, action 1 bets or calls. Nodes: "deal",
+    (cards, history) at a decision, ("end", p0) at a terminal. A key is
+    the acting seat's card and the history, e.g. "Qpb".
+    """
+
+    num_players = 2
+
+    def root(self):
+        return "deal"
+
+    def is_terminal(self, node):
+        return node[0] == "end"
+
+    def is_chance(self, node):
+        return node == "deal"
+
+    def chance_outcomes(self, node):
+        return [(((a, b), ""), 1 / 6) for a in range(3) for b in range(3) if a != b]
+
+    def player(self, node):
+        return len(node[1]) % 2
+
+    def info_key(self, node):
+        cards, history = node
+        return "JQK"[cards[len(history) % 2]] + history
+
+    def actions(self, node):
+        return (0, 1)
+
+    def child(self, node, action):
+        cards, history = node
+        history += "pb"[action]
+        showdown = 1 if cards[0] > cards[1] else -1
+        if history in ("pp", "bb", "pbb"):
+            return ("end", showdown * (2 if history[-1] == "b" else 1))
+        if history in ("bp", "pbp"):  # the bet stands: the bettor takes the folder's ante
+            return ("end", 1 if history == "bp" else -1)
+        return (cards, history)
+
+    def payoffs(self, node):
+        return (node[1], -node[1])
+
+
 class TestCompileAnyTree:
     def test_small_tree_tables(self):
         tree = compile_tree(CoinTree())
