@@ -108,8 +108,9 @@ class WaveSchedule:
     whose reach a sweep pushes, `up` the levels whose values it sums
     into their parents', deepest first.
 
-    Built once per compiled tree by wave_schedule and shared by every
-    trainer of the tree; deepcopy returns the same object.
+    CFRTrainer builds it through tree.derived(WaveSchedule), so it is
+    built once per compiled tree and shared by every trainer of the
+    tree; deepcopy returns the same object.
     """
 
     def __init__(self, tree: CompiledTree):
@@ -198,11 +199,6 @@ def _wave_numbers(tree: CompiledTree):
     return np.array(read), np.array(done), np.array(rank)
 
 
-def wave_schedule(tree: CompiledTree) -> WaveSchedule:
-    """The WaveSchedule of a compiled tree, built once per tree."""
-    return tree.derived(WaveSchedule)
-
-
 class CFRTrainer:
     """Simultaneous-update vanilla CFR over a two-player TreeGame.
 
@@ -219,7 +215,7 @@ class CFRTrainer:
 
     def __init__(self, game):
         self.tree = compiled_tree(game)  # raises GameTooLarge before any work
-        self.schedule = wave_schedule(self.tree)
+        self.schedule = self.tree.derived(WaveSchedule)
         self.iterations = 0
         self.regrets = np.zeros(self.schedule.num_slots)
         self.strategy_sum = np.zeros(self.schedule.num_slots)

@@ -42,10 +42,9 @@ from cardtable.agents import (
 )
 from cardtable.core.contracts import int_param
 from cardtable.env import GAME_IDS, EnvConfig, game_spec, make_single_agent
-from cardtable.errors import CardTableError, GameTooLarge, InvalidParam, InvalidPolicy, ParseError
+from cardtable.errors import CardTableError, GameTooLarge, InvalidParam, ParseError
 from cardtable.evaluation import count_info_sets, exploitability, tournament
 from cardtable.parallel import BenchReport, RolloutSpec, bench, build_agent, rollout_parallel
-from cardtable.trees import compiled_tree
 
 _CONFIG_KEYS = ("game", "seed", "algo", "iters", "episodes", "games", "workers", "agents", "out")
 
@@ -247,15 +246,8 @@ def _cmd_exploit(args) -> int:
     config = merged.env_config()
     spec = merged.get("agents", "random")
     name = str(spec).split(",")[0].strip()
-    policy = PolicyTable() if name == "random" else PolicyTable.load(name, game_spec(config.game_id).num_actions)
+    policy = PolicyTable() if name == "random" else build_agent(name, config.game_id).table
     report = exploitability(config.game_id, policy)
-    known = set(compiled_tree(config.game_id).keys)
-    unknown = [key for key, _ in policy.items() if key not in known]
-    if unknown:
-        raise InvalidPolicy(
-            f"{name} is not a {config.game_id} policy: {len(unknown)} keys are not "
-            f"{config.game_id} info sets, the first {unknown[0]!r}"
-        )
     lines = [
         "game,agent,exploitability,br_value_p0,br_value_p1,units",
         f"{config.game_id},{name},{report.exploitability:.12f},"
@@ -293,7 +285,7 @@ def _cmd_bench(args) -> int:
     config = merged.env_config()
     n_games = merged.count("games", 1000)
     workers = merged.count("workers", 1, lo=1)
-    report = bench(config.game_id, n_games, workers, seed=merged.seed())
+    report = bench(config, n_games, workers)
     print(BenchReport.csv_header())
     print(report.csv_row())
     out = merged.get("out")

@@ -37,10 +37,6 @@ class NotSingleAgentMode(CardTableError):
     """reset/sa_step require an env built with make_single_agent."""
 
 
-class NoConcreteMove(CardTableError):
-    """An abstract action id has no concrete completion in the current hand."""
-
-
 class GameTooLarge(CardTableError):
     """A full tree walk would exceed the enumeration guard."""
 

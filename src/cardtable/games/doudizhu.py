@@ -15,10 +15,10 @@ a landlord win, both peasants get 1 when either peasant goes out.
 Bombs do not multiply payoffs.
 
 Moves are the 309 abstract action ids from doudizhu_patterns; kickers
-are completed by the documented lowest-non-breaking rule. Game.step has
-already checked a move against the cached legal moves, so _apply
-completes it with `complete` and does not decode it again;
-decode_action reads the same cache.
+are completed by the documented lowest-non-breaking rule. Game.step is
+the one legality check: it has already checked a move against the
+cached legal moves, so _apply completes it with `complete` and checks
+nothing again.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from cardtable.core.cards import DECKS
 from cardtable.core.contracts import Game
-from cardtable.errors import GameNotOver, InvalidParam, NoConcreteMove
+from cardtable.errors import GameNotOver, InvalidParam
 from cardtable.games.doudizhu_patterns import (
     DD_RANK_NAMES,
     NUM_ACTIONS,
@@ -228,9 +228,3 @@ def encode_planes(raw: dict) -> np.ndarray:
     counts = np.minimum((raw["hand_counts"], raw["others_counts"], *raw["recent_counts"], raw["played_counts"]), 4)
     return (counts[:, None, :] == _LEVELS).astype(np.int8)
 
-
-def decode_action(game: DoudizhuGame, action_id: int) -> CardPattern:
-    """The concrete move an id plays in the current state; NoConcreteMove if it is not legal."""
-    if action_id not in game.legal_moves():
-        raise NoConcreteMove(f"action id {action_id} is not legal here")
-    return complete(action_id, game.counts[game.turn])[0]

@@ -51,16 +51,14 @@ take the lowest eligible kicker ranks that do not break a bomb (a rank
 held as all four) or the rocket (both jokers held); fall back to
 breaking ranks, lowest first, only when nothing else remains. Within a
 rank the engine discards the lowest card ids first. `complete` does this
-for an id known to be legal and also returns the cards taken per rank.
-`decode` holds no rule of its own: it accepts exactly the ids
-`matching_abstract_ids` lists, then completes them with `complete`.
+for an id that `matching_abstract_ids` lists for the hand, and also
+returns the cards taken per rank; it checks nothing, since Game.step is
+the one legality check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from cardtable.errors import NoConcreteMove
 
 DD_RANK_NAMES = ("3", "4", "5", "6", "7", "8", "9", "T", "J", "Q", "K", "A", "2", "B", "R")
 NUM_RANKS = 15
@@ -324,9 +322,3 @@ def complete(action_id: int, cnt) -> tuple[CardPattern, tuple[int, ...]]:
     kick = tuple(sorted(k for k in chosen for _ in range(need)))
     return CardPattern(cat, primal, length, kick), tuple(taken)
 
-
-def decode(action_id: int, cnt, to_beat: CardPattern | None) -> CardPattern:
-    """Concrete pattern for an abstract id playable from cnt against to_beat, kickers completed."""
-    if action_id not in matching_abstract_ids(cnt, to_beat):
-        raise NoConcreteMove(f"action id {action_id} is not playable from this hand")
-    return complete(action_id, cnt)[0]

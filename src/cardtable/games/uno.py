@@ -84,14 +84,6 @@ _MATCH = tuple(
 )
 
 
-def action_literal(action_id: int) -> str:
-    if action_id == DRAW_ACTION:
-        return "draw"
-    if action_id == PASS_ACTION:
-        return "pass"
-    return type_literal(*_PLAYED[action_id])
-
-
 class UnoGame(Game):
     """hands: 54 type counts by seat; sizes: their totals. pile: the
     undrawn stock, drawn lazily from the end; bottom: the opening's action

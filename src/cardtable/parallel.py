@@ -14,13 +14,16 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from cardtable.agents.base import RandomAgent
 from cardtable.agents.policy import PolicyAgent, PolicyTable
 from cardtable.core.rng import split_seed
 from cardtable.env import EnvConfig, game_spec, make, serialize_trajectories
-from cardtable.errors import InvalidParam, ParseError, WorkerFailure
+from cardtable.errors import GameTooLarge, InvalidParam, InvalidPolicy, ParseError, WorkerFailure
+from cardtable.trees import compiled_tree
+
+BENCH_REPEATS = 3  # differently seeded runs per bench call
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,7 @@ class RolloutResult:
 
 @dataclass(frozen=True)
 class BenchReport:
-    """Throughput over `repeats` differently seeded runs, totals summed.
+    """Throughput over BENCH_REPEATS differently seeded runs, totals summed.
 
     CSV row: game, n_workers, games, steps, total_s, per_step_s.
     """
@@ -54,7 +57,6 @@ class BenchReport:
     steps: int
     total_s: float
     per_step_s: float
-    repeats: int
 
     def csv_row(self) -> str:
         return (
@@ -67,16 +69,29 @@ class BenchReport:
         return "game,n_workers,games,steps,total_s,per_step_s"
 
 
-def build_agent(descriptor: str, game_id: str | None = None):
-    """\"random\" or a path to a saved policy file.
+def build_agent(descriptor: str, game_id: str):
+    """\"random\" or a path to a saved policy file for game_id.
 
-    With a game id, the file's action ids are checked against that game's
-    action space as it loads (InvalidPolicy names the key and the id).
+    The file's action ids are checked against the game's action space as
+    it loads (InvalidPolicy names the key and the id). Where the game has
+    an exact tree, its keys are checked against the tree's info sets
+    (InvalidPolicy names the first key that is none); a game without one
+    (GameTooLarge) has no key check.
     """
     if descriptor == "random":
         return RandomAgent()
-    num_actions = None if game_id is None else game_spec(game_id).num_actions
-    return PolicyAgent(PolicyTable.load(descriptor, num_actions))
+    table = PolicyTable.load(descriptor, game_spec(game_id).num_actions)
+    try:
+        known = set(compiled_tree(game_id).keys)
+    except GameTooLarge:
+        return PolicyAgent(table)
+    unknown = [key for key, _ in table.items() if key not in known]
+    if unknown:
+        raise InvalidPolicy(
+            f"{descriptor} is not a {game_id} policy: {len(unknown)} keys are not "
+            f"{game_id} info sets, the first {unknown[0]!r}"
+        )
+    return PolicyAgent(table)
 
 
 def _play_block(config: EnvConfig, agents, indices, collect_logs: bool):
@@ -169,19 +184,19 @@ def rollout_parallel(spec: RolloutSpec, collect_logs: bool = False) -> RolloutRe
     )
 
 
-def bench(game_id: str, n_games: int, n_workers: int, repeats: int = 3, seed: int = 0) -> BenchReport:
-    """Time random self-play; repeats runs under different master seeds.
+def bench(config: EnvConfig, n_games: int, n_workers: int) -> BenchReport:
+    """Time random self-play of config, BENCH_REPEATS runs of n_games each.
 
+    Run r plays config under master seed split_seed(config.seed, r).
     Trajectories are discarded so the engines' own cost is what gets
     measured; per-step time is summed wall time over summed decision
     steps, 0.0 when no decision was taken.
     """
     total_s = 0.0
     steps = 0
-    for r in range(repeats):
-        config = EnvConfig(game_id=game_id, seed=split_seed(seed, r))
+    for r in range(BENCH_REPEATS):
         spec = RolloutSpec(
-            env_config=config,
+            env_config=replace(config, seed=split_seed(config.seed, r)),
             agents=("random",) * config.num_players,
             n_games=n_games,
             n_workers=n_workers,
@@ -191,11 +206,10 @@ def bench(game_id: str, n_games: int, n_workers: int, repeats: int = 3, seed: in
         total_s += time.perf_counter() - start
         steps += result.total_steps
     return BenchReport(
-        game_id=game_id,
+        game_id=config.game_id,
         n_workers=n_workers,
-        games=n_games * repeats,
+        games=n_games * BENCH_REPEATS,
         steps=steps,
         total_s=total_s,
         per_step_s=total_s / steps if steps else 0.0,
-        repeats=repeats,
     )

@@ -383,12 +383,14 @@ def tree_for(game):
     expand with exact chance, and its id always maps to one shared
     instance; every other registered id raises GameTooLarge, which
     callers surface as the guard for full-traversal algorithms, and an
-    unregistered one UnknownGame.
+    unregistered one UnknownGame. A one-seat game (blackjack) is not
+    too large but has no two-seat tree, and its message says so.
     """
     if hasattr(game, "root"):
         return game
-    game_spec(game)
+    one_seat = game_spec(game).player_range[1] == 1
     if game == "leduc":
         return _LEDUC
-    raise GameTooLarge(f"no exact tree for {game!r}; full expansion would exceed the node guard")
+    reason = "it has one seat, and exact trees have two" if one_seat else "full expansion would exceed the node guard"
+    raise GameTooLarge(f"no exact tree for {game!r}; {reason}")
 

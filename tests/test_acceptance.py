@@ -32,8 +32,7 @@ from cardtable.evaluation import (
     leduc_best_response_value,
     tournament,
 )
-from cardtable.games import doudizhu as dd_module
-from cardtable.games.doudizhu_patterns import ABSTRACT_ACTIONS, abstract_id, matching_abstract_ids
+from cardtable.games.doudizhu_patterns import ABSTRACT_ACTIONS, abstract_id, complete, matching_abstract_ids
 from cardtable.parallel import BenchReport, RolloutSpec, bench, rollout_parallel
 from cardtable.trees import LeducTree
 
@@ -117,8 +116,9 @@ def test_criterion_04_doudizhu_abstraction():
         if env.is_over():
             obs, _ = env.new_game()
             continue
+        hand = env.game.counts[env.game.turn]
         for action in obs.legal_action_ids:
-            pattern = dd_module.decode_action(env.game, action)
+            pattern = complete(action, hand)[0]
             assert abstract_id(pattern) == action
         states += 1
         obs, _ = env.step(rng.choice(obs.legal_action_ids))
@@ -241,7 +241,7 @@ def test_criterion_09_blackjack_qlearning_beats_random():
 
 def test_criterion_10_throughput_and_parallel_speedup():
     for gid in GAME_IDS:
-        report = bench(gid, 10_000, 1, repeats=3, seed=0)
+        report = bench(EnvConfig(gid), 10_000, 1)
         assert report.games == 30_000
         assert report.csv_row().startswith(f"{gid},1,30000,")
         print(f"{BenchReport.csv_header()}\n{report.csv_row()}")

@@ -11,8 +11,8 @@ preorder table renumbered.
 import pytest
 
 from cardtable.agents import CFRTrainer
-from cardtable.agents.cfr import wave_schedule
-from cardtable.trees import DECISION, compile_tree, compiled_tree
+from cardtable.agents.cfr import WaveSchedule
+from cardtable.trees import DECISION, compiled_tree
 
 import walk_cfr
 from test_trees import CoinTree
@@ -145,7 +145,7 @@ def test_the_hand_built_trees_reach_their_cases():
 
 
 def test_leduc_schedule():
-    schedule = wave_schedule(compiled_tree("leduc"))
+    schedule = CFRTrainer("leduc").schedule
     assert len(schedule.waves) == 5
     assert not any(map(repeats_a_slot, schedule.waves))
     assert schedule.num_slots == 768 and schedule.offsets[-1] == 768
@@ -153,9 +153,8 @@ def test_leduc_schedule():
 
 def test_schedule_is_built_once_per_tree():
     tree = compiled_tree("leduc")
-    assert wave_schedule(tree) is wave_schedule(tree)
-    assert CFRTrainer("leduc").schedule is CFRTrainer("leduc").schedule is wave_schedule(tree)
-    assert wave_schedule(compile_tree(CoinTree())) is not wave_schedule(compile_tree(CoinTree()))
+    assert CFRTrainer("leduc").schedule is CFRTrainer("leduc").schedule is tree.derived(WaveSchedule)
+    assert CFRTrainer(CoinTree()).schedule is not CFRTrainer(CoinTree()).schedule
 
 
 def test_a_tree_without_decisions_counts_iterations_only():

@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from cardtable.agents import PolicyTable, RandomAgent, mccfr_external_train
 from cardtable import cli
 from cardtable.cli import load_config, main
+from cardtable.core.rng import split_seed
 from cardtable.env import GAME_IDS, EnvConfig
 from cardtable.errors import ParseError
 from cardtable.evaluation import tournament
@@ -385,6 +387,18 @@ class TestTournament:
         manifest = read_manifest(out)
         assert set(manifest["outputs"]) == {"results.csv", "summary.json"}
 
+    def test_rejects_a_policy_for_another_game(self, tmp_path, capsys):
+        trained = tmp_path / "bj"
+        argv = ["train", "--game", "blackjack", "--algo", "qlearn", "--episodes", "500", "--seed", "7", "--out", str(trained)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        argv = ["tournament", "--game", "leduc", "--games", "4", "--agents", f"{trained / 'policy.txt'},random"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and "is not a leduc policy" in captured.err
+
 
 def out_of_range_policy(tmp_path):
     """A well-formed leduc policy file whose one entry plays action id 7 of 0..3."""
@@ -515,6 +529,19 @@ class TestBench:
         assert len(rows) == 3  # one header, then one row per run
         # identical work: the step counts agree even though timings move
         assert rows[1].split(",")[:4] == rows[2].split(",")[:4]
+
+    def test_honours_game_params(self, capsys):
+        def steps(*params):
+            assert main(["bench", "--game", "uno", "--games", "20", "--seed", "1", *params]) == 0
+            return int(capsys.readouterr().out.splitlines()[1].split(",")[3])
+
+        # run r of three plays the configured game under seed split_seed(1, r)
+        config = EnvConfig("uno", num_players=4, game_params={"hand_size": 5})
+        want = sum(
+            rollout_parallel(RolloutSpec(replace(config, seed=split_seed(1, r)), ("random",) * 4, 20)).total_steps
+            for r in range(3)
+        )
+        assert steps("--param", "num_players=4", "--param", "hand_size=5") == want != steps()
 
 
 class TestExitCodes:

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from cardtable.agents import RandomAgent
 from cardtable.core.rng import Rng
 from cardtable.env import EnvConfig, make
-from cardtable.errors import IllegalMove, InvalidParam, NoConcreteMove
-from cardtable.games.doudizhu import DoudizhuGame, capture, decode_action, encode_planes, hand_literal, observe
+from cardtable.errors import IllegalMove, InvalidParam
+from cardtable.games.doudizhu import DoudizhuGame, capture, encode_planes, hand_literal, observe
 from cardtable.games.doudizhu_patterns import (
     ABSTRACT_ACTIONS,
     ACTION_INDEX,
@@ -31,7 +31,7 @@ from cardtable.games.doudizhu_patterns import (
     PASS_ID,
     CardPattern,
     abstract_id,
-    decode,
+    complete,
     matching_abstract_ids,
 )
 
@@ -377,80 +377,79 @@ class TestConcretePatterns:
         )
 
 
-class TestDecode:
+class TestComplete:
     def test_lowest_kicker_preferred(self):
         # hand J J J 4 4 9: the pair of fours is not protected, so the
         # trio takes a four, not the nine
         cnt = [0] * 15
         cnt[8], cnt[1], cnt[6] = 3, 2, 1
-        got = decode(ACTION_INDEX[("trio_single", 8, 1)], cnt, None)
+        got = complete(ACTION_INDEX[("trio_single", 8, 1)], cnt)[0]
         assert got.kickers == (1,)
 
     def test_kickers_spare_bombs(self):
         cnt = [0] * 15
         cnt[0], cnt[2], cnt[8] = 4, 1, 3  # 3333 5 JJJ
-        got = decode(ACTION_INDEX[("trio_single", 8, 1)], cnt, None)
+        got = complete(ACTION_INDEX[("trio_single", 8, 1)], cnt)[0]
         assert got.kickers == (2,)
 
     def test_kickers_break_bomb_only_when_forced(self):
         cnt = [0] * 15
         cnt[0], cnt[8] = 4, 3  # 3333 JJJ
-        got = decode(ACTION_INDEX[("trio_single", 8, 1)], cnt, None)
+        got = complete(ACTION_INDEX[("trio_single", 8, 1)], cnt)[0]
         assert got.kickers == (0,)
 
     def test_kickers_spare_rocket(self):
         cnt = [0] * 15
         cnt[8], cnt[13], cnt[14], cnt[6] = 3, 1, 1, 1  # JJJ B R 9
-        got = decode(ACTION_INDEX[("trio_single", 8, 1)], cnt, None)
+        got = complete(ACTION_INDEX[("trio_single", 8, 1)], cnt)[0]
         assert got.kickers == (6,)
         cnt[6] = 0  # forced: lowest joker goes
-        got = decode(ACTION_INDEX[("trio_single", 8, 1)], cnt, None)
+        got = complete(ACTION_INDEX[("trio_single", 8, 1)], cnt)[0]
         assert got.kickers == (13,)
 
-    def test_decode_failures(self):
+    def test_ids_without_a_completion_are_not_listed(self):
         cnt = [0] * 15
         cnt[0] = 3
-        with pytest.raises(NoConcreteMove):
-            decode(ACTION_INDEX[("trio_single", 0, 1)], cnt, None)  # no kicker at all
-        with pytest.raises(NoConcreteMove):
-            decode(ACTION_INDEX[("pass", 0, 0)], cnt, None)  # leader cannot pass
-        with pytest.raises(NoConcreteMove):
-            decode(ACTION_INDEX[("trio", 0, 1)], cnt, CardPattern("trio", 5))  # too low
-        with pytest.raises(NoConcreteMove):
-            decode(-1, cnt, None)
+        assert ACTION_INDEX[("trio_single", 0, 1)] not in matching_abstract_ids(cnt, None)  # no kicker at all
+        assert PASS_ID not in matching_abstract_ids(cnt, None)  # leader cannot pass
+        assert ACTION_INDEX[("trio", 0, 1)] not in matching_abstract_ids(cnt, CardPattern("trio", 5))  # too low
 
-    def test_decode_agrees_with_legal_set(self):
-        """decode succeeds on exactly the listed ids, leading and responding, and plays held cards."""
+    def test_every_listed_id_completes_to_held_cards(self):
+        """complete plays each listed id, leading and responding, from held cards, and says which."""
         rng = Rng(815)
         for trial in range(300):
             cnt = random_sparse_hand(rng) if trial % 4 == 3 else random_deal_hand(rng)
             to_beat = None
             if trial % 2:
                 to_beat = rng.choice(legal_patterns(random_deal_hand(rng), None))
-            legal = set(matching_abstract_ids(cnt, to_beat))
-            for aid in range(-1, NUM_ACTIONS + 1):
-                if aid not in legal:
-                    with pytest.raises(NoConcreteMove):
-                        decode(aid, cnt, to_beat)
-                    continue
-                got = decode(aid, cnt, to_beat)
+            for aid in matching_abstract_ids(cnt, to_beat):
+                got, taken = complete(aid, cnt)
                 assert abstract_id(got) == aid
                 ms = got.rank_multiset()
-                assert all(ms.count(r) <= cnt[r] for r in set(ms)), (got, cnt)
+                assert taken == tuple(ms.count(r) for r in range(NUM_RANKS))
+                assert all(t <= c for t, c in zip(taken, cnt)), (got, cnt)
 
-    def test_decode_action_accepts_exactly_the_legal_moves(self):
+    def test_step_accepts_exactly_the_listed_ids(self):
+        """Game.step is the one legality check: it plays complete's cards for a listed id and rejects the rest."""
         rng = Rng(816)
         for seed in range(4):
             game = DoudizhuGame(Rng(seed), variant=("full", "mini")[seed % 2])
             game.reset()
             while not game.is_over():
                 legal = game.legal_moves()
+                hand, snap = game.counts[game.turn], game.snapshot()
+                assert legal == tuple(matching_abstract_ids(hand, game.to_beat))
                 for aid in range(-1, NUM_ACTIONS + 1):
                     if aid in legal:
-                        assert decode_action(game, aid) == decode(aid, game.counts[game.turn], game.to_beat)
+                        seat = game.turn
+                        taken = complete(aid, hand)[1]
+                        game.step(aid)
+                        assert game.counts[seat] == tuple(h - t for h, t in zip(hand, taken))
+                        game.restore(snap)
                     else:
-                        with pytest.raises(NoConcreteMove):
-                            decode_action(game, aid)
+                        with pytest.raises(IllegalMove):
+                            game.step(aid)
+                        assert game.snapshot() == snap
                 game.step(rng.choice(legal))
 
 

@@ -112,9 +112,11 @@ class TestExploitability:
             exploitability(CoinTree(loss=(-1, 0)), PolicyTable())
 
     def test_ids_without_a_tree_exceed_guard(self):
-        for gid in ("blackjack", "uno", "doudizhu", "mini_doudizhu", "limit_holdem"):
-            with pytest.raises(GameTooLarge):
+        for gid in ("uno", "doudizhu", "mini_doudizhu", "limit_holdem"):
+            with pytest.raises(GameTooLarge, match="would exceed the node guard"):
                 exploitability(gid, PolicyTable())
+        with pytest.raises(GameTooLarge, match="'blackjack'; it has one seat, and exact trees have two"):
+            exploitability("blackjack", PolicyTable())
 
 
 class TestTreePolicyValue:

@@ -8,7 +8,7 @@ import pytest
 from cardtable.agents import RandomAgent, cfr_train
 from cardtable.env import EnvConfig, make, serialize_trajectories
 from cardtable.errors import InvalidParam, WorkerFailure
-from cardtable.parallel import BenchReport, RolloutSpec, bench, build_agent, rollout_parallel
+from cardtable.parallel import BENCH_REPEATS, BenchReport, RolloutSpec, bench, build_agent, rollout_parallel
 
 
 def spec_for(game_id, n_games, n_workers, seed=5):
@@ -155,7 +155,7 @@ class TestRollout:
 
 class TestBuildAgent:
     def test_random_descriptor(self):
-        assert isinstance(build_agent("random"), RandomAgent)
+        assert isinstance(build_agent("random", "leduc"), RandomAgent)
 
     def test_game_id_checks_action_ids_at_load(self, tmp_path):
         from cardtable.agents import PolicyTable
@@ -167,35 +167,35 @@ class TestBuildAgent:
         table.save(path)
         with pytest.raises(InvalidPolicy, match=r"'B\|12h\|n2\|u10' holds action id 2, outside 0..1"):
             build_agent(str(path), "blackjack")
-        assert len(build_agent(str(path), "leduc").table) == 1
-        assert len(build_agent(str(path)).table) == 1  # no game: loaded as before
+        with pytest.raises(InvalidPolicy, match=r"is not a leduc policy: 1 keys are not leduc info sets, the first 'B\|12h\|n2\|u10'"):
+            build_agent(str(path), "leduc")
+        assert len(build_agent(str(path), "limit_holdem").table) == 1  # no exact tree: ids checked, keys not
 
     def test_policy_path_descriptor(self, tmp_path):
         path = tmp_path / "p.tsv"
         cfr_train("leduc", 5).save(path)
-        agent = build_agent(str(path))
+        agent = build_agent(str(path), "leduc")
         assert len(agent.table) == 288
 
 
 class TestBench:
     def test_report_accounting(self):
-        report = bench("uno", n_games=10, n_workers=1, repeats=2, seed=3)
-        assert report.games == 20
+        report = bench(EnvConfig("uno", seed=3), n_games=10, n_workers=1)
+        assert report.games == 10 * BENCH_REPEATS
         assert report.steps > 0
         assert report.total_s > 0
         assert report.per_step_s == pytest.approx(report.total_s / report.steps)
-        assert report.repeats == 2
 
     def test_csv_shape(self):
-        report = bench("blackjack", n_games=5, n_workers=1, repeats=1, seed=0)
+        report = bench(EnvConfig("blackjack"), n_games=5, n_workers=1)
         assert BenchReport.csv_header() == "game,n_workers,games,steps,total_s,per_step_s"
         fields = report.csv_row().split(",")
         assert fields[0] == "blackjack"
         assert fields[1] == "1"
-        assert fields[2] == "5"
+        assert fields[2] == str(5 * BENCH_REPEATS)
         assert int(fields[3]) == report.steps
 
     def test_step_counts_are_seeded(self):
-        a = bench("leduc", n_games=20, n_workers=1, repeats=2, seed=9)
-        b = bench("leduc", n_games=20, n_workers=1, repeats=2, seed=9)
+        a = bench(EnvConfig("leduc", seed=9), n_games=20, n_workers=1)
+        b = bench(EnvConfig("leduc", seed=9), n_games=20, n_workers=1)
         assert a.steps == b.steps  # timing differs, work does not

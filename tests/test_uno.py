@@ -17,7 +17,6 @@ from cardtable.games.uno import (
     WD4,
     WILD,
     UnoGame,
-    action_literal,
     encode_planes,
     observe,
     play_action_ids,
@@ -76,9 +75,6 @@ class TestSetup:
         assert type_literal(GREEN * 13 + SKIP) == "g-skip"
         assert type_literal(WILD, BLUE) == "wild+b"
         assert type_literal(WD4, YELLOW) == "wild-d4+y"
-        assert action_literal(DRAW_ACTION) == "draw"
-        assert action_literal(PASS_ACTION) == "pass"
-        assert action_literal(52 + BLUE) == "wild+b"
 
 
 class TestPlayability:
