@@ -7,13 +7,17 @@ a manifest.json carrying the resolved configuration and a sha256 of
 every output file, and never a timestamp, so reruns diff clean.
 
 Config files are flat key=value text, one per line, with # comments.
-Keys mirror the long flags (game, seed, algo, iters, episodes, games,
-workers, agents, out); game-specific engine parameters use the
-param.NAME=value form, mirroring repeatable --param NAME=value flags.
-Flags win over file values. The counts iters, episodes and games must
-be integers of at least 0, and workers of at least 1, and the seed any
-integer, or the command fails with InvalidParam naming the key (or
-CARDTABLE_SEED) before any work starts.
+Keys mirror the long flags, and param.NAME=value mirrors the repeatable
+--param NAME=value; flags win over file values. A value is typed by its
+key: seed, iters, episodes, games and workers are read as numbers, and
+param.NAME values as an int, then a float, else text; game, algo,
+agents and out stay the text written, so `out=007` names directory 007.
+The counts iters, episodes and games must be integers of at least 0,
+and workers of at least 1, and the seed any integer, or the command
+fails with InvalidParam naming the key (or CARDTABLE_SEED) before any
+work starts. main resolves these inputs once per run, into one options
+dict (also the manifest's config) and one EnvConfig. exploit takes
+exactly one --agents entry.
 
 Exit codes: 0 success, 2 command-line usage errors, 1 anything that
 fails at run time. A closed stdout (a reader such as `head` that exits
@@ -46,7 +50,8 @@ from cardtable.errors import CardTableError, GameTooLarge, InvalidParam, ParseEr
 from cardtable.evaluation import count_info_sets, exploitability, tournament
 from cardtable.parallel import BenchReport, RolloutSpec, bench, build_agent, rollout_parallel
 
-_CONFIG_KEYS = ("game", "seed", "algo", "iters", "episodes", "games", "workers", "agents", "out")
+_NUMBER_KEYS = ("seed", "iters", "episodes", "games", "workers")
+_CONFIG_KEYS = ("game", "algo", "agents", "out", *_NUMBER_KEYS)
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -72,75 +77,57 @@ def load_config(path: str) -> dict[str, str]:
 
 def _coerce(value: str):
     """Config values: int when possible, then float, else the string."""
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        return value
+    for kind in (int, float):
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    return value
 
 
-class _Merged:
-    """Flag values overriding config-file values, with seed fallback chain."""
+def _resolve(args: argparse.Namespace) -> tuple[dict, EnvConfig]:
+    """(options, EnvConfig): each key given by flag (winning) or config file, the seed and every param.NAME.
 
-    def __init__(self, args: argparse.Namespace):
-        self.file = load_config(args.config) if getattr(args, "config", None) else {}
-        self.args = args
-
-    def get(self, key: str, default=None):
-        flag = getattr(self.args, key, None)
+    Errors come in the order config file, missing game, --param, seed, EnvConfig.
+    """
+    file = load_config(args.config) if args.config else {}
+    options = {}
+    for key in _CONFIG_KEYS:
+        flag = getattr(args, key, None)
         if flag is not None:
-            return flag
-        if key in self.file:
-            return _coerce(self.file[key])
-        return default
-
-    def count(self, key: str, default: int, lo: int = 0) -> int:
-        """An integer flag or config value of at least lo; InvalidParam naming key."""
-        return int_param(key, self.get(key, default), lo)
-
-    def seed(self) -> int:
-        """Any integer, negative included; InvalidParam naming seed or CARDTABLE_SEED otherwise."""
-        seed = self.get("seed")
-        if seed is not None:
-            return int_param("seed", seed)
+            options[key] = flag
+        elif key in file:
+            options[key] = _coerce(file[key]) if key in _NUMBER_KEYS else file[key]
+    game = options.get("game")
+    if game is None:
+        raise ParseError("no game given (flag --game or config key game)")
+    params = {key[len("param.") :]: _coerce(value) for key, value in file.items() if key.startswith("param.")}
+    for item in args.param or []:
+        key, sep, value = item.partition("=")
+        if not sep or not key:
+            raise ParseError(f"--param expects NAME=value, got {item!r}")
+        params[key.strip()] = _coerce(value.strip())
+    if "seed" in options:
+        options["seed"] = int_param("seed", options["seed"])
+    else:
         env = os.environ.get("CARDTABLE_SEED")
-        return 0 if env is None else int_param("CARDTABLE_SEED", _coerce(env))
+        options["seed"] = 0 if env is None else int_param("CARDTABLE_SEED", _coerce(env))
+    options.update({f"param.{key}": value for key, value in params.items()})
+    num_players = params.pop("num_players", None)
+    return options, EnvConfig(game_id=game, seed=options["seed"], num_players=num_players, game_params=params)
 
-    def game_params(self) -> dict:
-        params = {
-            key[len("param.") :]: _coerce(value)
-            for key, value in self.file.items()
-            if key.startswith("param.")
-        }
-        for item in getattr(self.args, "param", None) or []:
-            key, sep, value = item.partition("=")
-            if not sep or not key:
-                raise ParseError(f"--param expects NAME=value, got {item!r}")
-            params[key.strip()] = _coerce(value.strip())
-        return params
 
-    def env_config(self) -> EnvConfig:
-        game = self.get("game")
-        if game is None:
-            raise ParseError("no game given (flag --game or config key game)")
-        params = self.game_params()
-        num_players = params.pop("num_players", None)
-        return EnvConfig(
-            game_id=game,
-            seed=self.seed(),
-            num_players=num_players,
-            game_params=params,
-        )
+def _count(options: dict, key: str, default: int, lo: int = 0) -> int:
+    """An integer option of at least lo; InvalidParam naming key."""
+    return int_param(key, options.get(key, default), lo)
 
-    def manifest_config(self, **extra) -> dict:
-        merged = {key: self.get(key) for key in _CONFIG_KEYS if self.get(key) is not None}
-        merged["seed"] = self.seed()
-        merged.update({f"param.{k}": v for k, v in self.game_params().items()})
-        merged.update(extra)
-        return merged
+
+def _agent_names(options: dict, seats: int) -> list[str]:
+    """The comma-separated --agents entries, or random in each of seats seats."""
+    spec = options.get("agents")
+    if spec is None:
+        return ["random"] * seats
+    return [part.strip() for part in spec.split(",") if part.strip()]
 
 
 def _write_outputs(out_dir: str, files: dict[str, str], command: str, config: dict) -> None:
@@ -161,91 +148,69 @@ def _write_outputs(out_dir: str, files: dict[str, str], command: str, config: di
         raise InvalidParam(f"--out {out_dir}: {type(exc).__name__}: {exc}") from exc
 
 
-def _agent_list(merged: _Merged, config: EnvConfig):
-    spec = merged.get("agents")
-    if spec is None:
-        return [RandomAgent() for _ in range(config.num_players)], ("random",) * config.num_players
-    names = [part.strip() for part in str(spec).split(",") if part.strip()]
-    return [build_agent(name, config.game_id) for name in names], tuple(names)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_selfplay(args) -> int:
-    merged = _Merged(args)
-    config = merged.env_config()
-    n_games = merged.count("games", 1000)
-    workers = merged.count("workers", 1, lo=1)
+def _cmd_selfplay(options: dict, config: EnvConfig) -> int:
+    n_games = _count(options, "games", 1000)
     spec = RolloutSpec(
         env_config=config,
         agents=("random",) * config.num_players,
         n_games=n_games,
-        n_workers=workers,
+        n_workers=_count(options, "workers", 1, lo=1),
     )
     result = rollout_parallel(spec, collect_logs=True)
     log_text = "".join(result.logs)
-    out = merged.get("out")
+    out = options.get("out")
     if out is None:
         sys.stdout.write(log_text)
     else:
-        _write_outputs(out, {"trajectories.log": log_text}, "selfplay", merged.manifest_config())
+        _write_outputs(out, {"trajectories.log": log_text}, "selfplay", options)
         means = ",".join(f"{m:.6f}" for m in result.mean_payoffs)
         print(f"selfplay {config.game_id}: {n_games} games, {result.total_steps} steps, mean payoffs {means}")
     return 0
 
 
-def _cmd_train(args) -> int:
-    merged = _Merged(args)
-    algo = merged.get("algo")
-    config = merged.env_config()
-    seed = merged.seed()
-    out = merged.get("out")
+def _cmd_train(options: dict, config: EnvConfig) -> int:
+    algo, out = options["algo"], options.get("out")
     if out is None:
         raise ParseError("train needs --out to store the policy")
-    if algo == "cfr":
-        iters = merged.count("iters", 1000)
-        trainer = CFRTrainer(config.game_id)
-        trainer.run(iters)
-        policy, detail = trainer.policy(), f"{iters} iterations"
-    elif algo == "mccfr":
-        iters = merged.count("iters", 1000)
-        trainer = MCCFRTrainer(config)
+    if algo in ("cfr", "mccfr"):
+        iters = _count(options, "iters", 1000)
+        trainer = CFRTrainer(config.game_id) if algo == "cfr" else MCCFRTrainer(config)
         trainer.run(iters)
         policy, detail = trainer.policy(), f"{iters} iterations"
     elif algo == "qlearn":
-        episodes = merged.count("episodes", 10000)
+        episodes = _count(options, "episodes", 10000)
         env = make_single_agent(config, opponents=[RandomAgent() for _ in range(config.num_players - 1)])
         table = qlearn_train(env, episodes, QLearnParams())
         policy, detail = table.greedy_policy(), f"{episodes} episodes"
     else:  # random: an empty table plays uniform everywhere
         policy, detail = PolicyTable(), "untrained"
-    _write_outputs(out, {"policy.txt": policy.dumps()}, "train", merged.manifest_config(algo=algo))
-    print(f"trained {algo} on {config.game_id} ({detail}, seed {seed}): {len(policy)} info sets -> {out}/policy.txt")
+    _write_outputs(out, {"policy.txt": policy.dumps()}, "train", options)
+    print(f"trained {algo} on {config.game_id} ({detail}, seed {config.seed}): {len(policy)} info sets -> {out}/policy.txt")
     return 0
 
 
-def _cmd_tournament(args) -> int:
-    merged = _Merged(args)
-    config = merged.env_config()
-    n_games = merged.count("games", 10000)
-    agents, names = _agent_list(merged, config)
-    result = tournament(config, agents, n_games)
+def _cmd_tournament(options: dict, config: EnvConfig) -> int:
+    n_games = _count(options, "games", 10000)
+    names = _agent_names(options, config.num_players)
+    result = tournament(config, [build_agent(name, config.game_id) for name in names], n_games)
     table = result.csv_table()
     print(table)
-    out = merged.get("out")
+    out = options.get("out")
     if out is not None:
-        summary = json.dumps(dataclasses.asdict(result) | {"agents": list(names)}, indent=2, sort_keys=True) + "\n"
-        _write_outputs(out, {"results.csv": table + "\n", "summary.json": summary}, "tournament", merged.manifest_config())
+        summary = json.dumps(dataclasses.asdict(result) | {"agents": names}, indent=2, sort_keys=True) + "\n"
+        _write_outputs(out, {"results.csv": table + "\n", "summary.json": summary}, "tournament", options)
     return 0
 
 
-def _cmd_exploit(args) -> int:
-    merged = _Merged(args)
-    config = merged.env_config()
-    spec = merged.get("agents", "random")
-    name = str(spec).split(",")[0].strip()
+def _cmd_exploit(options: dict, config: EnvConfig) -> int:
+    names = _agent_names(options, 1)
+    if len(names) != 1:
+        raise InvalidParam(f"exploit takes one --agents entry, got {len(names)}")
+    name = names[0]
     policy = PolicyTable() if name == "random" else build_agent(name, config.game_id).table
     report = exploitability(config.game_id, policy)
     lines = [
@@ -255,15 +220,13 @@ def _cmd_exploit(args) -> int:
     ]
     text = "\n".join(lines)
     print(text)
-    out = merged.get("out")
+    out = options.get("out")
     if out is not None:
-        _write_outputs(out, {"exploit.csv": text + "\n"}, "exploit", merged.manifest_config())
+        _write_outputs(out, {"exploit.csv": text + "\n"}, "exploit", options)
     return 0
 
 
-def _cmd_census(args) -> int:
-    merged = _Merged(args)
-    config = merged.env_config()
+def _cmd_census(options: dict, config: EnvConfig) -> int:
     try:
         census = count_info_sets(config.game_id)
     except GameTooLarge:
@@ -280,15 +243,13 @@ def _cmd_census(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    merged = _Merged(args)
-    config = merged.env_config()
-    n_games = merged.count("games", 1000)
-    workers = merged.count("workers", 1, lo=1)
+def _cmd_bench(options: dict, config: EnvConfig) -> int:
+    n_games = _count(options, "games", 1000)
+    workers = _count(options, "workers", 1, lo=1)
     report = bench(config, n_games, workers)
     print(BenchReport.csv_header())
     print(report.csv_row())
-    out = merged.get("out")
+    out = options.get("out")
     if out is not None:
         path = Path(out) / "bench.csv" if Path(out).is_dir() else Path(out)
         header = "" if path.exists() else BenchReport.csv_header() + "\n"
@@ -355,11 +316,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         try:
-            return args.func(args)
+            return args.func(*_resolve(args))
         except CardTableError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -20,7 +20,7 @@ from cardtable.agents.base import RandomAgent
 from cardtable.agents.policy import PolicyAgent, PolicyTable
 from cardtable.core.rng import split_seed
 from cardtable.env import EnvConfig, game_spec, make, serialize_trajectories
-from cardtable.errors import GameTooLarge, InvalidParam, InvalidPolicy, ParseError, WorkerFailure
+from cardtable.errors import GameTooLarge, InvalidParam, InvalidPolicy, WorkerFailure
 from cardtable.trees import compiled_tree
 
 BENCH_REPEATS = 3  # differently seeded runs per bench call
@@ -128,8 +128,10 @@ def rollout_parallel(spec: RolloutSpec, collect_logs: bool = False) -> RolloutRe
     built here first, so a bad game parameter value raises its
     InvalidParam before any worker starts or any game is charged with
     it. Policy files are loaded once, in this process, and checked
-    against the game's action space; the loaded agents are sent to the
-    workers.
+    against the game before any worker starts: a file that cannot be
+    read or parsed raises ParseError naming it, and one that does not
+    fit the game InvalidPolicy, neither charged to a game. The loaded
+    agents are sent to the workers.
     """
     if spec.n_workers < 1:
         raise InvalidParam(f"n_workers must be >= 1, got {spec.n_workers}")
@@ -142,13 +144,7 @@ def rollout_parallel(spec: RolloutSpec, collect_logs: bool = False) -> RolloutRe
     if spec.n_games == 0:
         return RolloutResult((), (0.0,) * seats, 0, () if collect_logs else None)
 
-    # Policy files load once, here, checked against the game: an action id
-    # outside its space raises InvalidPolicy before any worker starts. Any
-    # other load failure is charged to game 0.
-    try:
-        agents = tuple(build_agent(descriptor, spec.env_config.game_id) for descriptor in spec.agents)
-    except ParseError as exc:
-        raise WorkerFailure(0, f"{type(exc).__name__}: {exc}") from exc
+    agents = tuple(build_agent(descriptor, spec.env_config.game_id) for descriptor in spec.agents)
 
     workers = min(spec.n_workers, spec.n_games)
     chunks = [list(range(w, spec.n_games, workers)) for w in range(workers)]

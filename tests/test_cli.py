@@ -259,6 +259,25 @@ class TestSelfplay:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestTextKeys:
+    """game, algo, agents and out keep a config file's text, even when it looks like a number."""
+
+    def test_numeric_out_names_a_selfplay_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("game=leduc\ngames=3\nout=007\n", encoding="utf-8")
+        assert main(["selfplay", "--config", "run.cfg"]) == 0
+        assert capsys.readouterr().out.startswith("selfplay leduc: 3 games")
+        assert (tmp_path / "007" / "trajectories.log").read_text(encoding="utf-8") == direct_log("leduc", 0, 3)
+        assert read_manifest(tmp_path / "007")["config"] == {"game": "leduc", "games": 3, "out": "007", "seed": 0}
+
+    def test_numeric_out_names_a_train_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("game=leduc\nout=5\n", encoding="utf-8")
+        assert main(["train", "--algo", "random", "--config", "run.cfg"]) == 0
+        assert len(PolicyTable.load(str(tmp_path / "5" / "policy.txt"))) == 0
+        assert read_manifest(tmp_path / "5")["config"]["out"] == "5"
+
+
 class TestTrain:
     def test_cfr_policy_file_and_manifest_hash(self, tmp_path, capsys):
         out = tmp_path / "cfr"
@@ -474,6 +493,20 @@ class TestExploit:
         last = captured.err.splitlines()[-1]
         assert last.startswith("error:") and "leduc" in last
         assert not out.exists()
+
+    @pytest.mark.parametrize("agents", ["random,{missing}", "{policy},{policy}", "random,random,random"])
+    def test_takes_exactly_one_agent(self, tmp_path, monkeypatch, capsys, agents):
+        def no_load(*args, **kwargs):
+            pytest.fail("a policy was loaded for an agent list exploit cannot take")
+
+        monkeypatch.setattr(cli, "build_agent", no_load)
+        PolicyTable().save(tmp_path / "policy.txt")
+        spec = agents.format(missing=tmp_path / "missing.txt", policy=tmp_path / "policy.txt")
+        assert main(["exploit", "--game", "leduc", "--agents", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        count = len(spec.split(","))
+        assert captured.err == f"error: exploit takes one --agents entry, got {count}\n"
 
     @pytest.mark.parametrize(
         "train",
@@ -727,8 +760,8 @@ def fuzz_argv(draw, files):
         if draw(st.booleans()):
             files["config"].write_bytes(draw(st.binary(max_size=40)))
         else:
-            keys = st.sampled_from(("game", "seed", "agents", "param.num_players", "param.bogus", "nosuch"))
-            values = st.sampled_from((*GAME_IDS, "nosuch", "0", "7", "abc", "2.5", "random"))
+            keys = st.sampled_from((*KNOWN_KEYS, "param.num_players", "param.bogus", "nosuch"))
+            values = st.sampled_from((*GAME_IDS, "nosuch", "0", "1", "7", "007", "-1", "2.5", "1e3", "abc", "random"))
             lines = draw(st.lists(st.tuples(keys, values), max_size=3))
             files["config"].write_text("".join(f"{k}={v}\n" for k, v in lines), encoding="utf-8")
         argv += ["--config", str(files["config"])]
@@ -747,6 +780,8 @@ class TestFuzz:
         PolicyTable().save(files["policy"])
         files["garbage"].write_bytes(data.draw(st.binary(max_size=40)))
         argv = data.draw(fuzz_argv(files))
-        code, err = run_main(argv)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.chdir(base)  # a relative --out from the config file lands here
+            code, err = run_main(argv)
         lines = err.splitlines()
         assert code in (0, 2) or (code == 1 and lines and lines[-1].startswith("error:")), (argv, code, err)

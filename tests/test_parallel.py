@@ -1,13 +1,14 @@
 """Worker-count invariance and the throughput benchmark."""
 
 import multiprocessing
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from cardtable.agents import RandomAgent, cfr_train
 from cardtable.env import EnvConfig, make, serialize_trajectories
-from cardtable.errors import InvalidParam, WorkerFailure
+from cardtable.errors import InvalidParam, ParseError, WorkerFailure
 from cardtable.parallel import BENCH_REPEATS, BenchReport, RolloutSpec, bench, build_agent, rollout_parallel
 
 
@@ -101,13 +102,12 @@ class TestRollout:
             with pytest.raises(InvalidParam, match=r"^hand_size must be an integer in 1\.\.12, got 'abc'$"):
                 rollout_parallel(RolloutSpec(config, ("random", "random"), 3, workers))
 
-    def test_setup_failure_carries_game_index(self):
-        config = EnvConfig("leduc", seed=1)
-        bad = RolloutSpec(config, ("random", "/nonexistent/policy.tsv"), 5, 1)
-        with pytest.raises(WorkerFailure) as info:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_missing_policy_file_is_a_parse_error_not_a_game_failure(self, tmp_path, workers):
+        missing = tmp_path / "policy.tsv"
+        bad = RolloutSpec(EnvConfig("leduc", seed=1), ("random", str(missing)), 5, workers)
+        with pytest.raises(ParseError, match=rf"^policy file {re.escape(str(missing))}: FileNotFoundError"):
             rollout_parallel(bad)
-        assert info.value.game_index == 0
-        assert "FileNotFoundError" in str(info.value)
 
     @staticmethod
     def leduc_policy_playing(path, action_id):
