@@ -36,15 +36,24 @@ Legal ids come from per-category id tables built at import:
 walks the tables in table order, so its list comes out sorted with no
 sort. Leading and responding take separate paths:
 
-- a lead reads the hand once: the ranks holding at least one, two,
-  three and four cards, the maximal chain runs among the first three,
-  and the count of eligible solo and pair kicker ranks. Every primal
-  rank is itself an eligible kicker rank, so a span of n primal ranks
-  leaves that count minus n, and a kicker category needs no per-rank
-  scan. Chains of each length are slices of the runs.
-- a response checks only to_beat's category at to_beat's length, above
-  its primal, then the bombs (above the bomb to beat, if any) and the
-  rocket.
+- a lead reads the hand once, into four 15-bit rank masks: bit r is
+  set in the first, second and third when rank r holds at least one,
+  two and three cards, and in the fourth when it holds all four. Two
+  fixed tables give the ascending set bits of a mask's low 8 and high 7
+  bits, so each category's ranks come without a scan of the hand. The
+  bit counts of the first two masks are the eligible solo and pair
+  kicker ranks. Every primal rank is itself an eligible kicker rank, so
+  a span of n primal ranks leaves that count minus n, and a kicker
+  category needs no per-rank scan.
+- runs: cut a mask to the chain ranks and AND it with itself shifted
+  down by 1, 2, ..., n-1; bit s of the result is set exactly when ranks
+  s..s+n-1 are all in the mask, so it holds the starts of the n-long
+  chains. Each length ANDs one more shift onto the last, and the first
+  length with no start ends the search. The three plane categories
+  share one run computation over the trio mask.
+- a response reads the same masks and checks only to_beat's category
+  at to_beat's length, above its primal (chains by the same runs), then
+  the bombs (above the bomb to beat, if any) and the rocket.
 
 Decoding an abstract action completes the kickers deterministically:
 take the lowest eligible kicker ranks that do not break a bomb (a rank
@@ -166,69 +175,104 @@ _KICKERS = {
     "quad_two_solo": (1, 2), "quad_two_pair": (2, 2),
 }
 
+# A hand's rank masks, read in one pass: _SPREAD[r][c] puts rank r's bit in
+# the 16-bit field of every level below its count c, so the sum over a hand
+# holds the ranks with at least 1, 2, 3 and 4 cards in fields 0..3. Jokers
+# come one of each, so their rows stop at count 1.
+_FIELD = 0x7FFF
+_SPREAD = tuple(
+    tuple(sum(1 << 16 * level + r for level in range(c)) for c in range(2 if r >= 13 else 5))
+    for r in range(NUM_RANKS)
+)
+_CHAIN_MASK = (1 << CHAIN_TOP + 1) - 1  # ranks 3..A
+_ROCKET_MASK = 3 << 13
+# the ascending set bits of a mask's low 8 and high 7 bits: a mask's ranks
+# are _LOW_BITS[mask & 255] + _HIGH_BITS[mask >> 8]
+_LOW_BITS = tuple(tuple(r for r in range(8) if m >> r & 1) for m in range(256))
+_HIGH_BITS = tuple(tuple(r for r in range(8, NUM_RANKS) if m >> r - 8 & 1) for m in range(128))
+# a chain category's id tables by length, shortest first
+_SOLO_CHAINS, _PAIR_CHAINS, _PLANES, _PLANE_SOLOS, _PLANE_PAIRS = (
+    tuple(ids for (c, _), ids in _IDS.items() if c == cat)
+    for cat in ("solo_chain", "pair_chain", "plane", "plane_solo", "plane_pair")
+)
+# what a response to each (category, length) reads: (shift of the field
+# its primal ranks need, shift of its kicker field or -1, eligible kicker
+# ranks it needs counting its own primal span, its id table)
+_RESPONSE = {
+    (cat, length): (
+        16 * _CARDS_PER_RANK[cat] - 16,
+        16 * _KICKERS[cat][0] - 16 if cat in _KICKERS else -1,
+        (_KICKERS[cat][1] + 1) * length if cat in _KICKERS else 0,
+        ids,
+    )
+    for (cat, length), ids in _IDS.items()
+}
 
-def _chain_runs(ranks) -> list[list[int]]:
-    """[start, stop) of each maximal run of consecutive chain ranks in `ranks` (ascending)."""
-    runs: list[list[int]] = []
-    for r in ranks:
-        if r > CHAIN_TOP:
+
+def _masks(cnt) -> int:
+    """A hand's four rank masks, one per 16-bit field (see _SPREAD)."""
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14 = cnt
+    s = _SPREAD
+    # unrolled: on CPython 3.11 about two thirds the cost of sum(map(getitem, _SPREAD, cnt))
+    return (
+        s[0][c0] + s[1][c1] + s[2][c2] + s[3][c3] + s[4][c4] + s[5][c5] + s[6][c6] + s[7][c7]
+        + s[8][c8] + s[9][c9] + s[10][c10] + s[11][c11] + s[12][c12] + s[13][c13] + s[14][c14]
+    )
+
+
+def _runs(mask: int, lo: int, hi: int) -> list[int]:
+    """Per length n from lo, the starts of mask's n-long runs of set bits; up to hi or the first n with none."""
+    runs = []
+    run = mask
+    for shift in range(1, hi):
+        run &= mask >> shift
+        if not run:
             break
-        if runs and runs[-1][1] == r:
-            runs[-1][1] = r + 1
-        else:
-            runs.append([r, r + 1])
+        if shift >= lo - 1:
+            runs.append(run)
     return runs
-
-
-def _chain_ids(cat: str, n: int, runs) -> list[int]:
-    """Ids of the n-rank chains of cat that fit in runs, by start rank."""
-    ids = _IDS.get((cat, n), ())
-    out: list[int] = []
-    for start, stop in runs:
-        if stop - start >= n:
-            out += ids[start : stop - n + 1]
-    return out
-
-
-def _kicker_ranks(cnt, primal_lo: int, primal_hi: int, need: int) -> list[int]:
-    """Ranks eligible as kickers of `need` cards each, ascending. The primal span is excluded."""
-    top = 13 if need == 2 else 15
-    return [k for k in range(top) if cnt[k] >= need and not primal_lo <= k < primal_hi]
 
 
 def _lead(cnt) -> list[int]:
     """Every id a leader can play, in table order."""
-    solos = [r for r in range(NUM_RANKS) if cnt[r] >= 1]
-    pairs = [r for r in solos if r < 13 and cnt[r] >= 2]
-    trios = [r for r in pairs if cnt[r] >= 3]
-    quads = [r for r in trios if cnt[r] == 4]
+    m = _masks(cnt)
+    solo, pair, trio, quad = m & _FIELD, m >> 16 & _FIELD, m >> 32 & _FIELD, m >> 48
     # a primal rank is itself an eligible kicker rank, so a span of n
     # ranks leaves the eligible count minus n
-    n_solo, n_pair = len(solos), len(pairs)
-    out = [_SOLO[r] for r in solos]
-    out += [_PAIR[r] for r in pairs]
-    out += [_TRIO[r] for r in trios]
-    if n_solo >= 2:
-        out += [_TRIO_SINGLE[r] for r in trios]
-    if n_pair >= 2:
-        out += [_TRIO_PAIR[r] for r in trios]
-    runs1, runs2, runs3 = _chain_runs(solos), _chain_runs(pairs), _chain_runs(trios)
-    for cat, runs, lo, hi in (
-        ("solo_chain", runs1, 5, 12),
-        ("pair_chain", runs2, 3, 10),
-        ("plane", runs3, 2, 6),
-        ("plane_solo", runs3, 2, min(5, n_solo // 2)),
-        ("plane_pair", runs3, 2, min(4, n_pair // 2)),
-    ):
-        longest = max([stop - start for start, stop in runs], default=0)
-        for n in range(lo, min(hi, longest) + 1):
-            out += _chain_ids(cat, n, runs)
-    if n_solo >= 3:
-        out += [_QUAD_TWO_SOLO[r] for r in quads]
-    if n_pair >= 3:
-        out += [_QUAD_TWO_PAIR[r] for r in quads]
-    out += [_BOMB[r] for r in quads]
-    if cnt[13] and cnt[14]:
+    n_solo, n_pair = solo.bit_count(), pair.bit_count()
+    out = [_SOLO[r] for r in _LOW_BITS[solo & 255] + _HIGH_BITS[solo >> 8]]
+    if pair:
+        out += [_PAIR[r] for r in _LOW_BITS[pair & 255] + _HIGH_BITS[pair >> 8]]
+    if trio:
+        trios = _LOW_BITS[trio & 255] + _HIGH_BITS[trio >> 8]
+        out += [_TRIO[r] for r in trios]
+        if n_solo >= 2:
+            out += [_TRIO_SINGLE[r] for r in trios]
+        if n_pair >= 2:
+            out += [_TRIO_PAIR[r] for r in trios]
+    for ids, run in zip(_SOLO_CHAINS, _runs(solo & _CHAIN_MASK, 5, 12)):
+        out += [ids[s] for s in _LOW_BITS[run & 255] + _HIGH_BITS[run >> 8]]
+    for ids, run in zip(_PAIR_CHAINS, _runs(pair & _CHAIN_MASK, 3, 10)):
+        out += [ids[s] for s in _LOW_BITS[run & 255] + _HIGH_BITS[run >> 8]]
+    planes = _runs(trio & _CHAIN_MASK, 2, 6)
+    if planes:
+        # planes[i] is the (i + 2)-long runs; n trios need n kicker ranks
+        # besides their own, and zip stops at each category's longest plane
+        for by_length, runs in (
+            (_PLANES, planes),
+            (_PLANE_SOLOS, planes[: n_solo // 2 - 1]),
+            (_PLANE_PAIRS, planes[: n_pair // 2 - 1]),
+        ):
+            for ids, run in zip(by_length, runs):
+                out += [ids[s] for s in _LOW_BITS[run & 255] + _HIGH_BITS[run >> 8]]
+    if quad:
+        quads = _LOW_BITS[quad & 255] + _HIGH_BITS[quad >> 8]
+        if n_solo >= 3:
+            out += [_QUAD_TWO_SOLO[r] for r in quads]
+        if n_pair >= 3:
+            out += [_QUAD_TWO_PAIR[r] for r in quads]
+        out += [_BOMB[r] for r in quads]
+    if solo & _ROCKET_MASK == _ROCKET_MASK:
         out.append(ROCKET_ID)
     return out
 
@@ -239,28 +283,29 @@ def _respond(cnt, to_beat: CardPattern) -> list[int]:
     out = [PASS_ID]
     if cat == "rocket":
         return out
+    m = _masks(cnt)
     bomb_floor = 0
     if cat == "bomb":
         bomb_floor = to_beat.primal + 1
     else:
         length = to_beat.length
-        need = _CARDS_PER_RANK[cat]
-        kicker_need, per_rank = _KICKERS.get(cat, (0, 0))
-        # the count below includes the primal span (see _lead)
-        if not kicker_need or len(_kicker_ranks(cnt, 0, 0, kicker_need)) >= (per_rank + 1) * length:
-            floor = to_beat.primal + 1
+        shift, kicker_shift, kickers, ids = _RESPONSE[cat, length]
+        # the kicker count includes the primal span (see _lead)
+        if kicker_shift < 0 or (m >> kicker_shift & _FIELD).bit_count() >= kickers:
+            run = m >> shift & _FIELD
             if length > 1:
-                held = [r for r in range(floor, CHAIN_TOP + 1) if cnt[r] >= need]
-                out += _chain_ids(cat, length, _chain_runs(held))
-            else:
-                ids = _IDS[cat, 1]
-                if need == 4:
-                    out += [ids[r] for r in range(floor, len(ids)) if cnt[r] == 4]
-                else:
-                    out += [ids[r] for r in range(floor, len(ids)) if cnt[r] >= need]
-    if 4 in cnt:
-        out += [_BOMB[r] for r in range(bomb_floor, 13) if cnt[r] == 4]
-    if cnt[13] and cnt[14]:
+                held = run = run & _CHAIN_MASK
+                for k in range(1, length):
+                    run &= held >> k
+            floor = to_beat.primal + 1
+            run = run >> floor << floor
+            if run:
+                out += [ids[s] for s in _LOW_BITS[run & 255] + _HIGH_BITS[run >> 8]]
+    quad = m >> 48
+    if quad:
+        quad = quad >> bomb_floor << bomb_floor
+        out += [_BOMB[r] for r in _LOW_BITS[quad & 255] + _HIGH_BITS[quad >> 8]]
+    if m & _ROCKET_MASK == _ROCKET_MASK:
         out.append(ROCKET_ID)
     return out
 
@@ -293,6 +338,12 @@ _PLAIN = tuple(  # the whole pattern of each id that carries no kickers
     None if cat in _KICKERS else CardPattern(cat, primal, length)
     for cat, primal, length in ABSTRACT_ACTIONS
 )
+
+
+def _kicker_ranks(cnt, primal_lo: int, primal_hi: int, need: int) -> list[int]:
+    """Ranks eligible as kickers of `need` cards each, ascending. The primal span is excluded."""
+    top = 13 if need == 2 else 15
+    return [k for k in range(top) if cnt[k] >= need and not primal_lo <= k < primal_hi]
 
 
 def complete(action_id: int, cnt) -> tuple[CardPattern, tuple[int, ...]]:

@@ -5,12 +5,18 @@ its two helpers, as it stood before the per-category id tables. The
 production matcher must return the identical list (same ids, same order)
 for random hands over the full and the mini rank sets, against a to_beat
 from every category at every length, bombs, the rocket and None.
+
+The same holds for every hand that leads or responds in seeded games of
+both variants, and for hand-built hands on both sides of each gate: the
+kicker counts, the plane kicker caps, the longest straight, 2s that
+join no chain, and one joker against both.
 """
 
 import pytest
 
 from cardtable.core.rng import Rng
 from cardtable.games import doudizhu_patterns
+from cardtable.games.doudizhu import DoudizhuGame
 from cardtable.games.doudizhu_patterns import (
     ABSTRACT_ACTIONS,
     ACTION_INDEX,
@@ -137,3 +143,109 @@ def test_matches_frozen_reference(ranks, jokers, seed):
             assert doudizhu_patterns.matching_abstract_ids(cnt, to_beat) == want, (cnt, to_beat)
             assert doudizhu_patterns.matching_abstract_ids(tuple(cnt), to_beat) == want, (cnt, to_beat)
 
+
+# ---------------------------------------------------------------------------
+# every hand a seeded game leads or responds from
+
+
+@pytest.mark.parametrize("variant", ["full", "mini"])  # game ids doudizhu and mini_doudizhu
+def test_every_decision_of_seeded_games_matches_frozen_reference(variant):
+    leads = responses = 0
+    for seed in range(200):
+        game = DoudizhuGame(Rng(seed), variant=variant)
+        game.reset()
+        rng = Rng(10_000 + seed)
+        while not game.is_over():
+            cnt, to_beat = game.counts[game.turn], game.to_beat
+            legal = game.legal_moves()
+            assert legal == tuple(matching_abstract_ids(cnt, to_beat)), (cnt, to_beat)
+            leads += to_beat is None
+            responses += to_beat is not None
+            game.step(rng.choice(legal))
+    assert leads >= 1000 and responses >= 3000, (leads, responses)
+
+
+# ---------------------------------------------------------------------------
+# hand-built hands on both sides of every gate
+
+
+def hand(counts: dict[int, int]) -> list[int]:
+    cnt = [0] * 15
+    for rank, n in counts.items():
+        cnt[rank] = n
+    return cnt
+
+
+def lead_triples(cnt) -> list[tuple[str, int, int]]:
+    """The lead list as triples, after checking it and every response list against the reference."""
+    for to_beat in (None, *TO_BEAT):
+        want = matching_abstract_ids(cnt, to_beat)
+        assert doudizhu_patterns.matching_abstract_ids(cnt, to_beat) == want, (cnt, to_beat)
+    return [ABSTRACT_ACTIONS[i] for i in doudizhu_patterns.matching_abstract_ids(cnt, None)]
+
+
+def longest(cnt, cat: str) -> int:
+    """The longest length of cat that a leader may play, 0 if none."""
+    return max((n for c, _, n in lead_triples(cnt) if c == cat), default=0)
+
+
+@pytest.mark.parametrize(
+    "cat, without, with_",
+    [
+        ("trio_single", {0: 3}, {0: 3, 5: 1}),  # 1 against 2 solo ranks
+        ("trio_single", {0: 3}, {0: 3, 13: 1}),  # a joker is a solo kicker
+        ("trio_pair", {0: 3, 5: 1}, {0: 3, 5: 2}),  # 1 against 2 pair ranks
+        ("quad_two_solo", {0: 4, 5: 1}, {0: 4, 5: 1, 7: 1}),  # 2 against 3 solo ranks
+        ("quad_two_solo", {0: 4, 12: 1}, {0: 4, 12: 1, 14: 1}),
+        ("quad_two_pair", {0: 4, 5: 2}, {0: 4, 5: 2, 7: 2}),  # 2 against 3 pair ranks
+        ("quad_two_pair", {0: 4, 5: 2, 13: 1, 14: 1}, {0: 4, 5: 2, 12: 2}),  # jokers make no pair
+    ],
+)
+def test_kicker_gates(cat, without, with_):
+    assert (cat, 0, 1) not in lead_triples(hand(without))
+    assert (cat, 0, 1) in lead_triples(hand(with_))
+
+
+@pytest.mark.parametrize("trios", range(2, 7))
+def test_plane_kicker_caps(trios):
+    """n consecutive trios list plane_solo up to n_solo // 2 trios and plane_pair up to n_pair // 2."""
+    body = {r: 3 for r in range(trios)}
+    assert longest(hand(body), "plane") == trios
+    for extra in range(9):  # solo kicker ranks 9..2, then the jokers
+        cap = min(5, trios, (trios + extra) // 2)
+        cnt = hand({**body, **{7 + k: 1 for k in range(extra)}})
+        assert longest(cnt, "plane_solo") == (cap if cap >= 2 else 0)
+    for extra in range(7):  # pair kicker ranks 9..2
+        cap = min(4, trios, (trios + extra) // 2)
+        cnt = hand({**body, **{7 + k: 2 for k in range(extra)}})
+        assert longest(cnt, "plane_pair") == (cap if cap >= 2 else 0)
+
+
+def test_twelve_rank_straight():
+    straight = {r: 1 for r in range(12)}  # 3..A
+    chains = {(s, n) for c, s, n in lead_triples(hand(straight)) if c == "solo_chain"}
+    assert chains == {(s, n) for n in range(5, 13) for s in range(13 - n)}
+    assert len(chains) == 36
+    assert {t for t in lead_triples(hand({**straight, 12: 1})) if t[0] == "solo_chain"} == {
+        ("solo_chain", s, n) for s, n in chains
+    }  # the 2 extends nothing
+    assert longest(hand({r: 1 for r in range(1, 13)}), "solo_chain") == 11  # 4..2 is only 4..A
+
+
+def test_four_twos_join_no_chain():
+    triples = lead_triples(hand({10: 4, 11: 4, 12: 4}))  # KKKK AAAA 2222
+    assert {t for t in triples if t[0] in ("plane", "pair_chain", "solo_chain")} == {("plane", 10, 2)}
+    assert {("bomb", r, 1) for r in (10, 11, 12)} <= set(triples)
+    assert ("quad_two_solo", 12, 1) in triples and ("quad_two_pair", 12, 1) in triples
+    assert longest(hand({7: 1, 8: 1, 9: 1, 10: 1, 11: 1, 12: 4}), "solo_chain") == 5  # T..A, not J..2
+
+
+def test_one_joker_against_both():
+    one, both = hand({13: 1}), hand({13: 1, 14: 1})
+    assert lead_triples(one) == [("solo", 13, 1)]
+    assert lead_triples(both) == [("solo", 13, 1), ("solo", 14, 1), ("rocket", 13, 1)]
+    bomb = CardPattern("bomb", 12)
+    assert doudizhu_patterns.matching_abstract_ids(one, bomb) == [PASS_ID]
+    assert doudizhu_patterns.matching_abstract_ids(both, bomb) == [PASS_ID, ACTION_INDEX[("rocket", 13, 1)]]
+    for cnt in (one, both):
+        assert doudizhu_patterns.matching_abstract_ids(cnt, CardPattern("rocket", 13)) == [PASS_ID]
