@@ -13,12 +13,13 @@ that deal, and the trainer has two ways to walk it:
 
 - Leduc walks compiled_tree("leduc"), the exact tree CFR trains on. The
   Env deals the private cards, LeducGame.draw_public draws the public
-  card from the same stream, and LeducTree.deal_children names the chance
-  children the deal leads to. A leduc snapshot holds the deal stream, so
-  every branch of a stepped game reveals that same public card: the tree
-  walk visits the info keys the engine walk would, in the same order,
-  and its outputs are equal bit for bit (tests/test_agents.py runs the
-  two in lockstep).
+  card from the same stream, as the engine's _deal_board would when
+  round one closes, and LeducTree.deal_children names the chance
+  children the deal leads to. This walk is draw_public's only caller.
+  A leduc snapshot holds the deal stream, so every branch of a stepped
+  game reveals that same public card: the tree walk visits the info
+  keys the engine walk would, in the same order, and its outputs are
+  equal bit for bit (tests/test_agents.py runs the two in lockstep).
 - Blackjack and limit hold'em, which have no compiled tree, walk the
   engine from the seat Env._deal returns: no deal ends a game (a
   blackjack natural still asks hit or stand), info keys and legal ids

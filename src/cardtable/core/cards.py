@@ -30,7 +30,6 @@ UNO_SYMBOLS = tuple(str(d) for d in range(10)) + ("skip", "reverse", "draw2")
 
 DECKS: dict[str, tuple[int, ...]] = {
     "standard52": tuple(range(52)),
-    "standard54": tuple(range(54)),
     "leduc6": tuple(range(6)),
     "uno108": tuple(
         sorted([c * 13 for c in range(4)] + [c * 13 + s for c in range(4) for s in range(1, 13)] * 2 + [52, 53] * 4)

@@ -201,10 +201,6 @@ class Observation:
             self._planes = self._render[2](self.raw)
         return self._planes
 
-    @property
-    def is_terminal(self) -> bool:
-        return not self.legal_action_ids
-
     def __eq__(self, other):
         if not isinstance(other, Observation):
             return NotImplemented

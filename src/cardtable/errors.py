@@ -14,7 +14,9 @@ class UnknownGame(InvalidParam):
 
 
 class AgentsNotSet(CardTableError):
-    """Env.run was called before agents were attached."""
+    """Agents were not attached, or their number does not match the seats
+    they fill: Env.run before set_agents, or set_agents, make_single_agent,
+    tournament or rollout_parallel given the wrong count."""
 
 
 class IllegalAction(CardTableError):
@@ -44,10 +46,6 @@ class GameTooLarge(CardTableError):
 class NotZeroSum(CardTableError):
     """compile_tree met a terminal whose payoffs are not (p, -p): exact
     solvers and exploitability need a two-player zero-sum tree."""
-
-
-class SeatMismatch(CardTableError):
-    """The number of agents does not match the number of seats."""
 
 
 class WorkerFailure(CardTableError):

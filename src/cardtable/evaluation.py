@@ -22,7 +22,7 @@ import numpy as np
 
 from cardtable.agents.policy import PolicyTable, left_sum
 from cardtable.env import EnvConfig, game_spec, make
-from cardtable.errors import InvalidParam, SeatMismatch
+from cardtable.errors import AgentsNotSet, InvalidParam
 from cardtable.trees import DECISION, CompiledTree, blackjack_info_sets, compiled_tree
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def tournament(config: EnvConfig, agents, n_games: int, rotate: bool = True) -> 
     agents = list(agents)
     seats = config.num_players
     if len(agents) != seats:
-        raise SeatMismatch(f"{config.game_id} seats {seats} players, got {len(agents)} agents")
+        raise AgentsNotSet(f"{config.game_id} seats {seats} players, got {len(agents)} agents")
     rotations = seats if rotate else 1
     per_block = n_games // rotations
     if per_block < 1:

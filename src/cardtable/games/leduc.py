@@ -5,8 +5,9 @@ private card. Two betting rounds with raises of 2 units in round one
 and 4 in round two, at most two raises per round; round one's close
 deals one public card. At showdown a private card pairing the public
 card wins, otherwise the higher private rank; equal ranks split.
-Payoffs are net units won, antes included. Limit hold'em's BettingGame
-states the rest of the hand.
+Payoffs are net units won, antes included. The antes are BettingGame's
+blinds and the public card its one-card board; limit hold'em's
+BettingGame states the rest of the hand, deal and snapshot included.
 
 Hands hold card ids 0..5 (suit * 3 + rank); play only ever depends on
 the rank, id % 3.
@@ -43,62 +44,28 @@ class LeducGame(BettingGame):
     MAX_RAISES = 2
     LAST_ROUND = 1
     CHIPS_PER_UNIT = 1
+    DECK = DECKS["leduc6"]
+    BOARD = (0, 1)  # round two opens with the public card
+    blinds = (ANTE, ANTE)
     raise_sizes = (2, 4)
 
-    def _start(self) -> int:
-        self.stock = stock = list(DECKS["leduc6"])
-        self.hands = (self.rng.draw(stock), self.rng.draw(stock))  # private card id by seat
-        self.public: int | None = None  # card id
-        self.folded = (False, False)
-        self.chips = (ANTE, ANTE)  # total contribution to the pot
-        self.round_index = 0
-        self.raises = 0  # this round
-        self.to_act = 0
-        self.to_close = 2  # moves left before this round closes
-        self.history = ""
-        self._results: tuple | None = None
-        return 0
+    def _deal_hands(self, stock: list[int]) -> tuple[int, int]:
+        return self.rng.draw(stock), self.rng.draw(stock)  # one private card id by seat
 
     def draw_public(self) -> int:
-        """The public card: the deal stream's next draw from the stock.
-
-        Round one's close reveals it; a solver that walks the compiled
-        tree along this deal draws it straight after the reset. Earlier
-        snapshots hold the old stock, so the draw takes a copy.
-        """
+        """The public card: the deal stream's next draw, as _deal_board makes
+        it when round one closes. MCCFR's tree walk draws it straight after
+        the reset. Earlier snapshots hold the old stock, so the draw takes a
+        copy."""
         self.stock = stock = list(self.stock)
         return self.rng.draw(stock)
-
-    def _deal_board(self) -> None:
-        self.public = self.draw_public()
 
     def _first_actor(self, round_index: int) -> int:
         return 0
 
     def _showdown_winners(self) -> tuple[int, ...]:
-        winner = showdown_winner(self.hands[0] % 3, self.hands[1] % 3, self.public % 3)
+        winner = showdown_winner(self.hands[0] % 3, self.hands[1] % 3, self.board[0] % 3)
         return (0, 1) if winner < 0 else (winner,)
-
-    def snapshot(self):
-        return (
-            self.hands,
-            self.public,
-            self.folded,
-            self.chips,
-            self.round_index,
-            self.raises,
-            self.to_act,
-            self.to_close,
-            self.history,
-            self._results,
-            self.stock,
-            self.rng.getstate(),
-        )
-
-    def _restore(self, snap) -> None:
-        (self.hands, self.public, self.folded, self.chips, self.round_index, self.raises,
-         self.to_act, self.to_close, self.history, self._results, self.stock, rng_state) = snap
-        self.rng.setstate(rng_state)
 
 
 def capture(game: LeducGame, seat: int):
@@ -107,7 +74,7 @@ def capture(game: LeducGame, seat: int):
     view = (
         seat,
         game.hands[seat],
-        game.public,
+        game.board,
         game.history,
         game.chips[seat],
         game.chips[1 - seat],
@@ -117,7 +84,8 @@ def capture(game: LeducGame, seat: int):
 
 
 def render_raw(view) -> dict:
-    seat, private, public, history, my_chips, opp_chips, round_index = view
+    seat, private, board, history, my_chips, opp_chips, round_index = view
+    public = board[0] if board else None
     return {
         "seat": seat,
         "hand": LEDUC_RANKS[private % 3],
@@ -132,8 +100,8 @@ def render_raw(view) -> dict:
 
 
 def render_key(view) -> str:
-    seat, private, public, history = view[:4]
-    return info_key(seat, private % 3, None if public is None else public % 3, history)
+    seat, private, board, history = view[:4]
+    return info_key(seat, private % 3, board[0] % 3 if board else None, history)
 
 
 def observe(game: LeducGame, seat: int):

@@ -10,7 +10,8 @@ flop, turn, river) deal 0, 3, 1 and 1 community cards, with a raise of
 last two, at most four raises per round. At showdown the best
 seven-card hand wins; suits never break ties and the ace plays low in
 a five-high straight. Chips count half big blinds, so payoffs can be
-fractional big blinds. BettingGame states the rest of the hand.
+fractional big blinds. The community cards are BettingGame's board;
+BettingGame states the rest of the hand, deal and snapshot included.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ NUM_ACTIONS = 4
 
 SMALL_BLIND = 1  # half big blinds
 BIG_BLIND = 2
-_COMMUNITY_PER_ROUND = (0, 3, 1, 1)
 _MOVE_CHAR = "crfk"  # history letter by action id
 # legal moves in id order, indexed [facing a bet][a raise is left]
 _LEGAL = (((FOLD, CHECK), (RAISE, FOLD, CHECK)), ((CALL, FOLD), (CALL, RAISE, FOLD)))
@@ -59,30 +59,60 @@ class BettingGame(Game):
     number minus one, and every other move (a fold too) takes one off;
     the round closes at 0. The turn passes to the next live seat.
 
-    When a round before LAST_ROUND closes, the subclass deals its board
-    (_deal_board) and the first live seat from _first_actor(round_index)
-    opens the next. When round LAST_ROUND closes, the live seats show
-    down; _showdown_winners names the best hands. A fold that leaves one
-    live seat ends the hand at once, that seat winning. Either way the
-    winners split the pot equally: each nets pot / winners less its own
-    chips, every other seat loses its chips. Net chips are exact, an int
-    on an even split and a Fraction otherwise, so they sum to zero;
-    payoffs() divides them by CHIPS_PER_UNIT.
+    A hand opens with the whole DECK in the stock, the private cards
+    _deal_hands draws, each seat's blinds as its chips and
+    _first_actor(0) to act. When a round before LAST_ROUND closes,
+    BOARD[round_index] cards are drawn onto the shared board and the
+    first live seat from _first_actor(round_index) opens the next. When
+    round LAST_ROUND closes, the live seats show down; _showdown_winners
+    names the best hands. A fold that leaves one live seat ends the hand
+    at once, that seat winning. Either way the winners split the pot
+    equally: each nets pot / winners less its own chips, every other
+    seat loses its chips. Net chips are exact, an int on an even split
+    and a Fraction otherwise, so they sum to zero; payoffs() divides
+    them by CHIPS_PER_UNIT.
 
     The betting history is one letter per move (c call, r raise, f fold,
     k check), with '/' between rounds.
 
-    A subclass sets MAX_RAISES, LAST_ROUND, CHIPS_PER_UNIT and
-    raise_sizes and writes _start, _deal_board, _first_actor and
-    _showdown_winners. The state this class reads and replaces: to_act,
-    to_close, raises (this round), chips, folded, history, round_index
-    and _results (net chips by seat once the hand is over, else None).
+    A subclass sets MAX_RAISES, LAST_ROUND, CHIPS_PER_UNIT, DECK, BOARD,
+    blinds and raise_sizes and writes _deal_hands, _first_actor and
+    _showdown_winners. The state, all of it in snapshot(): hands, board,
+    folded, chips, round_base (every live seat's chips when this round
+    opened), round_index, raises (this round), to_act, to_close,
+    history, _results (net chips by seat once the hand is over, else
+    None), stock and the generator state.
     """
 
     MAX_RAISES: int
     LAST_ROUND: int
     CHIPS_PER_UNIT: int
+    DECK: tuple[int, ...]
+    BOARD: tuple[int, ...]  # cards dealt as each round opens, by round index
+    blinds: tuple[int, ...]  # chips by seat before the first move
     raise_sizes: tuple[int, ...]  # by round index
+
+    def _start(self) -> int:
+        n = self.num_players
+        self.stock = stock = list(self.DECK)
+        self.hands = self._deal_hands(stock)
+        self.board: tuple[int, ...] = ()
+        self.folded = (False,) * n
+        self.chips = self.blinds
+        self.round_base = self.round_index = self.raises = 0
+        self.to_act = first = self._first_actor(0)
+        self.to_close = n
+        self.history = ""
+        self._results: tuple | None = None
+        return first
+
+    def _deal_board(self) -> None:
+        """Deal this round's board cards and note the bet every live seat has in."""
+        # earlier snapshots hold the old stock; draw from a copy
+        self.stock = stock = list(self.stock)
+        for _ in range(self.BOARD[self.round_index]):
+            self.board += (self.rng.draw(stock),)
+        self.round_base = max(self.chips)
 
     def _legal_moves(self) -> tuple[int, ...]:
         chips = self.chips
@@ -151,59 +181,10 @@ class BettingGame(Game):
         unit = self.CHIPS_PER_UNIT
         return [float(r) / unit for r in self._results]
 
-
-class LimitHoldemGame(BettingGame):
-    MAX_RAISES = 4
-    LAST_ROUND = 3
-    CHIPS_PER_UNIT = 2  # half big blinds per big blind
-
-    def __init__(self, rng, num_players: int = 2, fixed_raise: int = 1):
-        super().__init__(rng)
-        self.num_players = int_param("num_players", num_players, 2, 10)
-        self.fixed_raise = int_param("fixed_raise", fixed_raise, 1)
-        bb = 2 * self.fixed_raise
-        self.raise_sizes = (bb, bb, 2 * bb, 2 * bb)  # half big blinds, doubled from the turn
-
-    def _first_actor(self, round_index: int) -> int:
-        n = self.num_players
-        if round_index == 0:
-            return 0 if n == 2 else 2 % n
-        return 1 if n == 2 else 0
-
-    def _start(self) -> int:
-        n = self.num_players
-        self.stock = stock = list(DECKS["standard52"])
-        draw = self.rng.draw
-        self.hands = tuple(tuple(sorted((draw(stock), draw(stock)))) for _ in range(n))
-        self.community: tuple[int, ...] = ()
-        self.folded = (False,) * n
-        self.chips = (SMALL_BLIND, BIG_BLIND) + (0,) * (n - 2)
-        self.round_base = 0  # chips every live seat had in when this round opened
-        self.round_index = 0
-        self.raises = 0  # this round
-        self.to_act = self._first_actor(0)
-        self.to_close = n  # moves left before this round closes
-        self.history = ""
-        self._results: tuple | None = None
-        return self.to_act
-
-    def _deal_board(self) -> None:
-        """Deal this round's community cards and note the bet every live seat has in."""
-        # earlier snapshots hold the old stock; draw from a copy
-        self.stock = stock = list(self.stock)
-        self.community += tuple([self.rng.draw(stock) for _ in range(_COMMUNITY_PER_ROUND[self.round_index])])
-        self.round_base = max(self.chips)
-
-    def _showdown_winners(self) -> list[int]:
-        """The live seats holding the best seven-card hand."""
-        ranks = {i: evaluate_seven(self.hands[i] + self.community) for i, out in enumerate(self.folded) if not out}
-        best = max(ranks.values())
-        return [i for i, rank in ranks.items() if rank == best]
-
     def snapshot(self):
         return (
             self.hands,
-            self.community,
+            self.board,
             self.folded,
             self.chips,
             self.round_base,
@@ -218,9 +199,41 @@ class LimitHoldemGame(BettingGame):
         )
 
     def _restore(self, snap) -> None:
-        (self.hands, self.community, self.folded, self.chips, self.round_base, self.round_index, self.raises,
+        (self.hands, self.board, self.folded, self.chips, self.round_base, self.round_index, self.raises,
          self.to_act, self.to_close, self.history, self._results, self.stock, rng_state) = snap
         self.rng.setstate(rng_state)
+
+
+class LimitHoldemGame(BettingGame):
+    MAX_RAISES = 4
+    LAST_ROUND = 3
+    CHIPS_PER_UNIT = 2  # half big blinds per big blind
+    DECK = DECKS["standard52"]
+    BOARD = (0, 3, 1, 1)  # hole cards, flop, turn, river
+
+    def __init__(self, rng, num_players: int = 2, fixed_raise: int = 1):
+        super().__init__(rng)
+        self.num_players = int_param("num_players", num_players, 2, 10)
+        self.fixed_raise = int_param("fixed_raise", fixed_raise, 1)
+        self.blinds = (SMALL_BLIND, BIG_BLIND) + (0,) * (self.num_players - 2)
+        bb = 2 * self.fixed_raise
+        self.raise_sizes = (bb, bb, 2 * bb, 2 * bb)  # half big blinds, doubled from the turn
+
+    def _first_actor(self, round_index: int) -> int:
+        n = self.num_players
+        if round_index == 0:
+            return 0 if n == 2 else 2 % n
+        return 1 if n == 2 else 0
+
+    def _deal_hands(self, stock: list[int]) -> tuple:
+        draw = self.rng.draw
+        return tuple(tuple(sorted((draw(stock), draw(stock)))) for _ in range(self.num_players))
+
+    def _showdown_winners(self) -> list[int]:
+        """The live seats holding the best seven-card hand."""
+        ranks = {i: evaluate_seven(self.hands[i] + self.board) for i, out in enumerate(self.folded) if not out}
+        best = max(ranks.values())
+        return [i for i, rank in ranks.items() if rank == best]
 
 
 def capture(game: LimitHoldemGame, seat: int):
@@ -229,7 +242,7 @@ def capture(game: LimitHoldemGame, seat: int):
     view = (
         seat,
         game.hands[seat],
-        game.community,
+        game.board,
         game.history,
         game.round_index,
         game.chips[seat],

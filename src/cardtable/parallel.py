@@ -20,7 +20,7 @@ from cardtable.agents.base import RandomAgent
 from cardtable.agents.policy import PolicyAgent, PolicyTable
 from cardtable.core.rng import split_seed
 from cardtable.env import EnvConfig, game_spec, make, serialize_trajectories
-from cardtable.errors import GameTooLarge, InvalidParam, InvalidPolicy, WorkerFailure
+from cardtable.errors import AgentsNotSet, GameTooLarge, InvalidParam, InvalidPolicy, WorkerFailure
 from cardtable.trees import compiled_tree
 
 BENCH_REPEATS = 3  # differently seeded runs per bench call
@@ -139,7 +139,7 @@ def rollout_parallel(spec: RolloutSpec, collect_logs: bool = False) -> RolloutRe
         raise InvalidParam(f"n_games must be >= 0, got {spec.n_games}")
     seats = spec.env_config.num_players
     if len(spec.agents) != seats:
-        raise InvalidParam(f"{spec.env_config.game_id} seats {seats}, spec names {len(spec.agents)} agents")
+        raise AgentsNotSet(f"{spec.env_config.game_id} seats {seats}, spec names {len(spec.agents)} agents")
     make(spec.env_config)  # the engine checks the parameter values
     if spec.n_games == 0:
         return RolloutResult((), (0.0,) * seats, 0, () if collect_logs else None)

@@ -54,9 +54,11 @@ class LeducTree:
     ("end", p0)      terminal, p0 = player 0 net payoff
 
     snap is a LeducGame snapshot, read by restoring it on one engine.
-    The deal gives seat 0 the suit-0 card of its rank and seat 1 the
-    suit-1 card; the public card of rank c is the suit-0 card unless
-    seat 0 holds it. The stock is never read after the public card.
+    A chance node sets the engine's fields and snapshots the result:
+    the deal its hands, seat 0 the suit-0 card of its rank and seat 1
+    the suit-1 card; the public card its board, the one card of rank c,
+    suit 0 unless seat 0 holds it. The stock is never read after the
+    public card.
     """
 
     num_players = 2
@@ -94,7 +96,7 @@ class LeducTree:
         for c in range(3):
             remaining = 2 - (a == c) - (b == c)
             if remaining:
-                game.public = 3 + c if c == a else c
+                game.board = (3 + c if c == a else c,)
                 out.append((("play", game.snapshot()), remaining / 4))
         return out
 

@@ -70,7 +70,7 @@ def test_holdem_big_blind_keeps_its_option_after_the_small_blind_calls():
     assert game.legal_moves() == (RAISE, FOLD, CHECK)
     game.step(CHECK)
     assert game.round_index == 1
-    assert len(game.community) == 3
+    assert len(game.board) == 3
 
 
 def test_holdem_three_seats_fold_call_check_reach_the_flop_with_seat_0_to_act():

@@ -24,7 +24,6 @@ class TestCompositions:
     def test_sizes(self):
         sizes = {
             "standard52": 52,
-            "standard54": 54,
             "leduc6": 6,
             "uno108": 108,
             "doudizhu54": 54,
@@ -42,12 +41,6 @@ class TestCompositions:
             per_color[color] = sum(comp[color * 13 + sym] for sym in range(13))
         assert list(per_color.values()) == [25, 25, 25, 25]
         assert comp[52] == 4 and comp[53] == 4  # wild, wild-draw-four
-
-    def test_standard54_is_52_plus_jokers(self):
-        comp = Counter(DECKS["standard54"])
-        assert sum(comp.values()) == 54
-        assert comp[52] == 1 and comp[53] == 1
-        assert all(comp[i] == 1 for i in range(52))
 
     def test_mini_doudizhu_keeps_8_through_ace(self):
         ids = DECKS["mini_doudizhu"]
@@ -143,7 +136,7 @@ class TestShuffleDeal:
             while not game.is_over():  # never fold, so the public card is dealt
                 game.step(picker.choice([m for m in game.legal_moves() if m != LEDUC_FOLD]))
             top = shuffled("leduc6", seed)[::-1]
-            assert [*game.hands, game.public] == top[:3]
+            assert [*game.hands, *game.board] == top[:3]
 
             game = LimitHoldemGame(Rng(seed), num_players=3)
             game.reset()
@@ -151,7 +144,7 @@ class TestShuffleDeal:
                 game.step(picker.choice([m for m in game.legal_moves() if m != HOLDEM_FOLD]))
             top = shuffled("standard52", seed)[::-1]
             assert game.hands == (tuple(sorted(top[0:2])), tuple(sorted(top[2:4])), tuple(sorted(top[4:6])))
-            assert game.community == tuple(top[6:11])
+            assert game.board == tuple(top[6:11])
 
             game = BlackjackGame(Rng(seed))
             game.reset()

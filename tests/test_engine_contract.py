@@ -126,6 +126,30 @@ def test_step_back_restores_every_field(game_id, seed, players, choices):
 
 
 @pytest.mark.parametrize("game_id", GAME_IDS)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), players=st.integers(0, 8))
+def test_restore_puts_back_every_field(game_id, seed, players):
+    """At every state of a random game, step one to three moves and restore: every field comes back.
+
+    Comparing snapshot() with snapshot() cannot see a field the snapshot leaves out; this can.
+    """
+    lo, hi = REGISTRY[game_id].player_range
+    env = make(EnvConfig(game_id, seed=seed, num_players=lo + players % (hi - lo + 1)))
+    env.new_game()
+    game = env.game
+    rng = Rng(seed)
+    while not game.is_over():
+        snap, before = game.snapshot(), full_state(game)
+        for _ in range(rng.choice((1, 2, 3))):
+            if game.is_over():
+                break
+            game.step(rng.choice(game.legal_moves()))
+        game.restore(snap)
+        assert full_state(game) == before
+        game.step(rng.choice(game.legal_moves()))
+
+
+@pytest.mark.parametrize("game_id", GAME_IDS)
 def test_restore_drops_the_cached_legal_moves(game_id):
     """restore called directly, not through step_back, reads the restored state's moves.
 

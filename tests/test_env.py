@@ -135,7 +135,7 @@ class TestRunMode:
                         if not last:
                             assert t.next_state == steps[i + 1].state
                     if steps:
-                        assert steps[-1].next_state.is_terminal
+                        assert not steps[-1].next_state.legal_action_ids
 
     def test_same_seed_same_games(self):
         _, first = run_games(EnvConfig("doudizhu", seed=40), 5)
@@ -245,7 +245,7 @@ class TestTreeMode:
         rng = Rng(0)
         while not env.is_over():
             obs, seat = env.step(rng.choice(obs.legal_action_ids))
-        assert obs.is_terminal
+        assert not obs.legal_action_ids
         payoffs = env.get_payoffs()
         assert sum(payoffs) == 0.0
         with pytest.raises(GameOver):

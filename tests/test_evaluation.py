@@ -14,7 +14,7 @@ import pytest
 from cardtable.agents import PolicyAgent, PolicyTable, RandomAgent, cfr_train, mccfr_external_train
 from cardtable.core.rng import Rng
 from cardtable.env import EnvConfig, make
-from cardtable.errors import GameTooLarge, InvalidParam, NotZeroSum, SeatMismatch, UnknownGame
+from cardtable.errors import AgentsNotSet, GameTooLarge, InvalidParam, NotZeroSum, UnknownGame
 from cardtable.evaluation import (
     best_response,
     count_info_sets,
@@ -185,7 +185,7 @@ class TestTournament:
 
     def test_validation(self):
         config = EnvConfig("leduc", seed=0)
-        with pytest.raises(SeatMismatch):
+        with pytest.raises(AgentsNotSet):
             tournament(config, [RandomAgent()], 10)
         with pytest.raises(InvalidParam):
             tournament(config, [RandomAgent(), RandomAgent()], 1)

@@ -58,7 +58,7 @@ class TestRules:
         game.hands = hands
         game.step(RAISE)
         game.step(CALL)
-        game.public = public  # replaces the card round one's close dealt
+        game.board = (public,)  # replaces the card round one's close dealt
         game.step(RAISE)
         game.step(CALL)
         assert game.is_over() and game.chips == (7, 7)
@@ -87,10 +87,10 @@ class TestRules:
     def test_check_check_advances_round(self):
         game = LeducGame(Rng(2))
         game.reset()
-        assert game.public is None
+        assert game.board == ()
         game.step(CHECK)
         game.step(CHECK)
-        assert game.public is not None
+        assert len(game.board) == 1
         assert game.round_index == 1
 
     def test_illegal_check_facing_bet(self):
@@ -135,11 +135,11 @@ class TestRules:
             game.step(RAISE)
             before = game.snapshot()
             kept = copy.deepcopy(before)
-            state = (list(game.stock), game.public, game.chips, game.rng.getstate())
+            state = (list(game.stock), game.board, game.chips, game.rng.getstate())
             undo = [before]
             game.step(CALL)  # ends round one: the public card is drawn
-            public = game.public
-            assert public is not None and public not in game.stock
+            board = game.board
+            assert len(board) == 1 and board[0] not in game.stock
             undo.append(game.snapshot())
             game.step(RAISE)
             undo.append(game.snapshot())
@@ -149,10 +149,10 @@ class TestRules:
             game.restore(undo.pop())
             game.restore(undo.pop())
             game.restore(undo.pop())
-            assert (game.stock, game.public, game.chips, game.rng.getstate()) == state
+            assert (game.stock, game.board, game.chips, game.rng.getstate()) == state
             assert game.snapshot() == kept
             game.step(CALL)
-            assert game.public == public
+            assert game.board == board
 
 
 class TestObserve:
@@ -213,14 +213,14 @@ class TestTreeMatchesEngine:
                 assert tuple(tree.actions(node)) == tuple(game.legal_moves())
                 assert tree.info_key(node) == observe(game, seat)[2]
                 move = rng.choice(game.legal_moves())
-                before = game.public
+                before = game.board
                 game.step(move)
                 node = tree.child(node, move)
-                assert (node[0] == "pub") == (before is None and game.public is not None)
+                assert (node[0] == "pub") == (not before and len(game.board) == 1)
                 if node[0] == "pub":
                     # the engine drew its public card; follow the same rank
-                    pub_rank = game.public % 3
-                    matches = [c for c, _ in tree.chance_outcomes(node) if held_state(c).public % 3 == pub_rank]
+                    pub_rank = game.board[0] % 3
+                    matches = [c for c, _ in tree.chance_outcomes(node) if held_state(c).board[0] % 3 == pub_rank]
                     assert len(matches) == 1
                     node = matches[0]
             assert tree.is_terminal(node)

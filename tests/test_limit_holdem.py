@@ -203,7 +203,7 @@ class TestBetting:
                 game.step(move)
             payoffs = game.payoffs()
             assert sum(payoffs) == 0.0
-            if payoffs == [0.0, 0.0] and game.community:
+            if payoffs == [0.0, 0.0] and game.board:
                 found_split = True
                 break
         assert found_split
@@ -212,7 +212,7 @@ class TestBetting:
         game = LimitHoldemGame(Rng(0), num_players=3)
         game.reset()
         # the board plays for everyone: ace-high straight flush in clubs
-        game.community = (8, 9, 10, 11, 12)
+        game.board = (8, 9, 10, 11, 12)
         game.hands = ((13, 14), (15, 16), (17, 18))
         game.folded = (False, False, False)
         game.chips = (3, 3, 3)

@@ -8,7 +8,7 @@ import pytest
 
 from cardtable.agents import RandomAgent, cfr_train
 from cardtable.env import EnvConfig, make, serialize_trajectories
-from cardtable.errors import InvalidParam, ParseError, WorkerFailure
+from cardtable.errors import AgentsNotSet, InvalidParam, ParseError, WorkerFailure
 from cardtable.parallel import BENCH_REPEATS, BenchReport, RolloutSpec, bench, build_agent, rollout_parallel
 
 
@@ -93,7 +93,7 @@ class TestRollout:
         with pytest.raises(InvalidParam):
             rollout_parallel(spec_for("leduc", -1, 1))
         config = EnvConfig("leduc", seed=1)
-        with pytest.raises(InvalidParam):
+        with pytest.raises(AgentsNotSet):
             rollout_parallel(RolloutSpec(config, ("random",), 5, 1))
 
     def test_bad_param_value_fails_before_any_game(self):
