@@ -4,7 +4,7 @@ from cardtable.agents.base import Agent, RandomAgent
 from cardtable.agents.cfr import CFRTrainer, cfr_train, regret_matching
 from cardtable.agents.mccfr import MCCFRTrainer, mccfr_external_train
 from cardtable.agents.policy import PolicyAgent, PolicyTable
-from cardtable.agents.qlearning import QLearnParams, QTable, qlearn_train
+from cardtable.agents.qlearning import QTable, qlearn_train
 
 __all__ = [
     "Agent",
@@ -16,7 +16,6 @@ __all__ = [
     "regret_matching",
     "MCCFRTrainer",
     "mccfr_external_train",
-    "QLearnParams",
     "QTable",
     "qlearn_train",
 ]

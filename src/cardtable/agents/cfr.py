@@ -29,12 +29,13 @@ into waves:
 _wave_numbers finds both, and the walk's postorder, in one pass of the
 walk on an explicit stack, so a tree of any depth up to the node guard
 trains. On leduc this gives 5 waves. A wave regret-matches the info
-sets read in it, pushes reach down and values up the tree one depth
-level at a time, then adds the updates of the nodes done in it with
-add.at, in the walk's postorder, so a slot updated twice in a wave
-takes both in the walk's order. Its sums run in the walk's order too:
-only elementwise operations, take, bincount and add.at, no pairwise
-reductions. So every accumulator is bit-equal to the walk's.
+sets read in it, pushes reach down and values up the whole tree with
+TreeLayout.push_reach and sum_values, then adds the updates of the
+nodes done in it with add.at, in the walk's postorder, so a slot
+updated twice in a wave takes both in the walk's order. Its sums run
+in the walk's order too: only elementwise operations, take, bincount
+and add.at, no pairwise reductions. So every accumulator is bit-equal
+to the walk's.
 
 The walk returned 0 at a decision node whose two player reaches are both
 0, and created the node's info set only when one reach was nonzero. The
@@ -98,15 +99,12 @@ class _Wave(NamedTuple):
 class WaveSchedule:
     """A compiled tree laid out for CFR sweeps, and its waves.
 
-    Nodes take their positions in the tree's TreeLayout (level order, so
-    a depth level is a slice and the children of a node are adjacent and
-    in action order). A sweep works on one float buffer of 5 * size
-    entries: the two player reaches of each position, interleaved, then
-    one row each of values (player 0's), edge probabilities (of the
-    chance outcome or current strategy that leads into a position) and
-    chance reach, which no strategy changes. `down` lists the levels
-    whose reach a sweep pushes, `up` the levels whose values it sums
-    into their parents', deepest first.
+    A sweep works on one float buffer of 5 * size entries, by TreeLayout
+    position: the two player reaches of each position, interleaved, for
+    TreeLayout.push_reach, then one row each of values (player 0's) and
+    edge probabilities (of the chance outcome or current strategy that
+    leads into a position) for TreeLayout.sum_values, and chance reach,
+    which no strategy changes.
 
     CFRTrainer builds it through tree.derived(WaveSchedule), so it is
     built once per compiled tree and shared by every trainer of the
@@ -118,23 +116,7 @@ class WaveSchedule:
         n = self.size = tree.num_nodes
         offsets = self.offsets = layout.offsets
         self.num_slots = offsets[-1]
-        parent, bounds, slot, seat, info = layout.parent, layout.bounds, layout.slot, layout.seat, layout.info
-
-        # reach matters down to the deepest decision level, values up to
-        # the shallowest one
-        levels = np.searchsorted(bounds, np.flatnonzero(layout.kind == DECISION), side="right") - 1
-        top, bottom = (levels[0], levels[-1]) if len(levels) else (0, -1)
-        self.down, self.up = [], []
-        for k in range(1, len(bounds) - 1):
-            lo, hi, plo, phi = bounds[k], bounds[k + 1], bounds[k - 1], bounds[k]
-            if k <= bottom:
-                pairs = (2 * parent[lo:hi, None] + (0, 1)).ravel()  # both player reaches of each parent
-                self.down.append((2 * lo, 2 * hi, pairs))
-            if k > top:
-                self.up.append((lo, hi, plo, phi, parent[lo:hi] - plo))
-        self.up.reverse()
-
-        self.base = layout.payoff  # player 0's payoff at terminal positions, else 0
+        parent, slot, seat, info = layout.parent, layout.slot, layout.seat, layout.info
         self.multipliers = np.ones(2 * n)  # reach factors of the edge into each position
         self.buffer = np.zeros(5 * n)
         self.buffer[0:2] = 1.0  # the root's player reaches
@@ -222,7 +204,7 @@ class CFRTrainer:
         self.visited = np.zeros(len(self.tree.keys), dtype=bool)
 
     def run(self, iterations: int) -> None:
-        s = self.schedule
+        s, layout = self.schedule, self.tree.layout
         regrets, strategy_sum, visited = self.regrets, self.strategy_sum, self.visited
         buffer, multipliers = s.buffer.copy(), s.multipliers.copy()
         n = s.size
@@ -235,11 +217,8 @@ class CFRTrainer:
                 sigma = sigma[wave.sigma_from]
                 buffer[wave.sigma_prob] = sigma
                 multipliers[wave.sigma_reach] = sigma
-                for lo, hi, parents in s.down:
-                    np.multiply(reach[parents], multipliers[lo:hi], out=reach[lo:hi])
-                for lo, hi, plo, phi, group in s.up:
-                    sums = np.bincount(group, value[lo:hi] * edge_prob[lo:hi], phi - plo)
-                    np.add(sums, s.base[plo:phi], out=value[plo:phi])
+                layout.push_reach(reach, multipliers)
+                layout.sum_values(value, edge_prob)
                 # player 1's values are player 0's negated, hence the sign;
                 # an edge whose weight is 0 adds an exact 0
                 child, node, chance, other, own, prob = buffer[wave.gather]

@@ -9,23 +9,20 @@ makes the epsilon=1 schedule draw-for-draw identical to RandomAgent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from cardtable.agents.policy import PolicyTable
 
+LEARNING_RATE = 0.05
+DISCOUNT = 0.99
+EPSILON_START = 1.0
+EPSILON_END = 0.05
+ANNEAL_FRACTION = 0.5  # epsilon reaches its floor this far into the episodes
 
-@dataclass(frozen=True)
-class QLearnParams:
-    learning_rate: float = 0.05
-    discount: float = 0.99
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    anneal_fraction: float = 0.5  # epsilon reaches its floor this far into the episodes
 
-    def epsilon_at(self, episode: int, episodes: int) -> float:
-        cut = max(1, int(episodes * self.anneal_fraction))
-        frac = min(1.0, episode / cut)
-        return self.epsilon_start + (self.epsilon_end - self.epsilon_start) * frac
+def epsilon_at(episode: int, episodes: int) -> float:
+    """Exploration rate of an episode: linear from EPSILON_START to EPSILON_END, then flat."""
+    cut = max(1, int(episodes * ANNEAL_FRACTION))
+    frac = min(1.0, episode / cut)
+    return EPSILON_START + (EPSILON_END - EPSILON_START) * frac
 
 
 class QTable:
@@ -60,19 +57,17 @@ class QTable:
         return table
 
 
-def qlearn_train(env, episodes: int, params: QLearnParams | None = None) -> QTable:
+def qlearn_train(env, episodes: int) -> QTable:
     """Epsilon-greedy tabular Q-learning on a single-agent env.
 
     One episode per seeded game; rewards arrive only at the end, so
     intermediate targets are pure bootstrap. Greedy ties break to the
     first (lowest) legal action id for determinism.
     """
-    params = params or QLearnParams()
     table = QTable()
-    lr = params.learning_rate
-    gamma = params.discount
+    lr, gamma = LEARNING_RATE, DISCOUNT
     for episode in range(episodes):
-        epsilon = params.epsilon_at(episode, episodes)
+        epsilon = epsilon_at(episode, episodes)
         obs = env.reset()
         rng = env.learner_rng
         while True:

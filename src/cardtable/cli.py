@@ -40,7 +40,6 @@ from cardtable.agents import (
     CFRTrainer,
     MCCFRTrainer,
     PolicyTable,
-    QLearnParams,
     RandomAgent,
     qlearn_train,
 )
@@ -184,7 +183,7 @@ def _cmd_train(options: dict, config: EnvConfig) -> int:
     elif algo == "qlearn":
         episodes = _count(options, "episodes", 10000)
         env = make_single_agent(config, opponents=[RandomAgent() for _ in range(config.num_players - 1)])
-        table = qlearn_train(env, episodes, QLearnParams())
+        table = qlearn_train(env, episodes)
         policy, detail = table.greedy_policy(), f"{episodes} episodes"
     else:  # random: an empty table plays uniform everywhere
         policy, detail = PolicyTable(), "untrained"

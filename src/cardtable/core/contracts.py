@@ -21,8 +21,10 @@ legal_moves() call on a state caches the engine's _legal_moves() tuple,
 and reset, step and restore drop it; observations hand out that same
 tuple, uncopied. step is the one legality check: a move outside that
 tuple raises IllegalMove before any state changes, so an engine's _apply
-only ever sees legal moves. Env turns that error into IllegalAction
-naming the seat that chose the move.
+only ever sees legal moves, as plain ints: step turns any other integer
+type (np.int64, say) into one with operator.index, and rejects a bool, a
+float or anything else without __index__ as IllegalMove. Env turns that
+error into IllegalAction naming the seat that chose the move.
 
 Engines check their integer parameters with int_param, so a float, a
 string or a bool (which Python counts as an int) fails at construction
@@ -31,6 +33,7 @@ with InvalidParam naming the parameter, not later inside a deal.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from typing import Any
 
@@ -45,6 +48,16 @@ def int_param(name: str, value, lo: int | None = None, hi: int | None = None) ->
         bounds = "" if lo is None and hi is None else f" in {'' if lo is None else lo}..{'' if hi is None else hi}"
         raise InvalidParam(f"{name} must be an integer{bounds}, got {value!r}")
     return value
+
+
+def _action_id(move) -> int:
+    """move as an int if it has __index__ and is not a bool, else IllegalMove."""
+    if not isinstance(move, bool):
+        try:
+            return operator.index(move)
+        except TypeError:
+            pass
+    raise IllegalMove(f"move {move!r} is not an integer action id")
 
 
 class Game(ABC):
@@ -76,11 +89,13 @@ class Game(ABC):
     def step(self, move) -> int | None:
         """Apply one legal move; returns the next player to act, None if over.
 
-        A move outside legal_moves() raises IllegalMove naming it and the
-        legal set, and leaves the game as it was.
+        A move outside legal_moves(), or one that is not an integer action
+        id, raises IllegalMove naming it, and leaves the game as it was.
         """
         if self.is_over():
             raise GameOver("step on a finished game")
+        if move.__class__ is not int:
+            move = _action_id(move)
         legal = self.legal_moves()
         if move not in legal:
             raise IllegalMove(f"move {move!r} not in legal set {legal}")

@@ -6,8 +6,9 @@ position, the landlord seat) cancels out of per-agent aggregates and
 the whole run is reproducible from one master seed.
 
 Best response comes in two independently written forms. The generic
-one sweeps the compiled tree's TreeLayout with numpy, as policy value
-does (Johanson et al. 2011); the leduc-specific one never touches the
+one pushes reach down the compiled tree with TreeLayout.push_reach,
+then sums values up in stages (Johanson et al. 2011); policy value is
+TreeLayout.sum_values alone. The leduc-specific one never touches the
 tree module and instead pushes explicit hidden-state weight vectors
 (opponent card, board card) down the public betting sequence. The test
 suite requires them to agree to 1e-9, which guards both the tree
@@ -144,10 +145,10 @@ def winrate_vs_random(agent, config: EnvConfig, n_games: int) -> float:
 # best response and exploitability
 
 
-def _slot_probs(tree: CompiledTree, tables) -> np.ndarray:
-    """Each info set's action probabilities under its seat's table (tables
-    is one PolicyTable for every seat or a sequence per seat), by action
-    slot: uniform at a key the table lacks, 0.0 at an action it lacks."""
+def _edge_probs(tree: CompiledTree, tables) -> np.ndarray:
+    """Each layout position's edge-in probability: chance's, or the acting seat's
+    under its table (tables is one PolicyTable for every seat or a sequence per
+    seat), uniform at a key the table lacks, 0.0 at an action it lacks."""
     if isinstance(tables, PolicyTable):
         tables = [tables, tables]
     probs = []
@@ -157,7 +158,10 @@ def _slot_probs(tree: CompiledTree, tables) -> np.ndarray:
             by_id = dict(zip(ids, stored))
             stored = [by_id.get(action, 0.0) for action in actions]
         probs.extend(stored)
-    return np.array(probs)
+    layout = tree.layout
+    edge_probs, decided = layout.edge_prob.copy(), layout.slot >= 0
+    edge_probs[decided] = np.array(probs)[layout.slot[decided]]
+    return edge_probs
 
 
 def _distinct_by_stage(stages, ids, size):
@@ -170,7 +174,7 @@ def _distinct_by_stage(stages, ids, size):
 
 class _SweepPlan:
     """Index arrays for value sweeps of a compiled tree in which seat (0 or
-    1) best-responds, or nobody does (None).
+    1) best-responds.
 
     A sweep pushes reach down the levels, then values up in stages, each
     reading only earlier ones. A node sums probability times value over
@@ -181,11 +185,11 @@ class _SweepPlan:
     compute, so every product and sum runs in a depth-first walk's order.
     """
 
-    def __init__(self, tree: CompiledTree, seat):
+    def __init__(self, tree: CompiledTree, seat: int):
         layout = tree.layout
         parent, info, slot = layout.parent, layout.info, layout.slot
         n, self.num_sets = tree.num_nodes, len(tree.keys)
-        responds = layout.seat == seat if seat is not None else np.zeros(n, dtype=bool)
+        responds = layout.seat == seat
         # a stage is a longest path over links from a child to its parent, or to
         # the parent's set n + i if the parent responds (+1), and from a set to
         # its nodes (+0), in one topological pass (Kahn) in which a set waits for
@@ -211,12 +215,9 @@ class _SweepPlan:
             raise ValueError(f"info keys {stuck} have no best-response order: each lies below itself or another of them")
         stage = np.array(stage, dtype=np.intp)
 
+        self.layout = layout
         self.value = 0.0 - layout.payoff if seat == 1 else layout.payoff
-        self.multipliers = layout.edge_prob.copy()  # 1.0 below the responder, so a child has its node's reach
-        self.slot_pos = np.flatnonzero((slot >= 0) & ~responds[parent])
-        self.slots = slot[self.slot_pos]
-        levels = zip(layout.bounds[1:], layout.bounds[2:]) if seat is not None else ()  # no reach without a responder
-        self.down = [(lo, hi, parent[lo:hi]) for lo, hi in levels]
+        self.responder_edges = (slot >= 0) & responds[parent]  # multiplier 1.0, so a child has its node's reach
 
         # edges by their parent's stage, then in the walk's order: by the parent's
         # preorder index, then by action; every stage's arrays are computed at
@@ -246,14 +247,12 @@ class _SweepPlan:
             cut(members, member_stage), cut(first, member_stage), cut(chosen, member_stage),
         ))
 
-    def sweep(self, slot_probs: np.ndarray) -> tuple[float, np.ndarray]:
-        """(root value to the responder, or to player 0 for None; chosen
-        action index per info set, 0 off the responder's sets)."""
-        multipliers = self.multipliers.copy()
-        multipliers[self.slot_pos] = slot_probs[self.slots]
+    def sweep(self, edge_probs: np.ndarray) -> tuple[float, np.ndarray]:
+        """(root value to the responder; chosen action index per info set,
+        0 off the responder's sets)."""
+        multipliers = np.where(self.responder_edges, 1.0, edge_probs)
         value, reach = self.value.copy(), np.ones(len(self.value))
-        for lo, hi, parents in self.down:
-            np.multiply(reach[parents], multipliers[lo:hi], out=reach[lo:hi])
+        self.layout.push_reach(reach, multipliers)
         choice = np.zeros(self.num_sets, dtype=np.intp)
         for nodes, edges, group, sets, bins, cols, pad, members, first, owner in self.stages:
             if len(sets):
@@ -268,11 +267,11 @@ def tree_policy_value(game, tables) -> tuple[float, ...]:
     """Exact expected payoffs when every seat plays its PolicyTable.
 
     tables is one table shared by all seats or a sequence per seat;
-    unseen keys fall back to uniform, matching PolicyAgent. One upward
-    sweep of the tree's layout, with nobody responding.
+    unseen keys fall back to uniform, matching PolicyAgent. One value
+    pass up the tree's layout (TreeLayout.sum_values).
     """
     tree = compiled_tree(game)
-    v, _ = tree.derived(_SweepPlan, None).sweep(_slot_probs(tree, tables))
+    v = tree.layout.sum_values(tree.layout.payoff.copy(), _edge_probs(tree, tables))
     return v, 0.0 - v  # not -v: a game worth exactly 0 is worth +0.0 to both seats
 
 
@@ -284,7 +283,7 @@ def best_response(game, policy: PolicyTable, player: int):
     Raises ValueError if the player's info sets have no bottom-up order.
     """
     tree = compiled_tree(game)
-    br_value, choice = tree.derived(_SweepPlan, player).sweep(_slot_probs(tree, policy))
+    br_value, choice = tree.derived(_SweepPlan, player).sweep(_edge_probs(tree, policy))
     br_policy = PolicyTable()
     for i, key in enumerate(tree.keys):
         if tree.info_seat[i] == player:
@@ -436,8 +435,8 @@ def exploitability(game, policy: PolicyTable) -> ExploitabilityReport:
     ante = one blind).
     """
     tree = compiled_tree(game)
-    slot_probs = _slot_probs(tree, policy)
-    br0, br1 = (tree.derived(_SweepPlan, seat).sweep(slot_probs)[0] for seat in (0, 1))
+    edge_probs = _edge_probs(tree, policy)
+    br0, br1 = (tree.derived(_SweepPlan, seat).sweep(edge_probs)[0] for seat in (0, 1))
     return ExploitabilityReport(br_values=(br0, br1), exploitability=(br0 + br1) / 2)
 
 

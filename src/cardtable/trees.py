@@ -15,7 +15,8 @@ census are read from the compiled tables. The numpy sweeps (CFR, best
 response, policy value) take their node tables from the tree's
 TreeLayout, the one level-order numbering: it holds each table by
 position, so the sweeps select and sort its arrays instead of walking
-the tree. Only CFR's wave numbers still walk it once, to replay a
+the tree, and its push_reach and sum_values are their one reach and one
+value pass. Only CFR's wave numbers still walk it once, to replay a
 depth-first walk's order. MCCFR on leduc walks the preorder tables
 themselves, down one sampled deal at a time (LeducTree.deal_children).
 
@@ -300,6 +301,8 @@ class TreeLayout:
     edge_prob     the chance probability leading in, 1.0 below a decision
     chance_reach  the product of edge_prob from the root
     payoff        player 0's payoff at terminals, else 0.0
+
+    Every sweep goes over the levels through push_reach and sum_values alone.
     """
 
     def __init__(self, tree: CompiledTree):
@@ -326,6 +329,24 @@ class TreeLayout:
 
         self.kind, self.seat, self.info = by_position(tree.kind, -1), by_position(tree.seat, -1), by_position(info, -1)
         self.payoff = by_position(tree.payoff, 0.0, float)
+
+        levels = [(plo, lo, hi, self.parent[lo:hi]) for plo, lo, hi in zip(self.bounds, self.bounds[1:], self.bounds[2:])]
+        pairs = [(2 * lo, 2 * hi, (2 * up[:, None] + (0, 1)).ravel()) for _, lo, hi, up in levels]  # both seats' reaches
+        self._pushes = {1: [(lo, hi, up) for _, lo, hi, up in levels], 2: pairs}  # by values per position
+        self._sums = [(plo, lo, hi, up - plo) for plo, lo, hi, up in reversed(levels)]
+
+    def push_reach(self, reach: np.ndarray, multipliers: np.ndarray) -> None:
+        """reach[v] = reach[parent] * multipliers[v], level by level from the top. Both
+        arrays hold w = len(reach) // node count values per position (1 or 2), interleaved."""
+        for lo, hi, parents in self._pushes[len(reach) // len(self.node)]:
+            np.multiply(reach[parents], multipliers[lo:hi], out=reach[lo:hi])
+
+    def sum_values(self, value: np.ndarray, probs: np.ndarray) -> float:
+        """value[v] = the sum of probs * value over v's children, in action order,
+        plus payoff[v], level by level from the bottom; returns the root's value."""
+        for plo, lo, hi, group in self._sums:
+            np.add(np.bincount(group, value[lo:hi] * probs[lo:hi], lo - plo), self.payoff[plo:lo], out=value[plo:lo])
+        return float(value[0])
 
 
 def blackjack_info_sets() -> tuple[set[str], int]:

@@ -17,7 +17,6 @@ from cardtable.agents import (
     CFRTrainer,
     PolicyAgent,
     PolicyTable,
-    QLearnParams,
     RandomAgent,
     mccfr_external_train,
     qlearn_train,
@@ -187,7 +186,7 @@ def test_criterion_07_tournament_direction(cfr_checkpoints):
     assert vs_random.agent_means[0] > 0.0, f"cfr vs random mean {vs_random.agent_means[0]:.4f}"
 
     env = make_single_agent(EnvConfig(game_id="leduc", seed=5), opponents=[RandomAgent()])
-    qtable = qlearn_train(env, 30_000, QLearnParams())
+    qtable = qlearn_train(env, 30_000)
     q_agent = PolicyAgent(qtable.greedy_policy())
     vs_q = tournament(EnvConfig(game_id="leduc", seed=41), [cfr_agent, q_agent], 10_000)
     assert vs_q.agent_means[0] > 0.0, f"cfr vs qlearn mean {vs_q.agent_means[0]:.4f}"
@@ -228,7 +227,7 @@ def test_criterion_09_blackjack_qlearning_beats_random():
 
     baseline = mean_reward(RandomAgent(), seed=900)
     env = make_single_agent(EnvConfig(game_id="blackjack", seed=23), opponents=[])
-    qtable = qlearn_train(env, 200_000, QLearnParams())
+    qtable = qlearn_train(env, 200_000)
     trained = mean_reward(PolicyAgent(qtable.greedy_policy()), seed=900)
     elapsed = time.perf_counter() - started
     assert trained >= baseline + 0.2, f"trained {trained:.4f} vs random {baseline:.4f}"

@@ -16,12 +16,12 @@ from cardtable.agents import (
     MCCFRTrainer,
     PolicyAgent,
     PolicyTable,
-    QLearnParams,
     QTable,
     RandomAgent,
     cfr_train,
     mccfr_external_train,
     qlearn_train,
+    qlearning,
     regret_matching,
 )
 from cardtable.core.rng import Rng
@@ -355,11 +355,10 @@ class TestMCCFR:
 
 class TestQLearning:
     def test_epsilon_schedule(self):
-        params = QLearnParams()
-        assert params.epsilon_at(0, 100) == 1.0
-        assert params.epsilon_at(25, 100) == pytest.approx(0.525)
-        assert params.epsilon_at(50, 100) == pytest.approx(0.05)
-        assert params.epsilon_at(99, 100) == pytest.approx(0.05)
+        assert qlearning.epsilon_at(0, 100) == 1.0
+        assert qlearning.epsilon_at(25, 100) == pytest.approx(0.525)
+        assert qlearning.epsilon_at(50, 100) == pytest.approx(0.05)
+        assert qlearning.epsilon_at(99, 100) == pytest.approx(0.05)
 
     def test_qtable_lazy_rows_and_ties(self):
         table = QTable()
@@ -372,18 +371,18 @@ class TestQLearning:
         values[0] = 2.0  # tie now breaks to the first stored id
         assert table.greedy_policy().probs_for("k", ()) == ((1, 0), (1.0, 0.0))
 
-    def test_zero_learning_rate_learns_nothing(self):
+    def test_zero_learning_rate_learns_nothing(self, monkeypatch):
+        monkeypatch.setattr(qlearning, "LEARNING_RATE", 0.0)
         env = make_single_agent(EnvConfig("blackjack", seed=3), [])
-        params = QLearnParams(learning_rate=0.0)
-        table = qlearn_train(env, 150, params)
+        table = qlearn_train(env, 150)
         assert len(table) > 0
         assert all(v == 0.0 for _, (_, values) in table.items() for v in values)
 
-    def test_pure_exploration_matches_random_agent_stream(self):
+    def test_pure_exploration_matches_random_agent_stream(self, monkeypatch):
+        monkeypatch.setattr(qlearning, "EPSILON_END", 1.0)
         config = EnvConfig("blackjack", seed=9)
         learner = make_single_agent(config, [])
-        params = QLearnParams(learning_rate=0.0, epsilon_start=1.0, epsilon_end=1.0)
-        qlearn_train(learner, 300, params)
+        qlearn_train(learner, 300)
 
         env = make(config)
         env.set_agents([RandomAgent()])

@@ -16,7 +16,7 @@ import pytest
 
 from cardtable.agents import RandomAgent
 from cardtable.agents.mccfr import MCCFRTrainer
-from cardtable.agents.qlearning import QLearnParams, qlearn_train
+from cardtable.agents.qlearning import qlearn_train
 from cardtable.env import GAME_IDS, EnvConfig, game_spec, make, make_single_agent, serialize_trajectories
 
 SEED = 7
@@ -164,5 +164,5 @@ def test_mccfr_policy_unchanged(game_id, num_players, iterations):
 
 def test_qlearn_blackjack_policy_unchanged():
     env = make_single_agent(EnvConfig("blackjack", seed=SEED), opponents=[])
-    table = qlearn_train(env, 5000, QLearnParams())
+    table = qlearn_train(env, 5000)
     assert _sha256(table.greedy_policy().dumps()) == QLEARN_BLACKJACK_5000_SHA256

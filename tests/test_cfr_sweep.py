@@ -5,9 +5,11 @@ tree below, after 1, 2, 10, 100 and 1000 iterations, the sweep's
 regrets and strategy sums must be bit-equal to the walk's, its visited
 info sets the walk's created ones, and its policy file the same text.
 The same trees check that each TreeLayout table is the compiled tree's
-preorder table renumbered.
+preorder table renumbered and, with Kuhn poker added, that its reach
+pass gives the chance reach and treats interleaved values one by one.
 """
 
+import numpy as np
 import pytest
 
 from cardtable.agents import CFRTrainer
@@ -15,7 +17,7 @@ from cardtable.agents.cfr import WaveSchedule
 from cardtable.trees import DECISION, compiled_tree
 
 import walk_cfr
-from test_trees import CoinTree
+from test_trees import CoinTree, KuhnTree
 
 CHECKPOINTS = (1, 2, 10, 100, 1000)
 
@@ -181,3 +183,30 @@ def test_layout_tables_renumber_the_preorder_tables(name):
         up = layout.parent[p]
         below = p > 0 and layout.kind[up] == DECISION
         assert layout.slot[p] == (layout.offsets[layout.info[up]] + layout.action[p] if below else -1), p
+
+
+PASS_TREES = {**TREES, "kuhn": KuhnTree()}
+
+
+@pytest.mark.parametrize("name", sorted(PASS_TREES))
+def test_pushing_edge_probs_gives_the_chance_reach(name):
+    layout = compiled_tree(PASS_TREES[name]).layout
+    reach = np.zeros(len(layout.node))
+    reach[0] = 1.0
+    layout.push_reach(reach, layout.edge_prob)
+    assert hexes(reach) == hexes(layout.chance_reach)
+
+
+@pytest.mark.parametrize("name", sorted(PASS_TREES))
+def test_an_interleaved_push_is_two_one_column_pushes(name):
+    layout = compiled_tree(PASS_TREES[name]).layout
+    n = len(layout.node)
+    multipliers = np.random.default_rng(3).random((n, 2)) * (np.arange(2 * n).reshape(n, 2) % 7 != 0)  # some exact zeros
+    both = np.zeros(2 * n)
+    both[:2] = 1.0, 0.75
+    layout.push_reach(both, multipliers.ravel())
+    for column, root in enumerate(both[:2]):
+        one = np.zeros(n)
+        one[0] = root
+        layout.push_reach(one, multipliers[:, column])
+        assert hexes(one) == hexes(both[column::2]), column

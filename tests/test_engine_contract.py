@@ -3,13 +3,14 @@ payoffs only at the end, and deals that always ask for a decision."""
 
 import copy
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardtable.agents import Agent, RandomAgent
 from cardtable.core.rng import Rng
-from cardtable.env import GAME_IDS, REGISTRY, EnvConfig, make, make_single_agent
+from cardtable.env import GAME_IDS, REGISTRY, EnvConfig, make, make_single_agent, serialize_trajectories
 from cardtable.errors import GameNotOver, GameOver, IllegalAction, IllegalMove
 from cardtable.games import blackjack
 
@@ -78,6 +79,48 @@ def test_env_reports_illegal_ids_as_illegal_actions(game_id):
     with pytest.raises(IllegalAction, match="learner at seat 0"):
         env.sa_step(some_illegal_id(env.num_actions, obs.legal_action_ids))
     assert frozen(env) == before
+
+
+class CastAgent(Agent):
+    """Plays cast(a) for the first legal id a with cast(a) == a (for bool only 0
+    and 1 qualify), else the first legal id as an int. Notes the state it was asked in."""
+
+    def __init__(self, env, cast):
+        self.env = env
+        self.cast = cast
+        self.asked_at = None
+
+    def eval_step(self, obs, rng):
+        self.asked_at = frozen(self.env)
+        return next((self.cast(a) for a in obs.legal_action_ids if self.cast(a) == a), obs.legal_action_ids[0])
+
+
+@pytest.mark.parametrize("cast", [float, np.float64, bool])
+@pytest.mark.parametrize("game_id", GAME_IDS)
+def test_non_integer_ids_are_illegal_actions(game_id, cast):
+    """A float or a bool equal to a legal id is still no action id: IllegalAction, nothing played."""
+    env = make(EnvConfig(game_id, seed=5))
+    agent = CastAgent(env, cast)
+    env.set_agents([agent] * env.num_players)
+    with pytest.raises(IllegalAction, match="agent at seat"):
+        for _ in range(20):
+            env.run()
+    assert frozen(env) == agent.asked_at
+
+
+class Int64Agent(RandomAgent):
+    def eval_step(self, obs, rng):
+        return np.int64(super().eval_step(obs, rng))
+
+
+@pytest.mark.parametrize("game_id", GAME_IDS)
+def test_numpy_int_ids_play_and_log_as_ints(game_id):
+    logs = []
+    for agent in (RandomAgent(), Int64Agent()):
+        env = make(EnvConfig(game_id, seed=8))
+        env.set_agents([agent] * env.num_players)
+        logs.append("".join(serialize_trajectories(game_id, 8, i, *env.run()) for i in range(10)))
+    assert logs[0] == logs[1]
 
 
 @pytest.mark.parametrize("game_id", [g for g in GAME_IDS if REGISTRY[g].player_range[0] > 1])

@@ -22,9 +22,9 @@ def spec_for(game_id, n_games, n_workers, seed=5):
     )
 
 
-def spawned_uno_logs():
-    """The joined uno logs of 131 games on 1 and on 2 workers, with spawn as the start method."""
-    multiprocessing.set_start_method("spawn", force=True)
+def spawned_uno_logs(method):
+    """The joined uno logs of 131 games on 1 and on 2 workers, with method as the start method."""
+    multiprocessing.set_start_method(method, force=True)
     return tuple("".join(rollout_parallel(spec_for("uno", 131, n), collect_logs=True).logs) for n in (1, 2))
 
 
@@ -60,10 +60,11 @@ class TestRollout:
         duo = rollout_parallel(spec_for(game_id, 131, 2), collect_logs=True)
         assert solo == duo
 
-    def test_workers_match_one_under_spawn(self):
-        # the child's pools start their workers by spawn too, whatever this process's default
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_workers_match_one_under_spawn(self, method):
+        # the child, itself spawned, starts its pools' workers by method, whatever this process's default
         with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn")) as pool:
-            solo, duo = pool.submit(spawned_uno_logs).result()
+            solo, duo = pool.submit(spawned_uno_logs, method).result()
         assert solo == duo
 
     def test_more_workers_than_games(self):
