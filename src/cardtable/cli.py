@@ -17,7 +17,7 @@ and workers of at least 1, and the seed any integer, or the command
 fails with InvalidParam naming the key (or CARDTABLE_SEED) before any
 work starts. main resolves these inputs once per run, into one options
 dict (also the manifest's config) and one EnvConfig. exploit takes
-exactly one --agents entry.
+exactly one --agents entry; census writes no file and takes no --out.
 
 Exit codes: 0 success, 2 command-line usage errors, 1 anything that
 fails at run time. A closed stdout (a reader such as `head` that exits
@@ -271,11 +271,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, games: bool = False, workers: bool = False):
+    def common(p: argparse.ArgumentParser, *, games: bool = False, workers: bool = False, out: bool = True):
         p.add_argument("--game", choices=sorted(GAME_IDS))
         p.add_argument("--seed", type=int)
         p.add_argument("--config", help="flat key=value file; flags override it")
-        p.add_argument("--out", help="output directory (bench: file to append)")
+        if out:
+            p.add_argument("--out", help="output directory (bench: file to append)")
         p.add_argument("--param", action="append", metavar="NAME=VALUE", help="game parameter, repeatable")
         if games:
             p.add_argument("--games", type=int)
@@ -304,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exploit)
 
     p = sub.add_parser("census", help="exact info-set counts where enumerable")
-    common(p)
+    common(p, out=False)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("bench", help="random self-play throughput")

@@ -1,6 +1,7 @@
 """The Game contract every engine implements.
 
-A Game owns the turn loop: reset deals, step applies one move. Each
+A Game owns the turn loop and `turn`, the seat to act: reset deals
+and sets `turn` to the seat _start returns, step applies one move. Each
 game supplies the move application plus snapshot() and _restore();
 a snapshot captures everything a move can touch, including the
 generator state, so a restored game replays chance identically. Undo
@@ -26,9 +27,12 @@ type (np.int64, say) into one with operator.index, and rejects a bool, a
 float or anything else without __index__ as IllegalMove. Env turns that
 error into IllegalAction naming the seat that chose the move.
 
-Engines check their integer parameters with int_param, so a float, a
-string or a bool (which Python counts as an int) fails at construction
-with InvalidParam naming the parameter, not later inside a deal.
+An engine class states its seat range once, as SEATS (low, high), and
+its constructor's keywords after (rng, num_players) as PARAMS; Game
+checks the seat count (None is the low end). Engines check their integer
+parameters with int_param, so a float, a string or a bool (which Python
+counts as an int) fails at construction with InvalidParam naming the
+parameter, not later inside a deal.
 """
 
 from __future__ import annotations
@@ -74,9 +78,12 @@ class Game(ABC):
     by reference and _restore() only assigns them.
     """
 
-    num_players: int = 1
+    SEATS: tuple[int, int]  # the seat counts the engine plays, low and high
+    PARAMS: tuple[str, ...] = ()  # the constructor's game-parameter keywords
 
-    def __init__(self, rng: Rng):
+    def __init__(self, rng: Rng, num_players: int | None = None):
+        lo, hi = self.SEATS
+        self.num_players = int_param("num_players", lo if num_players is None else num_players, lo, hi)
         self.rng = rng
         self._legal: tuple | None = None
 
@@ -84,7 +91,8 @@ class Game(ABC):
         """Deal a fresh hand; returns the first player to act. No deal ends
         a hand: a blackjack natural still asks for a decision."""
         self._legal = None
-        return self._start()
+        self.turn = turn = self._start()
+        return turn
 
     def step(self, move) -> int | None:
         """Apply one legal move; returns the next player to act, None if over.
@@ -101,7 +109,7 @@ class Game(ABC):
             raise IllegalMove(f"move {move!r} not in legal set {legal}")
         self._apply(move)
         self._legal = None
-        return None if self.is_over() else self.current_player()
+        return None if self.is_over() else self.turn
 
     def restore(self, snap: Any) -> None:
         """Put the game back in the state snapshot() returned; legal moves are recomputed on the next read."""
@@ -117,9 +125,13 @@ class Game(ABC):
 
     def legal_ids_for(self, seat: int) -> tuple:
         """The legal ids seat observes: its moves on its turn in a running game, else ()."""
-        if self.is_over() or seat != self.current_player():
+        if self.is_over() or seat != self.turn:
             return ()
         return self.legal_moves()
+
+    def current_player(self) -> int:
+        """The seat to act: `turn`, which is still the last mover's once the game is over."""
+        return self.turn
 
     @abstractmethod
     def _start(self) -> int: ...
@@ -130,9 +142,6 @@ class Game(ABC):
 
     @abstractmethod
     def is_over(self) -> bool: ...
-
-    @abstractmethod
-    def current_player(self) -> int: ...
 
     @abstractmethod
     def _legal_moves(self) -> tuple:

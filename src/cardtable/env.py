@@ -7,7 +7,8 @@ An Env is built from an EnvConfig by make() and exposes three modes:
   Transition(state, action, reward, next_state, done) in turn order.
   Transitions carry a delayed next state: a player's next_state is
   their observation at their own next decision point (or the view of
-  the ended game), rewards are zero until done.
+  the ended game), rewards are zero until done, and each action is the
+  int id the engine played.
 * new_game()/step()/step_back(): manual tree traversal for solvers.
   step returns the new current player's observation; step_back undoes
   one step including every chance event, from the game.snapshot() the
@@ -19,10 +20,10 @@ An Env is built from an EnvConfig by make() and exposes three modes:
   decision. learner_seat must be an int seat (InvalidParam at
   make_single_agent otherwise).
 
-Every loop follows the seat Game.reset and Game.step return, None once
-the game is over, and never asks is_over(). The engine's GameOver (step
-on a finished game) and GameNotOver (payoffs of a running one) pass
-through the Env unchecked.
+Every loop follows the seat Game.reset and Game.step return (the
+game's `turn`), None once the game is over, and never asks is_over().
+The engine's GameOver (step on a finished game) and GameNotOver
+(payoffs of a running one) pass through the Env unchecked.
 
 Reproducibility contract: game number i of an Env seeded with S is
 played from the derived seed split_seed(S, i). The deal uses stream 0
@@ -61,9 +62,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from types import ModuleType
+from typing import NamedTuple
 
-from cardtable.core.contracts import int_param
+from cardtable.core.contracts import Game, _action_id, int_param
 from cardtable.core.rng import FANOUT_BLOCK, Rng, fanout_block
 from cardtable.core.rng import split_seed  # noqa: F401 - perfbench/tracing.py patches env.split_seed by name
 from cardtable.errors import (
@@ -76,50 +78,40 @@ from cardtable.errors import (
 )
 from cardtable.games import blackjack, doudizhu, leduc, limit_holdem, uno
 
-GAME_IDS = ("blackjack", "leduc", "limit_holdem", "uno", "doudizhu", "mini_doudizhu")
-
-
 @dataclass(frozen=True)
 class GameSpec:
-    """Registry row tying a game id to its engine and encoders."""
+    """Registry row: a game id's engine module, its Game class and the
+    fixed keyword arguments the id adds (dou dizhu's variant). The rest is
+    the engine's: the module's NUM_ACTIONS, the class's SEATS (EnvConfig's
+    default seat count is the low end) and PARAMS. Env builds the game as
+    engine(Rng(seed), num_players, **fixed, **game_params)."""
 
-    factory: Callable
-    module: object
-    num_actions: int
-    player_range: tuple[int, int]  # EnvConfig's default seat count is the low end
-    params: tuple[str, ...]
+    module: ModuleType
+    engine: type[Game]
+    fixed: dict = field(default_factory=dict)
 
+    @property
+    def num_actions(self) -> int:
+        return self.module.NUM_ACTIONS
 
-def _build_registry() -> dict[str, GameSpec]:
-    return {
-        "blackjack": GameSpec(
-            lambda rng, n, p: blackjack.BlackjackGame(rng),
-            blackjack, blackjack.NUM_ACTIONS, (1, 1), (),
-        ),
-        "leduc": GameSpec(
-            lambda rng, n, p: leduc.LeducGame(rng),
-            leduc, leduc.NUM_ACTIONS, (2, 2), (),
-        ),
-        "limit_holdem": GameSpec(
-            lambda rng, n, p: limit_holdem.LimitHoldemGame(rng, num_players=n, **p),
-            limit_holdem, limit_holdem.NUM_ACTIONS, (2, 10), ("fixed_raise",),
-        ),
-        "uno": GameSpec(
-            lambda rng, n, p: uno.UnoGame(rng, num_players=n, **p),
-            uno, uno.NUM_ACTIONS, (2, 4), ("hand_size",),
-        ),
-        "doudizhu": GameSpec(
-            lambda rng, n, p: doudizhu.DoudizhuGame(rng, variant="full", **p),
-            doudizhu, doudizhu.NUM_ACTIONS, (3, 3), ("landlord",),
-        ),
-        "mini_doudizhu": GameSpec(
-            lambda rng, n, p: doudizhu.DoudizhuGame(rng, variant="mini", **p),
-            doudizhu, doudizhu.NUM_ACTIONS, (3, 3), ("landlord",),
-        ),
-    }
+    @property
+    def player_range(self) -> tuple[int, int]:
+        return self.engine.SEATS
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        return self.engine.PARAMS
 
 
-REGISTRY = _build_registry()
+REGISTRY = {
+    "blackjack": GameSpec(blackjack, blackjack.BlackjackGame),
+    "leduc": GameSpec(leduc, leduc.LeducGame),
+    "limit_holdem": GameSpec(limit_holdem, limit_holdem.LimitHoldemGame),
+    "uno": GameSpec(uno, uno.UnoGame),
+    "doudizhu": GameSpec(doudizhu, doudizhu.DoudizhuGame, {"variant": "full"}),
+    "mini_doudizhu": GameSpec(doudizhu, doudizhu.DoudizhuGame, {"variant": "mini"}),
+}
+GAME_IDS = tuple(REGISTRY)
 
 
 def game_spec(game_id: str) -> GameSpec:
@@ -237,7 +229,7 @@ class Env:
         self.game_id = config.game_id
         self.num_players = config.num_players
         self.num_actions = spec.num_actions
-        self.game = spec.factory(Rng(config.seed), config.num_players, dict(config.game_params))
+        self.game = spec.engine(Rng(config.seed), config.num_players, **spec.fixed, **config.game_params)
         self._render = (spec.module.render_raw, spec.module.render_key, spec.module.encode_planes)
         self._undo: list = []  # tree mode's snapshots, one per step taken since the deal
         self.game_index = -1  # becomes 0 on the first game
@@ -324,8 +316,9 @@ class Env:
             if last[seat] is not None:
                 transitions[seat].append(Transition(*last[seat], 0.0, obs, False))
             action = self._agents[seat].eval_step(obs, self._agent_rngs[seat])
-            last[seat] = (obs, action)
-            seat = self._act(action, "agent")
+            nxt = self._act(action, "agent")
+            last[seat] = (obs, action if action.__class__ is int else _action_id(action))  # the int Game.step played
+            seat = nxt
         payoffs = self.game.payoffs()
         for s, pair in enumerate(last):
             if pair is not None:

@@ -59,7 +59,7 @@ def settle(player_ranks, dealer_ranks) -> int:
 
 
 class BlackjackGame(Game):
-    num_players = 1
+    SEATS = (1, 1)
 
     def _start(self) -> int:
         self.stock = stock = list(_DECK_RANKS)  # a fresh 52-card stock per hand
@@ -84,9 +84,6 @@ class BlackjackGame(Game):
 
     def is_over(self) -> bool:
         return self._payoff is not None
-
-    def current_player(self) -> int:
-        return 0
 
     def _legal_moves(self) -> tuple[int, ...]:
         return _MOVES

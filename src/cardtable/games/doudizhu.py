@@ -52,9 +52,11 @@ _LEVELS = np.arange(5).reshape(5, 1)  # the count each row of a plane stands for
 class DoudizhuGame(Game):
     """Three-seat dou dizhu over count-vector hands."""
 
-    num_players = NUM_PLAYERS
+    SEATS = (NUM_PLAYERS, NUM_PLAYERS)
+    PARAMS = ("landlord",)
 
-    def __init__(self, rng, landlord=0, variant: str = "full"):
+    def __init__(self, rng, num_players: int | None = None, landlord=0, variant: str = "full"):
+        super().__init__(rng, num_players)
         if variant not in _VARIANTS:
             raise InvalidParam(f"unknown variant {variant!r}, expected 'full' or 'mini'")
         seat = isinstance(landlord, int) and not isinstance(landlord, bool) and 0 <= landlord < NUM_PLAYERS
@@ -62,7 +64,6 @@ class DoudizhuGame(Game):
             raise InvalidParam(f"landlord must be a seat 0..2 or 'random', got {landlord!r}")
         self.variant = variant
         self.landlord_param = landlord
-        super().__init__(rng)
 
     def _start(self) -> int:
         deck_kind, per_player, reserve = _VARIANTS[self.variant]
@@ -84,19 +85,15 @@ class DoudizhuGame(Game):
         self.to_beat: CardPattern | None = None
         self.trick_owner: int | None = None
         self.pass_count = 0
-        self.turn = self.landlord
         self.winner: int | None = None
         self.recent = (_NO_CARDS,) * 3  # last 3 moves as count vectors, oldest first
         self.last_moves: tuple[tuple[int, int], ...] = ()  # (seat, action_id) of at most the last 3 moves
-        return self.turn
+        return self.landlord
 
     # move plumbing -------------------------------------------------
 
     def _legal_moves(self) -> tuple[int, ...]:
         return tuple(matching_abstract_ids(self.counts[self.turn], self.to_beat))
-
-    def current_player(self) -> int:
-        return self.turn
 
     def _apply(self, action_id: int) -> None:
         seat = self.turn

@@ -40,7 +40,7 @@ def info_key(seat: int, private_rank: int, public_rank: int | None, history: str
 
 
 class LeducGame(BettingGame):
-    num_players = 2
+    SEATS = (2, 2)
     MAX_RAISES = 2
     LAST_ROUND = 1
     CHIPS_PER_UNIT = 1

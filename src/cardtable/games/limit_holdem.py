@@ -57,7 +57,7 @@ class BettingGame(Game):
     raise. One counter, `to_close`, holds the moves left before that: a
     new round sets it to the number of live seats, a raise to that
     number minus one, and every other move (a fold too) takes one off;
-    the round closes at 0. The turn passes to the next live seat.
+    the round closes at 0. `turn` passes to the next live seat.
 
     A hand opens with the whole DECK in the stock, the private cards
     _deal_hands draws, each seat's blinds as its chips and
@@ -75,11 +75,11 @@ class BettingGame(Game):
     The betting history is one letter per move (c call, r raise, f fold,
     k check), with '/' between rounds.
 
-    A subclass sets MAX_RAISES, LAST_ROUND, CHIPS_PER_UNIT, DECK, BOARD,
-    blinds and raise_sizes and writes _deal_hands, _first_actor and
+    A subclass sets SEATS, MAX_RAISES, LAST_ROUND, CHIPS_PER_UNIT, DECK,
+    BOARD, blinds and raise_sizes and writes _deal_hands, _first_actor and
     _showdown_winners. The state, all of it in snapshot(): hands, board,
     folded, chips, round_base (every live seat's chips when this round
-    opened), round_index, raises (this round), to_act, to_close,
+    opened), round_index, raises (this round), turn, to_close,
     history, _results (net chips by seat once the hand is over, else
     None), stock and the generator state.
     """
@@ -100,11 +100,10 @@ class BettingGame(Game):
         self.folded = (False,) * n
         self.chips = self.blinds
         self.round_base = self.round_index = self.raises = 0
-        self.to_act = first = self._first_actor(0)
         self.to_close = n
         self.history = ""
         self._results: tuple | None = None
-        return first
+        return self._first_actor(0)
 
     def _deal_board(self) -> None:
         """Deal this round's board cards and note the bet every live seat has in."""
@@ -116,10 +115,7 @@ class BettingGame(Game):
 
     def _legal_moves(self) -> tuple[int, ...]:
         chips = self.chips
-        return _LEGAL[chips[self.to_act] < max(chips)][self.raises < self.MAX_RAISES]
-
-    def current_player(self) -> int:
-        return self.to_act
+        return _LEGAL[chips[self.turn] < max(chips)][self.raises < self.MAX_RAISES]
 
     def _next_actor(self, seat: int) -> int:
         nxt = (seat + 1) % self.num_players
@@ -128,7 +124,7 @@ class BettingGame(Game):
         return nxt
 
     def _apply(self, move: int) -> None:
-        seat = self.to_act
+        seat = self.turn
         self.history += _MOVE_CHAR[move]
         self.to_close -= 1
         if move == FOLD:
@@ -147,7 +143,7 @@ class BettingGame(Game):
         if not self.to_close:
             self._advance_round()
         else:
-            self.to_act = self._next_actor(seat)
+            self.turn = self._next_actor(seat)
 
     def _advance_round(self) -> None:
         if self.round_index == self.LAST_ROUND:
@@ -158,7 +154,7 @@ class BettingGame(Game):
         self.raises = 0
         self.to_close = self.folded.count(False)
         first = self._first_actor(self.round_index)
-        self.to_act = self._next_actor(first) if self.folded[first] else first
+        self.turn = self._next_actor(first) if self.folded[first] else first
         self.history += "/"
 
     def _settle(self, winners) -> None:
@@ -190,7 +186,7 @@ class BettingGame(Game):
             self.round_base,
             self.round_index,
             self.raises,
-            self.to_act,
+            self.turn,
             self.to_close,
             self.history,
             self._results,
@@ -200,7 +196,7 @@ class BettingGame(Game):
 
     def _restore(self, snap) -> None:
         (self.hands, self.board, self.folded, self.chips, self.round_base, self.round_index, self.raises,
-         self.to_act, self.to_close, self.history, self._results, self.stock, rng_state) = snap
+         self.turn, self.to_close, self.history, self._results, self.stock, rng_state) = snap
         self.rng.setstate(rng_state)
 
 
@@ -210,10 +206,11 @@ class LimitHoldemGame(BettingGame):
     CHIPS_PER_UNIT = 2  # half big blinds per big blind
     DECK = DECKS["standard52"]
     BOARD = (0, 3, 1, 1)  # hole cards, flop, turn, river
+    SEATS = (2, 10)
+    PARAMS = ("fixed_raise",)
 
-    def __init__(self, rng, num_players: int = 2, fixed_raise: int = 1):
-        super().__init__(rng)
-        self.num_players = int_param("num_players", num_players, 2, 10)
+    def __init__(self, rng, num_players: int | None = None, fixed_raise: int = 1):
+        super().__init__(rng, num_players)
         self.fixed_raise = int_param("fixed_raise", fixed_raise, 1)
         self.blinds = (SMALL_BLIND, BIG_BLIND) + (0,) * (self.num_players - 2)
         bb = 2 * self.fixed_raise

@@ -90,10 +90,12 @@ class UnoGame(Game):
     cards, drawn in order once the pile is empty. discard: played types,
     top last."""
 
-    def __init__(self, rng, num_players: int = 2, hand_size: int = 7):
-        self.num_players = int_param("num_players", num_players, 2, 4)
+    SEATS = (2, 4)
+    PARAMS = ("hand_size",)
+
+    def __init__(self, rng, num_players: int | None = None, hand_size: int = 7):
+        super().__init__(rng, num_players)
         self.hand_size = int_param("hand_size", hand_size, 1, MAX_HAND_SIZE)
-        super().__init__(rng)
 
     def _start(self) -> int:
         self.pile = pile = list(DECKS["uno108"])
@@ -114,10 +116,9 @@ class UnoGame(Game):
         self.discard = (top,)
         self.declared: int | None = None
         self.direction = 1
-        self.turn = 0
         self.pending: int | None = None  # drawn type the player may replay
         self.winner: int | None = None
-        return self.turn
+        return 0
 
     # rule helpers ---------------------------------------------------
 
@@ -171,9 +172,6 @@ class UnoGame(Game):
         self.turn = (self.turn + self.direction * seats) % self.num_players
 
     # game protocol --------------------------------------------------
-
-    def current_player(self) -> int:
-        return self.turn
 
     def _legal_moves(self) -> tuple[int, ...]:
         if self.pending is not None:

@@ -548,6 +548,12 @@ class TestCensus:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "uno,62,info-set enumeration exceeds the node guard"
 
+    def test_out_is_a_usage_error(self, tmp_path):
+        """census writes no file, so an --out it would ignore is refused, and nothing is made."""
+        code, err = run_main(["census", "--game", "leduc", "--out", str(tmp_path / "out")])
+        assert code == 2 and "--out" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestBench:
     def test_prints_and_appends_csv(self, tmp_path, capsys):

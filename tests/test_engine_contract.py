@@ -2,6 +2,7 @@
 payoffs only at the end, and deals that always ask for a decision."""
 
 import copy
+import inspect
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 from cardtable.agents import Agent, RandomAgent
 from cardtable.core.rng import Rng
 from cardtable.env import GAME_IDS, REGISTRY, EnvConfig, make, make_single_agent, serialize_trajectories
-from cardtable.errors import GameNotOver, GameOver, IllegalAction, IllegalMove
-from cardtable.games import blackjack
+from cardtable.errors import GameNotOver, GameOver, IllegalAction, IllegalMove, InvalidParam
+from cardtable.games import blackjack, doudizhu, leduc, limit_holdem, uno
+
+ENGINES = (blackjack.BlackjackGame, leduc.LeducGame, limit_holdem.LimitHoldemGame, uno.UnoGame, doudizhu.DoudizhuGame)
 
 
 @pytest.mark.parametrize("game_id", GAME_IDS)
@@ -121,6 +124,37 @@ def test_numpy_int_ids_play_and_log_as_ints(game_id):
         env.set_agents([agent] * env.num_players)
         logs.append("".join(serialize_trajectories(game_id, 8, i, *env.run()) for i in range(10)))
     assert logs[0] == logs[1]
+
+
+@pytest.mark.parametrize("game_id", GAME_IDS)
+def test_numpy_int_agents_leave_int_actions_in_their_transitions(game_id):
+    """Transition.action is the int the engine played, whatever integer type the agent returned."""
+    env = make(EnvConfig(game_id, seed=8))
+    env.set_agents([Int64Agent()] * env.num_players)
+    for _ in range(5):
+        trajectories, _ = env.run()
+        assert all(type(t.action) is int for transitions in trajectories for t in transitions)
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda engine: engine.__name__)
+def test_an_engine_checks_its_seat_count_against_its_seats(engine):
+    """No seat count means the fewest; one outside SEATS is InvalidParam naming num_players."""
+    lo, hi = engine.SEATS
+    assert engine(Rng(0)).num_players == lo
+    assert engine(Rng(0), hi).num_players == hi
+    for n in (lo - 1, hi + 1):
+        with pytest.raises(InvalidParam, match="num_players"):
+            engine(Rng(0), n)
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda engine: engine.__name__)
+def test_params_are_the_constructor_keywords_after_the_seat_count(engine):
+    """PARAMS plus the registry's fixed arguments are every constructor keyword after (rng, num_players)."""
+    names = list(inspect.signature(engine).parameters)
+    fixed = {key for spec in REGISTRY.values() if spec.engine is engine for key in spec.fixed}
+    assert names[:2] == ["rng", "num_players"]
+    assert set(names[2:]) == set(engine.PARAMS) | fixed
+    assert not fixed & set(engine.PARAMS)
 
 
 @pytest.mark.parametrize("game_id", [g for g in GAME_IDS if REGISTRY[g].player_range[0] > 1])

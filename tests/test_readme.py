@@ -3,7 +3,7 @@
 import pathlib
 import re
 
-from cardtable.env import Transition
+from cardtable.env import GAME_IDS, REGISTRY, Transition
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
@@ -43,3 +43,13 @@ def test_replaced_hook_renders_its_own_planes():
     for obs in states:
         assert type(obs.planes) is list  # the engine's encode_planes returns an array
         assert obs.planes == names["my_planes"](obs.raw) == [obs.raw["my_chips"], obs.raw["opp_chips"]]
+
+
+def test_game_table_matches_the_engines():
+    """Each row's players and actions columns are the engine's SEATS and NUM_ACTIONS, one row per id."""
+    rows = re.findall(r"^\| `(\w+)` \| ([\d-]+) \| (\d+) \|", README.read_text(), re.M)
+    assert [game_id for game_id, _, _ in rows] == list(GAME_IDS)
+    for game_id, players, actions in rows:
+        lo, hi = REGISTRY[game_id].engine.SEATS
+        assert players == (str(lo) if lo == hi else f"{lo}-{hi}")
+        assert int(actions) == REGISTRY[game_id].module.NUM_ACTIONS
