@@ -17,7 +17,8 @@ and workers of at least 1, and the seed any integer, or the command
 fails with InvalidParam naming the key (or CARDTABLE_SEED) before any
 work starts. main resolves these inputs once per run, into one options
 dict (also the manifest's config) and one EnvConfig. exploit takes
-exactly one --agents entry; census writes no file and takes no --out.
+exactly one --agents entry; census writes no file, so it takes no
+--out flag and refuses a config file's out key.
 
 Exit codes: 0 success, 2 command-line usage errors, 1 anything that
 fails at run time. A closed stdout (a reader such as `head` that exits
@@ -226,6 +227,8 @@ def _cmd_exploit(options: dict, config: EnvConfig) -> int:
 
 
 def _cmd_census(options: dict, config: EnvConfig) -> int:
+    if "out" in options:  # only a config file can set it: census has no --out flag
+        raise InvalidParam(f"census writes no file, so it takes no out key, got out={options['out']}")
     try:
         census = count_info_sets(config.game_id)
     except GameTooLarge:

@@ -8,6 +8,11 @@ generator state, so a restored game replays chance identically. Undo
 is not an engine option: a caller that walks back (the Env's tree mode,
 MCCFR) keeps its own snapshots and restores them.
 
+A Game also owns the end of a game: reset sets `_results` to None, and
+an engine's _apply ends the game by setting it to one result per seat.
+is_over() and payoffs() read that one field; payoffs() divides each
+result by the class's UNIT and raises GameNotOver while the game runs.
+
 Every engine follows one state rule. Each field a snapshot holds is
 immutable (an int, a string, a tuple of card ids or counts, a
 frozenset) and a move replaces it rather than editing it. The one
@@ -42,7 +47,7 @@ from abc import ABC, abstractmethod
 from typing import Any
 
 from cardtable.core.rng import Rng
-from cardtable.errors import GameOver, IllegalMove, InvalidParam
+from cardtable.errors import GameNotOver, GameOver, IllegalMove, InvalidParam
 
 
 def int_param(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
@@ -76,10 +81,16 @@ class Game(ABC):
 
     Engines keep the module's state rule, so snapshot() returns fields
     by reference and _restore() only assigns them.
+
+    The game is over once `_results` holds a result per seat, which an
+    engine's snapshot() keeps: step, legal_ids_for, is_over() and
+    payoffs() all test that one field, and payoffs() divides each result
+    by UNIT.
     """
 
     SEATS: tuple[int, int]  # the seat counts the engine plays, low and high
     PARAMS: tuple[str, ...] = ()  # the constructor's game-parameter keywords
+    UNIT = 1  # results per payoff unit
 
     def __init__(self, rng: Rng, num_players: int | None = None):
         lo, hi = self.SEATS
@@ -91,6 +102,7 @@ class Game(ABC):
         """Deal a fresh hand; returns the first player to act. No deal ends
         a hand: a blackjack natural still asks for a decision."""
         self._legal = None
+        self._results = None
         self.turn = turn = self._start()
         return turn
 
@@ -100,7 +112,7 @@ class Game(ABC):
         A move outside legal_moves(), or one that is not an integer action
         id, raises IllegalMove naming it, and leaves the game as it was.
         """
-        if self.is_over():
+        if self._results is not None:
             raise GameOver("step on a finished game")
         if move.__class__ is not int:
             move = _action_id(move)
@@ -109,7 +121,7 @@ class Game(ABC):
             raise IllegalMove(f"move {move!r} not in legal set {legal}")
         self._apply(move)
         self._legal = None
-        return None if self.is_over() else self.turn
+        return self.turn if self._results is None else None
 
     def restore(self, snap: Any) -> None:
         """Put the game back in the state snapshot() returned; legal moves are recomputed on the next read."""
@@ -125,9 +137,20 @@ class Game(ABC):
 
     def legal_ids_for(self, seat: int) -> tuple:
         """The legal ids seat observes: its moves on its turn in a running game, else ()."""
-        if self.is_over() or seat != self.turn:
+        if self._results is not None or seat != self.turn:
             return ()
         return self.legal_moves()
+
+    def is_over(self) -> bool:
+        return self._results is not None
+
+    def payoffs(self) -> list[float]:
+        """Each seat's result in payoff units: _results divided by UNIT."""
+        results = self._results
+        if results is None:
+            raise GameNotOver("the game is still running")
+        unit = self.UNIT
+        return [float(r) / unit for r in results]
 
     def current_player(self) -> int:
         """The seat to act: `turn`, which is still the last mover's once the game is over."""
@@ -141,14 +164,8 @@ class Game(ABC):
         """Apply a move that step has already checked is legal."""
 
     @abstractmethod
-    def is_over(self) -> bool: ...
-
-    @abstractmethod
     def _legal_moves(self) -> tuple:
         """Compute the current player's legal moves from the state, as a tuple."""
-
-    @abstractmethod
-    def payoffs(self) -> list[float]: ...
 
     @abstractmethod
     def snapshot(self) -> Any: ...

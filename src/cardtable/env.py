@@ -279,11 +279,10 @@ class Env:
 
         Lets workers split a game range without replaying the prefix:
         seek(i) then run() plays exactly the game a fresh env would play
-        i games in.
+        i games in. An index that is not an int of at least 0 (a bool
+        included) raises InvalidParam naming game_index.
         """
-        if game_index < 0:
-            raise InvalidParam(f"game index must be >= 0, got {game_index}")
-        self.game_index = game_index - 1
+        self.game_index = int_param("game_index", game_index, 0) - 1
 
     def _act(self, action_id: int, chooser: str) -> int | None:
         """Step the game by one decision; returns the next seat, None when over."""

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cardtable.agents.policy import PolicyTable, left_sum
+from cardtable.core.contracts import int_param
 from cardtable.env import EnvConfig, game_spec, make
 from cardtable.errors import AgentsNotSet, InvalidParam
 from cardtable.trees import DECISION, CompiledTree, blackjack_info_sets, compiled_tree
@@ -82,15 +83,16 @@ def tournament(config: EnvConfig, agents, n_games: int, rotate: bool = True) -> 
     With rotate=True the games are split into num_seats blocks; block b
     seats agents[(s - b) % k] at seat s, and every block replays the
     same deal seeds, so each agent faces the identical deal schedule
-    from every seat. n_games rounds down to a multiple of the block
-    count. rotate=False plays a single fixed-seat block.
+    from every seat. n_games, an int (not a bool), rounds down to a
+    multiple of the block count. rotate=False plays a single fixed-seat
+    block.
     """
     agents = list(agents)
     seats = config.num_players
     if len(agents) != seats:
         raise AgentsNotSet(f"{config.game_id} seats {seats} players, got {len(agents)} agents")
     rotations = seats if rotate else 1
-    per_block = n_games // rotations
+    per_block = int_param("n_games", n_games) // rotations
     if per_block < 1:
         raise InvalidParam(f"n_games={n_games} is fewer than the {rotations} rotation blocks")
     blocks = []

@@ -14,7 +14,6 @@ import numpy as np
 
 from cardtable.core.cards import DECKS, FRENCH_RANKS
 from cardtable.core.contracts import Game
-from cardtable.errors import GameNotOver
 
 HIT, STAND = 0, 1
 NUM_ACTIONS = 2
@@ -67,7 +66,6 @@ class BlackjackGame(Game):
         player, upcard = draw(stock), draw(stock)  # the dealer's first card is the upcard
         self.hand = (player, draw(stock))
         self.dealer_hand = (upcard, draw(stock))
-        self._payoff: int | None = None  # set when the hand ends
         return 0
 
     def _apply(self, move: int) -> None:
@@ -76,28 +74,20 @@ class BlackjackGame(Game):
         if move == HIT:
             self.hand += (self.rng.draw(stock),)
             if hand_value(self.hand)[0] > 21:
-                self._payoff = -1
+                self._results = (-1,)
         else:
             while hand_value(self.dealer_hand)[0] < 17:  # the house stands on every 17
                 self.dealer_hand += (self.rng.draw(stock),)
-            self._payoff = settle(self.hand, self.dealer_hand)
-
-    def is_over(self) -> bool:
-        return self._payoff is not None
+            self._results = (settle(self.hand, self.dealer_hand),)
 
     def _legal_moves(self) -> tuple[int, ...]:
         return _MOVES
 
-    def payoffs(self) -> list[float]:
-        if self._payoff is None:
-            raise GameNotOver("blackjack hand still running")
-        return [float(self._payoff)]
-
     def snapshot(self):
-        return self.hand, self.dealer_hand, self.stock, self._payoff, self.rng.getstate()
+        return self.hand, self.dealer_hand, self.stock, self._results, self.rng.getstate()
 
     def _restore(self, snap) -> None:
-        self.hand, self.dealer_hand, self.stock, self._payoff, rng_state = snap
+        self.hand, self.dealer_hand, self.stock, self._results, rng_state = snap
         self.rng.setstate(rng_state)
 
 

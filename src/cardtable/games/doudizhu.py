@@ -29,7 +29,7 @@ import numpy as np
 
 from cardtable.core.cards import DECKS
 from cardtable.core.contracts import Game
-from cardtable.errors import GameNotOver, InvalidParam
+from cardtable.errors import InvalidParam
 from cardtable.games.doudizhu_patterns import (
     DD_RANK_NAMES,
     NUM_ACTIONS,
@@ -85,7 +85,6 @@ class DoudizhuGame(Game):
         self.to_beat: CardPattern | None = None
         self.trick_owner: int | None = None
         self.pass_count = 0
-        self.winner: int | None = None
         self.recent = (_NO_CARDS,) * 3  # last 3 moves as count vectors, oldest first
         self.last_moves: tuple[tuple[int, int], ...] = ()  # (seat, action_id) of at most the last 3 moves
         return self.landlord
@@ -117,21 +116,12 @@ class DoudizhuGame(Game):
             self.trick_owner = seat
             self.pass_count = 0
             if sizes[seat] == 0:
-                self.winner = seat
+                landlord = self.landlord
+                self._results = tuple(int((i == landlord) == (seat == landlord)) for i in range(NUM_PLAYERS))
                 return
         self.last_moves = (*self.last_moves[-2:], (seat, action_id))
         self.recent = (self.recent[1], self.recent[2], taken)
         self.turn = (seat + 1) % NUM_PLAYERS
-
-    def is_over(self) -> bool:
-        return self.winner is not None
-
-    def payoffs(self) -> list[float]:
-        if self.winner is None:
-            raise GameNotOver("no hand has emptied yet")
-        if self.winner == self.landlord:
-            return [1.0 if i == self.landlord else 0.0 for i in range(NUM_PLAYERS)]
-        return [0.0 if i == self.landlord else 1.0 for i in range(NUM_PLAYERS)]
 
     # snapshots ------------------------------------------------------
 
@@ -145,7 +135,7 @@ class DoudizhuGame(Game):
             self.trick_owner,
             self.pass_count,
             self.turn,
-            self.winner,
+            self._results,
             self.last_moves,
             self.recent,
             self.rng.getstate(),
@@ -153,7 +143,7 @@ class DoudizhuGame(Game):
 
     def _restore(self, snap) -> None:
         (self.landlord, self.counts, self.sizes, self.played, self.to_beat, self.trick_owner, self.pass_count,
-         self.turn, self.winner, self.last_moves, self.recent, rng_state) = snap
+         self.turn, self._results, self.last_moves, self.recent, rng_state) = snap
         self.rng.setstate(rng_state)
 
 

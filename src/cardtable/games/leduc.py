@@ -43,7 +43,6 @@ class LeducGame(BettingGame):
     SEATS = (2, 2)
     MAX_RAISES = 2
     LAST_ROUND = 1
-    CHIPS_PER_UNIT = 1
     DECK = DECKS["leduc6"]
     BOARD = (0, 1)  # round two opens with the public card
     blinds = (ANTE, ANTE)

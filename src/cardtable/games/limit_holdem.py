@@ -22,7 +22,6 @@ import numpy as np
 
 from cardtable.core.cards import DECKS, FRENCH_RANKS, FRENCH_SUITS
 from cardtable.core.contracts import Game, int_param
-from cardtable.errors import GameNotOver
 from cardtable.games.hand_rank import evaluate_seven
 
 CALL, RAISE, FOLD, CHECK = 0, 1, 2, 3
@@ -68,25 +67,24 @@ class BettingGame(Game):
     names the best hands. A fold that leaves one live seat ends the hand
     at once, that seat winning. Either way the winners split the pot
     equally: each nets pot / winners less its own chips, every other
-    seat loses its chips. Net chips are exact, an int on an even split
-    and a Fraction otherwise, so they sum to zero; payoffs() divides
-    them by CHIPS_PER_UNIT.
+    seat loses its chips. Those net chips are the hand's results (see
+    Game): exact, an int on an even split and a Fraction otherwise, so
+    they sum to zero.
 
     The betting history is one letter per move (c call, r raise, f fold,
     k check), with '/' between rounds.
 
-    A subclass sets SEATS, MAX_RAISES, LAST_ROUND, CHIPS_PER_UNIT, DECK,
-    BOARD, blinds and raise_sizes and writes _deal_hands, _first_actor and
-    _showdown_winners. The state, all of it in snapshot(): hands, board,
-    folded, chips, round_base (every live seat's chips when this round
-    opened), round_index, raises (this round), turn, to_close,
-    history, _results (net chips by seat once the hand is over, else
-    None), stock and the generator state.
+    A subclass sets SEATS, MAX_RAISES, LAST_ROUND, DECK, BOARD, blinds
+    and raise_sizes, and UNIT when chips are smaller than its payoff
+    unit, and writes _deal_hands, _first_actor and _showdown_winners.
+    The state, all of it in snapshot(): hands, board, folded, chips,
+    round_base (every live seat's chips when this round opened),
+    round_index, raises (this round), turn, to_close, history, Game's
+    _results, stock and the generator state.
     """
 
     MAX_RAISES: int
     LAST_ROUND: int
-    CHIPS_PER_UNIT: int
     DECK: tuple[int, ...]
     BOARD: tuple[int, ...]  # cards dealt as each round opens, by round index
     blinds: tuple[int, ...]  # chips by seat before the first move
@@ -102,7 +100,6 @@ class BettingGame(Game):
         self.round_base = self.round_index = self.raises = 0
         self.to_close = n
         self.history = ""
-        self._results: tuple | None = None
         return self._first_actor(0)
 
     def _deal_board(self) -> None:
@@ -168,15 +165,6 @@ class BettingGame(Game):
             results[i] += share
         self._results = tuple(results)
 
-    def is_over(self) -> bool:
-        return self._results is not None
-
-    def payoffs(self) -> list[float]:
-        if self._results is None:
-            raise GameNotOver("poker hand still running")
-        unit = self.CHIPS_PER_UNIT
-        return [float(r) / unit for r in self._results]
-
     def snapshot(self):
         return (
             self.hands,
@@ -203,7 +191,7 @@ class BettingGame(Game):
 class LimitHoldemGame(BettingGame):
     MAX_RAISES = 4
     LAST_ROUND = 3
-    CHIPS_PER_UNIT = 2  # half big blinds per big blind
+    UNIT = 2  # half big blinds per big blind
     DECK = DECKS["standard52"]
     BOARD = (0, 3, 1, 1)  # hole cards, flop, turn, river
     SEATS = (2, 10)

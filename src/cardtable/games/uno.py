@@ -40,7 +40,6 @@ import numpy as np
 
 from cardtable.core.cards import DECKS, UNO_COLORS, UNO_SYMBOLS
 from cardtable.core.contracts import Game, int_param
-from cardtable.errors import GameNotOver
 
 NUM_TYPES = 54
 WILD, WD4 = 52, 53
@@ -117,7 +116,6 @@ class UnoGame(Game):
         self.declared: int | None = None
         self.direction = 1
         self.pending: int | None = None  # drawn type the player may replay
-        self.winner: int | None = None
         return 0
 
     # rule helpers ---------------------------------------------------
@@ -202,7 +200,7 @@ class UnoGame(Game):
         self.discard += (played,)
         self.declared = declared
         if not self.sizes[seat]:
-            self.winner = seat
+            self._results = tuple(int(i == seat) for i in range(self.num_players))
             return
         if played >= 52:
             if played == WD4:
@@ -223,14 +221,6 @@ class UnoGame(Game):
         else:
             self._advance(1)
 
-    def is_over(self) -> bool:
-        return self.winner is not None
-
-    def payoffs(self) -> list[float]:
-        if self.winner is None:
-            raise GameNotOver("no empty hand yet")
-        return [1.0 if i == self.winner else 0.0 for i in range(self.num_players)]
-
     def snapshot(self):
         return (
             self.hands,
@@ -242,13 +232,13 @@ class UnoGame(Game):
             self.direction,
             self.turn,
             self.pending,
-            self.winner,
+            self._results,
             self.rng.getstate(),
         )
 
     def _restore(self, snap) -> None:
         (self.hands, self.sizes, self.pile, self.bottom, self.discard, self.declared, self.direction, self.turn,
-         self.pending, self.winner, rng_state) = snap
+         self.pending, self._results, rng_state) = snap
         self.rng.setstate(rng_state)
 
 

@@ -18,9 +18,10 @@ from dataclasses import dataclass, replace
 
 from cardtable.agents.base import RandomAgent
 from cardtable.agents.policy import PolicyAgent, PolicyTable
+from cardtable.core.contracts import int_param
 from cardtable.core.rng import split_seed
 from cardtable.env import EnvConfig, game_spec, make, serialize_trajectories
-from cardtable.errors import AgentsNotSet, GameTooLarge, InvalidParam, InvalidPolicy, WorkerFailure
+from cardtable.errors import AgentsNotSet, GameTooLarge, InvalidPolicy, WorkerFailure
 from cardtable.trees import compiled_tree
 
 BENCH_REPEATS = 3  # differently seeded runs per bench call
@@ -127,16 +128,16 @@ def rollout_parallel(spec: RolloutSpec, collect_logs: bool = False) -> RolloutRe
     anything; n_workers=1 runs inline in this process. One engine is
     built here first, so a bad game parameter value raises its
     InvalidParam before any worker starts or any game is charged with
-    it. Policy files are loaded once, in this process, and checked
-    against the game before any worker starts: a file that cannot be
-    read or parsed raises ParseError naming it, and one that does not
-    fit the game InvalidPolicy, neither charged to a game. The loaded
-    agents are sent to the workers.
+    it. The counts are checked before that: n_games must be an int of
+    at least 0 and n_workers one of at least 1 (a bool is neither), else
+    InvalidParam names the count. Policy files are loaded once, in this
+    process, and checked against the game before any worker starts: a
+    file that cannot be read or parsed raises ParseError naming it, and
+    one that does not fit the game InvalidPolicy, neither charged to a
+    game. The loaded agents are sent to the workers.
     """
-    if spec.n_workers < 1:
-        raise InvalidParam(f"n_workers must be >= 1, got {spec.n_workers}")
-    if spec.n_games < 0:
-        raise InvalidParam(f"n_games must be >= 0, got {spec.n_games}")
+    int_param("n_workers", spec.n_workers, 1)
+    int_param("n_games", spec.n_games, 0)
     seats = spec.env_config.num_players
     if len(spec.agents) != seats:
         raise AgentsNotSet(f"{spec.env_config.game_id} seats {seats}, spec names {len(spec.agents)} agents")

@@ -554,6 +554,16 @@ class TestCensus:
         assert code == 2 and "--out" in err
         assert not (tmp_path / "out").exists()
 
+    def test_a_config_files_out_key_is_refused(self, tmp_path, monkeypatch):
+        """The config file's out key, which --out mirrors, is refused too: one error line, exit 1, nothing made."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "census.cfg").write_text("game=leduc\nout=cen_out\n")
+        code, err = run_main(["census", "--config", "census.cfg"])
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "census" in err and "out" in err
+        assert not (tmp_path / "cen_out").exists()
+
 
 class TestBench:
     def test_prints_and_appends_csv(self, tmp_path, capsys):

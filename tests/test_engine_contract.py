@@ -2,14 +2,18 @@
 payoffs only at the end, and deals that always ask for a decision."""
 
 import copy
+import importlib
 import inspect
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cardtable.games
 from cardtable.agents import Agent, RandomAgent
+from cardtable.core.contracts import Game
 from cardtable.core.rng import Rng
 from cardtable.env import GAME_IDS, REGISTRY, EnvConfig, make, make_single_agent, serialize_trajectories
 from cardtable.errors import GameNotOver, GameOver, IllegalAction, IllegalMove, InvalidParam
@@ -155,6 +159,19 @@ def test_params_are_the_constructor_keywords_after_the_seat_count(engine):
     assert names[:2] == ["rng", "num_players"]
     assert set(names[2:]) == set(engine.PARAMS) | fixed
     assert not fixed & set(engine.PARAMS)
+
+
+def test_game_alone_ends_a_game():
+    """No class under cardtable.games defines is_over or payoffs, and Game asks no subclass for
+    either: every engine ends a game by setting Game's _results."""
+    classes = set()
+    for info in pkgutil.iter_modules(cardtable.games.__path__, "cardtable.games."):
+        module = importlib.import_module(info.name)
+        classes |= {c for c in vars(module).values() if inspect.isclass(c) and c.__module__ == module.__name__}
+    assert set(ENGINES) <= classes
+    defined = [f"{c.__qualname__}.{name}" for c in classes for name in ("is_over", "payoffs") if name in vars(c)]
+    assert defined == []
+    assert not {"is_over", "payoffs"} & Game.__abstractmethods__
 
 
 @pytest.mark.parametrize("game_id", [g for g in GAME_IDS if REGISTRY[g].player_range[0] > 1])

@@ -161,6 +161,14 @@ class TestRunMode:
         with pytest.raises(InvalidParam):
             env.seek(-1)
 
+    @pytest.mark.parametrize("index", [2.5, True, "1"])
+    def test_seek_refuses_an_index_that_is_not_an_int(self, index):
+        """seek checks the index itself, so a float or bool fails there, not inside the next run()."""
+        env = make(EnvConfig("uno", seed=9))
+        with pytest.raises(InvalidParam, match="^game_index must be an integer"):
+            env.seek(index)
+        assert env.game_index == -1
+
     def test_seek_across_block_edges_matches_a_fresh_env(self):
         for config in (EnvConfig("leduc", seed=13), EnvConfig("limit_holdem", seed=-4, num_players=3)):
             _, games = run_games(config, 131)

@@ -190,6 +190,12 @@ class TestTournament:
         with pytest.raises(InvalidParam):
             tournament(config, [RandomAgent(), RandomAgent()], 1)
 
+    @pytest.mark.parametrize("n_games", [10.5, True])
+    def test_a_count_that_is_not_an_int_is_invalid(self, n_games):
+        config = EnvConfig("leduc", seed=0)
+        with pytest.raises(InvalidParam, match="^n_games must be an integer"):
+            tournament(config, [RandomAgent(), RandomAgent()], n_games)
+
     def test_csv_table_layout(self):
         config = EnvConfig("leduc", seed=1)
         result = tournament(config, [RandomAgent(), RandomAgent()], 20)

@@ -97,6 +97,16 @@ class TestRollout:
         with pytest.raises(AgentsNotSet):
             rollout_parallel(RolloutSpec(config, ("random",), 5, 1))
 
+    @pytest.mark.parametrize(("n_games", "n_workers", "name"), [
+        (2.5, 1, "n_games"), (True, 1, "n_games"), (4, 1.5, "n_workers"), (4, True, "n_workers"),
+    ])
+    def test_counts_that_are_not_ints_fail_before_any_policy_loads(self, tmp_path, n_games, n_workers, name):
+        """A float or bool count is InvalidParam naming it, raised before the policy files are read."""
+        missing = str(tmp_path / "absent.txt")
+        spec = RolloutSpec(EnvConfig("leduc", seed=1), (missing, "random"), n_games, n_workers)
+        with pytest.raises(InvalidParam, match=f"^{name} must be an integer"):
+            rollout_parallel(spec)
+
     def test_bad_param_value_fails_before_any_game(self):
         config = EnvConfig("uno", seed=1, game_params={"hand_size": "abc"})
         for workers in (1, 2):
@@ -180,6 +190,11 @@ class TestBuildAgent:
 
 
 class TestBench:
+    @pytest.mark.parametrize("n_games", [2.5, True])
+    def test_a_count_that_is_not_an_int_is_invalid(self, n_games):
+        with pytest.raises(InvalidParam, match="^n_games must be an integer"):
+            bench(EnvConfig("leduc", seed=1), n_games, 1)
+
     def test_report_accounting(self):
         report = bench(EnvConfig("uno", seed=3), n_games=10, n_workers=1)
         assert report.games == 10 * BENCH_REPEATS

@@ -345,8 +345,9 @@ class TestFullGames:
                 assert steps < 5000, seed
             payoffs = game.payoffs()
             assert sorted(payoffs) == [0.0] * (players - 1) + [1.0]
-            assert payoffs[game.winner] == 1.0
-            assert sum(game.hands[game.winner]) == 0
+            winner = game.sizes.index(0)
+            assert payoffs[winner] == 1.0
+            assert sum(game.hands[winner]) == 0
 
     def test_same_seed_same_game(self):
         logs = []
