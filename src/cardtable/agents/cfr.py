@@ -53,6 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cardtable.agents.policy import PolicyTable, average_policy, left_sum
+from cardtable.core.contracts import int_param
 from cardtable.trees import DECISION, CompiledTree, compiled_tree
 
 
@@ -204,6 +205,8 @@ class CFRTrainer:
         self.visited = np.zeros(len(self.tree.keys), dtype=bool)
 
     def run(self, iterations: int) -> None:
+        """Run iterations more iterations: an int (not a bool) of at least 0, else InvalidParam."""
+        int_param("iterations", iterations, 0)
         s, layout = self.schedule, self.tree.layout
         regrets, strategy_sum, visited = self.regrets, self.strategy_sum, self.visited
         buffer, multipliers = s.buffer.copy(), s.multipliers.copy()

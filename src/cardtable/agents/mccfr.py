@@ -45,6 +45,7 @@ from operator import mul
 
 from cardtable.agents.cfr import regret_matching
 from cardtable.agents.policy import PolicyTable, average_policy, left_sum, sample_index
+from cardtable.core.contracts import int_param
 from cardtable.core.rng import Rng, split_seed
 from cardtable.env import EnvConfig, make
 from cardtable.errors import GameTooLarge
@@ -79,6 +80,8 @@ class MCCFRTrainer:
         self.tables: dict[str, tuple[tuple, list[float], list[float]]] = {}
 
     def run(self, iterations: int) -> None:
+        """Run iterations more iterations: an int (not a bool) of at least 0, else InvalidParam."""
+        int_param("iterations", iterations, 0)
         iterate = self._iterate_engine if self._tree is None else self._iterate_tree
         for _ in range(iterations):
             iterate()

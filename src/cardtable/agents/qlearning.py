@@ -10,6 +10,7 @@ makes the epsilon=1 schedule draw-for-draw identical to RandomAgent.
 from __future__ import annotations
 
 from cardtable.agents.policy import PolicyTable
+from cardtable.core.contracts import int_param
 
 LEARNING_RATE = 0.05
 DISCOUNT = 0.99
@@ -62,8 +63,10 @@ def qlearn_train(env, episodes: int) -> QTable:
 
     One episode per seeded game; rewards arrive only at the end, so
     intermediate targets are pure bootstrap. Greedy ties break to the
-    first (lowest) legal action id for determinism.
+    first (lowest) legal action id for determinism. episodes must be an
+    int (not a bool) of at least 0, else InvalidParam.
     """
+    int_param("episodes", episodes, 0)
     table = QTable()
     lr, gamma = LEARNING_RATE, DISCOUNT
     for episode in range(episodes):

@@ -15,10 +15,11 @@ agents and out stay the text written, so `out=007` names directory 007.
 The counts iters, episodes and games must be integers of at least 0,
 and workers of at least 1, and the seed any integer, or the command
 fails with InvalidParam naming the key (or CARDTABLE_SEED) before any
-work starts. main resolves these inputs once per run, into one options
-dict (also the manifest's config) and one EnvConfig. exploit takes
-exactly one --agents entry; census writes no file, so it takes no
---out flag and refuses a config file's out key.
+work starts. So does a config file key the command has no flag for
+(census has no --out, selfplay no --iters): InvalidParam names the key
+and the command. main resolves these inputs once per run, into one
+options dict (also the manifest's config) and one EnvConfig. exploit
+takes exactly one --agents entry.
 
 Exit codes: 0 success, 2 command-line usage errors, 1 anything that
 fails at run time. A closed stdout (a reader such as `head` that exits
@@ -91,6 +92,9 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, EnvConfig]:
     Errors come in the order config file, missing game, --param, seed, EnvConfig.
     """
     file = load_config(args.config) if args.config else {}
+    for key in file:
+        if not key.startswith("param.") and not hasattr(args, key):
+            raise InvalidParam(f"{args.command} takes no config key {key!r}: it has no --{key} flag")
     options = {}
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
@@ -227,8 +231,6 @@ def _cmd_exploit(options: dict, config: EnvConfig) -> int:
 
 
 def _cmd_census(options: dict, config: EnvConfig) -> int:
-    if "out" in options:  # only a config file can set it: census has no --out flag
-        raise InvalidParam(f"census writes no file, so it takes no out key, got out={options['out']}")
     try:
         census = count_info_sets(config.game_id)
     except GameTooLarge:

@@ -126,11 +126,12 @@ def game_spec(game_id: str) -> GameSpec:
 class EnvConfig:
     """A game's options, checked once, when the config is built.
 
-    An unregistered game_id raises UnknownGame; a seat count that is not
-    an int in the game's range, or a game_params name the game does not
-    take, InvalidParam. A None num_players becomes the low end of the
-    game's range, so every holder of a config reads a valid int. The
-    engine checks the parameter values.
+    An unregistered game_id raises UnknownGame; a seed that is not an
+    int (a bool is not), a seat count that is not an int in the game's
+    range, or a game_params name the game does not take, InvalidParam.
+    A None num_players becomes the low end of the game's range, so every
+    holder of a config reads a valid int. The engine checks the
+    parameter values.
     """
 
     game_id: str
@@ -140,6 +141,7 @@ class EnvConfig:
 
     def __post_init__(self):
         spec = game_spec(self.game_id)
+        int_param("seed", self.seed)
         n = spec.player_range[0] if self.num_players is None else self.num_players
         object.__setattr__(self, "num_players", int_param(f"{self.game_id} num_players", n, *spec.player_range))
         for key in self.game_params:

@@ -7,7 +7,8 @@ the whole run is reproducible from one master seed.
 
 Best response comes in two independently written forms. The generic
 one pushes reach down the compiled tree with TreeLayout.push_reach,
-then sums values up in stages (Johanson et al. 2011); policy value is
+then sums values up in stages (Johanson et al. 2011), from a plan built
+once per tree and seat, one stage at a time; policy value is
 TreeLayout.sum_values alone. The leduc-specific one never touches the
 tree module and instead pushes explicit hidden-state weight vectors
 (opponent card, board card) down the public betting sequence. The test
@@ -166,14 +167,6 @@ def _edge_probs(tree: CompiledTree, tables) -> np.ndarray:
     return edge_probs
 
 
-def _distinct_by_stage(stages, ids, size):
-    """np.unique(ids in 0..size-1) within each stage of sorted stages at once: the
-    distinct ids and their stages, each entry's index among its stage's, each distinct id's first entry."""
-    keys, first, inverse = np.unique(stages * size + ids, return_index=True, return_inverse=True)
-    kept = keys // size
-    return keys % size, kept, inverse - np.searchsorted(kept, stages), first
-
-
 class _SweepPlan:
     """Index arrays for value sweeps of a compiled tree in which seat (0 or
     1) best-responds.
@@ -185,6 +178,8 @@ class _SweepPlan:
     action of largest sum, over the set's nodes in preorder, of reach
     times child value. Only elementwise operations, take and bincount
     compute, so every product and sum runs in a depth-first walk's order.
+    The plan is built one stage at a time, from np.unique over each
+    stage's own edges.
     """
 
     def __init__(self, tree: CompiledTree, seat: int):
@@ -222,32 +217,23 @@ class _SweepPlan:
         self.responder_edges = (slot >= 0) & responds[parent]  # multiplier 1.0, so a child has its node's reach
 
         # edges by their parent's stage, then in the walk's order: by the parent's
-        # preorder index, then by action; every stage's arrays are computed at
-        # once, then cut apart
+        # preorder index, then by action; cut at the stage bounds, each stage's
+        # arrays built from its own edges
         child = 1 + np.lexsort((layout.node[parent[1:]], stage[parent[1:]]))
-        by_responder = responds[parent[child]]
-        summed, moved = child[~by_responder], child[by_responder]
-        edge_stage, move_stage = stage[parent[summed]], stage[parent[moved]]
-        nodes, node_stage, group, _ = _distinct_by_stage(edge_stage, parent[summed], n)
-        sets, set_stage, owner, _ = _distinct_by_stage(move_stage, info[parent[moved]], self.num_sets)
-        members, member_stage, _, first = _distinct_by_stage(move_stage, parent[moved], n)
+        at = np.searchsorted(stage[parent[child]], np.arange(1, stage[0] + 2)).tolist()
         widths = np.diff(layout.offsets)
-        width = np.zeros(stage[0] + 1, dtype=np.intp)  # a stage's widest set
-        np.maximum.at(width, set_stage, widths[sets])
-        bins = owner * width[move_stage] + layout.action[moved]
-
-        def cut(values, stages):
-            at = np.searchsorted(stages, np.arange(1, stage[0] + 2)).tolist()
-            return [values[lo:hi] for lo, hi in zip(at, at[1:])]
-
-        stage_sets = cut(sets, set_stage)
-        pads = [np.where(np.arange(w) < widths[s, None], 0.0, -np.inf) for w, s in zip(width[1:].tolist(), stage_sets)]
-        chosen, first = owner[first], first - np.searchsorted(move_stage, member_stage)
-        self.stages = list(zip(
-            cut(nodes, node_stage), cut(summed, edge_stage), cut(group, edge_stage), stage_sets,
-            cut(bins, move_stage), cut(moved, move_stage), pads,
-            cut(members, member_stage), cut(first, member_stage), cut(chosen, member_stage),
-        ))
+        self.stages = []
+        for lo, hi in zip(at, at[1:]):
+            edges = child[lo:hi]
+            by_responder = responds[parent[edges]]
+            summed, moved = edges[~by_responder], edges[by_responder]
+            nodes, group = np.unique(parent[summed], return_inverse=True)
+            sets, owner = np.unique(info[parent[moved]], return_inverse=True)
+            members, first = np.unique(parent[moved], return_index=True)
+            width = widths[sets].max(initial=0)  # the stage's widest set
+            pad = np.where(np.arange(width) < widths[sets, None], 0.0, -np.inf)
+            bins = owner * width + layout.action[moved]
+            self.stages.append((nodes, summed, group, sets, bins, moved, pad, members, first, owner[first]))
 
     def sweep(self, edge_probs: np.ndarray) -> tuple[float, np.ndarray]:
         """(root value to the responder; chosen action index per info set,

@@ -98,8 +98,9 @@ def build_agent(descriptor: str, game_id: str):
 def _play_block(config: EnvConfig, agents, indices, collect_logs: bool):
     """Worker body: plays the given game indices, one result tuple each.
 
-    Failures are returned, not raised, so the parent can attach the
-    failing game index to the error it surfaces.
+    A failure is returned, not raised, so the parent can attach the
+    failing game index to the error it surfaces, and it ends the block:
+    no later game of the block can be the lowest failing one.
     """
     env = make(config)
     env.set_agents(list(agents))
@@ -117,6 +118,7 @@ def _play_block(config: EnvConfig, agents, indices, collect_logs: bool):
             out.append((i, tuple(payoffs), steps, log))
         except Exception as exc:  # noqa: BLE001 - repackaged with the game index
             out.append((i, None, 0, f"{type(exc).__name__}: {exc}"))
+            break
     return out
 
 
@@ -124,17 +126,19 @@ def rollout_parallel(spec: RolloutSpec, collect_logs: bool = False) -> RolloutRe
     """Play spec.n_games, partitioned over spec.n_workers processes.
 
     Results are merged in game-index order and are bit-identical for
-    any n_workers. n_games=0 returns an empty result without spawning
-    anything; n_workers=1 runs inline in this process. One engine is
-    built here first, so a bad game parameter value raises its
-    InvalidParam before any worker starts or any game is charged with
-    it. The counts are checked before that: n_games must be an int of
-    at least 0 and n_workers one of at least 1 (a bool is neither), else
-    InvalidParam names the count. Policy files are loaded once, in this
-    process, and checked against the game before any worker starts: a
-    file that cannot be read or parsed raises ParseError naming it, and
-    one that does not fit the game InvalidPolicy, neither charged to a
-    game. The loaded agents are sent to the workers.
+    any n_workers. A game that raises surfaces as WorkerFailure naming
+    the lowest failing game index, whatever the worker count. n_games=0
+    returns an empty result without spawning anything; n_workers=1 runs
+    inline in this process. One engine is built here first, so a bad
+    game parameter value raises its InvalidParam before any worker
+    starts or any game is charged with it. The counts are checked before
+    that: n_games must be an int of at least 0 and n_workers one of at
+    least 1 (a bool is neither), else InvalidParam names the count.
+    Policy files are loaded once, in this process, and checked against
+    the game before any worker starts: a file that cannot be read or
+    parsed raises ParseError naming it, and one that does not fit the
+    game InvalidPolicy, neither charged to a game. The loaded agents are
+    sent to the workers.
     """
     int_param("n_workers", spec.n_workers, 1)
     int_param("n_games", spec.n_games, 0)
@@ -159,25 +163,20 @@ def rollout_parallel(spec: RolloutSpec, collect_logs: bool = False) -> RolloutRe
             ]
             blocks = [f.result() for f in futures]
 
-    by_index: dict[int, tuple] = {}
-    for block in blocks:
-        for i, payoffs, steps, log in block:
-            if payoffs is None:
-                raise WorkerFailure(i, log)
-            by_index[i] = (payoffs, steps, log)
-
-    ordered = [by_index[i] for i in range(spec.n_games)]
+    rows = sorted((row for block in blocks for row in block), key=lambda row: row[0])
     totals = [0.0] * seats
     total_steps = 0
-    for payoffs, steps, _ in ordered:
+    for i, payoffs, steps, log in rows:
+        if payoffs is None:
+            raise WorkerFailure(i, log)
         total_steps += steps
         for s, p in enumerate(payoffs):
             totals[s] += p
     return RolloutResult(
-        per_game_payoffs=tuple(p for p, _, _ in ordered),
+        per_game_payoffs=tuple(payoffs for _, payoffs, _, _ in rows),
         mean_payoffs=tuple(t / spec.n_games for t in totals),
         total_steps=total_steps,
-        logs=tuple(log for _, _, log in ordered) if collect_logs else None,
+        logs=tuple(log for _, _, _, log in rows) if collect_logs else None,
     )
 
 

@@ -299,7 +299,7 @@ class TreeLayout:
     action        the place among the parent's children (-1 at the root)
     slot          the action slot of the edge in from a decision, else -1
     edge_prob     the chance probability leading in, 1.0 below a decision
-    chance_reach  the product of edge_prob from the root
+    chance_reach  the product of edge_prob from the root: push_reach of edge_prob from 1.0
     payoff        player 0's payoff at terminals, else 0.0
 
     Every sweep goes over the levels through push_reach and sum_values alone.
@@ -308,9 +308,9 @@ class TreeLayout:
     def __init__(self, tree: CompiledTree):
         children, probs, info = tree.children, tree.probs, tree.info
         offsets = self.offsets = [0, *accumulate(len(acts) for acts in tree.actions)]
-        order, parent, action, slot, edge_prob, chance_reach = [0], [0], [-1], [-1], [1.0], [1.0]
+        order, parent, action, slot, edge_prob = [0], [0], [-1], [-1], [1.0]
         self.bounds = [0, 1]
-        for p, node in enumerate(order):  # grows as it goes: a parent's reach is ready before its children's
+        for p, node in enumerate(order):  # grows as it goes: a level's children follow it
             if p == self.bounds[-1]:  # a new level: every child of the last one is in
                 self.bounds.append(len(order))
             for a, child in enumerate(children[node]):
@@ -320,9 +320,8 @@ class TreeLayout:
                 action.append(a)
                 slot.append(-1 if info[node] is None else offsets[info[node]] + a)
                 edge_prob.append(prob)
-                chance_reach.append(chance_reach[p] * prob)
         self.node, self.parent, self.action, self.slot = (np.array(x, dtype=np.intp) for x in (order, parent, action, slot))
-        self.edge_prob, self.chance_reach = np.array(edge_prob), np.array(chance_reach)
+        self.edge_prob = np.array(edge_prob)
 
         def by_position(table, missing, dtype=np.intp):
             return np.array([missing if x is None else x for x in table], dtype=dtype)[self.node]
@@ -334,6 +333,8 @@ class TreeLayout:
         pairs = [(2 * lo, 2 * hi, (2 * up[:, None] + (0, 1)).ravel()) for _, lo, hi, up in levels]  # both seats' reaches
         self._pushes = {1: [(lo, hi, up) for _, lo, hi, up in levels], 2: pairs}  # by values per position
         self._sums = [(plo, lo, hi, up - plo) for plo, lo, hi, up in reversed(levels)]
+        self.chance_reach = np.ones(len(self.node))
+        self.push_reach(self.chance_reach, self.edge_prob)
 
     def push_reach(self, reach: np.ndarray, multipliers: np.ndarray) -> None:
         """reach[v] = reach[parent] * multipliers[v], level by level from the top. Both
@@ -352,8 +353,10 @@ class TreeLayout:
 def blackjack_info_sets() -> tuple[set[str], int]:
     """(every decision info key, the state count behind them) for blackjack.
 
-    Walks reachable player hands (score <= 21 keeps the decision open)
-    under the 52-card composition for each dealer upcard. Only the
+    One walk per dealer upcard grows player hands from the empty hand,
+    a card at a time in sorted rank order (so each multiset once), under
+    the 52-card composition less the upcard; a hand counts once it holds
+    the two dealt cards, and a hand over 21 stops the walk. Only the
     player's own hand and the upcard shape the key, so the dealer's
     hole card and play-out never branch the enumeration. A state is a
     (hand multiset, upcard, hole rank) triple; the hole rank is the one
@@ -371,8 +374,9 @@ def blackjack_info_sets() -> tuple[set[str], int]:
             score, soft = blackjack.hand_value(hand)
             if score > 21:
                 return
-            keys.add(blackjack.info_key(score, soft, len(hand), up_score))
-            states += sum(1 for c in counts if c)  # reachable hole ranks
+            if len(hand) >= 2:  # the deal gives two cards before the first decision
+                keys.add(blackjack.info_key(score, soft, len(hand), up_score))
+                states += sum(1 for c in counts if c)  # reachable hole ranks
             lo = hand[-1] if hand else 0  # extend in sorted order, no permutations
             for r in range(lo, 13):
                 if counts[r]:
@@ -382,17 +386,7 @@ def blackjack_info_sets() -> tuple[set[str], int]:
                     hand.pop()
                     counts[r] += 1
 
-        for r1 in range(13):
-            if not counts[r1]:
-                continue
-            counts[r1] -= 1
-            for r2 in range(r1, 13):
-                if not counts[r2]:
-                    continue
-                counts[r2] -= 1
-                expand([r1, r2])
-                counts[r2] += 1
-            counts[r1] += 1
+        expand([])
     return keys, states
 
 

@@ -27,7 +27,7 @@ from cardtable.agents import (
 from cardtable.core.rng import Rng
 from cardtable.env import EnvConfig, make, make_single_agent
 from cardtable.agents.policy import average_policy
-from cardtable.errors import CardTableError, GameTooLarge, InvalidPolicy, ParseError
+from cardtable.errors import CardTableError, GameTooLarge, InvalidParam, InvalidPolicy, ParseError
 from cardtable.games.leduc import LeducGame
 from cardtable.trees import LeducTree
 
@@ -281,6 +281,11 @@ class TestCFR:
         with pytest.raises(GameTooLarge):
             CFRTrainer("limit_holdem")
 
+    @pytest.mark.parametrize("count", [2.5, True, -2, "3"])
+    def test_count_must_be_an_int_of_at_least_0(self, count):
+        with pytest.raises(InvalidParam, match=r"^iterations must be an integer in 0\.\., got "):
+            cfr_train("leduc", count)
+
 
 class TestMCCFR:
     def test_deterministic(self):
@@ -352,6 +357,11 @@ class TestMCCFR:
         monkeypatch.setattr(builtins, "sum", compensated_sum)
         assert run() == plain
 
+    @pytest.mark.parametrize("count", [2.5, True, -2, "3"])
+    def test_count_must_be_an_int_of_at_least_0(self, count):
+        with pytest.raises(InvalidParam, match=r"^iterations must be an integer in 0\.\., got "):
+            mccfr_external_train("leduc", count)
+
 
 class TestQLearning:
     def test_epsilon_schedule(self):
@@ -397,3 +407,8 @@ class TestQLearning:
         table = qlearn_train(env, 2000)
         assert len(table) > 40
         assert any(v != 0.0 for _, (_, values) in table.items() for v in values)
+
+    @pytest.mark.parametrize("count", [2.5, True, -2, "3"])
+    def test_count_must_be_an_int_of_at_least_0(self, count):
+        with pytest.raises(InvalidParam, match=r"^episodes must be an integer in 0\.\., got "):
+            qlearn_train(make_single_agent(EnvConfig("blackjack", seed=3), []), count)

@@ -734,6 +734,28 @@ class TestBoundaryErrors:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error:") and names in err
 
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["selfplay"], "iters", "5"),
+            (["selfplay"], "algo", "cfr"),
+            (["selfplay"], "agents", "x.txt"),
+            (["train", "--algo", "cfr"], "games", "2"),
+            (["train", "--algo", "cfr"], "workers", "3"),
+            (["exploit"], "episodes", "4"),
+        ],
+        ids=lambda arg: arg[0] if isinstance(arg, list) else arg,
+    )
+    def test_a_config_key_the_command_has_no_flag_for_is_refused(self, tmp_path, monkeypatch, argv, key, value):
+        """A key that would set up nothing is refused, not recorded in a manifest: one error line, nothing made."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"game=leduc\n{key}={value}\nout=o1\n", encoding="utf-8")
+        code, err = run_main([*argv, "--config", "run.cfg"])
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert argv[0] in err and repr(key) in err
+        assert not (tmp_path / "o1").exists()
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_bad_param_value_is_not_charged_to_a_game(self, workers):
         argv = ["selfplay", "--game", "uno", "--games", "1", "--workers", workers, "--param", "hand_size=abc"]

@@ -62,6 +62,11 @@ class TestConfig:
         with pytest.raises(InvalidParam, match="num_players"):
             replace(EnvConfig("uno"), num_players=9)
 
+    @pytest.mark.parametrize("seed", [1.5, "7", None, True])
+    def test_seed_is_checked_when_the_config_is_built(self, seed):
+        with pytest.raises(InvalidParam, match=r"^seed must be an integer, got "):
+            EnvConfig("leduc", seed=seed)
+
     def test_num_players_resolves_to_the_game_default(self):
         assert EnvConfig("uno").num_players == 2
         assert EnvConfig("doudizhu").num_players == 3

@@ -143,6 +143,8 @@ class TestRollout:
         return str(path)
 
     def test_mid_game_failure_carries_game_index(self, tmp_path):
+        from cardtable.agents import PolicyTable
+
         # a policy whose ids are all in range but that calls (0) with nothing bet
         path = self.leduc_policy_playing(tmp_path / "poisoned.tsv", 0)
         config = EnvConfig("leduc", seed=1)
@@ -151,6 +153,21 @@ class TestRollout:
             with pytest.raises(WorkerFailure) as info:
                 rollout_parallel(bad)
             assert info.value.game_index == 0
+            assert "IllegalAction" in str(info.value)
+
+        # seat 1 checks (3) facing a first-round raise, so only the games in
+        # which seat 0 raises first fail: the lowest is game 2, and every
+        # worker count names it, though 3 workers fail first at game 3 and 4 at 8
+        table = PolicyTable()
+        for rank in "JQK":
+            table.set(f"L1|{rank}|-|r", (3,), (1.0,))
+        table.save(tmp_path / "checks_a_raise.tsv")
+        config = EnvConfig("leduc", seed=4)
+        for workers in (1, 2, 3, 4):
+            bad = RolloutSpec(config, ("random", str(tmp_path / "checks_a_raise.tsv")), 40, workers)
+            with pytest.raises(WorkerFailure) as info:
+                rollout_parallel(bad)
+            assert info.value.game_index == 2
             assert "IllegalAction" in str(info.value)
 
     def test_out_of_range_policy_id_fails_before_any_worker(self, tmp_path):
