@@ -16,8 +16,10 @@ The counts iters, episodes and games must be integers of at least 0,
 and workers of at least 1, and the seed any integer, or the command
 fails with InvalidParam naming the key (or CARDTABLE_SEED) before any
 work starts. So does a config file key the command has no flag for
-(census has no --out, selfplay no --iters): InvalidParam names the key
-and the command. main resolves these inputs once per run, into one
+(census has no --out, selfplay no --iters), and a train count the
+algorithm does not read (iters with qlearn or random, episodes with
+cfr, mccfr or random): InvalidParam names the key and the command or
+algorithm. main resolves these inputs once per run, into one
 options dict (also the manifest's config) and one EnvConfig. exploit
 takes exactly one --agents entry.
 
@@ -53,6 +55,7 @@ from cardtable.parallel import BenchReport, RolloutSpec, bench, build_agent, rol
 
 _NUMBER_KEYS = ("seed", "iters", "episodes", "games", "workers")
 _CONFIG_KEYS = ("game", "algo", "agents", "out", *_NUMBER_KEYS)
+_TRAIN_COUNTS = {"cfr": "iters", "mccfr": "iters", "qlearn": "episodes", "random": None}  # the count each algo reads
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -178,6 +181,9 @@ def _cmd_selfplay(options: dict, config: EnvConfig) -> int:
 
 def _cmd_train(options: dict, config: EnvConfig) -> int:
     algo, out = options["algo"], options.get("out")
+    for key in ("iters", "episodes"):
+        if key in options and key != _TRAIN_COUNTS[algo]:
+            raise InvalidParam(f"train --algo {algo} takes no {key}: it reads {_TRAIN_COUNTS[algo] or 'no count'}")
     if out is None:
         raise ParseError("train needs --out to store the policy")
     if algo in ("cfr", "mccfr"):

@@ -23,7 +23,7 @@ nothing again.
 
 from __future__ import annotations
 
-from operator import add, mul, sub
+from operator import add, sub
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from cardtable.core.cards import DECKS
 from cardtable.core.contracts import Game
 from cardtable.errors import InvalidParam
 from cardtable.games.doudizhu_patterns import (
-    DD_RANK_NAMES,
     NUM_ACTIONS,
     NUM_RANKS,
     PASS_ID,
@@ -39,6 +38,7 @@ from cardtable.games.doudizhu_patterns import (
     abstract_id,
     complete,
     french_to_dd_rank,
+    hand_literal,
     matching_abstract_ids,
 )
 
@@ -46,7 +46,14 @@ NUM_PLAYERS = 3
 _VARIANTS = {"full": ("doudizhu54", 17, 3), "mini": ("mini_doudizhu", 9, 1)}
 _DD_RANK = tuple(french_to_dd_rank(cid // 13, cid % 13) for cid in range(54))  # by french_joker id
 _NO_CARDS = (0,) * NUM_RANKS
-_LEVELS = np.arange(5).reshape(5, 1)  # the count each row of a plane stands for
+# render_key's "seat:id" text of each recent move, and the text of each lead id
+_MOVE_TEXT = tuple(tuple(f"{seat}:{aid}" for aid in range(NUM_ACTIONS)) for seat in range(NUM_PLAYERS))
+_ID_TEXT = tuple(map(str, range(NUM_ACTIONS)))
+# encode_planes: per level k, a bytes.translate table marking the counts c
+# with min(c, 4) == k, and where each (plane, level, rank) cell sits in the
+# five translated copies of the 90 counts laid end to end
+_LEVEL_TABLES = tuple(bytes(min(c, 4) == k for c in range(256)) for k in range(5))
+_PLANE_ORDER = np.arange(5 * 6 * NUM_RANKS).reshape(5, 6, NUM_RANKS).transpose(1, 0, 2).copy()
 
 
 class DoudizhuGame(Game):
@@ -147,11 +154,6 @@ class DoudizhuGame(Game):
         self.rng.setstate(rng_state)
 
 
-def hand_literal(counts) -> str:
-    """Rank characters of a count vector, ascending ("3344452BR")."""
-    return "".join(map(mul, DD_RANK_NAMES, counts))
-
-
 def capture(game: DoudizhuGame, seat: int):
     """(legal ids, view): the seat's legal ids and the state its view reads."""
     legal = game.legal_ids_for(seat)
@@ -189,8 +191,8 @@ def render_raw(view) -> dict:
 
 def render_key(view) -> str:
     seat, landlord, counts, _, played, _, to_beat, _, moves = view
-    recent = ",".join(f"{s}:{aid}" for s, aid in moves)
-    lead = "-" if to_beat is None else str(abstract_id(to_beat))
+    recent = ",".join([_MOVE_TEXT[s][aid] for s, aid in moves])
+    lead = "-" if to_beat is None else _ID_TEXT[abstract_id(to_beat)]
     return f"D{seat}|L{landlord}|{hand_literal(counts[seat])}|p{hand_literal(played)}|b{lead}|{recent}"
 
 
@@ -207,11 +209,13 @@ def encode_planes(raw: dict) -> np.ndarray:
     plane 5 the union of everything played so far. Row k of a plane is 1
     at the ranks counted exactly k times, and row 4 also where more are.
 
-    The six count vectors become one (6, 15) array, clamped at 4, and a
-    single broadcast comparison against the levels 0..4 gives the one-hot
-    tensor: a fresh, writeable, C-contiguous int8 array of shape
-    (6, 5, 15).
+    The six count vectors are read once into one 90-byte string, each
+    level's table translates it into that row of all six planes, and one
+    take over a fixed index puts the 450 bytes in (plane, level, rank)
+    order: a fresh, writeable, C-contiguous int8 array of shape
+    (6, 5, 15). Counts must fit in a byte (the engine's are at most 4).
     """
-    counts = np.minimum((raw["hand_counts"], raw["others_counts"], *raw["recent_counts"], raw["played_counts"]), 4)
-    return (counts[:, None, :] == _LEVELS).astype(np.int8)
-
+    r0, r1, r2 = raw["recent_counts"]
+    counts = bytes((*raw["hand_counts"], *raw["others_counts"], *r0, *r1, *r2, *raw["played_counts"]))
+    levels = b"".join([counts.translate(table) for table in _LEVEL_TABLES])
+    return np.frombuffer(levels, np.int8).take(_PLANE_ORDER)

@@ -68,6 +68,7 @@ the one legality check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 DD_RANK_NAMES = ("3", "4", "5", "6", "7", "8", "9", "T", "J", "Q", "K", "A", "2", "B", "R")
 NUM_RANKS = 15
@@ -98,20 +99,19 @@ class CardPattern:
     length: int = 1
     kickers: tuple[int, ...] = field(default=())
 
-    def rank_multiset(self) -> tuple[int, ...]:
-        """Every card of the move as a sorted rank tuple."""
-        body = _BODIES[abstract_id(self)]
-        ranks = list(self.kickers)
-        for r in range(NUM_RANKS):
-            if body[r]:
-                ranks += [r] * body[r]
-        return tuple(sorted(ranks))
-
     def literal(self) -> str:
-        """Log form: concatenated rank characters ("333A"), or "pass"."""
+        """Log form ("333A"): the id's body plus the kickers as counts, joined as hand_literal does; or "pass"."""
         if self.category == "pass":
             return "pass"
-        return "".join(DD_RANK_NAMES[r] for r in self.rank_multiset())
+        counts = list(_BODIES[abstract_id(self)])
+        for k in self.kickers:
+            counts[k] += 1
+        return hand_literal(counts)
+
+
+def hand_literal(counts) -> str:
+    """Rank characters of a count vector, ascending ("3344452BR")."""
+    return "".join(map(mul, DD_RANK_NAMES, counts))
 
 
 def _build_table() -> tuple[tuple[str, int, int], ...]:
@@ -340,12 +340,6 @@ _PLAIN = tuple(  # the whole pattern of each id that carries no kickers
 )
 
 
-def _kicker_ranks(cnt, primal_lo: int, primal_hi: int, need: int) -> list[int]:
-    """Ranks eligible as kickers of `need` cards each, ascending. The primal span is excluded."""
-    top = 13 if need == 2 else 15
-    return [k for k in range(top) if cnt[k] >= need and not primal_lo <= k < primal_hi]
-
-
 def complete(action_id: int, cnt) -> tuple[CardPattern, tuple[int, ...]]:
     """(pattern, cards taken per rank) for an id, kickers completed by the documented rule.
 
@@ -357,19 +351,14 @@ def complete(action_id: int, cnt) -> tuple[CardPattern, tuple[int, ...]]:
         return pattern, _BODIES[action_id]
     cat, primal, length = ABSTRACT_ACTIONS[action_id]
     need, per_rank = _KICKERS[cat]
-    n_kick = per_rank * length
-    pool = _kicker_ranks(cnt, primal, primal + length, need)
+    # the eligible ranks (pairs stop below the 2s) outside the primal span,
+    # lowest first, those that break a bomb or the held rocket after the rest
     has_rocket = cnt[13] >= 1 and cnt[14] >= 1
-
-    def breaks_protected(k: int) -> bool:
-        return cnt[k] == 4 or (k >= 13 and has_rocket)
-
-    safe = [k for k in pool if not breaks_protected(k)]
-    risky = [k for k in pool if breaks_protected(k)]
-    chosen = safe[:n_kick] + risky[: max(0, n_kick - len(safe))]
+    pool = [k for k in range(13 if need == 2 else 15) if cnt[k] >= need and not primal <= k < primal + length]
+    pool.sort(key=lambda k: cnt[k] == 4 or (k >= 13 and has_rocket))  # stable: each group stays ascending
+    chosen = pool[: per_rank * length]
     taken = list(_BODIES[action_id])
     for k in chosen:
         taken[k] += need
     kick = tuple(sorted(k for k in chosen for _ in range(need)))
     return CardPattern(cat, primal, length, kick), tuple(taken)
-

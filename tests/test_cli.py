@@ -337,6 +337,23 @@ class TestTrain:
         assert "train needs --out" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "algo, key",
+        [("cfr", "episodes"), ("mccfr", "episodes"), ("random", "episodes"), ("qlearn", "iters"), ("random", "iters")],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_a_count_the_algorithm_does_not_read_is_refused(self, tmp_path, monkeypatch, algo, key, source):
+        """Not recorded in a manifest as if it set up the run: one error line naming the key and the algorithm, nothing made."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"game=leduc\n{key}=5\nout=t1\n", encoding="utf-8")
+        argv = [f"--{key}", "5", "--game", "leduc", "--out", "t1"] if source == "flag" else ["--config", "run.cfg"]
+        own = {"cfr": ["--iters", "2"], "mccfr": ["--iters", "2"], "qlearn": ["--episodes", "2"], "random": []}[algo]
+        code, err = run_main(["train", "--algo", algo, *own, *argv])
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and key in err and algo in err
+        assert not (tmp_path / "t1").exists()
+
+
 class TestCounts:
     """iters, episodes, games and workers must be whole numbers in range."""
 
@@ -765,11 +782,13 @@ class TestBoundaryErrors:
 FUZZ_COMMANDS = ("selfplay", "train", "tournament", "exploit", "census", "bench")
 FUZZ_PARAMS = ("num_players", "hand_size", "fixed_raise", "landlord", "bogus")
 FUZZ_VALUES = ("abc", "0", "1", "2", "3", "9", "-1", "2.5", "random", "True")
-FUZZ_FLAGS = {  # the count flags each command takes, always passed so no default-sized run starts
+FUZZ_FLAGS = {  # the count flags each command (train: each --algo) reads, always passed so no default-sized run starts
     "selfplay": ("--games", "--workers"),
     "bench": ("--games", "--workers"),
     "tournament": ("--games",),
-    "train": ("--iters", "--episodes"),
+    "train cfr": ("--iters",),
+    "train mccfr": ("--iters",),
+    "train qlearn": ("--episodes",),
 }
 
 
@@ -783,10 +802,13 @@ def fuzz_argv(draw, files):
     argv = [command]
     if draw(often):  # so that most runs get past the game id
         argv += ["--game", draw(st.sampled_from(GAME_IDS))]
-    for flag in FUZZ_FLAGS.get(command, ()):
-        argv += [flag, str(draw(st.integers(-1, 2) if flag == "--workers" else st.integers(-2, 3)))]
+    reads = command
     if command == "train":
-        argv += ["--algo", draw(st.sampled_from(("cfr", "mccfr", "qlearn", "random")))]
+        algo = draw(st.sampled_from(("cfr", "mccfr", "qlearn", "random")))
+        argv += ["--algo", algo]
+        reads = f"train {algo}"
+    for flag in FUZZ_FLAGS.get(reads, ()):
+        argv += [flag, str(draw(st.integers(-1, 2) if flag == "--workers" else st.integers(-2, 3)))]
     if draw(st.booleans()):
         argv += ["--seed", str(draw(st.integers(-(2**64), 2**64)))]
     for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):

@@ -5,7 +5,10 @@ counting, with no shared code or tables, and the grammar tests require
 the production enumerator to agree triple for triple on random hands.
 Two more oracles work on concrete moves: legal_patterns enumerates every
 kicker choice of each legal id, and parse classifies a rank multiset, so
-each emitted move must parse back to itself.
+each emitted move must parse back to itself. The renderers have frozen
+references too (a scalar and a broadcast plane encoder, the literal as
+a join of the move's rank multiset, render_raw and render_key written
+out), checked on every observation of 200 seeded games per variant.
 """
 
 import copy
@@ -26,6 +29,7 @@ from cardtable.games.doudizhu_patterns import (
     ABSTRACT_ACTIONS,
     ACTION_INDEX,
     CHAIN_TOP,
+    DD_RANK_NAMES,
     NUM_ACTIONS,
     NUM_RANKS,
     PASS_ID,
@@ -39,6 +43,17 @@ from conftest import step_back
 
 PASS = CardPattern("pass", 0, 0)
 ROCKET = CardPattern("rocket", 13)
+_CARDS_PER_RANK = {"solo": 1, "solo_chain": 1, "pair": 2, "pair_chain": 2, "bomb": 4, "quad_two_solo": 4, "quad_two_pair": 4}
+
+
+def rank_multiset(pattern):
+    """Every card of a move as a sorted rank tuple, from its triple and kickers (trio categories hold 3 per rank)."""
+    if pattern.category == "rocket":
+        return (13, 14)
+    per_rank = _CARDS_PER_RANK.get(pattern.category, 3)
+    body = [r for r in range(pattern.primal, pattern.primal + pattern.length) for _ in range(per_rank)]
+    return tuple(sorted(body + list(pattern.kickers)))
+
 
 # ---------------------------------------------------------------------------
 # oracle: enumerate playable (category, primal, length) triples by counting
@@ -258,7 +273,7 @@ class TestActionTable:
 def beats(a, b):
     """Does kicker-free move a beat b? Asked of the enumerator with a hand holding exactly a's cards."""
     cnt = [0] * NUM_RANKS
-    for r in a.rank_multiset():
+    for r in rank_multiset(a):
         cnt[r] += 1
     return abstract_id(a) in matching_abstract_ids(cnt, b)
 
@@ -342,7 +357,7 @@ class TestConcretePatterns:
             for p in pats:
                 if p.category == "pass":
                     continue
-                ms = p.rank_multiset()
+                ms = rank_multiset(p)
                 for r in set(ms):
                     assert ms.count(r) <= cnt[r], (p, cnt)
 
@@ -354,7 +369,7 @@ class TestConcretePatterns:
             for p in legal_patterns(cnt, None):
                 if p.category == "pass":
                     continue
-                back = parse(p.rank_multiset())
+                back = parse(rank_multiset(p))
                 assert back == p, p
                 seen.add(p.category)
         assert "plane_solo" in seen and "quad_two_solo" in seen
@@ -425,7 +440,7 @@ class TestComplete:
             for aid in matching_abstract_ids(cnt, to_beat):
                 got, taken = complete(aid, cnt)
                 assert abstract_id(got) == aid
-                ms = got.rank_multiset()
+                ms = rank_multiset(got)
                 assert taken == tuple(ms.count(r) for r in range(NUM_RANKS))
                 assert all(t <= c for t, c in zip(taken, cnt)), (got, cnt)
 
@@ -657,11 +672,53 @@ def oracle_planes(raw):
     return planes
 
 
+def broadcast_planes(raw):
+    """The plane encoder as one broadcast comparison of the clamped counts against the levels, frozen as a reference."""
+    counts = np.minimum((raw["hand_counts"], raw["others_counts"], *raw["recent_counts"], raw["played_counts"]), 4)
+    return (counts[:, None, :] == np.arange(5).reshape(5, 1)).astype(np.int8)
+
+
 def assert_planes_match_oracle(raw):
     planes = encode_planes(raw)
     assert planes.dtype == np.int8 and planes.shape == (6, 5, NUM_RANKS)
     assert planes.flags.c_contiguous and planes.flags.writeable and planes.flags.owndata
-    assert planes.tobytes() == oracle_planes(raw).tobytes()
+    assert planes.tobytes() == oracle_planes(raw).tobytes() == broadcast_planes(raw).tobytes()
+
+
+def reference_literal(pattern):
+    """CardPattern.literal as the join of the move's sorted rank multiset."""
+    return "pass" if pattern.category == "pass" else "".join(DD_RANK_NAMES[r] for r in rank_multiset(pattern))
+
+
+def reference_hand(counts):
+    return "".join(DD_RANK_NAMES[r] * c for r, c in enumerate(counts))
+
+
+def reference_raw(view):
+    """render_raw, written out with the reference literals."""
+    seat, landlord, counts, sizes, played, recent, to_beat, trick_owner, moves = view
+    mine, left, right = counts[seat], counts[(seat + 1) % 3], counts[(seat + 2) % 3]
+    return {
+        "seat": seat,
+        "landlord": landlord,
+        "hand": reference_hand(mine),
+        "hand_counts": mine,
+        "others_counts": tuple(a + b for a, b in zip(left, right)),
+        "played_counts": played,
+        "recent_counts": recent,
+        "hand_sizes": sizes,
+        "to_beat": None if to_beat is None else reference_literal(to_beat),
+        "trick_owner": trick_owner,
+        "recent_moves": moves,
+    }
+
+
+def reference_key(view):
+    """render_key, each field formatted in place."""
+    seat, landlord, counts, _, played, _, to_beat, _, moves = view
+    recent = ",".join(f"{s}:{aid}" for s, aid in moves)
+    lead = "-" if to_beat is None else str(abstract_id(to_beat))
+    return f"D{seat}|L{landlord}|{reference_hand(counts[seat])}|p{reference_hand(played)}|b{lead}|{recent}"
 
 
 _COUNTS = st.tuples(*[st.integers(0, 6)] * NUM_RANKS)  # past 4, so the clamp is exercised
@@ -676,11 +733,47 @@ class TestPlanesAgainstOracle:
 
     @pytest.mark.parametrize("game_id", ["doudizhu", "mini_doudizhu"])
     def test_every_observation_of_seeded_games(self, game_id):
+        """Planes bytes, raw dicts and info keys of every observation of 200 games match the references."""
         env = make(EnvConfig(game_id, seed=7))
+        capture_view, default = env.spec.module.capture, env.extract_state
+        seen = []
+
+        def recording(seat):
+            seen.append((default(seat), capture_view(env.game, seat)[1]))
+            return seen[-1][0]
+
+        env.extract_state = recording
         env.set_agents([RandomAgent() for _ in range(3)])
-        for _ in range(20):
-            trajectories, _ = env.run()
-            for trajectory in trajectories:
-                for t in trajectory:
-                    assert_planes_match_oracle(t.state.raw)
-                    assert_planes_match_oracle(t.next_state.raw)
+        leads = set()
+        for _ in range(200):
+            env.run()
+            for obs, view in seen:
+                assert obs.raw == reference_raw(view)
+                assert obs.info_key == reference_key(view)
+                assert_planes_match_oracle(obs.raw)
+                leads.add(None if view[6] is None else view[6].category)
+            seen.clear()
+        assert {None, "solo", "pair", "trio_single", "trio_pair"} <= leads
+
+
+class TestLiteralAgainstReference:
+    def test_every_plain_id(self):
+        plain = [CardPattern(*triple) for triple in ABSTRACT_ACTIONS if triple[0] not in KICKERS]
+        assert len(plain) == NUM_ACTIONS - sum(cat in KICKERS for cat, _, _ in ABSTRACT_ACTIONS)
+        for pattern in plain:
+            assert pattern.literal() == reference_literal(pattern), pattern
+        assert CardPattern("solo_chain", 2, 7).literal() == "56789TJ"
+        assert ROCKET.literal() == "BR" and PASS.literal() == "pass"
+
+    def test_kicker_moves_that_complete_returns(self):
+        rng = Rng(835)
+        seen = Counter()
+        for trial in range(300):
+            cnt = random_sparse_hand(rng) if trial % 4 == 3 else random_deal_hand(rng)
+            for aid in matching_abstract_ids(cnt, None):
+                if ABSTRACT_ACTIONS[aid][0] in KICKERS:
+                    pattern = complete(aid, cnt)[0]
+                    assert pattern.literal() == reference_literal(pattern), (pattern, cnt)
+                    seen[pattern.category] += 1
+        assert set(seen) == set(KICKERS)
+        assert CardPattern("plane_pair", 0, 2, (5, 5, 9, 9)).literal() == "33344488QQ"

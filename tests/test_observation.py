@@ -1,12 +1,15 @@
 """Lazily rendered observations and the per-state legal-move cache, on every game id."""
 
 import copy
+import pathlib
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cardtable.agents import RandomAgent
 from cardtable.core.rng import Rng
 from cardtable.env import GAME_IDS, EnvConfig, make
 from cardtable.errors import IllegalAction, IllegalMove
@@ -67,6 +70,43 @@ def test_observation_survives_pickle_and_deepcopy(game_id):
         assert twin.planes.tobytes() == obs.planes.tobytes()
     rendered = pickle.loads(pickle.dumps(obs))  # after obs rendered every view
     assert rendered == obs and rendered.planes.tobytes() == obs.planes.tobytes()
+
+
+PLANES = {  # the planes each game id encodes: shape and dtype, as README's Observation paragraph lists them
+    "blackjack": ((2,), np.int64),
+    "leduc": ((14,), np.float64),
+    "limit_holdem": ((107,), np.float64),
+    "uno": ((4, 54), np.int8),
+    "doudizhu": ((6, 5, 15), np.int8),
+    "mini_doudizhu": ((6, 5, 15), np.int8),
+}
+
+
+def test_planes_table_names_every_game_as_readme_does():
+    readme = " ".join((pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8").split())
+    assert set(PLANES) == set(GAME_IDS)
+    for game_id, (shape, dtype) in PLANES.items():
+        assert f"{game_id} `{shape}` {np.dtype(dtype).name}" in readme
+
+
+@pytest.mark.parametrize("game_id", GAME_IDS)
+def test_planes_contract(game_id):
+    """Every observation's planes: the game's shape and dtype, writeable, C-contiguous, its own memory."""
+    env = make(EnvConfig(game_id, seed=9))
+    env.set_agents([RandomAgent() for _ in range(env.num_players)])
+    shape, dtype = PLANES[game_id]
+    planes = []
+    for _ in range(3):
+        trajectories, _ = env.run()
+        for t in (t for trajectory in trajectories for t in trajectory):
+            for obs in (t.state, t.next_state):
+                got = obs.planes
+                assert got.shape == shape and got.dtype == dtype
+                assert got.flags.writeable and got.flags.c_contiguous
+                planes.append(got)
+    assert len(planes) >= 4
+    for i, a in enumerate(planes):
+        assert not any(np.shares_memory(a, b) for b in planes[i + 1 :] if b is not a)
 
 
 def test_raw_renders_once():
